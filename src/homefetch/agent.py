@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .geometry import dist, norm_angle
 from .language import InstructionAst, AttributeSet, SpatialRelation
@@ -34,7 +34,8 @@ from .vocab import Vocabulary, DEFAULT
 from .world import (
     DT_S, DYNAMIC, SURFACE, ActionFailure, CameraPose, Environment, Pose,
     Snapshot, capture_supports, grasp as world_grasp, line_of_sight,
-    place as world_place, point_in_room, step as world_step, visible_objects,
+    place as world_place, point_in_room, sight_ignore, step as world_step,
+    visible_objects,
 )
 
 if TYPE_CHECKING:
@@ -138,15 +139,11 @@ class GroundingResult:
 
 def captured(env: Environment, cam: CameraPose) -> list[Snapshot]:
     """visible_objects memoized per (scene version, camera pose)."""
-    memo = getattr(env, "_vis_memo", None)
-    if memo is None:
-        memo = {}
-        env._vis_memo = memo
     key = (env.scene_version, cam.pose.x, cam.pose.y, cam.pose.theta)
-    hit = memo.get(key)
+    hit = env._vis_memo.get(key)
     if hit is None:
         hit = visible_objects(env, cam)
-        memo[key] = hit
+        env._vis_memo[key] = hit
     return hit
 
 
@@ -328,21 +325,26 @@ def navigate_to_room(env: Environment, room_id: str, deadline: float,
     t0 = env.clock
     if point_in_room(env, env.robot.pose.x, env.robot.pose.y) == room_id:
         return SubtaskOutcome(True, True, 0.0)
-    room = env.room(room_id)
+    path = room_entry_path(env, room_id)
     reached = False
-    for door in sorted(room.doors, key=lambda d: d.id):
-        anchor = door.anchor_in(room, ANCHOR_INSET_M)
-        try:
-            path = plan_path(env, env.robot.pose.xy, anchor)
-        except NoPath:
-            continue
-        _emit(events, env, "path", purpose=f"navigate:{room_id}",
-              waypoints=[list(p) for p in path.waypoints],
-              length_m=path.total_length)
+    if path is not None:
+        _emit_path(events, env, f"navigate:{room_id}", path)
         reached = follow_path(env, path, deadline)
-        break
     ok = reached and point_in_room(env, env.robot.pose.x, env.robot.pose.y) == room_id
     return SubtaskOutcome(True, ok, env.clock - t0)
+
+
+def room_entry_path(env: Environment, room_id: str) -> Path | None:
+    """Path from the robot to the first door anchor of the room, by door id,
+    that the planner can reach; None when no anchor is reachable."""
+    room = env.room(room_id)
+    for door in sorted(room.doors, key=lambda d: d.id):
+        try:
+            return plan_path(env, env.robot.pose.xy,
+                             door.anchor_in(room, ANCHOR_INSET_M))
+        except NoPath:
+            continue
+    return None
 
 
 def crawl(env: Environment, room_id: str, deadline: float,
@@ -362,9 +364,7 @@ def crawl(env: Environment, room_id: str, deadline: float,
             path = plan_path(env, env.robot.pose.xy, (x, y))
         except NoPath:
             continue
-        _emit(events, env, "path", purpose="crawl",
-              waypoints=[list(p) for p in path.waypoints],
-              length_m=path.total_length)
+        _emit_path(events, env, "crawl", path)
         if not follow_path(env, path, deadline):
             continue
         for h in HEADINGS:
@@ -622,8 +622,7 @@ def _goto_and_dock(env: Environment, app: Approach, deadline: float,
         path = plan_path(env, env.robot.pose.xy, app.staging)
     except NoPath:
         return False
-    _emit(events, env, "path", purpose=purpose,
-          waypoints=[list(p) for p in path.waypoints], length_m=path.total_length)
+    _emit_path(events, env, purpose, path)
     if not follow_path(env, path, deadline):
         return False
     if app.dock == app.staging:
@@ -643,100 +642,123 @@ def estimated_position(cam: CameraPose, view: tuple[float, float]) -> tuple[floa
     return (cam.pose.x + rng * math.cos(a), cam.pose.y + rng * math.sin(a))
 
 
+def grasp_approach(env: Environment, grounding: GroundingResult,
+                   captures: list[Capture]) -> Approach | None:
+    """Standoff for grasping the grounded target, estimated from its view.
+
+    The sight test looks past what the grasp's own sight test does; a
+    phantom id has no support to look past.
+    """
+    cam = captures[grounding.target_capture].camera
+    est = estimated_position(cam, grounding.target_view)
+    obj = env.objects.get(grounding.target)
+    ignore = (sight_ignore(env, obj) if obj is not None
+              else frozenset({grounding.target}))
+    return find_approach(env, est, env.robot.reach - GRASP_MARGIN_M, ignore,
+                         _robot_component(env))
+
+
+def place_approach(env: Environment, grounding: GroundingResult,
+                   captures: list[Capture]) -> Approach | None:
+    """Standoff for setting down on the grounded destination surface.
+
+    Aims at the point of the surface, inset by a nominal object radius,
+    nearest the destination view; None when the surface is unknown.
+    """
+    surf = env._surfaces.get(grounding.destination)
+    if surf is None:
+        return None
+    pose = captures[grounding.destination_capture].camera.pose
+    est = surf.region.inset(NOMINAL_OBJECT_R_M).clamp(pose.x, pose.y)
+    return find_approach(env, est, env.robot.reach - PLACE_MARGIN_M, None,
+                         _robot_component(env))
+
+
 # --- fetch / carry ----------------------------------------------------------
+
+def _approach_and_act(env: Environment, role: str, view: CameraPose,
+                      approach: Callable[[], Approach | None],
+                      act: Callable[[Approach], bool], deadline: float,
+                      events: list | None) -> bool:
+    """Viewpoint path, follow, approach, dock, act; False if any step fails."""
+    try:
+        path = plan_path(env, env.robot.pose.xy, view.pose.xy)
+    except NoPath:
+        return False
+    _emit_path(events, env, f"{role}:viewpoint", path)
+    if not follow_path(env, path, deadline):
+        return False
+    app = approach()
+    if app is None or not _goto_and_dock(env, app, deadline, events,
+                                         f"{role}:approach"):
+        return False
+    return act(app)
+
 
 def fetch(env: Environment, grounding: GroundingResult, captures: list[Capture],
           task: "TaskSpec", deadline: float,
           events: list | None = None) -> SubtaskOutcome:
     """Return to the grounded view, approach, and grasp; graded against truth."""
     t0 = env.clock
-    outcome = SubtaskOutcome(True, False, 0.0)
-    cap = captures[grounding.target_capture]
-    try:
-        path = plan_path(env, env.robot.pose.xy, cap.camera.pose.xy)
-    except NoPath:
-        outcome.sim_time_s = env.clock - t0
-        return outcome
-    _emit(events, env, "path", purpose="fetch:viewpoint",
-          waypoints=[list(p) for p in path.waypoints], length_m=path.total_length)
-    if not follow_path(env, path, deadline):
-        outcome.sim_time_s = env.clock - t0
-        return outcome
 
-    est = estimated_position(cap.camera, grounding.target_view)
-    ignore = {grounding.target}
-    obj = env.objects.get(grounding.target)
-    if obj is not None and obj.support is not None:
-        ignore.add(env.surface(obj.support).owner)
-    app = find_approach(env, est, env.robot.reach - GRASP_MARGIN_M,
-                        frozenset(ignore), _robot_component(env))
-    if app is None or not _goto_and_dock(env, app, deadline, events, "fetch:approach"):
-        outcome.sim_time_s = env.clock - t0
-        return outcome
-    grabbed = False
-    try:
-        world_grasp(env, grounding.target)
-        grabbed = True
-    except ActionFailure as e:
-        _emit(events, env, "grasp", object=grounding.target, ok=False,
-              reason=type(e).__name__)
-    if grabbed:
-        _emit(events, env, "grasp", object=grounding.target, ok=True)
-    _undock(env, app, deadline)
-    outcome.succeeded = grabbed and grounding.target == task.target
-    outcome.sim_time_s = env.clock - t0
-    return outcome
+    def grasp_and_undock(app: Approach) -> bool:
+        try:
+            world_grasp(env, grounding.target)
+        except ActionFailure as e:
+            _emit(events, env, "grasp", object=grounding.target, ok=False,
+                  reason=type(e).__name__)
+            grabbed = False
+        else:
+            _emit(events, env, "grasp", object=grounding.target, ok=True)
+            grabbed = True
+        _undock(env, app, deadline)
+        return grabbed
+
+    grabbed = _approach_and_act(
+        env, "fetch", captures[grounding.target_capture].camera,
+        lambda: grasp_approach(env, grounding, captures), grasp_and_undock,
+        deadline, events)
+    return SubtaskOutcome(True, grabbed and grounding.target == task.target,
+                          env.clock - t0)
 
 
 def carry(env: Environment, grounding: GroundingResult, captures: list[Capture],
           task: "TaskSpec", deadline: float,
           events: list | None = None) -> SubtaskOutcome:
-    """Return to the destination view, approach the surface, and set down."""
-    t0 = env.clock
-    outcome = SubtaskOutcome(True, False, 0.0)
-    cap = captures[grounding.destination_capture]
-    try:
-        path = plan_path(env, env.robot.pose.xy, cap.camera.pose.xy)
-    except NoPath:
-        outcome.sim_time_s = env.clock - t0
-        return outcome
-    _emit(events, env, "path", purpose="carry:viewpoint",
-          waypoints=[list(p) for p in path.waypoints], length_m=path.total_length)
-    if not follow_path(env, path, deadline):
-        outcome.sim_time_s = env.clock - t0
-        return outcome
+    """Return to the destination view, approach the surface, and set down.
 
-    surf = env._surfaces.get(grounding.destination)
-    if surf is None:
-        outcome.sim_time_s = env.clock - t0
-        return outcome
-    est = surf.region.inset(NOMINAL_OBJECT_R_M).clamp(cap.camera.pose.x,
-                                                      cap.camera.pose.y)
-    app = find_approach(env, est, env.robot.reach - PLACE_MARGIN_M, None,
-                        _robot_component(env))
-    if app is None or not _goto_and_dock(env, app, deadline, events, "carry:approach"):
-        outcome.sim_time_s = env.clock - t0
-        return outcome
-    placed = False
-    try:
-        world_place(env, grounding.destination)
-        placed = True
-    except ActionFailure as e:
-        _emit(events, env, "place", surface=grounding.destination, ok=False,
-              reason=type(e).__name__)
-    if placed:
+    The robot stays docked after the set-down.
+    """
+    t0 = env.clock
+
+    def set_down(app: Approach) -> bool:
+        try:
+            world_place(env, grounding.destination)
+        except ActionFailure as e:
+            _emit(events, env, "place", surface=grounding.destination, ok=False,
+                  reason=type(e).__name__)
+            return False
         obj = env.objects[task.target]
         _emit(events, env, "place", surface=grounding.destination, ok=True,
               xy=[obj.pose.x, obj.pose.y])
-    obj = env.objects.get(task.target)
-    dest_surf = env._surfaces.get(task.destination)
-    outcome.succeeded = bool(
-        placed and obj is not None and dest_surf is not None
-        and obj.support == task.destination
-        and dest_surf.region.inset(obj.radius).contains_closed(obj.pose.x, obj.pose.y)
-    )
-    outcome.sim_time_s = env.clock - t0
-    return outcome
+        return True
+
+    placed = _approach_and_act(
+        env, "carry", captures[grounding.destination_capture].camera,
+        lambda: place_approach(env, grounding, captures), set_down,
+        deadline, events)
+    obj = env.objects[task.target]
+    succeeded = bool(
+        placed and obj.support == task.destination
+        and env.surface(task.destination).region.inset(obj.radius)
+        .contains_closed(obj.pose.x, obj.pose.y))
+    return SubtaskOutcome(True, succeeded, env.clock - t0)
+
+
+def _emit_path(events: list | None, env: Environment, purpose: str,
+               path: Path) -> None:
+    _emit(events, env, "path", purpose=purpose,
+          waypoints=[list(p) for p in path.waypoints], length_m=path.total_length)
 
 
 def _emit(events: list | None, env: Environment, name: str, **fields) -> None:

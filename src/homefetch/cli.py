@@ -90,7 +90,7 @@ def cmd_generate(args) -> int:
     try:
         for i in range(cfg.sessions):
             session_seed = h64("session", cfg.seed, i)
-            gen_cfg = replace(cfg.gen, seed=session_seed, noise=cfg.noise)
+            gen_cfg = replace(cfg.gen, seed=session_seed)
             tasks.append(generate_task(gen_cfg))
     except GenerationFailed as e:
         print(f"generation failed: {e}", file=sys.stderr)
@@ -107,7 +107,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    merged: dict[str, tuple[list[int], list[int]]] = {}
+    merged: dict[str, Tally] = {}
     for path in args.logs:
         try:
             events = read_events(path)
@@ -119,16 +119,12 @@ def cmd_report(args) -> int:
             print(f"schema error in {path}: {e}", file=sys.stderr)
             return EXIT_SCHEMA
         for label, tally in per_label.items():
-            acc = merged.setdefault(label, ([0, 0, 0, 0], [0, 0, 0, 0]))
-            for i in range(4):
-                acc[0][i] += tally.attempts[i]
-                acc[1][i] += tally.successes[i]
+            merged[label] = merged.get(label, Tally()) + tally
     if not merged:
-        print(format_report("", Tally((0, 0, 0, 0), (0, 0, 0, 0))))
+        print(format_report("", Tally()))
         return EXIT_OK
     for label in sorted(merged):
-        attempts, successes = merged[label]
-        print(format_report(label, Tally(tuple(attempts), tuple(successes))))
+        print(format_report(label, merged[label]))
     return EXIT_OK
 
 

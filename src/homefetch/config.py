@@ -7,7 +7,7 @@ change results without any visible signal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .agent import GROUNDERS, NoiseConfig, RELATIONAL, ScoreWeights
 from .relations import RelationThresholds
@@ -110,7 +110,7 @@ def config_from_dict(data: dict) -> RunConfig:
             gen_data["thresholds"] = RelationThresholds(
                 **_parse_section(gen_data["thresholds"], _THRESHOLD_KEYS,
                                  "gen.thresholds"))
-        gen = GenConfig(seed=0, noise=noise, **gen_data)
+        gen = GenConfig(seed=0, **gen_data)
     except ValueError as e:
         raise ConfigError(f"gen: {e}") from e
     return RunConfig(noise=noise, gen=gen, **top)
@@ -141,7 +141,6 @@ def apply_overrides(cfg: RunConfig, *, seed=None, sessions=None, grounder=None,
                 p_hallucinate=noise.p_hallucinate)
         except ValueError as e:
             raise ConfigError(f"noise: {e}") from e
-    gen = replace(cfg.gen, noise=noise)
     return RunConfig(
         seed=cfg.seed if seed is None else seed,
         sessions=cfg.sessions if sessions is None else sessions,
@@ -153,7 +152,7 @@ def apply_overrides(cfg: RunConfig, *, seed=None, sessions=None, grounder=None,
         paper_compat_counts=(cfg.paper_compat_counts
                              if paper_compat_counts is None
                              else paper_compat_counts),
-        noise=noise, gen=gen)
+        noise=noise, gen=cfg.gen)
 
 
 def config_echo(cfg: RunConfig) -> dict:

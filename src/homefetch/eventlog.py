@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Iterable
 
 
@@ -37,17 +38,41 @@ def write_events(path, events: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+# NaN, Infinity and overflowing literals such as 1e999 all land in _finite.
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+
+
 def read_events(path) -> list[dict]:
+    """Load a log as strictly as `canonical_json` writes one.
+
+    Every non-blank line must be ASCII and hold one JSON object without
+    NaN, Infinity or a number that overflows a float; anything else raises
+    SchemaError naming the line.
+    """
     out: list[dict] = []
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape keeps a stray byte readable, so the line can be named.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:
                 continue
+            where = f"{path}:{lineno}"
+            if not line.isascii():
+                raise SchemaError(f"{where}: non-ASCII byte")
             try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {e}") from e
+                rec = _DECODER.decode(line)
+            except ValueError as e:  # JSONDecodeError, or a non-finite number
+                raise SchemaError(f"{where}: invalid JSON: {e}") from e
+            if not isinstance(rec, dict):
+                raise SchemaError(f"{where}: not a JSON object")
+            out.append(rec)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from operator import add
 
 from .agent import (
     GroundingFailed, ORACLE, SubtaskOutcome, carry, crawl, detect, fetch,
@@ -92,21 +93,16 @@ def _detection_record(d) -> dict:
 def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRecord:
     """One full generate-execute-evaluate cycle on a fresh environment."""
     session_seed = h64("session", seed, session_index)
-    gen_cfg = replace(cfg.gen, seed=session_seed, noise=cfg.noise)
-    env, task = generate_task(gen_cfg)
+    env, task = generate_task(replace(cfg.gen, seed=session_seed))
     env.trace = []
+    # The agent appends its own events here; every event gets its session
+    # index once the session is over.
     events: list[dict] = []
 
     def emit(name: str, **extra) -> None:
-        rec = {"event": name, "session": session_index,
-               "clock_s": round(env.clock, 6)}
+        rec = {"event": name, "clock_s": round(env.clock, 6)}
         rec.update(extra)
         events.append(rec)
-
-    def merge(sink: list[dict]) -> None:
-        for e in sink:
-            e["session"] = session_index
-            events.append(e)
 
     emit("session_start", seed=seed, session_seed=session_seed,
          config=config_echo(cfg))
@@ -120,24 +116,11 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
     abstained = False
     grounding = None
     captures: list = []
-    reason = check_termination(env.clock, budget, outcomes)
 
-    if reason is None:
-        emit("subtask_start", subtask=NAVIGATION)
-        sink: list[dict] = []
-        out = navigate_to_room(env, task.room, budget, sink)
-        merge(sink)
-        outcomes[NAVIGATION] = out
-        emit("subtask_end", subtask=NAVIGATION, attempted=out.attempted,
-             succeeded=out.succeeded, sim_time_s=round(out.sim_time_s, 6))
-        reason = check_termination(env.clock, budget, outcomes)
-
-    if reason is None and outcomes[NAVIGATION].succeeded:
-        emit("subtask_start", subtask=OLR)
+    def olr() -> SubtaskOutcome:
+        nonlocal abstained, grounding, captures
         t0 = env.clock
-        sink = []
-        captures = crawl(env, task.room, budget, sink)
-        merge(sink)
+        captures = crawl(env, task.room, budget, events)
         stream = KeyedStream("noise", session_seed)
         detections = [detect(c, i, cfg.noise, stream)
                       for i, c in enumerate(captures)]
@@ -149,13 +132,10 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
             partial = grounding
         except GroundingFailed as err:
             partial = err.result
-            grounding = None
             abstained = True
         correct = (grounding is not None
                    and grounding.target == task.target
                    and grounding.destination == task.destination)
-        out = SubtaskOutcome(True, correct, env.clock - t0)
-        outcomes[OLR] = out
         emit("olr", captures=len(captures),
              digest=digest16({
                  "captures": [capture_record(c) for c in captures],
@@ -165,35 +145,34 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
              target_capture=partial.target_capture,
              destination_capture=partial.destination_capture,
              abstained=abstained, correct=correct)
-        emit("subtask_end", subtask=OLR, attempted=out.attempted,
-             succeeded=out.succeeded, sim_time_s=round(out.sim_time_s, 6))
-        reason = check_termination(env.clock, budget, outcomes)
+        return SubtaskOutcome(True, correct, env.clock - t0)
 
-    if reason is None and outcomes[OLR] is not None and outcomes[OLR].succeeded:
-        emit("subtask_start", subtask=FETCHING)
-        sink = []
-        out = fetch(env, grounding, captures, task, budget, sink)
-        merge(sink)
-        outcomes[FETCHING] = out
-        emit("subtask_end", subtask=FETCHING, attempted=out.attempted,
+    stages = (
+        (NAVIGATION, lambda: navigate_to_room(env, task.room, budget, events)),
+        (OLR, olr),
+        (FETCHING, lambda: fetch(env, grounding, captures, task, budget, events)),
+        (CARRYING, lambda: carry(env, grounding, captures, task, budget, events)),
+    )
+    # Strict gating: a stage runs only while no verdict is in and every
+    # earlier stage succeeded.
+    reason = check_termination(env.clock, budget, outcomes)
+    for name, stage in stages:
+        if reason is not None:
+            break
+        emit("subtask_start", subtask=name)
+        out = outcomes[name] = stage()
+        emit("subtask_end", subtask=name, attempted=out.attempted,
              succeeded=out.succeeded, sim_time_s=round(out.sim_time_s, 6))
         reason = check_termination(env.clock, budget, outcomes)
-
-    if (reason is None and outcomes[FETCHING] is not None
-            and outcomes[FETCHING].succeeded):
-        emit("subtask_start", subtask=CARRYING)
-        sink = []
-        out = carry(env, grounding, captures, task, budget, sink)
-        merge(sink)
-        outcomes[CARRYING] = out
-        emit("subtask_end", subtask=CARRYING, attempted=out.attempted,
-             succeeded=out.succeeded, sim_time_s=round(out.sim_time_s, 6))
-        reason = check_termination(env.clock, budget, outcomes)
+        if not out.succeeded:
+            break
 
     assert reason is not None, "pipeline ended without a termination verdict"
     emit("termination", kind=reason.kind, subtask=reason.subtask)
     emit("session_end", duration_s=round(env.clock, 6),
          collisions=env.collisions)
+    for e in events:
+        e["session"] = session_index
 
     return SessionRecord(
         seed=seed, session=session_index, session_seed=session_seed,
@@ -221,31 +200,26 @@ def run_batch(cfg: RunConfig) -> list[SessionRecord]:
 
 @dataclass(frozen=True)
 class Tally:
-    attempts: tuple[int, int, int, int]  # order: SUBTASKS
-    successes: tuple[int, int, int, int]
+    """Attempt/success counts per subtask; the default is the zero tally."""
+    attempts: tuple[int, int, int, int] = (0, 0, 0, 0)  # order: SUBTASKS
+    successes: tuple[int, int, int, int] = (0, 0, 0, 0)
+
+    def __add__(self, other: "Tally") -> "Tally":
+        return Tally(tuple(map(add, self.attempts, other.attempts)),
+                     tuple(map(add, self.successes, other.successes)))
 
 
 def aggregate(records: list[SessionRecord],
               abstain_as_unattempted: bool = False) -> Tally:
-    """Attempt/success counts per subtask.
+    """Attempt/success counts per subtask, summed over the records' events.
 
     With `abstain_as_unattempted`, an OLR round that abstained is dropped
     from the attempt count, so a grounder that always abstains reports
     0 attempts instead of 0% of the batch.
     """
-    attempts = [0, 0, 0, 0]
-    successes = [0, 0, 0, 0]
-    for r in records:
-        for i, name in enumerate(SUBTASKS):
-            o = r.outcomes.get(name)
-            if o is None or not o.attempted:
-                continue
-            if abstain_as_unattempted and name == OLR and r.olr_abstained:
-                continue
-            attempts[i] += 1
-            if o.succeeded:
-                successes[i] += 1
-    return Tally(tuple(attempts), tuple(successes))
+    per_label = tallies_from_events([e for r in records for e in r.events],
+                                    abstain_as_unattempted)
+    return sum(per_label.values(), Tally())
 
 
 def _cell(successes: int, attempts: int) -> str:

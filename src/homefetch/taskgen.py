@@ -14,18 +14,16 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .agent import (
-    ANCHOR_INSET_M, GRASP_MARGIN_M, NOMINAL_OBJECT_R_M, PLACE_MARGIN_M,
-    RELATIONAL, Capture, GroundingFailed, NoiseConfig, ScoreWeights, captured,
-    estimated_position, find_approach, ground, identity_detections,
-    lattice_captures,
+    RELATIONAL, Capture, GroundingFailed, ScoreWeights, captured,
+    grasp_approach, ground, identity_detections, lattice_captures,
+    place_approach, room_entry_path,
 )
 from .eventlog import canonical_json
 from .geometry import dist, norm_angle
 from .language import (
     GotoClause, InstructionAst, ManipClause, ONTO, TO, parse, realize,
 )
-from .layouts import TABLE_LEVEL, make_environment
-from .planner import NoPath, grid_for, plan_path
+from .layouts import TABLE_LEVEL, layout_ids, make_environment
 from .relations import (
     NoDistinguishingDescription, RelationThresholds, distinguishing_descriptor,
     minimal_attr_descriptor,
@@ -33,8 +31,9 @@ from .relations import (
 from .seeds import h64, substream
 from .vocab import DEFAULT, Vocabulary
 from .world import (
-    SURFACE, CameraPose, DynamicObject, Environment, Pose, capture_supports,
-    env_record, find_place_pose, point_in_room, validate_environment,
+    SURFACE, ActionFailure, CameraPose, DynamicObject, Environment, Pose,
+    capture_supports, env_record, place_spot, point_in_room,
+    validate_environment,
 )
 
 CAPTURE_RING_RADIUS_M = 1.5
@@ -73,15 +72,15 @@ class GenConfig:
     color_presence: float = 0.8
     material_presence: float = 0.6
     source_phrase_prob: float = 0.3
-    # Passed through to the perception/grounding stack; generation itself
-    # never consumes noise.
-    noise: NoiseConfig = NoiseConfig()
     thresholds: RelationThresholds = RelationThresholds()
     weights: ScoreWeights = ScoreWeights()
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        if self.layout_id not in layout_ids():
+            raise ValueError(f"unknown layout_id {self.layout_id!r}; "
+                             f"known: {', '.join(layout_ids())}")
         if self.min_objects < 0 or self.max_objects < self.min_objects:
             raise ValueError("need 0 <= min_objects <= max_objects")
         if self.min_objects > 0 and self.objects_per_room < 1.0:
@@ -299,44 +298,17 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     if not (g.strict_target and g.strict_destination):
         return False
 
-    grid = grid_for(env)
-    start = env.robot.pose
-    comp = grid.component_at(start.x, start.y)
-    component = comp if comp >= 0 else None
-    room = env.room(task.room)
-    for door in sorted(room.doors, key=lambda d: d.id):
-        try:
-            plan_path(env, (start.x, start.y), door.anchor_in(room, ANCHOR_INSET_M))
-            break
-        except NoPath:
-            continue
-    else:
+    if room_entry_path(env, task.room) is None:
         return False
-
-    t_cap = caps[g.target_capture]
-    est = estimated_position(t_cap.camera, g.target_view)
-    obj = env.objects[task.target]
-    ignore = {task.target}
-    owner = env.support_owner(obj)
-    if owner is not None:
-        ignore.add(owner)
-    grasp_app = find_approach(env, est, env.robot.reach - GRASP_MARGIN_M,
-                              frozenset(ignore), component)
-    if grasp_app is None:
+    if grasp_approach(env, g, caps) is None:
         return False
-
-    d_cap = caps[g.destination_capture]
-    surf = env.surface(task.destination)
-    est_pt = surf.region.inset(NOMINAL_OBJECT_R_M).clamp(d_cap.camera.pose.x,
-                                                         d_cap.camera.pose.y)
-    place_app = find_approach(env, est_pt, env.robot.reach - PLACE_MARGIN_M,
-                              None, component)
+    place_app = place_approach(env, g, caps)
     if place_app is None:
         return False
-    if surf.region.inset(obj.radius).distance_to(*place_app.dock) > env.robot.reach:
-        return False
-    if find_place_pose(env, task.destination, obj.radius, place_app.dock,
-                       env.robot.reach, frozenset({task.target})) is None:
+    try:
+        place_spot(env, task.destination, env.objects[task.target],
+                   place_app.dock)
+    except ActionFailure:
         return False
     return True
 

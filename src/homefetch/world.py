@@ -255,6 +255,13 @@ def line_of_sight(env: Environment, a: tuple[float, float], b: tuple[float, floa
     return True
 
 
+def sight_ignore(env: Environment, obj: DynamicObject) -> frozenset[str]:
+    """What a sight line to `obj` looks past: the object itself and the
+    furniture it rests on."""
+    owner = env.support_owner(obj)
+    return frozenset({obj.id} if owner is None else {obj.id, owner})
+
+
 def _subject_visible(env: Environment, cam: CameraPose, ref: tuple[float, float],
                      ignore: frozenset[str]) -> tuple[float, float] | None:
     """(bearing, range) if ref passes the cone, range, and sight tests."""
@@ -282,11 +289,7 @@ def visible_objects(env: Environment, cam: CameraPose) -> list[Snapshot]:
     out: list[Snapshot] = []
     for oid in sorted(env.objects):
         o = env.objects[oid]
-        ignore = {oid}
-        owner = env.support_owner(o)
-        if owner is not None:
-            ignore.add(owner)
-        hit = _subject_visible(env, cam, o.pose.xy, frozenset(ignore))
+        hit = _subject_visible(env, cam, o.pose.xy, sight_ignore(env, o))
         if hit is not None:
             out.append(Snapshot(oid, DYNAMIC, o.category, o.color, o.material,
                                 hit[0], hit[1]))
@@ -364,11 +367,7 @@ def grasp(env: Environment, target: str) -> None:
         raise NoSuchObject(target)
     if dist(rb.pose.xy, obj.pose.xy) > rb.reach + 1e-9:
         raise OutOfReach(target)
-    ignore = {target}
-    owner = env.support_owner(obj)
-    if owner is not None:
-        ignore.add(owner)
-    if not line_of_sight(env, rb.pose.xy, obj.pose.xy, frozenset(ignore)):
+    if not line_of_sight(env, rb.pose.xy, obj.pose.xy, sight_ignore(env, obj)):
         raise Occluded(target)
     obj.support = None
     rb.gripper = target
@@ -416,6 +415,29 @@ def find_place_pose(env: Environment, dest: str, obj_radius: float,
     return None
 
 
+def place_spot(env: Environment, dest: str, obj: DynamicObject,
+               robot_xy: tuple[float, float]) -> tuple[float, float]:
+    """Where `place` would set `obj` down on `dest` with the robot at `robot_xy`.
+
+    Raises NoSuchObject, NoFreePose or SurfaceOutOfReach, as `place` does.
+    """
+    surf = env._surfaces.get(dest)
+    if surf is None:
+        raise NoSuchObject(dest)
+    inset = surf.region.inset(obj.radius)
+    if inset.area == 0.0 and (inset.width == 0.0 and inset.height == 0.0):
+        # Region too small for this object; treat like a packed surface.
+        raise NoFreePose(dest)
+    reach = env.robot.reach
+    if inset.distance_to(robot_xy[0], robot_xy[1]) > reach:
+        raise SurfaceOutOfReach(dest)
+    spot = find_place_pose(env, dest, obj.radius, robot_xy, reach,
+                           frozenset({obj.id}))
+    if spot is None:
+        raise NoFreePose(dest)
+    return spot
+
+
 def place(env: Environment, dest: str) -> None:
     """Set the held object down on surface `dest`.
 
@@ -425,20 +447,8 @@ def place(env: Environment, dest: str) -> None:
     rb = env.robot
     if rb.gripper is None:
         raise NotHolding()
-    surf = env._surfaces.get(dest)
-    if surf is None:
-        raise NoSuchObject(dest)
     obj = env.objects[rb.gripper]
-    inset = surf.region.inset(obj.radius)
-    if inset.area == 0.0 and (inset.width == 0.0 and inset.height == 0.0):
-        # Region too small for this object; treat like a packed surface.
-        raise NoFreePose(dest)
-    if inset.distance_to(rb.pose.x, rb.pose.y) > rb.reach:
-        raise SurfaceOutOfReach(dest)
-    spot = find_place_pose(env, dest, obj.radius, rb.pose.xy, rb.reach,
-                           frozenset({obj.id}))
-    if spot is None:
-        raise NoFreePose(dest)
+    spot = place_spot(env, dest, obj, rb.pose.xy)
     obj.pose = Pose(spot[0], spot[1], 0.0)
     obj.support = dest
     rb.gripper = None

@@ -80,6 +80,14 @@ class TestRun:
         assert rc == EXIT_CONFIG
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_unknown_layout_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": {"layout_id": "nope"}}))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "layout_id" in err
+
     def test_generation_failure_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -188,6 +196,26 @@ class TestReport:
         rc = main(["report", str(log)])
         assert rc == EXIT_SCHEMA
         capsys.readouterr()
+
+
+# Lines the writer never emits; each must be a schema error, not a crash.
+_MALFORMED = {
+    "list": b'[1,2]\n',
+    "non_ascii": b'{"event":"session_start","session":0}\xff\n',
+    "nan": (b'{"event":"session_start","session":0,"clock_s":0.0}\n'
+            b'{"event":"scene","session":0,"clock_s":NaN}\n'),
+    "overflow": b'{"event":"scene","session":0,"clock_s":1e999}\n',
+}
+
+
+@pytest.mark.parametrize("command", ["report", "replay"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_line_exits_5(tmp_path, capsys, command, case):
+    log = tmp_path / "bad.jsonl"
+    log.write_bytes(_MALFORMED[case])
+    assert main([command, str(log)]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("schema error") and captured.err.count("\n") == 1
 
 
 class TestReplay:

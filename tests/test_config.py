@@ -72,8 +72,6 @@ class TestConfigFromDict:
         assert cfg.gen.distractor_guarantee is False
         assert cfg.gen.weights.attribute == 2
         assert cfg.gen.thresholds.near_m == 1.5
-        # noise rides along into generation config
-        assert cfg.gen.noise == cfg.noise
 
     def test_unknown_keys_named(self):
         with pytest.raises(ConfigError, match="unknown config key: seeed"):
@@ -132,7 +130,6 @@ class TestApplyOverrides:
         assert cfg.seed == 9 and cfg.sessions == 40
         assert cfg.grounder == "oracle"
         assert cfg.noise.p_miss == 0.5
-        assert cfg.gen.noise.p_miss == 0.5
         assert cfg.time_budget_s == 60.0
         assert cfg.workers == 4 and cfg.out == "runs/o"
         assert cfg.paper_compat_counts is True

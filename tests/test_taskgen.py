@@ -7,11 +7,17 @@ from dataclasses import replace
 import pytest
 
 from helpers import ball, make_env, table
+from homefetch.agent import (
+    RELATIONAL, grasp_approach, ground, identity_detections, lattice_captures,
+    place_approach,
+)
+from homefetch.config import RunConfig
 from homefetch.eventlog import canonical_json
 from homefetch.language import ONTO, TO, parse
 from homefetch.layouts import TABLE_LEVEL
 from homefetch.relations import attrs_match, relation_holds
-from homefetch.seeds import substream
+from homefetch.seeds import h64, substream
+from homefetch.session import run_session
 from homefetch.taskgen import (
     GenConfig,
     GenerationFailed,
@@ -75,6 +81,8 @@ class TestGenConfig:
             GenConfig(seed=1, min_objects=1, objects_per_room=0.5)
         with pytest.raises(ValueError):
             GenConfig(seed=1, color_presence=1.5)
+        with pytest.raises(ValueError, match="layout_id"):
+            GenConfig(seed=1, layout_id="nope")
         GenConfig(seed=1, min_objects=0, objects_per_room=0.0)
 
 
@@ -290,6 +298,33 @@ class TestGenerateTask:
                         max_objects=0)
         with pytest.raises(GenerationFailed, match=r"seed 99"):
             generate_task(cfg)
+
+
+class TestScreenAgreesWithExecutor:
+    def test_screened_approaches_are_the_executed_ones(self):
+        """Zero noise: fetch and carry stage and dock where the screen did."""
+        cfg = RunConfig(seed=7)
+        for i in range(6):
+            env, task = generate_task(replace(cfg.gen, seed=h64("session", 7, i)))
+            caps = lattice_captures(env, task.room)
+            g = ground(task.instruction, caps, identity_detections(caps),
+                       RELATIONAL, cfg.gen.weights, cfg.gen.thresholds)
+            screened = {"fetch": grasp_approach(env, g, caps),
+                        "carry": place_approach(env, g, caps)}
+            events = run_session(7, cfg, i).events
+            paths = {e["purpose"]: k for k, e in enumerate(events)
+                     if e["event"] == "path"}
+            for role, app in screened.items():
+                assert app is not None and f"{role}:approach" in paths
+                k = paths[f"{role}:approach"]
+                assert tuple(events[k]["waypoints"][-1]) == app.staging
+                dock = events[k + 1]
+                if app.dock == app.staging:
+                    assert dock["event"] != "dock"
+                else:
+                    assert dock["event"] == "dock"
+                    assert (dock["frm"], dock["to"]) == \
+                        (list(app.staging), list(app.dock))
 
 
 class TestEpisodeExport:

@@ -34,8 +34,8 @@ from .vocab import Vocabulary, DEFAULT
 from .world import (
     DT_S, DYNAMIC, SURFACE, ActionFailure, CameraPose, Environment, Pose,
     Snapshot, capture_supports, grasp as world_grasp, line_of_sight,
-    place as world_place, point_in_room, sight_ignore, step as world_step,
-    visible_objects,
+    place as world_place, point_blocked, point_in_room, sight_ignore,
+    step as world_step, visible_objects,
 )
 
 if TYPE_CHECKING:
@@ -547,17 +547,6 @@ def ground(instr: InstructionAst, captures: list[Capture],
 
 # --- approach / docking -----------------------------------------------------
 
-def _point_clearance(env: Environment, x: float, y: float) -> float:
-    if point_in_room(env, x, y) is None:
-        return -1.0
-    c = math.inf
-    for w in env.walls:
-        c = min(c, w.distance_to(x, y))
-    for f in env.furniture:
-        c = min(c, f.footprint.distance_to(x, y))
-    return c
-
-
 @dataclass(frozen=True)
 class Approach:
     staging: tuple[float, float]
@@ -596,7 +585,7 @@ def find_approach(env: Environment, est: tuple[float, float], max_dist: float,
             ang = 2.0 * math.pi * k / RING_POSES
             dx = est[0] + r * math.cos(ang)
             dy = est[1] + r * math.sin(ang)
-            if _point_clearance(env, dx, dy) < DOCK_CLEARANCE_M:
+            if point_blocked(env, dx, dy, DOCK_CLEARANCE_M):
                 continue
             if los_ignore is not None and not line_of_sight(env, (dx, dy), est, los_ignore):
                 continue

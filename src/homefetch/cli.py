@@ -33,17 +33,9 @@ EXIT_MISMATCH = 6
 
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    return apply_overrides(
-        cfg,
-        seed=args.seed,
-        sessions=getattr(args, "sessions", None),
-        grounder=getattr(args, "grounder", None),
-        p_miss=getattr(args, "p_miss", None),
-        p_attr=getattr(args, "p_attr", None),
-        time_budget=getattr(args, "time_budget", None),
-        workers=getattr(args, "workers", None),
-        out=getattr(args, "out", None),
-        paper_compat_counts=getattr(args, "paper_compat_counts", None))
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "fn", "config")}
+    return apply_overrides(cfg, **flags)
 
 
 def _tally_dict(t: Tally) -> dict:

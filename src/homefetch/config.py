@@ -2,15 +2,18 @@
 
 The config file is a single JSON object.  Unknown keys are hard errors that
 name the offending key, because a silently ignored typo ("p_mis") would
-change results without any visible signal.
+change results without any visible signal.  The dataclasses are the schema:
+a key is a field name, its type is the field's annotation, and a field
+holding a dataclass is a nested object.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
-from .agent import GROUNDERS, NoiseConfig, RELATIONAL, ScoreWeights
-from .relations import RelationThresholds
+from .agent import GROUNDERS, NoiseConfig, RELATIONAL
 from .taskgen import GenConfig
 
 
@@ -44,11 +47,37 @@ class RunConfig:
             raise ConfigError("workers: must be >= 1")
 
 
+def _schema(cls) -> dict:
+    """Field name -> type, or -> nested schema where the field is a dataclass."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        # `str | None` reads as str: a file gives a string or omits the key.
+        want = next((a for a in get_args(hints[f.name]) if a is not type(None)),
+                    hints[f.name])
+        out[f.name] = _schema(want) if is_dataclass(want) else want
+    return out
+
+
+# Resolved once: evaluating type hints costs more than reading a whole echo,
+# and replay reads one echo per session.
+_SCHEMA = _schema(RunConfig)
+# Each session derives gen.seed from the master seed; no file sets it.
+del _SCHEMA["gen"]["seed"]
+# The master seed is logged on its own; batching and formatting settings
+# never reach a session's events.
+_NOT_ECHOED = ("seed", "sessions", "workers", "out", "paper_compat_counts")
+
+
 def _check(key: str, value, want: type):
     # bool is an int subclass; keep the two strictly apart.
     if want is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        return float(value) if ok else _bad(key, "a number")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return _bad(key, "a number")
+        # NaN fails every comparison; an int past the float range has no float.
+        if not abs(value) <= sys.float_info.max:
+            return _bad(key, "a finite number")
+        return float(value)
     if want is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
         return value if ok else _bad(key, "an integer")
@@ -56,8 +85,6 @@ def _check(key: str, value, want: type):
         return value if isinstance(value, bool) else _bad(key, "a boolean")
     if want is str:
         return value if isinstance(value, str) else _bad(key, "a string")
-    if want is dict:
-        return value if isinstance(value, dict) else _bad(key, "an object")
     raise AssertionError(want)
 
 
@@ -65,55 +92,32 @@ def _bad(key: str, expected: str):
     raise ConfigError(f"{key}: must be {expected}")
 
 
-_NOISE_KEYS = {"p_miss": float, "p_attr": float, "p_hallucinate": float}
-_WEIGHT_KEYS = {"attribute": int, "relation": int}
-_THRESHOLD_KEYS = {"near_m": float, "band_m": float, "min_bearing_rad": float}
-_GEN_KEYS = {
-    "layout_id": str, "objects_per_room": float, "min_objects": int,
-    "max_objects": int, "distractor_guarantee": bool, "color_presence": float,
-    "material_presence": float, "source_phrase_prob": float,
-    "weights": dict, "thresholds": dict,
-}
-_TOP_KEYS = {
-    "seed": int, "sessions": int, "grounder": str, "time_budget_s": float,
-    "workers": int, "out": str, "paper_compat_counts": bool,
-    "noise": dict, "gen": dict,
-}
-
-
-def _parse_section(data: dict, allowed: dict, prefix: str) -> dict:
-    out = {}
+def _merge(base, data, schema: dict, path: str):
+    """`base` with each key of the object `data` type-checked and set."""
+    if not isinstance(data, dict):
+        return _bad(path, "an object")
+    changes = {}
     for key, value in data.items():
-        path = f"{prefix}.{key}" if prefix else key
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {path}")
-        out[key] = _check(path, value, allowed[key])
-    return out
+        where = f"{path}.{key}" if path else key
+        if key not in schema:
+            raise ConfigError(f"unknown config key: {where}")
+        want = schema[key]
+        if isinstance(want, dict):
+            changes[key] = _merge(getattr(base, key), value, want, where)
+        else:
+            changes[key] = _check(where, value, want)
+    try:
+        return replace(base, **changes)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: must be a JSON object")
-    top = _parse_section(data, _TOP_KEYS, "")
-    try:
-        noise = NoiseConfig(**_parse_section(top.pop("noise", {}), _NOISE_KEYS,
-                                             "noise"))
-    except ValueError as e:
-        raise ConfigError(f"noise: {e}") from e
-    gen_data = _parse_section(top.pop("gen", {}), _GEN_KEYS, "gen")
-    try:
-        if "weights" in gen_data:
-            gen_data["weights"] = ScoreWeights(
-                **_parse_section(gen_data["weights"], _WEIGHT_KEYS,
-                                 "gen.weights"))
-        if "thresholds" in gen_data:
-            gen_data["thresholds"] = RelationThresholds(
-                **_parse_section(gen_data["thresholds"], _THRESHOLD_KEYS,
-                                 "gen.thresholds"))
-        gen = GenConfig(seed=0, **gen_data)
-    except ValueError as e:
-        raise ConfigError(f"gen: {e}") from e
-    return RunConfig(noise=noise, gen=gen, **top)
+    return _merge(RunConfig(), data, _SCHEMA, "")
 
 
 def load_config(path) -> RunConfig:
@@ -123,7 +127,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to read
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
     return config_from_dict(data)
 
@@ -131,64 +135,35 @@ def load_config(path) -> RunConfig:
 def apply_overrides(cfg: RunConfig, *, seed=None, sessions=None, grounder=None,
                     p_miss=None, p_attr=None, time_budget=None, workers=None,
                     out=None, paper_compat_counts=None) -> RunConfig:
-    """Fold CLI flags over a loaded config; every flag wins over its key."""
-    noise = cfg.noise
-    if p_miss is not None or p_attr is not None:
-        try:
-            noise = NoiseConfig(
-                p_miss=noise.p_miss if p_miss is None else p_miss,
-                p_attr=noise.p_attr if p_attr is None else p_attr,
-                p_hallucinate=noise.p_hallucinate)
-        except ValueError as e:
-            raise ConfigError(f"noise: {e}") from e
-    return RunConfig(
-        seed=cfg.seed if seed is None else seed,
-        sessions=cfg.sessions if sessions is None else sessions,
-        grounder=cfg.grounder if grounder is None else grounder,
-        time_budget_s=(cfg.time_budget_s if time_budget is None
-                       else float(time_budget)),
-        workers=cfg.workers if workers is None else workers,
-        out=cfg.out if out is None else out,
-        paper_compat_counts=(cfg.paper_compat_counts
-                             if paper_compat_counts is None
-                             else paper_compat_counts),
-        noise=noise, gen=cfg.gen)
+    """Fold CLI flags over a loaded config; every flag wins over its key.
+
+    A flag is named after its key, except `time_budget` (`time_budget_s`)
+    and `p_miss`/`p_attr` (keys of `noise`).  None keeps the config's value.
+    """
+    flags = {k: v for k, v in locals().items() if v is not None}
+    del flags["cfg"]
+    noise = {k: flags.pop(k) for k in ("p_miss", "p_attr") if k in flags}
+    if "time_budget" in flags:
+        flags["time_budget_s"] = flags.pop("time_budget")
+    return _merge(cfg, {**flags, "noise": noise}, _SCHEMA, "")
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """The session-relevant slice of the config, as logged and replayed.
 
-    Presentation settings (sessions, workers, out, compat formatting) do not
-    influence a session's events and are deliberately absent.
+    Presentation settings (seed, sessions, workers, out, compat formatting)
+    do not influence a session's events and are deliberately absent, and so
+    is `gen.seed`, which each session derives from the master seed.
     """
-    return {
-        "grounder": cfg.grounder,
-        "time_budget_s": cfg.time_budget_s,
-        "noise": {"p_miss": cfg.noise.p_miss, "p_attr": cfg.noise.p_attr,
-                  "p_hallucinate": cfg.noise.p_hallucinate},
-        "gen": {
-            "layout_id": cfg.gen.layout_id,
-            "objects_per_room": cfg.gen.objects_per_room,
-            "min_objects": cfg.gen.min_objects,
-            "max_objects": cfg.gen.max_objects,
-            "distractor_guarantee": cfg.gen.distractor_guarantee,
-            "color_presence": cfg.gen.color_presence,
-            "material_presence": cfg.gen.material_presence,
-            "source_phrase_prob": cfg.gen.source_phrase_prob,
-            "weights": {"attribute": cfg.gen.weights.attribute,
-                        "relation": cfg.gen.weights.relation},
-            "thresholds": {"near_m": cfg.gen.thresholds.near_m,
-                           "band_m": cfg.gen.thresholds.band_m,
-                           "min_bearing_rad": cfg.gen.thresholds.min_bearing_rad},
-        },
-    }
+    echo = asdict(cfg)
+    for key in _NOT_ECHOED:
+        del echo[key]
+    del echo["gen"]["seed"]
+    return echo
 
 
 def config_from_echo(echo: dict) -> RunConfig:
     """Rebuild a runnable config from a logged echo (replay path)."""
     if not isinstance(echo, dict):
         raise ConfigError("config echo: must be an object")
-    data = dict(echo)
-    gen = dict(data.get("gen", {}))
-    data["gen"] = gen
-    return config_from_dict(data)
+    return config_from_dict(echo)

@@ -127,10 +127,10 @@ _GRID_CACHE: dict[tuple[str, float], Grid] = {}
 
 
 def grid_for(env: Environment, inflate: float | None = None) -> Grid:
-    """Cached grid per layout id; hand-built test layouts need unique ids."""
+    """Cached grid per static geometry and inflation."""
     if inflate is None:
         inflate = env.robot.radius + INFLATE_MARGIN_M
-    key = (env.layout_id, round(inflate, 6))
+    key = (env.geometry_digest, round(inflate, 6))
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = build_grid(env, inflate)
     return _GRID_CACHE[key]

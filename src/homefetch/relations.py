@@ -133,22 +133,10 @@ def distinguishing_descriptor(
     def blockers(attrs: AttributeSet) -> list[Sighting]:
         return [s for s in others if attrs_match(attrs, s)]
 
-    attrs = AttributeSet(subject.category)
-    if not blockers(attrs):
+    attrs = minimal_attr_descriptor(subject, context)
+    if attrs is not None:
         return attrs, None
-    if subject.color is not None:
-        attrs = AttributeSet(attrs.category, subject.color, None)
-        if not blockers(attrs):
-            return attrs, None
-    if subject.material is not None:
-        attrs = AttributeSet(attrs.category, attrs.color, subject.material)
-        if not blockers(attrs):
-            # Material alone may suffice now that it is in play.
-            if attrs.color is not None:
-                slim = AttributeSet(attrs.category, None, attrs.material)
-                if not blockers(slim):
-                    return slim, None
-            return attrs, None
+    attrs = AttributeSet(subject.category, subject.color, subject.material)
 
     def rel_unique(a: AttributeSet, kind: str, lm: Sighting) -> bool:
         if not relation_holds(kind, subject, lm, supports, th):

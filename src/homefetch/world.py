@@ -7,8 +7,10 @@ object sits on a named support surface.  All mutation happens through
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .geometry import (
     Rect,
@@ -203,12 +205,17 @@ class Environment:
     def surface(self, sid: str) -> SupportSurface:
         return self._surfaces[sid]
 
+    @cached_property
+    def geometry_digest(self) -> str:
+        """Digest of the static geometry: room bounds, walls and furniture
+        footprints.  Read once; the geometry is fixed after construction."""
+        static = ([r.bounds for r in self.rooms], self.walls,
+                  [f.footprint for f in self.furniture])
+        return hashlib.sha256(repr(static).encode("ascii")).hexdigest()
+
     @property
     def surfaces(self) -> list[SupportSurface]:
         return [s for f in self.furniture for s in f.surfaces]
-
-    def object(self, oid: str) -> DynamicObject:
-        return self.objects[oid]
 
     def support_owner(self, obj: DynamicObject) -> str | None:
         if obj.support is None:
@@ -309,17 +316,22 @@ def capture_supports(env: Environment) -> dict[str, str]:
             if o.support is not None}
 
 
-def robot_collides(env: Environment, x: float, y: float) -> bool:
-    r = env.robot.radius
+def point_blocked(env: Environment, x: float, y: float, clearance: float) -> bool:
+    """True iff (x, y) is outside every room or nearer than `clearance` to a
+    wall or a furniture footprint."""
     if point_in_room(env, x, y) is None:
         return True
     for w in env.walls:
-        if w.distance_to(x, y) < r:
+        if w.distance_to(x, y) < clearance:
             return True
     for f in env.furniture:
-        if f.footprint.distance_to(x, y) < r:
+        if f.footprint.distance_to(x, y) < clearance:
             return True
     return False
+
+
+def robot_collides(env: Environment, x: float, y: float) -> bool:
+    return point_blocked(env, x, y, env.robot.radius)
 
 
 def attach_pose(robot_pose: Pose, offset: float = GRIP_OFFSET_M) -> Pose:

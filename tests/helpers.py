@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -33,15 +32,6 @@ from homefetch.world import (
     StaticObject,
     SupportSurface,
 )
-
-_ids = itertools.count()
-
-
-def unique_layout_id(prefix: str = "test") -> str:
-    # the planner grid cache is keyed by layout id, so every hand-built
-    # environment must claim a fresh one
-    return f"{prefix}-{next(_ids)}"
-
 
 def box_walls(b: Rect, half: float = 0.05) -> list[Rect]:
     return [
@@ -79,11 +69,14 @@ def make_env(room: Rect = Rect(0.0, 0.0, 6.0, 5.0),
              robot_xy: tuple[float, float] = (1.0, 1.0),
              theta: float = 0.0,
              name: str = "living room",
-             layout_id: str | None = None) -> Environment:
-    """One sealed rectangular room; fixtures may bypass the validator."""
+             layout_id: str = "test") -> Environment:
+    """One sealed rectangular room; fixtures may bypass the validator.
+
+    Fixtures may share a layout id: the planner caches grids by geometry.
+    """
     spec = RoomSpec(id="r0", name=name, bounds=room, doors=[])
     return Environment(
-        layout_id=layout_id or unique_layout_id(),
+        layout_id=layout_id,
         rooms=[spec],
         doors=[],
         walls=box_walls(room),

@@ -88,6 +88,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "layout_id" in err
 
+    @pytest.mark.parametrize("text,flags", [
+        ('{"gen": {"objects_per_room": NaN}}', []),
+        ('{"time_budget_s": 1e999}', []),
+        ('{"time_budget_s": NaN}', []),
+        (None, ["--time-budget", "inf"]),
+    ])
+    def test_non_finite_number_exits_2_at_load(self, tmp_path, capsys,
+                                               monkeypatch, text, flags):
+        def no_sessions(cfg):
+            raise AssertionError("a session ran")
+        monkeypatch.setattr("homefetch.cli.run_batch", no_sessions)
+        args = ["run", "--out", str(tmp_path / "out"), *flags]
+        if text is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(text)
+            args += ["--config", str(cfg)]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "finite number" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_overlong_integer_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"gen": {"min_objects": ' + "1" * 5000 + "}}")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_generation_failure_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

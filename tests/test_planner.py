@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import ball, make_env, table, unique_layout_id
+from helpers import ball, make_env, table
 from homefetch.geometry import Rect, dist
 from homefetch.layouts import make_environment
 from homefetch.planner import (
@@ -60,6 +60,16 @@ class TestGrid:
         b = build_grid(with_objects, INFLATE)
         assert np.array_equal(a.free, b.free)
 
+    def test_cache_keyed_by_geometry_not_layout_id(self):
+        bare = make_env(layout_id="shared")
+        furnished = make_env(furniture=(table("t0", Rect(2.0, 2.0, 3.0, 3.0)),),
+                             layout_id="shared")
+        a, b = grid_for(bare), grid_for(furnished)
+        assert np.array_equal(a.free, build_grid(bare, INFLATE).free)
+        assert np.array_equal(b.free, build_grid(furnished, INFLATE).free)
+        assert not b.cell_free(2.5, 2.5)
+        assert grid_for(make_env(layout_id="other")) is a
+
     def test_default_layout_single_component(self):
         grid = grid_for(make_environment("default"))
         labels = set(grid.comp[grid.free].tolist())
@@ -98,7 +108,7 @@ class TestPlanPath:
             RoomSpec(id="a", name="kitchen", bounds=Rect(0.0, 0.0, 3.0, 3.0)),
             RoomSpec(id="b", name="study", bounds=Rect(5.0, 0.0, 8.0, 3.0)),
         ]
-        env = Environment(layout_id=unique_layout_id(), rooms=rooms, doors=[],
+        env = Environment(layout_id="test", rooms=rooms, doors=[],
                           walls=[], furniture=[], objects={},
                           robot=RobotState(pose=Pose(1.0, 1.0)))
         with pytest.raises(NoPath):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import ball, box_walls, brute_force_visible, make_env, table, unique_layout_id
+from helpers import ball, box_walls, brute_force_visible, make_env, table
 from homefetch.geometry import Rect
 from homefetch.layouts import make_environment
 from homefetch.taskgen import GenConfig, build_environment

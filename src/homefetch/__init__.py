@@ -4,7 +4,7 @@ Scenes, natural-language tasks, a gated execution pipeline, and Table-style
 evaluation reports, all reproducible from a single seed.
 """
 from .agent import (
-    Capture, Detection, GroundingFailed, GroundingResult, KEYWORD_BASELINE,
+    Capture, GroundingFailed, GroundingResult, KEYWORD_BASELINE,
     NoiseConfig, ORACLE, RELATIONAL, ScoreWeights, SubtaskOutcome, crawl,
     detect, ground, navigate_to_room,
 )
@@ -36,9 +36,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionFailure", "AttributeSet", "CameraPose", "Capture", "ConfigError",
-    "Detection", "DynamicObject", "Environment", "GenConfig",
-    "GenerationFailed", "GotoClause", "GroundingFailed", "GroundingResult",
-    "InstructionAst", "KEYWORD_BASELINE", "ManipClause", "MismatchDetected",
+    "DynamicObject", "Environment", "GenConfig", "GenerationFailed",
+    "GotoClause", "GroundingFailed", "GroundingResult", "InstructionAst",
+    "KEYWORD_BASELINE", "ManipClause", "MismatchDetected",
     "NoDistinguishingDescription", "NoFeasibleTask", "NoPath", "NoViewpoint",
     "NoiseConfig", "ORACLE", "ParseError", "Path", "PlacementExhausted",
     "Pose", "RELATIONAL", "RelationThresholds", "RobotState", "RunConfig",

@@ -18,7 +18,7 @@ degrade monotonically in the miss rate instead of jittering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from .geometry import dist, norm_angle
@@ -89,18 +89,6 @@ class NoiseConfig:
 class ScoreWeights:
     attribute: int = 1
     relation: int = 2
-
-
-@dataclass(frozen=True)
-class Detection:
-    object_id: str
-    kind: str
-    category: str
-    color: str | None
-    material: str | None
-    bearing: float
-    range: float
-    capture_index: int
 
 
 @dataclass
@@ -282,8 +270,9 @@ def follow_path(env: Environment, path: Path, deadline: float) -> bool:
     if len(pts) == 1 or path.total_length <= 1e-12:
         return _settle(env, goal, deadline)
     cum = _arc_table(pts)
-    progress = 0.0
-    best_remaining = math.inf
+    # Stalled: the arc position has not gained PROGRESS_EPS_M for
+    # STALL_LIMIT_S.  A planned detour away from the goal still gains arc.
+    progress = mark = 0.0
     last_gain = env.clock
     while env.clock < deadline - 1e-9:
         p = rb.pose
@@ -291,6 +280,10 @@ def follow_path(env: Environment, path: Path, deadline: float) -> bool:
         if remaining <= ARRIVE_TOL_M:
             return _settle(env, goal, deadline)
         progress = _advance(pts, cum, p.xy, progress)
+        if progress > mark + PROGRESS_EPS_M:
+            mark, last_gain = progress, env.clock
+        elif env.clock - last_gain > STALL_LIMIT_S:
+            return False
         carrot = _point_at(pts, cum, progress + LOOKAHEAD_M)
         alpha = norm_angle(math.atan2(carrot[1] - p.y, carrot[0] - p.x) - p.theta)
         if abs(alpha) > ROTATE_GATE_RAD:
@@ -301,12 +294,6 @@ def follow_path(env: Environment, path: Path, deadline: float) -> bool:
             v = min(v, max(0.15, remaining))
             w = max(-rb.max_angular, min(rb.max_angular, 2.5 * alpha))
         world_step(env, v, w, DT_S)
-        remaining = dist(rb.pose.xy, goal)
-        if remaining < best_remaining - PROGRESS_EPS_M:
-            best_remaining = remaining
-            last_gain = env.clock
-        elif env.clock - last_gain > STALL_LIMIT_S:
-            return False
     return False
 
 
@@ -385,26 +372,26 @@ def crawl(env: Environment, room_id: str, deadline: float,
 # --- detection --------------------------------------------------------------
 
 def detect(capture: Capture, capture_index: int, noise: NoiseConfig,
-           stream: KeyedStream, vocab: Vocabulary = DEFAULT) -> list[Detection]:
+           stream: KeyedStream, vocab: Vocabulary = DEFAULT) -> list[Snapshot]:
     """Apply the parametric detector model to one capture.
 
     A missed object stays missed for the whole session (the draw is keyed by
     object id alone); attribute corruption varies per capture.
     """
-    out: list[Detection] = []
+    out: list[Snapshot] = []
     for s in capture.snapshots:
         if noise.p_miss > 0.0 and stream.u01("miss", s.object_id) < noise.p_miss:
             continue
-        color, material = s.color, s.material
         if noise.p_attr > 0.0:
-            if color is not None and stream.u01("color", capture_index, s.object_id) < noise.p_attr:
-                rest = [c for c in vocab.colors if c != color]
-                color = rest[stream.pick(len(rest), "color-sub", capture_index, s.object_id)]
-            if material is not None and stream.u01("material", capture_index, s.object_id) < noise.p_attr:
-                rest = [m for m in vocab.materials if m != material]
-                material = rest[stream.pick(len(rest), "material-sub", capture_index, s.object_id)]
-        out.append(Detection(s.object_id, s.kind, s.category, color, material,
-                             s.bearing, s.range, capture_index))
+            if s.color is not None and stream.u01("color", capture_index, s.object_id) < noise.p_attr:
+                rest = [c for c in vocab.colors if c != s.color]
+                s = replace(s, color=rest[stream.pick(
+                    len(rest), "color-sub", capture_index, s.object_id)])
+            if s.material is not None and stream.u01("material", capture_index, s.object_id) < noise.p_attr:
+                rest = [m for m in vocab.materials if m != s.material]
+                s = replace(s, material=rest[stream.pick(
+                    len(rest), "material-sub", capture_index, s.object_id)])
+        out.append(s)
     if noise.p_hallucinate > 0.0 and stream.u01("hallucinate", capture_index) < noise.p_hallucinate:
         cam = capture.camera
         cat = vocab.objects[stream.pick(len(vocab.objects), "hal-cat", capture_index)]
@@ -412,23 +399,14 @@ def detect(capture: Capture, capture_index: int, noise: NoiseConfig,
         mat = vocab.materials[stream.pick(len(vocab.materials), "hal-mat", capture_index)]
         bearing = (stream.u01("hal-bearing", capture_index) - 0.5) * cam.fov
         rng = stream.u01("hal-range", capture_index) * cam.range
-        out.append(Detection(f"phantom_{capture_index}", DYNAMIC, cat, col, mat,
-                             bearing, rng, capture_index))
+        out.append(Snapshot(f"phantom_{capture_index}", DYNAMIC, cat, col, mat,
+                            bearing, rng))
     return out
-
-
-def identity_detections(captures: list[Capture]) -> list[list[Detection]]:
-    """Noise-free detector output: detections mirror the snapshots."""
-    return [
-        [Detection(s.object_id, s.kind, s.category, s.color, s.material,
-                   s.bearing, s.range, ci) for s in cap.snapshots]
-        for ci, cap in enumerate(captures)
-    ]
 
 
 # --- grounding --------------------------------------------------------------
 
-def _relation_bonus(det: Detection, rel: SpatialRelation, dets: list[Detection],
+def _relation_bonus(det: Snapshot, rel: SpatialRelation, dets: list[Snapshot],
                     supports: dict[str, str], th: RelationThresholds) -> bool:
     """True iff some landmark-matching detection in the capture satisfies rel."""
     for lm in dets:
@@ -443,7 +421,7 @@ def _relation_bonus(det: Detection, rel: SpatialRelation, dets: list[Detection],
 
 def _ground_descriptor(attrs: AttributeSet, rel: SpatialRelation | None,
                        captures: list[Capture],
-                       detections: list[list[Detection]], want_kind: str,
+                       detections: list[list[Snapshot]], want_kind: str,
                        weights: ScoreWeights, th: RelationThresholds):
     """Best-scoring detection id for one descriptor.
 
@@ -479,7 +457,7 @@ def _ground_descriptor(attrs: AttributeSet, rel: SpatialRelation | None,
     return oid, rec[1], (rec[2], rec[3]), scores, len(winners) == 1
 
 
-def _ground_keyword(category: str, detections: list[list[Detection]],
+def _ground_keyword(category: str, detections: list[list[Snapshot]],
                     want_kind: str):
     """Exactly one category-token occurrence across all captures, else abstain.
 
@@ -503,7 +481,7 @@ def _first_sighting(oid: str, captures: list[Capture]):
 
 
 def ground(instr: InstructionAst, captures: list[Capture],
-           detections: list[list[Detection]], kind: str,
+           detections: list[list[Snapshot]], kind: str,
            weights: ScoreWeights = ScoreWeights(),
            th: RelationThresholds = RelationThresholds(),
            truth: tuple[str, str] | None = None) -> GroundingResult:

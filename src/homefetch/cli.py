@@ -132,6 +132,9 @@ def cmd_replay(args) -> int:
     except MismatchDetected as e:
         print(f"replay mismatch in {args.log}: {e}", file=sys.stderr)
         return EXIT_MISMATCH
+    except GenerationFailed as e:
+        print(f"generation failed: {e}", file=sys.stderr)
+        return EXIT_GENERATION
     print(f"replayed {n} session(s): match")
     return EXIT_OK
 

@@ -126,10 +126,9 @@ def build_grid(env: Environment, inflate: float) -> Grid:
 _GRID_CACHE: dict[tuple[str, float], Grid] = {}
 
 
-def grid_for(env: Environment, inflate: float | None = None) -> Grid:
-    """Cached grid per static geometry and inflation."""
-    if inflate is None:
-        inflate = env.robot.radius + INFLATE_MARGIN_M
+def grid_for(env: Environment) -> Grid:
+    """Cached grid per static geometry and inflation (robot radius + margin)."""
+    inflate = env.robot.radius + INFLATE_MARGIN_M
     key = (env.geometry_digest, round(inflate, 6))
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = build_grid(env, inflate)

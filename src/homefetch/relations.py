@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from .language import (
     ON, IN_FRONT_OF, NEAR, LEFT_OF, RIGHT_OF, KIND_ORDER,
     AttributeSet, SpatialRelation,
 )
-from .world import SURFACE
+from .world import SURFACE, Snapshot
 
 
 class NoDistinguishingDescription(Exception):
@@ -34,24 +34,13 @@ class RelationThresholds:
     min_bearing_rad: float = 0.1
 
 
-class Sighting(Protocol):
-    """What relation/attribute logic needs from a Snapshot or a Detection."""
-    object_id: str
-    kind: str
-    category: str
-    color: str | None
-    material: str | None
-    bearing: float
-    range: float
-
-
-def view_distance(a: Sighting, b: Sighting) -> float:
-    """World distance between two sightings of the same capture."""
+def view_distance(a: Snapshot, b: Snapshot) -> float:
+    """World distance between two snapshots of the same capture."""
     return math.sqrt(max(0.0, a.range * a.range + b.range * b.range
                          - 2.0 * a.range * b.range * math.cos(a.bearing - b.bearing)))
 
 
-def relation_holds(kind: str, subject: Sighting, landmark: Sighting,
+def relation_holds(kind: str, subject: Snapshot, landmark: Snapshot,
                    supports: Mapping[str, str],
                    th: RelationThresholds = RelationThresholds()) -> bool:
     if subject.object_id == landmark.object_id:
@@ -73,7 +62,7 @@ def relation_holds(kind: str, subject: Sighting, landmark: Sighting,
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
-def attrs_match(attrs: AttributeSet, s: Sighting) -> bool:
+def attrs_match(attrs: AttributeSet, s: Snapshot) -> bool:
     return (s.category == attrs.category
             and (attrs.color is None or s.color == attrs.color)
             and (attrs.material is None or s.material == attrs.material))
@@ -83,8 +72,8 @@ def n_specified(attrs: AttributeSet) -> int:
     return 1 + (attrs.color is not None) + (attrs.material is not None)
 
 
-def minimal_attr_descriptor(subject: Sighting,
-                            context: Sequence[Sighting]) -> AttributeSet | None:
+def minimal_attr_descriptor(subject: Snapshot,
+                            context: Sequence[Snapshot]) -> AttributeSet | None:
     """Smallest attribute-only description unique to `subject` in `context`.
 
     Escalates category -> +color -> +material, then drops any attribute the
@@ -116,7 +105,7 @@ def minimal_attr_descriptor(subject: Sighting,
 
 def distinguishing_descriptor(
     subject_id: str,
-    context: Sequence[Sighting],
+    context: Sequence[Snapshot],
     supports: Mapping[str, str],
     th: RelationThresholds = RelationThresholds(),
 ) -> tuple[AttributeSet, SpatialRelation | None]:
@@ -130,7 +119,7 @@ def distinguishing_descriptor(
     subject = next(s for s in context if s.object_id == subject_id)
     others = [s for s in context if s.object_id != subject_id]
 
-    def blockers(attrs: AttributeSet) -> list[Sighting]:
+    def blockers(attrs: AttributeSet) -> list[Snapshot]:
         return [s for s in others if attrs_match(attrs, s)]
 
     attrs = minimal_attr_descriptor(subject, context)
@@ -138,7 +127,7 @@ def distinguishing_descriptor(
         return attrs, None
     attrs = AttributeSet(subject.category, subject.color, subject.material)
 
-    def rel_unique(a: AttributeSet, kind: str, lm: Sighting) -> bool:
+    def rel_unique(a: AttributeSet, kind: str, lm: Snapshot) -> bool:
         if not relation_holds(kind, subject, lm, supports, th):
             return False
         return not any(

@@ -22,7 +22,7 @@ from .eventlog import SchemaError, canonical_json, digest16, read_events, valida
 from .language import parse
 from .seeds import KeyedStream, h64
 from .taskgen import capture_record, generate_task
-from .world import env_record
+from .world import env_record, snapshot_record
 
 NAVIGATION = "Navigation"
 OLR = "OLR"
@@ -48,8 +48,8 @@ class MismatchDetected(Exception):
         self.index = index
         self.expected = expected
         self.actual = actual
-        super().__init__(f"event {index} diverged:\n  logged: {expected}\n"
-                         f"  replayed: {actual}")
+        super().__init__(f"event {index} diverged: logged {expected}; "
+                         f"replayed {actual}")
 
 
 @dataclass
@@ -81,13 +81,6 @@ def check_termination(clock_s: float, budget_s: float,
     if clock_s >= budget_s:
         return TerminationReason(TIME_ELAPSED)
     return None
-
-
-def _detection_record(d) -> dict:
-    return {"id": d.object_id, "kind": d.kind, "category": d.category,
-            "color": d.color, "material": d.material,
-            "bearing_rad": d.bearing, "range_m": d.range,
-            "capture": d.capture_index}
 
 
 def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRecord:
@@ -139,8 +132,9 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
         emit("olr", captures=len(captures),
              digest=digest16({
                  "captures": [capture_record(c) for c in captures],
-                 "detections": [[_detection_record(d) for d in ds]
-                                for ds in detections]}),
+                 "detections": [[{**snapshot_record(d), "capture": ci}
+                                 for d in ds]
+                                for ci, ds in enumerate(detections)]}),
              target=partial.target, destination=partial.destination,
              target_capture=partial.target_capture,
              destination_capture=partial.destination_capture,
@@ -253,9 +247,9 @@ def tallies_from_events(events: list[dict],
         name = e.get("event")
         if name == "session_start":
             cfg = e.get("config")
-            if not isinstance(cfg, dict) or "grounder" not in cfg:
-                raise SchemaError("session_start without config.grounder")
-            label = cfg["grounder"]
+            label = cfg.get("grounder") if isinstance(cfg, dict) else None
+            if not isinstance(label, str):
+                raise SchemaError("session_start without a string config.grounder")
             abstained = False
             raw.setdefault(label, ([0, 0, 0, 0], [0, 0, 0, 0]))
         elif name == "olr":

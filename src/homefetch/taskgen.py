@@ -15,8 +15,7 @@ from pathlib import Path
 
 from .agent import (
     RELATIONAL, Capture, GroundingFailed, ScoreWeights, captured,
-    grasp_approach, ground, identity_detections, lattice_captures,
-    place_approach, room_entry_path,
+    grasp_approach, ground, lattice_captures, place_approach, room_entry_path,
 )
 from .eventlog import canonical_json
 from .geometry import dist, norm_angle
@@ -32,7 +31,7 @@ from .seeds import h64, substream
 from .vocab import DEFAULT, Vocabulary
 from .world import (
     SURFACE, ActionFailure, CameraPose, DynamicObject, Environment, Pose,
-    capture_supports, env_record, place_spot, point_in_room,
+    capture_supports, env_record, place_spot, point_in_room, snapshot_record,
     validate_environment,
 )
 
@@ -287,10 +286,9 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     caps = lattice_captures(env, task.room)
     if not caps:
         return False
-    dets = identity_detections(caps)
     try:
-        g = ground(task.instruction, caps, dets, RELATIONAL,
-                   cfg.weights, cfg.thresholds)
+        g = ground(task.instruction, caps, [c.snapshots for c in caps],
+                   RELATIONAL, cfg.weights, cfg.thresholds)
     except GroundingFailed:
         return False
     if g.target != task.target or g.destination != task.destination:
@@ -383,12 +381,7 @@ def capture_record(cap: Capture) -> dict:
                    "fov_rad": cap.camera.fov, "range_m": cap.camera.range},
         "subject": cap.subject,
         "supports": dict(sorted(cap.supports.items())),
-        "snapshots": [
-            {"id": s.object_id, "kind": s.kind, "category": s.category,
-             "color": s.color, "material": s.material,
-             "bearing_rad": s.bearing, "range_m": s.range}
-            for s in cap.snapshots
-        ],
+        "snapshots": [snapshot_record(s) for s in cap.snapshots],
     }
 
 

@@ -536,6 +536,13 @@ def validate_environment(env: Environment) -> list[str]:
     return bad
 
 
+def snapshot_record(s: Snapshot) -> dict:
+    """Tree encoding of one snapshot, shared by datasets and episode logs."""
+    return {"id": s.object_id, "kind": s.kind, "category": s.category,
+            "color": s.color, "material": s.material,
+            "bearing_rad": s.bearing, "range_m": s.range}
+
+
 def env_record(env: Environment) -> dict:
     """Stable tree encoding of the scene with explicit units in key names."""
     return {

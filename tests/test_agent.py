@@ -13,9 +13,9 @@ from homefetch.agent import (
     ORACLE,
     RELATIONAL,
     RING_POSES,
+    STALL_LIMIT_S,
     STANDOFF_RADII_M,
     Capture,
-    Detection,
     GroundingFailed,
     NoiseConfig,
     captured,
@@ -26,7 +26,6 @@ from homefetch.agent import (
     find_approach,
     follow_path,
     ground,
-    identity_detections,
     lattice_captures,
     navigate_to_room,
     rotate_exact,
@@ -41,7 +40,7 @@ from homefetch.language import (
 )
 from homefetch.geometry import norm_angle
 from homefetch.layouts import make_environment
-from homefetch.planner import plan_path
+from homefetch.planner import Path, plan_path
 from homefetch.seeds import KeyedStream
 from homefetch.vocab import DEFAULT
 from homefetch.world import (
@@ -122,8 +121,7 @@ class TestDetect:
                           sighting("s0", kind=SURFACE, category="table")])]
         stream = KeyedStream("noise", 1)
         dets = detect(caps[0], 0, NoiseConfig(), stream)
-        assert [dets] == identity_detections(caps)
-        assert dets[0].capture_index == 0
+        assert dets == caps[0].snapshots
 
     def test_certain_miss_drops_everything(self):
         cap = _capture([sighting("o0"), sighting("o1")])
@@ -187,9 +185,9 @@ def _ast(target, destination=AttributeSet("table"), relation=None):
 
 
 def _dets(*rows):
-    """One capture per row; detections mirror identity output."""
+    """One capture per row; detections are the noise-free snapshots."""
     caps = [_capture(row) for row in rows]
-    return caps, identity_detections(caps)
+    return caps, [c.snapshots for c in caps]
 
 
 class TestGroundRelational:
@@ -379,6 +377,26 @@ class TestMotion:
         env = make_env(room=Rect(0, 0, 10, 1.4), robot_xy=(0.7, 0.7))
         path = plan_path(env, (0.7, 0.7), (9.3, 0.7))
         assert not follow_path(env, path, deadline=1.0)
+
+    def test_follow_path_detour_is_not_a_stall(self):
+        """Heading away from the goal for longer than the stall limit is
+        fine while the robot keeps gaining arc along the path."""
+        env = make_env(room=Rect(0, 0, 10, 3), robot_xy=(1.0, 1.0))
+        pts = [(1.0, 1.0), (9.0, 1.0), (9.0, 2.0), (1.0, 2.0)]
+        path = Path(pts, 17.0)
+        assert follow_path(env, path, deadline=60.0)
+        assert env.robot.pose.xy == (1.0, 2.0)
+        assert env.clock > STALL_LIMIT_S
+
+    def test_follow_path_stalls_against_an_obstacle(self):
+        """A path straight through furniture stops gaining arc: give up
+        long before the deadline."""
+        block = table(footprint=Rect(4.0, 0.0, 5.0, 1.4))
+        env = make_env(room=Rect(0, 0, 10, 1.4), furniture=(block,),
+                       robot_xy=(0.7, 0.7))
+        path = Path([(0.7, 0.7), (9.3, 0.7)], 8.6)
+        assert not follow_path(env, path, deadline=60.0)
+        assert env.clock < 10.0
 
 
 class TestNavigateToRoom:

@@ -234,6 +234,17 @@ _MALFORMED = {
     "nan": (b'{"event":"session_start","session":0,"clock_s":0.0}\n'
             b'{"event":"scene","session":0,"clock_s":NaN}\n'),
     "overflow": b'{"event":"scene","session":0,"clock_s":1e999}\n',
+    "grounder_list": (
+        b'{"event":"session_start","session":0,"clock_s":0.0,"seed":1,'
+        b'"config":{"grounder":[1]}}\n'
+        b'{"event":"session_end","session":0,"clock_s":0.0}\n'),
+    "grounder_mixed": (
+        b'{"event":"session_start","session":0,"clock_s":0.0,"seed":1,'
+        b'"config":{"grounder":1}}\n'
+        b'{"event":"session_end","session":0,"clock_s":0.0}\n'
+        b'{"event":"session_start","session":1,"clock_s":0.0,"seed":1,'
+        b'"config":{"grounder":"relational"}}\n'
+        b'{"event":"session_end","session":1,"clock_s":0.0}\n'),
 }
 
 
@@ -264,6 +275,18 @@ class TestReplay:
         rc = main(["replay", str(log)])
         assert rc == EXIT_MISMATCH
         assert "replay mismatch" in capsys.readouterr().err
+
+    def test_ungeneratable_session_exits_3(self, tmp_path, capsys):
+        """An echo whose generator places no objects yields no task."""
+        gen = {"objects_per_room": 0.0, "min_objects": 0, "max_objects": 0}
+        log = tmp_path / "empty-scenes.jsonl"
+        write_events(log, [
+            {"event": "session_start", "session": 0, "clock_s": 0.0,
+             "seed": 3, "config": {"gen": gen}},
+            {"event": "session_end", "session": 0, "clock_s": 0.0}])
+        assert main(["replay", str(log)]) == EXIT_GENERATION
+        err = capsys.readouterr().err
+        assert err.startswith("generation failed: ") and err.count("\n") == 1
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         rc = main(["replay", str(tmp_path / "nope.jsonl")])

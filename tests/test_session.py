@@ -204,6 +204,12 @@ class TestRunSession:
         assert olr["abstained"] is True
         assert olr["target"] is None
 
+    def test_detour_away_from_the_goal_completes(self):
+        """Session 44 of seed 7 follows a path that heads away from its goal
+        for longer than the stall limit; that is progress, not a stall."""
+        rec = run_session(7, RunConfig(seed=7), 44)
+        assert rec.termination == TerminationReason(TASK_COMPLETED)
+
     def test_oracle_grounder_completes(self):
         rec = run_session(7, _cfg(seed=7, grounder="oracle"), 0)
         assert rec.termination == TerminationReason(TASK_COMPLETED)

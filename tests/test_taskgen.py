@@ -8,8 +8,7 @@ import pytest
 
 from helpers import ball, make_env, table
 from homefetch.agent import (
-    RELATIONAL, grasp_approach, ground, identity_detections, lattice_captures,
-    place_approach,
+    RELATIONAL, grasp_approach, ground, lattice_captures, place_approach,
 )
 from homefetch.config import RunConfig
 from homefetch.eventlog import canonical_json
@@ -307,7 +306,7 @@ class TestScreenAgreesWithExecutor:
         for i in range(6):
             env, task = generate_task(replace(cfg.gen, seed=h64("session", 7, i)))
             caps = lattice_captures(env, task.room)
-            g = ground(task.instruction, caps, identity_detections(caps),
+            g = ground(task.instruction, caps, [c.snapshots for c in caps],
                        RELATIONAL, cfg.gen.weights, cfg.gen.thresholds)
             screened = {"fetch": grasp_approach(env, g, caps),
                         "carry": place_approach(env, g, caps)}

@@ -5,8 +5,8 @@ evaluation reports, all reproducible from a single seed.
 """
 from .agent import (
     Capture, GroundingFailed, GroundingResult, KEYWORD_BASELINE,
-    NoiseConfig, ORACLE, RELATIONAL, ScoreWeights, SubtaskOutcome, crawl,
-    detect, ground, navigate_to_room,
+    NoiseConfig, ORACLE, RELATIONAL, ScoreWeights, crawl, detect, ground,
+    navigate_to_room,
 )
 from .config import ConfigError, RunConfig, load_config
 from .language import (
@@ -43,7 +43,7 @@ __all__ = [
     "NoiseConfig", "ORACLE", "ParseError", "Path", "PlacementExhausted",
     "Pose", "RELATIONAL", "RelationThresholds", "RobotState", "RunConfig",
     "ScoreWeights", "SessionRecord", "Snapshot", "SpatialRelation",
-    "SubtaskOutcome", "Tally", "TaskSpec", "TerminationReason", "aggregate",
+    "Tally", "TaskSpec", "TerminationReason", "aggregate",
     "build_environment", "capture_views", "check_termination", "crawl",
     "detect", "distinguishing_descriptor", "export_dataset", "format_report",
     "generate_task", "grasp", "ground", "load_config", "make_instruction",

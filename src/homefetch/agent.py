@@ -65,13 +65,6 @@ ORACLE = "oracle"
 GROUNDERS = (RELATIONAL, KEYWORD_BASELINE, ORACLE)
 
 
-@dataclass
-class SubtaskOutcome:
-    attempted: bool
-    succeeded: bool
-    sim_time_s: float
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     p_miss: float = 0.0
@@ -307,18 +300,16 @@ def _settle(env: Environment, goal: tuple[float, float], deadline: float) -> boo
 # --- navigation subtask -----------------------------------------------------
 
 def navigate_to_room(env: Environment, room_id: str, deadline: float,
-                     events: list | None = None) -> SubtaskOutcome:
+                     events: list | None = None) -> bool:
     """Drive to a door-side anchor of the room; success is room membership."""
-    t0 = env.clock
     if point_in_room(env, env.robot.pose.x, env.robot.pose.y) == room_id:
-        return SubtaskOutcome(True, True, 0.0)
+        return True
     path = room_entry_path(env, room_id)
-    reached = False
-    if path is not None:
-        _emit_path(events, env, f"navigate:{room_id}", path)
-        reached = follow_path(env, path, deadline)
-    ok = reached and point_in_room(env, env.robot.pose.x, env.robot.pose.y) == room_id
-    return SubtaskOutcome(True, ok, env.clock - t0)
+    if path is None:
+        return False
+    _emit_path(events, env, f"navigate:{room_id}", path)
+    return (follow_path(env, path, deadline)
+            and point_in_room(env, env.robot.pose.x, env.robot.pose.y) == room_id)
 
 
 def room_entry_path(env: Environment, room_id: str) -> Path | None:
@@ -338,34 +329,27 @@ def crawl(env: Environment, room_id: str, deadline: float,
           events: list | None = None) -> list[Capture]:
     """Visit the room's viewpoint lattice, capturing 4 headings per point.
 
-    The camera snaps to the exact lattice pose at each stop, so a crawl that
-    completes produces byte-identical captures to `lattice_captures`.
+    Each stop yields the lattice's own captures for the headings the robot
+    turned to, so a crawl that completes returns `lattice_captures`.
     """
-    supports = capture_supports(env)
+    lattice = lattice_captures(env, room_id)
     caps: list[Capture] = []
-    pts = crawl_points(env, room_id)
-    for (x, y) in pts:
+    for k in range(0, len(lattice), len(HEADINGS)):
         if env.clock >= deadline:
             break
+        stop = lattice[k:k + len(HEADINGS)]
         try:
-            path = plan_path(env, env.robot.pose.xy, (x, y))
+            path = plan_path(env, env.robot.pose.xy, stop[0].camera.pose.xy)
         except NoPath:
             continue
         _emit_path(events, env, "crawl", path)
         if not follow_path(env, path, deadline):
             continue
-        for h in HEADINGS:
+        # Turn to the HEADINGS value: the pose stores pi as -pi.
+        for h, cap in zip(HEADINGS, stop):
             if not rotate_exact(env, h, deadline):
                 break
-            cam = CameraPose(Pose(x, y, h))
-            caps.append(Capture(cam, captured(env, cam), supports))
-    if not caps and not pts:
-        # Room too small for the lattice: capture from where the robot is.
-        for h in HEADINGS:
-            if not rotate_exact(env, h, deadline):
-                break
-            cam = CameraPose(Pose(env.robot.pose.x, env.robot.pose.y, h))
-            caps.append(Capture(cam, captured(env, cam), supports))
+            caps.append(cap)
     return caps
 
 
@@ -594,7 +578,7 @@ def _goto_and_dock(env: Environment, app: Approach, deadline: float,
         return False
     if app.dock == app.staging:
         return True
-    _emit(events, env, "dock", frm=list(app.staging), to=list(app.dock))
+    emit_event(events, env, "dock", frm=list(app.staging), to=list(app.dock))
     return drive_straight(env, app.dock, deadline)
 
 
@@ -664,19 +648,18 @@ def _approach_and_act(env: Environment, role: str, view: CameraPose,
 
 def fetch(env: Environment, grounding: GroundingResult, captures: list[Capture],
           task: "TaskSpec", deadline: float,
-          events: list | None = None) -> SubtaskOutcome:
+          events: list | None = None) -> bool:
     """Return to the grounded view, approach, and grasp; graded against truth."""
-    t0 = env.clock
 
     def grasp_and_undock(app: Approach) -> bool:
         try:
             world_grasp(env, grounding.target)
         except ActionFailure as e:
-            _emit(events, env, "grasp", object=grounding.target, ok=False,
-                  reason=type(e).__name__)
+            emit_event(events, env, "grasp", object=grounding.target,
+                       ok=False, reason=type(e).__name__)
             grabbed = False
         else:
-            _emit(events, env, "grasp", object=grounding.target, ok=True)
+            emit_event(events, env, "grasp", object=grounding.target, ok=True)
             grabbed = True
         _undock(env, app, deadline)
         return grabbed
@@ -685,29 +668,27 @@ def fetch(env: Environment, grounding: GroundingResult, captures: list[Capture],
         env, "fetch", captures[grounding.target_capture].camera,
         lambda: grasp_approach(env, grounding, captures), grasp_and_undock,
         deadline, events)
-    return SubtaskOutcome(True, grabbed and grounding.target == task.target,
-                          env.clock - t0)
+    return grabbed and grounding.target == task.target
 
 
 def carry(env: Environment, grounding: GroundingResult, captures: list[Capture],
           task: "TaskSpec", deadline: float,
-          events: list | None = None) -> SubtaskOutcome:
+          events: list | None = None) -> bool:
     """Return to the destination view, approach the surface, and set down.
 
     The robot stays docked after the set-down.
     """
-    t0 = env.clock
 
     def set_down(app: Approach) -> bool:
         try:
             world_place(env, grounding.destination)
         except ActionFailure as e:
-            _emit(events, env, "place", surface=grounding.destination, ok=False,
-                  reason=type(e).__name__)
+            emit_event(events, env, "place", surface=grounding.destination,
+                       ok=False, reason=type(e).__name__)
             return False
         obj = env.objects[task.target]
-        _emit(events, env, "place", surface=grounding.destination, ok=True,
-              xy=[obj.pose.x, obj.pose.y])
+        emit_event(events, env, "place", surface=grounding.destination,
+                   ok=True, xy=[obj.pose.x, obj.pose.y])
         return True
 
     placed = _approach_and_act(
@@ -715,20 +696,21 @@ def carry(env: Environment, grounding: GroundingResult, captures: list[Capture],
         lambda: place_approach(env, grounding, captures), set_down,
         deadline, events)
     obj = env.objects[task.target]
-    succeeded = bool(
-        placed and obj.support == task.destination
-        and env.surface(task.destination).region.inset(obj.radius)
-        .contains_closed(obj.pose.x, obj.pose.y))
-    return SubtaskOutcome(True, succeeded, env.clock - t0)
+    return bool(placed and obj.support == task.destination
+                and env.surface(task.destination).region.inset(obj.radius)
+                .contains_closed(obj.pose.x, obj.pose.y))
 
 
 def _emit_path(events: list | None, env: Environment, purpose: str,
                path: Path) -> None:
-    _emit(events, env, "path", purpose=purpose,
-          waypoints=[list(p) for p in path.waypoints], length_m=path.total_length)
+    emit_event(events, env, "path", purpose=purpose,
+               waypoints=[list(p) for p in path.waypoints],
+               length_m=path.total_length)
 
 
-def _emit(events: list | None, env: Environment, name: str, **fields) -> None:
+def emit_event(events: list | None, env: Environment, name: str,
+               **fields) -> None:
+    """Append one `{event, clock_s, **fields}` record; the one event shape."""
     if events is not None:
         rec = {"event": name, "clock_s": round(env.clock, 6)}
         rec.update(fields)

@@ -122,9 +122,12 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8: {e}") from e
     try:
         data = json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an integer too long to read

@@ -7,7 +7,7 @@ movement and sight between rooms funnel through doors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .geometry import Rect
 from .world import (
@@ -15,20 +15,9 @@ from .world import (
 )
 
 WALL_HALF_M = 0.05
-DOOR_ANCHOR_INSET_M = 0.7
 
 FLOOR_LEVEL = "floor-level"
 TABLE_LEVEL = "table-level"
-
-
-@dataclass(frozen=True)
-class Layout:
-    id: str
-    rooms: list[RoomSpec]
-    doors: list[Door]
-    walls: list[Rect]
-    furniture: list[StaticObject]
-    start: Pose
 
 
 def _carve(lo: float, hi: float, gaps: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -62,7 +51,7 @@ def _furn(fid: str, category: str, rect: Rect, height: str,
                         surfaces=[surface], color=color, material=material)
 
 
-def _default_layout() -> Layout:
+def _default_layout() -> Environment:
     rooms = [
         RoomSpec("living_room", "living room", Rect(0.0, 0.0, 6.0, 5.0)),
         RoomSpec("kitchen", "kitchen", Rect(6.0, 0.0, 10.0, 5.0)),
@@ -122,8 +111,9 @@ def _default_layout() -> Layout:
         _furn("s_cabinet", "cabinet", Rect(6.1, 7.5, 7.7, 7.95), TABLE_LEVEL,
               "brown", "wooden"),
     ]
-    return Layout("default", rooms, doors, walls, furniture,
-                  Pose(5.0, 1.3, 1.5707963267948966))
+    return Environment(layout_id="default", rooms=rooms, doors=doors,
+                       walls=walls, furniture=furniture, objects={},
+                       robot=RobotState(pose=Pose(5.0, 1.3, math.pi / 2.0)))
 
 
 _BUILDERS = {"default": _default_layout}
@@ -134,16 +124,8 @@ def layout_ids() -> list[str]:
 
 
 def make_environment(layout_id: str) -> Environment:
-    """Fresh environment for a shipped layout, without dynamic objects."""
-    if layout_id not in _BUILDERS:
-        raise KeyError(layout_id)
-    lay = _BUILDERS[layout_id]()
-    return Environment(
-        layout_id=lay.id,
-        rooms=lay.rooms,
-        doors=lay.doors,
-        walls=lay.walls,
-        furniture=lay.furniture,
-        objects={},
-        robot=RobotState(pose=Pose(lay.start.x, lay.start.y, lay.start.theta)),
-    )
+    """Fresh environment for a shipped layout, without dynamic objects.
+
+    Raises KeyError for an unknown layout id.
+    """
+    return _BUILDERS[layout_id]()

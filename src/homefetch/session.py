@@ -9,13 +9,15 @@ line by line.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import add
 
 from .agent import (
-    GroundingFailed, ORACLE, SubtaskOutcome, carry, crawl, detect, fetch,
-    ground, navigate_to_room,
+    GroundingFailed, ORACLE, carry, crawl, detect, emit_event, fetch, ground,
+    navigate_to_room,
 )
 from .config import RunConfig, config_echo, config_from_echo, ConfigError
 from .eventlog import SchemaError, canonical_json, digest16, read_events, validate_events
@@ -54,29 +56,23 @@ class MismatchDetected(Exception):
 
 @dataclass
 class SessionRecord:
-    seed: int
-    session: int
-    session_seed: int
-    config: dict
-    task_summary: dict
-    outcomes: dict[str, SubtaskOutcome | None]
-    termination: TerminationReason
-    duration_s: float
+    """A session is its event log; `trace` is the pose after every tick."""
     events: list[dict]
-    olr_abstained: bool = False
     trace: list | None = None
 
 
 def check_termination(clock_s: float, budget_s: float,
-                      outcomes: dict[str, SubtaskOutcome | None],
+                      outcomes: dict[str, bool | None],
                       ) -> TerminationReason | None:
-    """The three session-ending conditions, highest priority first."""
-    done = outcomes.get(CARRYING)
-    if done is not None and done.succeeded:
+    """The three session-ending conditions, highest priority first.
+
+    `outcomes` maps a subtask to its verdict, or to None (or no key) when
+    the subtask has not run.
+    """
+    if outcomes.get(CARRYING):
         return TerminationReason(TASK_COMPLETED)
     for name in SUBTASKS:
-        o = outcomes.get(name)
-        if o is not None and o.attempted and not o.succeeded:
+        if outcomes.get(name) is False:
             return TerminationReason(SUBTASK_FAILED, name)
     if clock_s >= budget_s:
         return TerminationReason(TIME_ELAPSED)
@@ -91,11 +87,7 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
     # The agent appends its own events here; every event gets its session
     # index once the session is over.
     events: list[dict] = []
-
-    def emit(name: str, **extra) -> None:
-        rec = {"event": name, "clock_s": round(env.clock, 6)}
-        rec.update(extra)
-        events.append(rec)
+    emit = partial(emit_event, events, env)
 
     emit("session_start", seed=seed, session_seed=session_seed,
          config=config_echo(cfg))
@@ -105,14 +97,12 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
          room=task.room, text=task.text)
 
     budget = cfg.time_budget_s
-    outcomes: dict[str, SubtaskOutcome | None] = {s: None for s in SUBTASKS}
-    abstained = False
+    outcomes: dict[str, bool | None] = {s: None for s in SUBTASKS}
     grounding = None
     captures: list = []
 
-    def olr() -> SubtaskOutcome:
-        nonlocal abstained, grounding, captures
-        t0 = env.clock
+    def olr() -> bool:
+        nonlocal grounding, captures
         captures = crawl(env, task.room, budget, events)
         stream = KeyedStream("noise", session_seed)
         detections = [detect(c, i, cfg.noise, stream)
@@ -122,10 +112,9 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
         try:
             grounding = ground(ast, captures, detections, cfg.grounder,
                                cfg.gen.weights, cfg.gen.thresholds, truth)
-            partial = grounding
+            result = grounding
         except GroundingFailed as err:
-            partial = err.result
-            abstained = True
+            result = err.result
         correct = (grounding is not None
                    and grounding.target == task.target
                    and grounding.destination == task.destination)
@@ -135,11 +124,11 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
                  "detections": [[{**snapshot_record(d), "capture": ci}
                                  for d in ds]
                                 for ci, ds in enumerate(detections)]}),
-             target=partial.target, destination=partial.destination,
-             target_capture=partial.target_capture,
-             destination_capture=partial.destination_capture,
-             abstained=abstained, correct=correct)
-        return SubtaskOutcome(True, correct, env.clock - t0)
+             target=result.target, destination=result.destination,
+             target_capture=result.target_capture,
+             destination_capture=result.destination_capture,
+             abstained=grounding is None, correct=correct)
+        return correct
 
     stages = (
         (NAVIGATION, lambda: navigate_to_room(env, task.room, budget, events)),
@@ -154,11 +143,12 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
         if reason is not None:
             break
         emit("subtask_start", subtask=name)
-        out = outcomes[name] = stage()
-        emit("subtask_end", subtask=name, attempted=out.attempted,
-             succeeded=out.succeeded, sim_time_s=round(out.sim_time_s, 6))
+        t0 = env.clock
+        ok = outcomes[name] = stage()
+        emit("subtask_end", subtask=name, attempted=True, succeeded=ok,
+             sim_time_s=round(env.clock - t0, 6))
         reason = check_termination(env.clock, budget, outcomes)
-        if not out.succeeded:
+        if not ok:
             break
 
     assert reason is not None, "pipeline ended without a termination verdict"
@@ -168,21 +158,20 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
     for e in events:
         e["session"] = session_index
 
-    return SessionRecord(
-        seed=seed, session=session_index, session_seed=session_seed,
-        config=config_echo(cfg),
-        task_summary={"target": task.target, "destination": task.destination,
-                      "room": task.room, "text": task.text},
-        outcomes=outcomes, termination=reason, duration_s=env.clock,
-        events=events, olr_abstained=abstained, trace=env.trace)
+    return SessionRecord(events, env.trace)
 
 
 def run_batch(cfg: RunConfig) -> list[SessionRecord]:
-    """All sessions of a config, merged back into seed order."""
+    """All sessions of a config, merged back into seed order.
+
+    With `workers > 1` the pool never exceeds the session count or the CPU
+    count, and is used even when that leaves one worker.
+    """
     if cfg.workers <= 1:
         return [run_session(cfg.seed, cfg, i) for i in range(cfg.sessions)]
     results: list[SessionRecord | None] = [None] * cfg.sessions
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    size = min(cfg.workers, cfg.sessions, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=size) as pool:
         futures = {pool.submit(run_session, cfg.seed, cfg, i): i
                    for i in range(cfg.sessions)}
         for fut, i in futures.items():

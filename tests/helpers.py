@@ -93,6 +93,20 @@ def sighting(oid: str, kind: str = DYNAMIC, category: str = "bottle",
                     material=material, bearing=bearing, range=rng)
 
 
+# --- reading a session's facts from its event log -------------------------
+
+def only_event(events: list[dict], name: str) -> dict:
+    """The one event of that name in a session's log."""
+    (e,) = [e for e in events if e["event"] == name]
+    return e
+
+
+def verdicts(events: list[dict]) -> dict[str, bool]:
+    """Subtask -> `succeeded`, for every subtask that ran."""
+    return {e["subtask"]: e["succeeded"] for e in events
+            if e["event"] == "subtask_end"}
+
+
 # --- brute-force visibility oracle ---------------------------------------
 
 def _ray_clear(env: Environment, a: tuple[float, float],

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import brute_force_visible, sample_ast
+from helpers import brute_force_visible, only_event, sample_ast
 from homefetch.agent import NoiseConfig
 from homefetch.cli import EXIT_OK, main
 from homefetch.config import RunConfig
@@ -157,7 +157,8 @@ def test_criterion_02_baseline_abstains_everywhere(batch_b, tmp_path, capsys):
         assert t.successes[_idx(OLR)] == 0
         assert t.attempts[_idx(FETCHING)] == 0
         assert t.attempts[_idx(CARRYING)] == 0
-        assert all(r.olr_abstained for r in batch_b["records"])
+        assert all(only_event(r.events, "olr")["abstained"]
+                   for r in batch_b["records"])
         rc = main(["run", "--seed", "1", "--sessions", "40",
                    "--grounder", "keyword-baseline", "--paper-compat-counts",
                    "--out", str(tmp_path / "b-compat")])

@@ -19,6 +19,7 @@ from homefetch.agent import (
     GroundingFailed,
     NoiseConfig,
     captured,
+    crawl,
     crawl_points,
     detect,
     drive_straight,
@@ -41,7 +42,8 @@ from homefetch.language import (
 from homefetch.geometry import norm_angle
 from homefetch.layouts import make_environment
 from homefetch.planner import Path, plan_path
-from homefetch.seeds import KeyedStream
+from homefetch.seeds import KeyedStream, h64
+from homefetch.taskgen import GenConfig, generate_task
 from homefetch.vocab import DEFAULT
 from homefetch.world import (
     DYNAMIC,
@@ -402,22 +404,47 @@ class TestMotion:
 class TestNavigateToRoom:
     def test_already_inside(self):
         env = make_environment("default")
-        out = navigate_to_room(env, "living_room", deadline=300.0)
-        assert out.attempted and out.succeeded
-        assert out.sim_time_s == 0.0
+        events = []
+        assert navigate_to_room(env, "living_room", 300.0, events) is True
+        assert env.clock == 0.0
+        assert events == []
 
     def test_cross_room(self):
         env = make_environment("default")
-        out = navigate_to_room(env, "kitchen", deadline=300.0)
-        assert out.attempted and out.succeeded
+        events = []
+        assert navigate_to_room(env, "kitchen", 300.0, events) is True
         assert point_in_room(env, env.robot.pose.x, env.robot.pose.y) == "kitchen"
-        assert out.sim_time_s == pytest.approx(env.clock)
+        assert env.clock > 0.0
         assert env.collisions == 0
+        (path,) = events
+        assert (path["event"], path["purpose"]) == ("path", "navigate:kitchen")
+        assert path["clock_s"] == 0.0
 
     def test_deadline_failure(self):
         env = make_environment("default")
-        out = navigate_to_room(env, "study", deadline=0.5)
-        assert out.attempted and not out.succeeded
+        assert navigate_to_room(env, "study", deadline=0.5) is False
+
+
+class TestCrawl:
+    def test_completed_crawl_is_the_lattice(self):
+        """The crawl hands back the lattice's captures, camera poses and
+        snapshots alike, when the deadline does not cut it short."""
+        env, task = generate_task(GenConfig(seed=h64("session", 7, 0)))
+        assert navigate_to_room(env, task.room, 300.0)
+        caps = crawl(env, task.room, 300.0)
+        lattice = lattice_captures(env, task.room)
+        assert len(caps) == len(lattice) > 0
+        for got, want in zip(caps, lattice):
+            assert got.camera.pose == want.camera.pose
+            assert got.snapshots == want.snapshots
+
+    def test_deadline_cuts_the_crawl_short(self):
+        env, task = generate_task(GenConfig(seed=h64("session", 7, 0)))
+        assert navigate_to_room(env, task.room, 300.0)
+        caps = crawl(env, task.room, env.clock + 5.0)
+        lattice = lattice_captures(env, task.room)
+        assert 0 < len(caps) < len(lattice)
+        assert caps == lattice[:len(caps)]
 
 
 class TestFindApproach:

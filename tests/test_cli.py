@@ -117,6 +117,16 @@ class TestRun:
         assert rc == EXIT_CONFIG
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": 1, "out": "\xff"}')
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_generation_failure_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

@@ -1,8 +1,11 @@
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
 
-from homefetch.agent import NoiseConfig, SubtaskOutcome
+from helpers import only_event, verdicts
+from homefetch import session
+from homefetch.agent import NoiseConfig, navigate_to_room
 from homefetch.config import RunConfig, config_echo
 from homefetch.eventlog import SchemaError, canonical_json, write_events
 from homefetch.seeds import h64
@@ -28,14 +31,7 @@ from homefetch.session import (
     run_session,
     tallies_from_events,
 )
-
-
-def _done(t=1.0):
-    return SubtaskOutcome(True, True, t)
-
-
-def _failed(t=1.0):
-    return SubtaskOutcome(True, False, t)
+from homefetch.taskgen import generate_task
 
 
 def _outcomes(**kw):
@@ -46,34 +42,34 @@ def _outcomes(**kw):
 
 class TestCheckTermination:
     def test_completion_beats_budget(self):
-        out = _outcomes(Navigation=_done(), OLR=_done(),
-                        Fetching=_done(), Carrying=_done())
+        out = _outcomes(Navigation=True, OLR=True, Fetching=True,
+                        Carrying=True)
         got = check_termination(500.0, 300.0, out)
         assert got == TerminationReason(TASK_COMPLETED)
 
     def test_failure_beats_budget(self):
-        out = _outcomes(Navigation=_done(), OLR=_failed())
+        out = _outcomes(Navigation=True, OLR=False)
         got = check_termination(500.0, 300.0, out)
         assert got == TerminationReason(SUBTASK_FAILED, OLR)
 
     def test_earliest_failed_subtask_named(self):
-        out = _outcomes(Navigation=_failed(), Carrying=_failed())
+        out = _outcomes(Navigation=False, Carrying=False)
         got = check_termination(0.0, 300.0, out)
         assert got == TerminationReason(SUBTASK_FAILED, NAVIGATION)
 
     def test_budget_boundary_is_inclusive(self):
-        out = _outcomes(Navigation=_done())
+        out = _outcomes(Navigation=True)
         assert check_termination(300.0, 300.0, out) == \
             TerminationReason(TIME_ELAPSED)
         assert check_termination(299.999, 300.0, out) is None
 
     def test_mid_pipeline_continues(self):
-        out = _outcomes(Navigation=_done(), OLR=_done())
+        out = _outcomes(Navigation=True, OLR=True)
         assert check_termination(10.0, 300.0, out) is None
 
     def test_unattempted_outcome_not_a_failure(self):
-        out = _outcomes(Navigation=SubtaskOutcome(False, False, 0.0))
-        assert check_termination(0.0, 300.0, out) is None
+        assert check_termination(0.0, 300.0, _outcomes()) is None
+        assert check_termination(0.0, 300.0, {}) is None
 
 
 class TestFormatting:
@@ -160,6 +156,11 @@ def _cfg(**kw):
     return replace(RunConfig(), **kw)
 
 
+def _termination(rec) -> TerminationReason:
+    e = only_event(rec.events, "termination")
+    return TerminationReason(e["kind"], e["subtask"])
+
+
 class TestRunSession:
     def test_event_skeleton_and_gating(self):
         rec = run_session(7, _cfg(seed=7), 0)
@@ -170,7 +171,6 @@ class TestRunSession:
         assert head["seed"] == 7
         assert head["session_seed"] == h64("session", 7, 0)
         assert head["config"] == config_echo(_cfg(seed=7))
-        assert rec.session_seed == head["session_seed"]
         # every event is stamped with the session index
         assert all(e["session"] == 0 for e in rec.events)
         # starts/ends pair up in pipeline order
@@ -182,25 +182,21 @@ class TestRunSession:
 
     def test_full_success_session(self):
         rec = run_session(7, _cfg(seed=7), 0)
-        assert rec.termination == TerminationReason(TASK_COMPLETED)
-        for name in SUBTASKS:
-            assert rec.outcomes[name].attempted
-            assert rec.outcomes[name].succeeded
-        assert rec.duration_s > 0.0
+        assert _termination(rec) == TerminationReason(TASK_COMPLETED)
+        assert verdicts(rec.events) == {name: True for name in SUBTASKS}
+        assert all(e["attempted"] for e in rec.events
+                   if e["event"] == "subtask_end")
+        assert only_event(rec.events, "session_end")["duration_s"] > 0.0
         assert rec.trace
-        assert rec.task_summary["text"].endswith(".")
+        assert only_event(rec.events, "task")["text"].endswith(".")
 
     def test_baseline_abstains_and_gates_fetch(self):
         rec = run_session(1, _cfg(seed=1, grounder="keyword-baseline"), 0)
-        assert rec.olr_abstained
-        assert rec.outcomes[OLR].attempted
-        assert not rec.outcomes[OLR].succeeded
-        assert rec.outcomes[FETCHING] is None
-        assert rec.outcomes[CARRYING] is None
-        assert rec.termination == TerminationReason(SUBTASK_FAILED, OLR)
+        assert verdicts(rec.events) == {NAVIGATION: True, OLR: False}
+        assert _termination(rec) == TerminationReason(SUBTASK_FAILED, OLR)
         names = [e["event"] for e in rec.events]
         assert names.count("subtask_start") == 2
-        (olr,) = [e for e in rec.events if e["event"] == "olr"]
+        olr = only_event(rec.events, "olr")
         assert olr["abstained"] is True
         assert olr["target"] is None
 
@@ -208,24 +204,29 @@ class TestRunSession:
         """Session 44 of seed 7 follows a path that heads away from its goal
         for longer than the stall limit; that is progress, not a stall."""
         rec = run_session(7, RunConfig(seed=7), 44)
-        assert rec.termination == TerminationReason(TASK_COMPLETED)
+        assert _termination(rec) == TerminationReason(TASK_COMPLETED)
 
     def test_oracle_grounder_completes(self):
         rec = run_session(7, _cfg(seed=7, grounder="oracle"), 0)
-        assert rec.termination == TerminationReason(TASK_COMPLETED)
+        assert _termination(rec) == TerminationReason(TASK_COMPLETED)
 
     def test_tiny_budget_fails_navigation(self):
         rec = run_session(7, _cfg(seed=7, time_budget_s=0.5), 0)
-        assert rec.termination == TerminationReason(SUBTASK_FAILED, NAVIGATION)
-        assert rec.outcomes[OLR] is None
+        assert _termination(rec) == \
+            TerminationReason(SUBTASK_FAILED, NAVIGATION)
+        assert verdicts(rec.events) == {NAVIGATION: False}
 
     def test_exact_budget_elapses_after_navigation(self):
-        free = run_session(7, _cfg(seed=7), 0)
-        nav_time = free.outcomes[NAVIGATION].sim_time_s
+        # The budget is the unrounded clock after navigation; the log's
+        # rounded sim_time_s may fall short of it.
+        cfg = _cfg(seed=7)
+        env, task = generate_task(replace(cfg.gen, seed=h64("session", 7, 0)))
+        assert navigate_to_room(env, task.room, cfg.time_budget_s)
+        nav_time = env.clock
         assert nav_time > 0.0
         rec = run_session(7, _cfg(seed=7, time_budget_s=nav_time), 0)
-        assert rec.outcomes[NAVIGATION].succeeded
-        assert rec.termination == TerminationReason(TIME_ELAPSED)
+        assert verdicts(rec.events) == {NAVIGATION: True}
+        assert _termination(rec) == TerminationReason(TIME_ELAPSED)
 
     def test_deterministic_events(self):
         a = run_session(3, _cfg(seed=3), 2)
@@ -236,7 +237,8 @@ class TestRunSession:
     def test_session_index_changes_world(self):
         a = run_session(3, _cfg(seed=3), 0)
         b = run_session(3, _cfg(seed=3), 1)
-        assert a.session_seed != b.session_seed
+        assert only_event(a.events, "session_start")["session_seed"] != \
+            only_event(b.events, "session_start")["session_seed"]
         scene_a = next(e for e in a.events if e["event"] == "scene")
         scene_b = next(e for e in b.events if e["event"] == "scene")
         assert scene_a["digest"] != scene_b["digest"]
@@ -261,7 +263,7 @@ class TestAggregate:
     def test_abstain_flag(self):
         cfg = _cfg(seed=1, sessions=3, grounder="keyword-baseline")
         records = run_batch(cfg)
-        assert all(r.olr_abstained for r in records)
+        assert all(only_event(r.events, "olr")["abstained"] for r in records)
         plain = aggregate(records)
         assert plain.attempts[1] == 3
         compat = aggregate(records, abstain_as_unattempted=True)
@@ -274,10 +276,37 @@ class TestRunBatch:
         serial = run_batch(_cfg(seed=5, sessions=4))
         parallel = run_batch(_cfg(seed=5, sessions=4, workers=2))
         assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel):
-            assert a.session == b.session
+        for i, (a, b) in enumerate(zip(serial, parallel)):
+            assert a.events[0]["session"] == b.events[0]["session"] == i
             assert [canonical_json(e) for e in a.events] == \
                 [canonical_json(e) for e in b.events]
+
+    def test_pool_capped_at_sessions_and_cpus(self, monkeypatch):
+        """The pool is sized min(workers, sessions, CPUs) and still used at
+        one worker; the inline fake starts no process and runs no session."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, seed, cfg, index):
+                fut = Future()
+                fut.set_result(index)
+                return fut
+
+        monkeypatch.setattr(session, "ProcessPoolExecutor", InlinePool)
+        for cpus, sessions, workers in ((64, 2, 5000), (3, 4, 8), (None, 2, 2)):
+            monkeypatch.setattr(session.os, "cpu_count", lambda c=cpus: c)
+            got = run_batch(_cfg(seed=5, sessions=sessions, workers=workers))
+            assert got == list(range(sessions))
+        assert sizes == [2, 3, 1]
 
 
 class TestReplay:

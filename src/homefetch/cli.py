@@ -16,6 +16,7 @@ from .config import (
     ConfigError, RunConfig, apply_overrides, config_echo, load_config,
 )
 from .eventlog import SchemaError, canonical_json, read_events, write_events
+from .planner import clear_plan_memo
 from .seeds import h64
 from .session import (
     MismatchDetected, SUBTASKS, Tally, aggregate, format_cells, format_report,
@@ -88,14 +89,13 @@ def cmd_generate(args) -> int:
         print(f"generation failed: {e}", file=sys.stderr)
         return EXIT_GENERATION
     try:
-        manifest = export_dataset(tasks, out,
-                                  meta={"seed": cfg.seed,
-                                        "config": config_echo(cfg)})
+        export_dataset(tasks, out, meta={"seed": cfg.seed,
+                                         "config": config_echo(cfg)})
     except OSError as e:
         print(f"cannot write dataset under {out}: {e}", file=sys.stderr)
         return EXIT_IO
     print(out / "manifest.json")
-    return EXIT_OK if manifest["count"] == cfg.sessions else EXIT_IO
+    return EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -188,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    clear_plan_memo()  # plans are memoised per command, never across commands
     try:
         return args.fn(args)
     except ConfigError as e:

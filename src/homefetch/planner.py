@@ -10,6 +10,17 @@ A* is 8-connected with the corner rule (a diagonal move needs both adjacent
 orthogonal cells free), which makes 4-connected flood fill an exact
 reachability oracle.  Ties break on (f, h, cell index) so plans are stable
 across runs and platforms.
+
+`plan_path` is memoised.  A plan depends on nothing but the static geometry
+(`Environment.geometry_digest`), the inflation (robot radius plus margin,
+which also fixes the radius `_snap_start` keeps from obstacles) and the two
+points, so the memo keys on exactly those, with exact floats; the grid cache
+keys on the same geometry and inflation through `_geometry_key`.  A `NoPath`
+is cached too, since callers such as `room_entry_path` try unreachable
+doors again and again.  Every call returns a fresh `Path` or raises a fresh
+`NoPath`.  The memo is capped at `PLAN_MEMO_CAP` entries, oldest evicted
+first, and `cli.main` clears it before each command, so every command
+starts cold, as it would in a process of its own.
 """
 from __future__ import annotations
 
@@ -123,15 +134,19 @@ def build_grid(env: Environment, inflate: float) -> Grid:
     return Grid(x0, y0, GRID_RES_M, free, comp)
 
 
+def _geometry_key(env: Environment) -> tuple[str, float]:
+    """(static geometry digest, inflation): what a grid depends on."""
+    return (env.geometry_digest, env.robot.radius + INFLATE_MARGIN_M)
+
+
 _GRID_CACHE: dict[tuple[str, float], Grid] = {}
 
 
 def grid_for(env: Environment) -> Grid:
     """Cached grid per static geometry and inflation (robot radius + margin)."""
-    inflate = env.robot.radius + INFLATE_MARGIN_M
-    key = (env.geometry_digest, round(inflate, 6))
+    key = _geometry_key(env)
     if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = build_grid(env, inflate)
+        _GRID_CACHE[key] = build_grid(env, key[1])
     return _GRID_CACHE[key]
 
 
@@ -162,16 +177,9 @@ def segment_on_free_cells(grid: Grid, a: tuple[float, float],
     return bool(grid.free[iys, ixs].all())
 
 
-_SNAP_OFFSETS: list[tuple[int, int]] | None = None
-
-
-def _snap_offsets() -> list[tuple[int, int]]:
-    global _SNAP_OFFSETS
-    if _SNAP_OFFSETS is None:
-        offs = [(dx, dy) for dx in range(-8, 9) for dy in range(-8, 9)]
-        offs.sort(key=lambda o: (o[0] * o[0] + o[1] * o[1], o[1], o[0]))
-        _SNAP_OFFSETS = offs
-    return _SNAP_OFFSETS
+# Cell offsets within 8 cells, nearest first, ties by (dy, dx).
+_SNAP_OFFSETS = sorted(((dx, dy) for dx in range(-8, 9) for dy in range(-8, 9)),
+                       key=lambda o: (o[0] * o[0] + o[1] * o[1], o[1], o[0]))
 
 
 def _snap_start(env: Environment, grid: Grid,
@@ -179,7 +187,7 @@ def _snap_start(env: Environment, grid: Grid,
     """Free cell near p whose straight connection from p is provably safe."""
     ix0, iy0 = grid.cell_of(p[0], p[1])
     need = env.robot.radius + 0.01
-    for dx, dy in _snap_offsets():
+    for dx, dy in _SNAP_OFFSETS:
         ix, iy = ix0 + dx, iy0 + dy
         if not grid.in_bounds(ix, iy) or not grid.free[iy, ix]:
             continue
@@ -251,9 +259,38 @@ def _string_pull(grid: Grid, pts: list[tuple[float, float]]) -> list[tuple[float
     return out
 
 
+PLAN_MEMO_CAP = 4096
+# (geometry key, start, goal) -> (waypoints, length), or the NoPath message.
+_PLAN_MEMO: dict[tuple, tuple[tuple[tuple[float, float], ...], float] | str] = {}
+
+
+def clear_plan_memo() -> None:
+    """Forget every memoised plan (called once per CLI command)."""
+    _PLAN_MEMO.clear()
+
+
 def plan_path(env: Environment, start: tuple[float, float],
               goal: tuple[float, float]) -> Path:
     """Shortest grid path from start to goal, smoothed; raises NoPath."""
+    key = (_geometry_key(env), start, goal)
+    entry = _PLAN_MEMO.get(key)
+    if entry is None:
+        try:
+            path = _plan(env, start, goal)
+            entry = (tuple(path.waypoints), path.total_length)
+        except NoPath as e:
+            entry = str(e)
+        if len(_PLAN_MEMO) >= PLAN_MEMO_CAP:
+            del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
+        _PLAN_MEMO[key] = entry
+    if isinstance(entry, str):
+        raise NoPath(entry)
+    return Path(list(entry[0]), entry[1])
+
+
+def _plan(env: Environment, start: tuple[float, float],
+          goal: tuple[float, float]) -> Path:
+    """The uncached planner behind `plan_path`."""
     if dist(start, goal) <= 1e-9:
         return Path([start], 0.0)
     grid = grid_for(env)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from homefetch import planner
 from homefetch.cli import (
     EXIT_CONFIG,
     EXIT_GENERATION,
@@ -223,6 +224,15 @@ class TestReport:
         assert main(["report", str(log)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == \
             "0 (0/0) | 0 (0/0) | 0 (0/0) | 0 (0/0)"
+
+    def test_each_command_starts_with_an_empty_plan_memo(self, tmp_path,
+                                                         capsys):
+        planner._PLAN_MEMO[("sentinel",)] = "stale"
+        log = tmp_path / "empty.jsonl"
+        log.write_text("")
+        assert main(["report", str(log)]) == EXIT_OK
+        capsys.readouterr()
+        assert planner._PLAN_MEMO == {}
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope.jsonl")])

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from helpers import ball, make_env, table
+from homefetch import planner
 from homefetch.geometry import Rect, dist
 from homefetch.layouts import make_environment
 from homefetch.planner import (
     GRID_RES_M,
     INFLATE_MARGIN_M,
     NoPath,
+    _plan,
     build_grid,
+    clear_plan_memo,
     grid_for,
     plan_path,
     segment_clear_exact,
@@ -81,6 +84,16 @@ class TestGrid:
         assert grid.cell_of(x, y) == (40, 30)
 
 
+def _two_sealed_rooms() -> Environment:
+    rooms = [
+        RoomSpec(id="a", name="kitchen", bounds=Rect(0.0, 0.0, 3.0, 3.0)),
+        RoomSpec(id="b", name="study", bounds=Rect(5.0, 0.0, 8.0, 3.0)),
+    ]
+    return Environment(layout_id="test", rooms=rooms, doors=[],
+                       walls=[], furniture=[], objects={},
+                       robot=RobotState(pose=Pose(1.0, 1.0)))
+
+
 class TestPlanPath:
     def test_corridor_nearly_straight(self):
         env = make_env(room=Rect(0.0, 0.0, 10.0, 1.4), robot_xy=(1.0, 0.7))
@@ -104,15 +117,8 @@ class TestPlanPath:
             plan_path(env, (1.0, 1.0), (2.5, 1.95))  # 0.05 m from the footprint
 
     def test_disconnected_rooms_raise(self):
-        rooms = [
-            RoomSpec(id="a", name="kitchen", bounds=Rect(0.0, 0.0, 3.0, 3.0)),
-            RoomSpec(id="b", name="study", bounds=Rect(5.0, 0.0, 8.0, 3.0)),
-        ]
-        env = Environment(layout_id="test", rooms=rooms, doors=[],
-                          walls=[], furniture=[], objects={},
-                          robot=RobotState(pose=Pose(1.0, 1.0)))
         with pytest.raises(NoPath):
-            plan_path(env, (1.0, 1.0), (6.0, 1.0))
+            plan_path(_two_sealed_rooms(), (1.0, 1.0), (6.0, 1.0))
 
     def test_detour_around_furniture(self):
         # block the straight line; the plan must exceed it and stay clear
@@ -164,6 +170,95 @@ class TestPlanPath:
                         min(f.footprint.distance_to(x, y) for f in env.furniture),
                     )
                     assert clear >= ROBOT_RADIUS_M + 0.05
+
+
+def _answer(plan, env, start, goal):
+    try:
+        path = plan(env, start, goal)
+    except NoPath as e:
+        return ("NoPath", str(e))
+    return (path.waypoints, path.total_length)
+
+
+class TestPlanMemo:
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        clear_plan_memo()
+        yield
+        clear_plan_memo()
+
+    def test_memo_answers_equal_uncached_plans(self):
+        env = make_environment("default")
+        grid = grid_for(env)
+        rng = random.Random(23)
+        cells = [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
+                 if grid.free[iy, ix]]
+        queries = [(grid.center(*rng.choice(cells)), grid.center(*rng.choice(cells)))
+                   for _ in range(200)]
+        blocked_goal = env.furniture[0].footprint.center
+        queries.append((queries[0][0], blocked_goal))
+        queries += rng.sample(queries, 60)
+        rng.shuffle(queries)
+        cases = [(env, a, b) for a, b in queries]
+        cases += [(_two_sealed_rooms(), (1.0, 1.0), (6.0, 1.0))] * 2
+        failures = set()
+        for case in cases:
+            want = _answer(_plan, *case)
+            assert _answer(plan_path, *case) == want
+            if want[0] == "NoPath":
+                failures.add(want[1])
+        assert failures == {f"goal cell blocked at {blocked_goal}",
+                            "start and goal in different grid components"}
+
+    def test_returned_waypoints_are_the_callers_own(self):
+        env = make_env(robot_xy=(1.0, 1.0))
+        first = plan_path(env, (1.0, 1.0), (5.0, 4.0))
+        want = list(first.waypoints)
+        first.waypoints.append((9.0, 9.0))
+        first.waypoints[0] = (0.0, 0.0)
+        again = plan_path(env, (1.0, 1.0), (5.0, 4.0))
+        assert again.waypoints == want
+        assert again.waypoints is not first.waypoints
+
+    def test_keyed_by_geometry_not_layout_id(self):
+        bare = make_env(room=Rect(0.0, 0.0, 6.0, 4.0), layout_id="shared")
+        blocked = make_env(room=Rect(0.0, 0.0, 6.0, 4.0), layout_id="shared",
+                           furniture=(table("t0", Rect(2.4, 0.0, 3.6, 2.8)),))
+        straight = plan_path(bare, (1.0, 1.0), (5.0, 1.0))
+        detour = plan_path(blocked, (1.0, 1.0), (5.0, 1.0))
+        assert straight.total_length == pytest.approx(4.0)
+        assert detour.total_length > 4.5
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """Goals that reached the uncached planner, in call order."""
+        goals = []
+
+        def counting(env, start, goal):
+            goals.append(goal)
+            return _plan(env, start, goal)
+
+        monkeypatch.setattr(planner, "_plan", counting)
+        return goals
+
+    def test_no_path_is_cached(self, planned):
+        env = _two_sealed_rooms()
+        for _ in range(2):
+            with pytest.raises(NoPath, match="different grid components"):
+                plan_path(env, (1.0, 1.0), (6.0, 1.0))
+        assert planned == [(6.0, 1.0)]
+
+    def test_cap_evicts_the_oldest_entry(self, monkeypatch, planned):
+        monkeypatch.setattr(planner, "PLAN_MEMO_CAP", 2)
+        env = make_env(robot_xy=(1.0, 1.0))
+        goals = [(2.0, 1.0), (3.0, 1.0), (4.0, 1.0)]
+        for g in goals:
+            plan_path(env, (1.0, 1.0), g)
+        assert len(planner._PLAN_MEMO) == 2
+        plan_path(env, (1.0, 1.0), goals[2])
+        assert planned == goals
+        plan_path(env, (1.0, 1.0), goals[0])
+        assert planned == goals + [goals[0]]
 
 
 class TestSegmentClearExact:

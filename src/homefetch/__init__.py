@@ -4,7 +4,7 @@ Scenes, natural-language tasks, a gated execution pipeline, and Table-style
 evaluation reports, all reproducible from a single seed.
 """
 from .agent import (
-    Capture, GroundingFailed, GroundingResult, KEYWORD_BASELINE,
+    Capture, Grounding, KEYWORD_BASELINE,
     NoiseConfig, ORACLE, RELATIONAL, ScoreWeights, crawl, detect, ground,
     navigate_to_room,
 )
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionFailure", "AttributeSet", "CameraPose", "Capture", "ConfigError",
     "DynamicObject", "Environment", "GenConfig", "GenerationFailed",
-    "GotoClause", "GroundingFailed", "GroundingResult", "InstructionAst",
+    "GotoClause", "Grounding", "InstructionAst",
     "KEYWORD_BASELINE", "ManipClause", "MismatchDetected",
     "NoDistinguishingDescription", "NoFeasibleTask", "NoPath", "NoViewpoint",
     "NoiseConfig", "ORACLE", "ParseError", "Path", "PlacementExhausted",

@@ -18,7 +18,7 @@ degrade monotonically in the miss rate instead of jittering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from .geometry import dist, norm_angle
@@ -92,28 +92,33 @@ class Capture:
     subject: str | None = None
 
 
-class GroundingFailed(Exception):
-    """Comprehension abstained; the partial result rides along."""
+@dataclass(frozen=True)
+class Pick:
+    """One grounded role: the chosen detection and the capture it came from.
 
-    def __init__(self, result: "GroundingResult"):
-        self.result = result
-        super().__init__(f"no grounding for target={result.target} "
-                         f"destination={result.destination}")
+    `capture` indexes the crawl's captures, `camera` is that capture's pose
+    (where Fetching and Carrying return to), and `strict` is False when
+    another id tied the top score.
+    """
+    detection: Snapshot
+    capture: int
+    camera: CameraPose
+    strict: bool = True
+
+    @property
+    def id(self) -> str:
+        return self.detection.object_id
 
 
-@dataclass
-class GroundingResult:
-    kind: str
-    target: str | None
-    destination: str | None
-    target_capture: int | None
-    destination_capture: int | None
-    target_view: tuple[float, float] | None  # (bearing, range) of chosen detection
-    destination_view: tuple[float, float] | None
-    target_scores: dict[str, float] = field(default_factory=dict)
-    destination_scores: dict[str, float] = field(default_factory=dict)
-    strict_target: bool = False
-    strict_destination: bool = False
+@dataclass(frozen=True)
+class Grounding:
+    """What OLR hands on: one Pick per role, None where that role abstained."""
+    target: Pick | None
+    destination: Pick | None
+
+    @property
+    def resolved(self) -> bool:
+        return self.target is not None and self.destination is not None
 
 
 # --- perception ------------------------------------------------------------
@@ -406,13 +411,15 @@ def _relation_bonus(det: Snapshot, rel: SpatialRelation, dets: list[Snapshot],
 def _ground_descriptor(attrs: AttributeSet, rel: SpatialRelation | None,
                        captures: list[Capture],
                        detections: list[list[Snapshot]], want_kind: str,
-                       weights: ScoreWeights, th: RelationThresholds):
-    """Best-scoring detection id for one descriptor.
+                       weights: ScoreWeights,
+                       th: RelationThresholds) -> Pick | None:
+    """Best-scoring detection for one descriptor; None below the threshold.
 
-    Returns (id | None, capture | None, view | None, scores, strict).
+    Each id keeps its first highest-scoring sighting; a tie at the top
+    picks the lowest id, non-strict.
     """
     threshold = n_specified(attrs) * weights.attribute + (1 if rel is not None else 0)
-    best: dict[str, tuple[float, int, float, float]] = {}
+    best: dict[str, tuple[float, int, Snapshot]] = {}
     for ci, dets in enumerate(detections):
         supports = captures[ci].supports
         for d in dets:
@@ -429,20 +436,19 @@ def _ground_descriptor(attrs: AttributeSet, rel: SpatialRelation | None,
                 s += weights.relation
             cur = best.get(d.object_id)
             if cur is None or s > cur[0]:
-                best[d.object_id] = (s, ci, d.bearing, d.range)
-    scores = {oid: rec[0] for oid, rec in sorted(best.items())}
+                best[d.object_id] = (s, ci, d)
     viable = [(rec[0], oid) for oid, rec in best.items() if rec[0] >= threshold]
     if not viable:
-        return None, None, None, scores, False
+        return None
     top = max(v[0] for v in viable)
     winners = sorted(oid for v, oid in viable if v == top)
-    oid = winners[0]
-    rec = best[oid]
-    return oid, rec[1], (rec[2], rec[3]), scores, len(winners) == 1
+    _, ci, d = best[winners[0]]
+    return Pick(d, ci, captures[ci].camera, strict=len(winners) == 1)
 
 
-def _ground_keyword(category: str, detections: list[list[Snapshot]],
-                    want_kind: str):
+def _ground_keyword(category: str, captures: list[Capture],
+                    detections: list[list[Snapshot]],
+                    want_kind: str) -> Pick | None:
     """Exactly one category-token occurrence across all captures, else abstain.
 
     Occurrences are counted per detection, not per distinct object, which is
@@ -451,60 +457,49 @@ def _ground_keyword(category: str, detections: list[list[Snapshot]],
     hits = [(ci, d) for ci, dets in enumerate(detections)
             for d in dets if d.kind == want_kind and d.category == category]
     if len(hits) != 1:
-        return None, None, None, {}, False
+        return None
     ci, d = hits[0]
-    return d.object_id, ci, (d.bearing, d.range), {d.object_id: 1.0}, True
+    return Pick(d, ci, captures[ci].camera)
 
 
-def _first_sighting(oid: str, captures: list[Capture]):
+def _first_sighting(oid: str, captures: list[Capture]) -> Pick | None:
     for ci, cap in enumerate(captures):
         for s in cap.snapshots:
             if s.object_id == oid:
-                return ci, (s.bearing, s.range)
-    return None, None
+                return Pick(s, ci, cap.camera)
+    return None
 
 
 def ground(instr: InstructionAst, captures: list[Capture],
            detections: list[list[Snapshot]], kind: str,
            weights: ScoreWeights = ScoreWeights(),
            th: RelationThresholds = RelationThresholds(),
-           truth: tuple[str, str] | None = None) -> GroundingResult:
+           truth: tuple[str, str] | None = None) -> Grounding:
     """Multimodal comprehension: map the instruction to detected ids.
 
-    Raises GroundingFailed (carrying the partial result) when either the
-    target or the destination cannot be resolved.
+    Each role of the returned Grounding is a Pick, or None where that role
+    abstained; an abstention is an outcome, not an error.  The oracle picks
+    the first raw sighting of the `truth` ids.  Raises ValueError for an
+    unknown kind or an oracle call without `truth`.
     """
     m = instr.manip
     if kind == RELATIONAL:
-        t_id, t_cap, t_view, t_scores, t_strict = _ground_descriptor(
-            m.target, m.relation, captures, detections, DYNAMIC, weights, th)
-        d_id, d_cap, d_view, d_scores, d_strict = _ground_descriptor(
-            m.destination, None, captures, detections, SURFACE, weights, th)
-    elif kind == KEYWORD_BASELINE:
-        t_id, t_cap, t_view, t_scores, t_strict = _ground_keyword(
-            m.target.category, detections, DYNAMIC)
-        d_id, d_cap, d_view, d_scores, d_strict = _ground_keyword(
-            m.destination.category, detections, SURFACE)
-    elif kind == ORACLE:
+        return Grounding(
+            _ground_descriptor(m.target, m.relation, captures, detections,
+                               DYNAMIC, weights, th),
+            _ground_descriptor(m.destination, None, captures, detections,
+                               SURFACE, weights, th))
+    if kind == KEYWORD_BASELINE:
+        return Grounding(
+            _ground_keyword(m.target.category, captures, detections, DYNAMIC),
+            _ground_keyword(m.destination.category, captures, detections,
+                            SURFACE))
+    if kind == ORACLE:
         if truth is None:
             raise ValueError("oracle grounding needs ground-truth ids")
-        t_id, d_id = truth
-        t_cap, t_view = _first_sighting(t_id, captures)
-        d_cap, d_view = _first_sighting(d_id, captures)
-        t_scores, d_scores = {}, {}
-        t_strict = d_strict = True
-        if t_cap is None:
-            t_id = None
-        if d_cap is None:
-            d_id = None
-    else:
-        raise ValueError(f"unknown grounder kind {kind!r}")
-
-    res = GroundingResult(kind, t_id, d_id, t_cap, d_cap, t_view, d_view,
-                          t_scores, d_scores, t_strict, d_strict)
-    if t_id is None or d_id is None:
-        raise GroundingFailed(res)
-    return res
+        return Grounding(_first_sighting(truth[0], captures),
+                         _first_sighting(truth[1], captures))
+    raise ValueError(f"unknown grounder kind {kind!r}")
 
 
 # --- approach / docking -----------------------------------------------------
@@ -587,39 +582,36 @@ def _undock(env: Environment, app: Approach, deadline: float) -> None:
         drive_straight(env, app.staging, deadline, reverse=True)
 
 
-def estimated_position(cam: CameraPose, view: tuple[float, float]) -> tuple[float, float]:
-    bearing, rng = view
-    a = cam.pose.theta + bearing
-    return (cam.pose.x + rng * math.cos(a), cam.pose.y + rng * math.sin(a))
+def estimated_position(cam: CameraPose, det: Snapshot) -> tuple[float, float]:
+    a = cam.pose.theta + det.bearing
+    return (cam.pose.x + det.range * math.cos(a),
+            cam.pose.y + det.range * math.sin(a))
 
 
-def grasp_approach(env: Environment, grounding: GroundingResult,
-                   captures: list[Capture]) -> Approach | None:
+def grasp_approach(env: Environment, target: Pick) -> Approach | None:
     """Standoff for grasping the grounded target, estimated from its view.
 
     The sight test looks past what the grasp's own sight test does; a
     phantom id has no support to look past.
     """
-    cam = captures[grounding.target_capture].camera
-    est = estimated_position(cam, grounding.target_view)
-    obj = env.objects.get(grounding.target)
+    est = estimated_position(target.camera, target.detection)
+    obj = env.objects.get(target.id)
     ignore = (sight_ignore(env, obj) if obj is not None
-              else frozenset({grounding.target}))
+              else frozenset({target.id}))
     return find_approach(env, est, env.robot.reach - GRASP_MARGIN_M, ignore,
                          _robot_component(env))
 
 
-def place_approach(env: Environment, grounding: GroundingResult,
-                   captures: list[Capture]) -> Approach | None:
+def place_approach(env: Environment, destination: Pick) -> Approach | None:
     """Standoff for setting down on the grounded destination surface.
 
     Aims at the point of the surface, inset by a nominal object radius,
-    nearest the destination view; None when the surface is unknown.
+    nearest the destination's camera; None when the surface is unknown.
     """
-    surf = env._surfaces.get(grounding.destination)
+    surf = env._surfaces.get(destination.id)
     if surf is None:
         return None
-    pose = captures[grounding.destination_capture].camera.pose
+    pose = destination.camera.pose
     est = surf.region.inset(NOMINAL_OBJECT_R_M).clamp(pose.x, pose.y)
     return find_approach(env, est, env.robot.reach - PLACE_MARGIN_M, None,
                          _robot_component(env))
@@ -627,13 +619,13 @@ def place_approach(env: Environment, grounding: GroundingResult,
 
 # --- fetch / carry ----------------------------------------------------------
 
-def _approach_and_act(env: Environment, role: str, view: CameraPose,
+def _approach_and_act(env: Environment, role: str, camera: CameraPose,
                       approach: Callable[[], Approach | None],
                       act: Callable[[Approach], bool], deadline: float,
                       events: list | None) -> bool:
     """Viewpoint path, follow, approach, dock, act; False if any step fails."""
     try:
-        path = plan_path(env, env.robot.pose.xy, view.pose.xy)
+        path = plan_path(env, env.robot.pose.xy, camera.pose.xy)
     except NoPath:
         return False
     _emit_path(events, env, f"{role}:viewpoint", path)
@@ -646,55 +638,51 @@ def _approach_and_act(env: Environment, role: str, view: CameraPose,
     return act(app)
 
 
-def fetch(env: Environment, grounding: GroundingResult, captures: list[Capture],
-          task: "TaskSpec", deadline: float,
+def fetch(env: Environment, target: Pick, task: "TaskSpec", deadline: float,
           events: list | None = None) -> bool:
-    """Return to the grounded view, approach, and grasp; graded against truth."""
+    """Return to the target's camera, approach, and grasp; graded against truth."""
 
     def grasp_and_undock(app: Approach) -> bool:
         try:
-            world_grasp(env, grounding.target)
+            world_grasp(env, target.id)
         except ActionFailure as e:
-            emit_event(events, env, "grasp", object=grounding.target,
+            emit_event(events, env, "grasp", object=target.id,
                        ok=False, reason=type(e).__name__)
             grabbed = False
         else:
-            emit_event(events, env, "grasp", object=grounding.target, ok=True)
+            emit_event(events, env, "grasp", object=target.id, ok=True)
             grabbed = True
         _undock(env, app, deadline)
         return grabbed
 
     grabbed = _approach_and_act(
-        env, "fetch", captures[grounding.target_capture].camera,
-        lambda: grasp_approach(env, grounding, captures), grasp_and_undock,
-        deadline, events)
-    return grabbed and grounding.target == task.target
+        env, "fetch", target.camera, lambda: grasp_approach(env, target),
+        grasp_and_undock, deadline, events)
+    return grabbed and target.id == task.target
 
 
-def carry(env: Environment, grounding: GroundingResult, captures: list[Capture],
-          task: "TaskSpec", deadline: float,
-          events: list | None = None) -> bool:
-    """Return to the destination view, approach the surface, and set down.
+def carry(env: Environment, destination: Pick, task: "TaskSpec",
+          deadline: float, events: list | None = None) -> bool:
+    """Return to the destination's camera, approach the surface, and set down.
 
     The robot stays docked after the set-down.
     """
 
     def set_down(app: Approach) -> bool:
         try:
-            world_place(env, grounding.destination)
+            world_place(env, destination.id)
         except ActionFailure as e:
-            emit_event(events, env, "place", surface=grounding.destination,
+            emit_event(events, env, "place", surface=destination.id,
                        ok=False, reason=type(e).__name__)
             return False
         obj = env.objects[task.target]
-        emit_event(events, env, "place", surface=grounding.destination,
+        emit_event(events, env, "place", surface=destination.id,
                    ok=True, xy=[obj.pose.x, obj.pose.y])
         return True
 
     placed = _approach_and_act(
-        env, "carry", captures[grounding.destination_capture].camera,
-        lambda: place_approach(env, grounding, captures), set_down,
-        deadline, events)
+        env, "carry", destination.camera,
+        lambda: place_approach(env, destination), set_down, deadline, events)
     obj = env.objects[task.target]
     return bool(placed and obj.support == task.destination
                 and env.surface(task.destination).region.inset(obj.radius)

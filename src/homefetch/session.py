@@ -16,7 +16,7 @@ from functools import partial
 from operator import add
 
 from .agent import (
-    GroundingFailed, ORACLE, carry, crawl, detect, emit_event, fetch, ground,
+    ORACLE, carry, crawl, detect, emit_event, fetch, ground,
     navigate_to_room,
 )
 from .config import RunConfig, config_echo, config_from_echo, ConfigError
@@ -99,42 +99,39 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
     budget = cfg.time_budget_s
     outcomes: dict[str, bool | None] = {s: None for s in SUBTASKS}
     grounding = None
-    captures: list = []
 
     def olr() -> bool:
-        nonlocal grounding, captures
+        nonlocal grounding
         captures = crawl(env, task.room, budget, events)
         stream = KeyedStream("noise", session_seed)
         detections = [detect(c, i, cfg.noise, stream)
                       for i, c in enumerate(captures)]
         ast = parse(task.text)
         truth = (task.target, task.destination) if cfg.grounder == ORACLE else None
-        try:
-            grounding = ground(ast, captures, detections, cfg.grounder,
-                               cfg.gen.weights, cfg.gen.thresholds, truth)
-            result = grounding
-        except GroundingFailed as err:
-            result = err.result
-        correct = (grounding is not None
-                   and grounding.target == task.target
-                   and grounding.destination == task.destination)
+        grounding = ground(ast, captures, detections, cfg.grounder,
+                           cfg.gen.weights, cfg.gen.thresholds, truth)
+        tgt, dst = grounding.target, grounding.destination
+        correct = (grounding.resolved and tgt.id == task.target
+                   and dst.id == task.destination)
         emit("olr", captures=len(captures),
              digest=digest16({
                  "captures": [capture_record(c) for c in captures],
                  "detections": [[{**snapshot_record(d), "capture": ci}
                                  for d in ds]
                                 for ci, ds in enumerate(detections)]}),
-             target=result.target, destination=result.destination,
-             target_capture=result.target_capture,
-             destination_capture=result.destination_capture,
-             abstained=grounding is None, correct=correct)
+             target=tgt.id if tgt else None,
+             destination=dst.id if dst else None,
+             target_capture=tgt.capture if tgt else None,
+             destination_capture=dst.capture if dst else None,
+             abstained=not grounding.resolved, correct=correct)
         return correct
 
     stages = (
         (NAVIGATION, lambda: navigate_to_room(env, task.room, budget, events)),
         (OLR, olr),
-        (FETCHING, lambda: fetch(env, grounding, captures, task, budget, events)),
-        (CARRYING, lambda: carry(env, grounding, captures, task, budget, events)),
+        (FETCHING, lambda: fetch(env, grounding.target, task, budget, events)),
+        (CARRYING, lambda: carry(env, grounding.destination, task, budget,
+                                 events)),
     )
     # Strict gating: a stage runs only while no verdict is in and every
     # earlier stage succeeded.
@@ -148,8 +145,6 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
         emit("subtask_end", subtask=name, attempted=True, succeeded=ok,
              sim_time_s=round(env.clock - t0, 6))
         reason = check_termination(env.clock, budget, outcomes)
-        if not ok:
-            break
 
     assert reason is not None, "pipeline ended without a termination verdict"
     emit("termination", kind=reason.kind, subtask=reason.subtask)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .agent import (
-    RELATIONAL, Capture, GroundingFailed, ScoreWeights, captured,
+    RELATIONAL, Capture, ScoreWeights, captured,
     grasp_approach, ground, lattice_captures, place_approach, room_entry_path,
 )
 from .eventlog import canonical_json
@@ -286,21 +286,18 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     caps = lattice_captures(env, task.room)
     if not caps:
         return False
-    try:
-        g = ground(task.instruction, caps, [c.snapshots for c in caps],
-                   RELATIONAL, cfg.weights, cfg.thresholds)
-    except GroundingFailed:
-        return False
-    if g.target != task.target or g.destination != task.destination:
-        return False
-    if not (g.strict_target and g.strict_destination):
+    g = ground(task.instruction, caps, [c.snapshots for c in caps],
+               RELATIONAL, cfg.weights, cfg.thresholds)
+    if not (g.resolved and g.target.strict and g.destination.strict
+            and g.target.id == task.target
+            and g.destination.id == task.destination):
         return False
 
     if room_entry_path(env, task.room) is None:
         return False
-    if grasp_approach(env, g, caps) is None:
+    if grasp_approach(env, g.target) is None:
         return False
-    place_app = place_approach(env, g, caps)
+    place_app = place_approach(env, g.destination)
     if place_app is None:
         return False
     try:

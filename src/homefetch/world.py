@@ -192,15 +192,11 @@ class Environment:
 
     def __post_init__(self) -> None:
         self._surfaces = {s.id: s for f in self.furniture for s in f.surfaces}
-        self._furniture = {f.id: f for f in self.furniture}
         self._rooms = {r.id: r for r in self.rooms}
         self._vis_memo: dict = {}
 
     def room(self, room_id: str) -> RoomSpec:
         return self._rooms[room_id]
-
-    def furniture_by_id(self, fid: str) -> StaticObject:
-        return self._furniture[fid]
 
     def surface(self, sid: str) -> SupportSurface:
         return self._surfaces[sid]
@@ -437,7 +433,7 @@ def place_spot(env: Environment, dest: str, obj: DynamicObject,
     if surf is None:
         raise NoSuchObject(dest)
     inset = surf.region.inset(obj.radius)
-    if inset.area == 0.0 and (inset.width == 0.0 and inset.height == 0.0):
+    if inset.width == 0.0 and inset.height == 0.0:
         # Region too small for this object; treat like a packed surface.
         raise NoFreePose(dest)
     reach = env.robot.reach

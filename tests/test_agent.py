@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,14 +17,15 @@ from homefetch.agent import (
     STALL_LIMIT_S,
     STANDOFF_RADII_M,
     Capture,
-    GroundingFailed,
     NoiseConfig,
+    Pick,
     captured,
     crawl,
     crawl_points,
     detect,
     drive_straight,
     estimated_position,
+    fetch,
     find_approach,
     follow_path,
     ground,
@@ -199,11 +201,12 @@ class TestGroundRelational:
              sighting("o1", category="can"),
              sighting("s0", kind=SURFACE, category="table")])
         res = ground(_ast(AttributeSet("bottle")), caps, dets, RELATIONAL)
-        assert res.target == "o0" and res.strict_target
-        assert res.destination == "s0" and res.strict_destination
-        assert res.target_capture == 0
-        assert res.target_view == (0.0, 1.0)
-        assert res.target_scores["o0"] == 1.0
+        assert res.resolved
+        assert res.target.id == "o0" and res.target.strict
+        assert res.destination.id == "s0" and res.destination.strict
+        assert res.target.capture == 0
+        assert res.target.detection is dets[0][0]
+        assert res.target.camera is caps[0].camera
 
     def test_tie_breaks_to_lowest_id_non_strict(self):
         caps, dets = _dets(
@@ -211,8 +214,9 @@ class TestGroundRelational:
              sighting("o2", category="bottle", bearing=0.2),
              sighting("s0", kind=SURFACE, category="table")])
         res = ground(_ast(AttributeSet("bottle")), caps, dets, RELATIONAL)
-        assert res.target == "o2"
-        assert not res.strict_target
+        assert res.target.id == "o2"
+        assert not res.target.strict
+        assert res.resolved
 
     def test_color_raises_threshold(self):
         caps, dets = _dets(
@@ -221,8 +225,17 @@ class TestGroundRelational:
              sighting("s0", kind=SURFACE, category="table")])
         res = ground(_ast(AttributeSet("bottle", color="red")),
                      caps, dets, RELATIONAL)
-        assert res.target == "o0" and res.strict_target
-        assert res.target_scores == {"o0": 2.0, "o1": 1.0}
+        assert res.target.id == "o0" and res.target.strict
+
+    def test_wrong_color_alone_abstains(self):
+        # only a blue bottle in view: score 1 is below threshold 2
+        caps, dets = _dets(
+            [sighting("o1", category="bottle", color="blue"),
+             sighting("s0", kind=SURFACE, category="table")])
+        res = ground(_ast(AttributeSet("bottle", color="red")),
+                     caps, dets, RELATIONAL)
+        assert res.target is None and not res.resolved
+        assert res.destination.id == "s0"
 
     def test_relation_bonus_disambiguates(self):
         # two bottles; only o0 sits near the plate in view space
@@ -234,20 +247,44 @@ class TestGroundRelational:
         rel = SpatialRelation(NEAR, AttributeSet("plate"))
         res = ground(_ast(AttributeSet("bottle"), relation=rel),
                      caps, dets, RELATIONAL)
-        assert res.target == "o0" and res.strict_target
-        assert res.target_scores["o0"] == 3.0  # category + relation
-        assert res.target_scores["o1"] == 1.0
+        assert res.target.id == "o0" and res.target.strict
+
+    def test_relation_unmet_abstains(self):
+        # a bottle far from the plate: score 1 is below threshold 2
+        caps, dets = _dets(
+            [sighting("o1", category="bottle", bearing=0.0, rng=3.0),
+             sighting("lm", category="plate", bearing=0.05, rng=1.0),
+             sighting("s0", kind=SURFACE, category="table")])
+        rel = SpatialRelation(NEAR, AttributeSet("plate"))
+        res = ground(_ast(AttributeSet("bottle"), relation=rel),
+                     caps, dets, RELATIONAL)
+        assert res.target is None
+        assert res.destination.id == "s0"
+
+    def test_relation_bonus_alone_scores_two(self):
+        # a can near the plate scores the relation weight alone, 2: that
+        # meets threshold 2 of "bottle near the plate" (one attribute plus
+        # one for the relation) and misses threshold 3 of "red bottle ..."
+        caps, dets = _dets(
+            [sighting("o0", category="can", bearing=0.0, rng=1.0),
+             sighting("lm", category="plate", bearing=0.05, rng=1.0),
+             sighting("s0", kind=SURFACE, category="table")])
+        rel = SpatialRelation(NEAR, AttributeSet("plate"))
+        res = ground(_ast(AttributeSet("bottle"), relation=rel),
+                     caps, dets, RELATIONAL)
+        assert res.target.id == "o0"
+        res = ground(_ast(AttributeSet("bottle", color="red"), relation=rel),
+                     caps, dets, RELATIONAL)
+        assert res.target is None
 
     def test_abstain_keeps_partial(self):
         caps, dets = _dets(
             [sighting("o0", category="can"),
              sighting("s0", kind=SURFACE, category="table")])
-        with pytest.raises(GroundingFailed) as exc:
-            ground(_ast(AttributeSet("bottle")), caps, dets, RELATIONAL)
-        res = exc.value.result
-        assert res.target is None
-        assert res.destination == "s0"
-        assert res.target_scores == {"o0": 0.0}
+        res = ground(_ast(AttributeSet("bottle")), caps, dets, RELATIONAL)
+        assert res.target is None and not res.resolved
+        assert res.destination.id == "s0" and res.destination.strict
+        assert res.destination.capture == 0
 
     def test_best_capture_wins(self):
         # same object seen twice; relation only holds in capture 1
@@ -260,9 +297,11 @@ class TestGroundRelational:
              sighting("s0", kind=SURFACE, category="table")])
         res = ground(_ast(AttributeSet("bottle"), relation=rel),
                      caps, dets, RELATIONAL)
-        assert res.target == "o0"
-        assert res.target_capture == 1
-        assert res.target_view == (0.3, 1.0)
+        assert res.target.id == "o0"
+        assert res.target.capture == 1
+        assert res.target.camera is caps[1].camera
+        assert (res.target.detection.bearing, res.target.detection.range) == (0.3, 1.0)
+        assert res.destination.capture == 0
 
 
 class TestGroundKeyword:
@@ -273,26 +312,25 @@ class TestGroundKeyword:
              sighting("s0", kind=SURFACE, category="table")])
         res = ground(_ast(AttributeSet("bottle", color="red")),
                      caps, dets, KEYWORD_BASELINE)
-        assert res.target == "o0"
-        assert res.destination == "s0"
+        assert res.target.id == "o0" and res.target.strict
+        assert res.destination.id == "s0"
 
     def test_repeat_sighting_of_same_object_abstains(self):
         caps, dets = _dets(
             [sighting("o0", category="bottle"),
              sighting("s0", kind=SURFACE, category="table")],
             [sighting("o0", category="bottle")])
-        with pytest.raises(GroundingFailed) as exc:
-            ground(_ast(AttributeSet("bottle")), caps, dets, KEYWORD_BASELINE)
-        assert exc.value.result.target is None
-        assert exc.value.result.destination == "s0"
+        res = ground(_ast(AttributeSet("bottle")), caps, dets, KEYWORD_BASELINE)
+        assert res.target is None and not res.resolved
+        assert res.destination.id == "s0"
 
     def test_two_distinct_objects_abstain(self):
         caps, dets = _dets(
             [sighting("o0", category="bottle"),
              sighting("o1", category="bottle"),
              sighting("s0", kind=SURFACE, category="table")])
-        with pytest.raises(GroundingFailed):
-            ground(_ast(AttributeSet("bottle")), caps, dets, KEYWORD_BASELINE)
+        res = ground(_ast(AttributeSet("bottle")), caps, dets, KEYWORD_BASELINE)
+        assert res.target is None and not res.resolved
 
     def test_ignores_attributes(self):
         caps, dets = _dets(
@@ -300,7 +338,7 @@ class TestGroundKeyword:
              sighting("s0", kind=SURFACE, category="table")])
         res = ground(_ast(AttributeSet("bottle", color="red")),
                      caps, dets, KEYWORD_BASELINE)
-        assert res.target == "o0"
+        assert res.target.id == "o0"
 
 
 class TestGroundOracle:
@@ -311,15 +349,17 @@ class TestGroundOracle:
             [sighting("o0", category="bottle", bearing=-0.1, rng=1.0)])
         res = ground(_ast(AttributeSet("bottle")), caps, dets, ORACLE,
                      truth=("o0", "s0"))
-        assert res.target == "o0" and res.target_capture == 1
-        assert res.target_view == (0.1, 2.0)
-        assert res.destination_capture == 0
+        assert res.target.id == "o0" and res.target.capture == 1
+        assert res.target.detection is caps[1].snapshots[0]
+        assert res.destination.capture == 0
+        assert res.resolved and res.target.strict and res.destination.strict
 
     def test_unseen_truth_abstains(self):
         caps, dets = _dets([sighting("s0", kind=SURFACE, category="table")])
-        with pytest.raises(GroundingFailed):
-            ground(_ast(AttributeSet("bottle")), caps, dets, ORACLE,
-                   truth=("o9", "s0"))
+        res = ground(_ast(AttributeSet("bottle")), caps, dets, ORACLE,
+                     truth=("o9", "s0"))
+        assert res.target is None and not res.resolved
+        assert res.destination.id == "s0"
 
     def test_requires_truth(self):
         caps, dets = _dets([sighting("o0")])
@@ -334,9 +374,24 @@ class TestGroundOracle:
 
 def test_estimated_position():
     cam = CameraPose(Pose(1.0, 2.0, math.pi / 2.0))
-    x, y = estimated_position(cam, (0.1, 2.0))
+    x, y = estimated_position(cam, sighting("o0", bearing=0.1, rng=2.0))
     assert x == pytest.approx(1.0 + 2.0 * math.cos(math.pi / 2.0 + 0.1))
     assert y == pytest.approx(2.0 + 2.0 * math.sin(math.pi / 2.0 + 0.1))
+
+
+def test_fetch_of_a_phantom_pick_fails_cleanly():
+    """A hallucinated id reaches the grasp, which fails; no exception."""
+    env = make_env(room=Rect(0, 0, 6, 5), robot_xy=(1.0, 2.5))
+    cam = CameraPose(Pose(1.0, 2.5, 0.0))
+    phantom = Pick(sighting("phantom_3", bearing=0.0, rng=2.0), 3, cam)
+    assert "phantom_3" not in env.objects
+    task = SimpleNamespace(target="o0")
+    events: list[dict] = []
+    assert fetch(env, phantom, task, env.clock + 120.0, events) is False
+    grasps = [(e["object"], e["ok"], e.get("reason"))
+              for e in events if e["event"] == "grasp"]
+    assert grasps == [("phantom_3", False, "NoSuchObject")]
+    assert env.robot.gripper is None
 
 
 class TestMotion:

@@ -67,10 +67,11 @@ class TestDefaultLayout:
             assert fp.y0 <= s.region.y0 <= s.region.y1 <= fp.y1
             assert s.region.area >= 0.04
         # plain furniture uses the 5 cm default inset; the sofa has a seat strip
-        k_table = env.furniture_by_id("k_table")
+        furniture = {f.id: f for f in env.furniture}
+        k_table = furniture["k_table"]
         assert k_table.surfaces[0].region.as_tuple() == \
             pytest.approx(k_table.footprint.inset(0.05).as_tuple())
-        sofa = env.furniture_by_id("lr_sofa")
+        sofa = furniture["lr_sofa"]
         assert sofa.surfaces[0].region.as_tuple() == (0.65, 2.1, 1.05, 3.9)
 
     def test_doors_connect_adjacent_rooms(self):

@@ -200,6 +200,17 @@ class TestRunSession:
         assert olr["abstained"] is True
         assert olr["target"] is None
 
+    def test_partial_grounding_is_logged(self):
+        """A round that resolves one role logs it, capture 0 included."""
+        rec = run_session(11, RunConfig(seed=11, noise=NoiseConfig(p_miss=0.8)), 0)
+        olr = only_event(rec.events, "olr")
+        assert {k: olr[k] for k in ("target", "target_capture", "destination",
+                                    "destination_capture", "abstained",
+                                    "correct")} == {
+            "target": "obj_008", "target_capture": 0,
+            "destination": None, "destination_capture": None,
+            "abstained": True, "correct": False}
+
     def test_detour_away_from_the_goal_completes(self):
         """Session 44 of seed 7 follows a path that heads away from its goal
         for longer than the stall limit; that is progress, not a stall."""

@@ -308,8 +308,8 @@ class TestScreenAgreesWithExecutor:
             caps = lattice_captures(env, task.room)
             g = ground(task.instruction, caps, [c.snapshots for c in caps],
                        RELATIONAL, cfg.gen.weights, cfg.gen.thresholds)
-            screened = {"fetch": grasp_approach(env, g, caps),
-                        "carry": place_approach(env, g, caps)}
+            screened = {"fetch": grasp_approach(env, g.target),
+                        "carry": place_approach(env, g.destination)}
             events = run_session(7, cfg, i).events
             paths = {e["purpose"]: k for k, e in enumerate(events)
                      if e["event"] == "path"}

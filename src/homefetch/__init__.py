@@ -19,8 +19,8 @@ from .relations import (
     relation_holds,
 )
 from .session import (
-    MismatchDetected, SessionRecord, Tally, TerminationReason, aggregate,
-    check_termination, format_report, replay, run_batch, run_session,
+    MismatchDetected, SessionRecord, Tally, aggregate, format_report, replay,
+    run_batch, run_session,
 )
 from .taskgen import (
     GenConfig, GenerationFailed, NoFeasibleTask, NoViewpoint,
@@ -43,8 +43,8 @@ __all__ = [
     "NoiseConfig", "ORACLE", "ParseError", "Path", "PlacementExhausted",
     "Pose", "RELATIONAL", "RelationThresholds", "RobotState", "RunConfig",
     "ScoreWeights", "SessionRecord", "Snapshot", "SpatialRelation",
-    "Tally", "TaskSpec", "TerminationReason", "aggregate",
-    "build_environment", "capture_views", "check_termination", "crawl",
+    "Tally", "TaskSpec", "aggregate", "build_environment", "capture_views",
+    "crawl",
     "detect", "distinguishing_descriptor", "export_dataset", "format_report",
     "generate_task", "grasp", "ground", "load_config", "make_instruction",
     "navigate_to_room", "parse", "place", "plan_path", "realize",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .geometry import dist, norm_angle
 from .language import InstructionAst, AttributeSet, SpatialRelation
@@ -30,7 +30,7 @@ from .relations import (
     RelationThresholds, attrs_match, n_specified, relation_holds,
 )
 from .seeds import KeyedStream
-from .vocab import Vocabulary, DEFAULT
+from .vocab import DEFAULT
 from .world import (
     DT_S, DYNAMIC, SURFACE, ActionFailure, CameraPose, Environment, Pose,
     Snapshot, capture_supports, grasp as world_grasp, line_of_sight,
@@ -302,10 +302,24 @@ def _settle(env: Environment, goal: tuple[float, float], deadline: float) -> boo
     return drive_straight(env, goal, deadline)
 
 
+def _drive(env: Environment, goal: tuple[float, float], deadline: float,
+           events: list, purpose: str) -> bool:
+    """One leg: plan from the robot to `goal`, log the path, follow it.
+
+    False when no path exists or the follower gives up.
+    """
+    try:
+        path = plan_path(env, env.robot.pose.xy, goal)
+    except NoPath:
+        return False
+    _emit_path(events, env, purpose, path)
+    return follow_path(env, path, deadline)
+
+
 # --- navigation subtask -----------------------------------------------------
 
 def navigate_to_room(env: Environment, room_id: str, deadline: float,
-                     events: list | None = None) -> bool:
+                     events: list) -> bool:
     """Drive to a door-side anchor of the room; success is room membership."""
     if point_in_room(env, env.robot.pose.x, env.robot.pose.y) == room_id:
         return True
@@ -331,7 +345,7 @@ def room_entry_path(env: Environment, room_id: str) -> Path | None:
 
 
 def crawl(env: Environment, room_id: str, deadline: float,
-          events: list | None = None) -> list[Capture]:
+          events: list) -> list[Capture]:
     """Visit the room's viewpoint lattice, capturing 4 headings per point.
 
     Each stop yields the lattice's own captures for the headings the robot
@@ -343,12 +357,7 @@ def crawl(env: Environment, room_id: str, deadline: float,
         if env.clock >= deadline:
             break
         stop = lattice[k:k + len(HEADINGS)]
-        try:
-            path = plan_path(env, env.robot.pose.xy, stop[0].camera.pose.xy)
-        except NoPath:
-            continue
-        _emit_path(events, env, "crawl", path)
-        if not follow_path(env, path, deadline):
+        if not _drive(env, stop[0].camera.pose.xy, deadline, events, "crawl"):
             continue
         # Turn to the HEADINGS value: the pose stores pi as -pi.
         for h, cap in zip(HEADINGS, stop):
@@ -361,7 +370,7 @@ def crawl(env: Environment, room_id: str, deadline: float,
 # --- detection --------------------------------------------------------------
 
 def detect(capture: Capture, capture_index: int, noise: NoiseConfig,
-           stream: KeyedStream, vocab: Vocabulary = DEFAULT) -> list[Snapshot]:
+           stream: KeyedStream) -> list[Snapshot]:
     """Apply the parametric detector model to one capture.
 
     A missed object stays missed for the whole session (the draw is keyed by
@@ -373,19 +382,19 @@ def detect(capture: Capture, capture_index: int, noise: NoiseConfig,
             continue
         if noise.p_attr > 0.0:
             if s.color is not None and stream.u01("color", capture_index, s.object_id) < noise.p_attr:
-                rest = [c for c in vocab.colors if c != s.color]
+                rest = [c for c in DEFAULT.colors if c != s.color]
                 s = replace(s, color=rest[stream.pick(
                     len(rest), "color-sub", capture_index, s.object_id)])
             if s.material is not None and stream.u01("material", capture_index, s.object_id) < noise.p_attr:
-                rest = [m for m in vocab.materials if m != s.material]
+                rest = [m for m in DEFAULT.materials if m != s.material]
                 s = replace(s, material=rest[stream.pick(
                     len(rest), "material-sub", capture_index, s.object_id)])
         out.append(s)
     if noise.p_hallucinate > 0.0 and stream.u01("hallucinate", capture_index) < noise.p_hallucinate:
         cam = capture.camera
-        cat = vocab.objects[stream.pick(len(vocab.objects), "hal-cat", capture_index)]
-        col = vocab.colors[stream.pick(len(vocab.colors), "hal-col", capture_index)]
-        mat = vocab.materials[stream.pick(len(vocab.materials), "hal-mat", capture_index)]
+        cat = DEFAULT.objects[stream.pick(len(DEFAULT.objects), "hal-cat", capture_index)]
+        col = DEFAULT.colors[stream.pick(len(DEFAULT.colors), "hal-col", capture_index)]
+        mat = DEFAULT.materials[stream.pick(len(DEFAULT.materials), "hal-mat", capture_index)]
         bearing = (stream.u01("hal-bearing", capture_index) - 0.5) * cam.fov
         rng = stream.u01("hal-range", capture_index) * cam.range
         out.append(Snapshot(f"phantom_{capture_index}", DYNAMIC, cat, col, mat,
@@ -563,13 +572,8 @@ def find_approach(env: Environment, est: tuple[float, float], max_dist: float,
 
 
 def _goto_and_dock(env: Environment, app: Approach, deadline: float,
-                   events: list | None, purpose: str) -> bool:
-    try:
-        path = plan_path(env, env.robot.pose.xy, app.staging)
-    except NoPath:
-        return False
-    _emit_path(events, env, purpose, path)
-    if not follow_path(env, path, deadline):
+                   events: list, purpose: str) -> bool:
+    if not _drive(env, app.staging, deadline, events, purpose):
         return False
     if app.dock == app.staging:
         return True
@@ -619,87 +623,68 @@ def place_approach(env: Environment, destination: Pick) -> Approach | None:
 
 # --- fetch / carry ----------------------------------------------------------
 
-def _approach_and_act(env: Environment, role: str, camera: CameraPose,
-                      approach: Callable[[], Approach | None],
-                      act: Callable[[Approach], bool], deadline: float,
-                      events: list | None) -> bool:
-    """Viewpoint path, follow, approach, dock, act; False if any step fails."""
-    try:
-        path = plan_path(env, env.robot.pose.xy, camera.pose.xy)
-    except NoPath:
-        return False
-    _emit_path(events, env, f"{role}:viewpoint", path)
-    if not follow_path(env, path, deadline):
-        return False
-    app = approach()
-    if app is None or not _goto_and_dock(env, app, deadline, events,
-                                         f"{role}:approach"):
-        return False
-    return act(app)
-
-
 def fetch(env: Environment, target: Pick, task: "TaskSpec", deadline: float,
-          events: list | None = None) -> bool:
-    """Return to the target's camera, approach, and grasp; graded against truth."""
+          events: list) -> bool:
+    """Return to the target's camera, approach, grasp, and undock.
 
-    def grasp_and_undock(app: Approach) -> bool:
-        try:
-            world_grasp(env, target.id)
-        except ActionFailure as e:
-            emit_event(events, env, "grasp", object=target.id,
-                       ok=False, reason=type(e).__name__)
-            grabbed = False
-        else:
-            emit_event(events, env, "grasp", object=target.id, ok=True)
-            grabbed = True
-        _undock(env, app, deadline)
-        return grabbed
-
-    grabbed = _approach_and_act(
-        env, "fetch", target.camera, lambda: grasp_approach(env, target),
-        grasp_and_undock, deadline, events)
+    Succeeds only when the grasped object is the task's true target.
+    """
+    if not _drive(env, target.camera.pose.xy, deadline, events,
+                  "fetch:viewpoint"):
+        return False
+    app = grasp_approach(env, target)
+    if app is None or not _goto_and_dock(env, app, deadline, events,
+                                         "fetch:approach"):
+        return False
+    try:
+        world_grasp(env, target.id)
+    except ActionFailure as e:
+        emit_event(events, env, "grasp", object=target.id,
+                   ok=False, reason=type(e).__name__)
+        grabbed = False
+    else:
+        emit_event(events, env, "grasp", object=target.id, ok=True)
+        grabbed = True
+    _undock(env, app, deadline)
     return grabbed and target.id == task.target
 
 
 def carry(env: Environment, destination: Pick, task: "TaskSpec",
-          deadline: float, events: list | None = None) -> bool:
+          deadline: float, events: list) -> bool:
     """Return to the destination's camera, approach the surface, and set down.
 
     The robot stays docked after the set-down.
     """
-
-    def set_down(app: Approach) -> bool:
-        try:
-            world_place(env, destination.id)
-        except ActionFailure as e:
-            emit_event(events, env, "place", surface=destination.id,
-                       ok=False, reason=type(e).__name__)
-            return False
-        obj = env.objects[task.target]
+    if not _drive(env, destination.camera.pose.xy, deadline, events,
+                  "carry:viewpoint"):
+        return False
+    app = place_approach(env, destination)
+    if app is None or not _goto_and_dock(env, app, deadline, events,
+                                         "carry:approach"):
+        return False
+    try:
+        world_place(env, destination.id)
+    except ActionFailure as e:
         emit_event(events, env, "place", surface=destination.id,
-                   ok=True, xy=[obj.pose.x, obj.pose.y])
-        return True
-
-    placed = _approach_and_act(
-        env, "carry", destination.camera,
-        lambda: place_approach(env, destination), set_down, deadline, events)
+                   ok=False, reason=type(e).__name__)
+        return False
     obj = env.objects[task.target]
-    return bool(placed and obj.support == task.destination
-                and env.surface(task.destination).region.inset(obj.radius)
-                .contains_closed(obj.pose.x, obj.pose.y))
+    emit_event(events, env, "place", surface=destination.id,
+               ok=True, xy=[obj.pose.x, obj.pose.y])
+    return (obj.support == task.destination
+            and env.surface(task.destination).region.inset(obj.radius)
+            .contains_closed(obj.pose.x, obj.pose.y))
 
 
-def _emit_path(events: list | None, env: Environment, purpose: str,
+def _emit_path(events: list, env: Environment, purpose: str,
                path: Path) -> None:
     emit_event(events, env, "path", purpose=purpose,
                waypoints=[list(p) for p in path.waypoints],
                length_m=path.total_length)
 
 
-def emit_event(events: list | None, env: Environment, name: str,
-               **fields) -> None:
+def emit_event(events: list, env: Environment, name: str, **fields) -> None:
     """Append one `{event, clock_s, **fields}` record; the one event shape."""
-    if events is not None:
-        rec = {"event": name, "clock_s": round(env.clock, 6)}
-        rec.update(fields)
-        events.append(rec)
+    rec = {"event": name, "clock_s": round(env.clock, 6)}
+    rec.update(fields)
+    events.append(rec)

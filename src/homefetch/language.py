@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .vocab import Vocabulary, DEFAULT
+from .vocab import DEFAULT
 
 ON = "On"
 IN_FRONT_OF = "InFrontOf"
@@ -160,56 +160,56 @@ def _match_multiword(ts: _Tokens, tokens: tuple[str, ...], what: str) -> str:
     return best
 
 
-def _parse_np(ts: _Tokens, vocab: Vocabulary) -> AttributeSet:
+def _parse_np(ts: _Tokens) -> AttributeSet:
     material = None
     color = None
-    if ts.peek() in vocab.materials:
+    if ts.peek() in DEFAULT.materials:
         material = ts.take()
-    if ts.peek() in vocab.colors:
+    if ts.peek() in DEFAULT.colors:
         color = ts.take()
-    category = _match_multiword(ts, vocab.categories, "<category>")
+    category = _match_multiword(ts, DEFAULT.categories, "<category>")
     return AttributeSet(category, color, material)
 
 
-def parse(text: str, vocab: Vocabulary = DEFAULT) -> InstructionAst:
+def parse(text: str) -> InstructionAst:
     """Parse one instruction sentence; raises ParseError on anything else."""
     ts = _Tokens(text)
     ts.expect("go")
     ts.expect("to")
     ts.expect(*_ARTICLES)
-    room = _match_multiword(ts, vocab.rooms, "<room>")
+    room = _match_multiword(ts, DEFAULT.rooms, "<room>")
     ts.expect(",", ".")
     ts.expect("move")
     ts.expect(*_ARTICLES)
-    target = _parse_np(ts, vocab)
+    target = _parse_np(ts)
 
     relation = None
     head = ts.peek()
     if head == "on" or head == "near":
         kind = ON if ts.take() == "on" else NEAR
         ts.expect(*_ARTICLES)
-        relation = SpatialRelation(kind, _parse_np(ts, vocab))
+        relation = SpatialRelation(kind, _parse_np(ts))
     elif head == "in":
         ts.take()
         ts.expect("front")
         ts.expect("of")
         ts.expect(*_ARTICLES)
-        relation = SpatialRelation(IN_FRONT_OF, _parse_np(ts, vocab))
+        relation = SpatialRelation(IN_FRONT_OF, _parse_np(ts))
     elif head in ("left", "right"):
         kind = LEFT_OF if ts.take() == "left" else RIGHT_OF
         ts.expect("of")
         ts.expect(*_ARTICLES)
-        relation = SpatialRelation(kind, _parse_np(ts, vocab))
+        relation = SpatialRelation(kind, _parse_np(ts))
 
     source = None
     if ts.peek() == "from":
         ts.take()
         ts.expect(*_ARTICLES)
-        source = _parse_np(ts, vocab)
+        source = _parse_np(ts)
 
     prep = ts.expect(ONTO, TO)
     ts.expect(*_ARTICLES)
-    destination = _parse_np(ts, vocab)
+    destination = _parse_np(ts)
     ts.expect(".")
     if ts.peek() is not None:
         raise ParseError(ts.offset(), ("<end of input>",))

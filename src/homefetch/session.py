@@ -1,11 +1,11 @@
 """Session orchestration: the gated pipeline, termination, tallies, replay.
 
 One session = generate, then Navigation -> OLR -> Fetching -> Carrying with
-strict gating (each stage runs only after the previous one succeeded), then
-a single termination verdict.  Everything observable is appended to a
-structured event list whose canonical JSON serialization is the unit of
-determinism: replay re-runs the session from the logged seed and compares
-line by line.
+strict gating (each stage runs only after the previous one succeeded and
+while budget is left), then a single termination verdict.  Everything
+observable is appended to a structured event list whose canonical JSON
+serialization is the unit of determinism: replay re-runs the session from
+the logged seed and compares line by line.
 """
 from __future__ import annotations
 
@@ -37,12 +37,6 @@ TASK_COMPLETED = "TaskCompleted"
 SUBTASK_FAILED = "SubtaskFailed"
 
 
-@dataclass(frozen=True)
-class TerminationReason:
-    kind: str
-    subtask: str | None = None
-
-
 class MismatchDetected(Exception):
     """Replay diverged from the log; carries the first differing event."""
 
@@ -59,24 +53,6 @@ class SessionRecord:
     """A session is its event log; `trace` is the pose after every tick."""
     events: list[dict]
     trace: list | None = None
-
-
-def check_termination(clock_s: float, budget_s: float,
-                      outcomes: dict[str, bool | None],
-                      ) -> TerminationReason | None:
-    """The three session-ending conditions, highest priority first.
-
-    `outcomes` maps a subtask to its verdict, or to None (or no key) when
-    the subtask has not run.
-    """
-    if outcomes.get(CARRYING):
-        return TerminationReason(TASK_COMPLETED)
-    for name in SUBTASKS:
-        if outcomes.get(name) is False:
-            return TerminationReason(SUBTASK_FAILED, name)
-    if clock_s >= budget_s:
-        return TerminationReason(TIME_ELAPSED)
-    return None
 
 
 def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRecord:
@@ -97,7 +73,6 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
          room=task.room, text=task.text)
 
     budget = cfg.time_budget_s
-    outcomes: dict[str, bool | None] = {s: None for s in SUBTASKS}
     grounding = None
 
     def olr() -> bool:
@@ -133,21 +108,24 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
         (CARRYING, lambda: carry(env, grounding.destination, task, budget,
                                  events)),
     )
-    # Strict gating: a stage runs only while no verdict is in and every
-    # earlier stage succeeded.
-    reason = check_termination(env.clock, budget, outcomes)
+    # The loop is the verdict.  A stage starts only while budget is left, a
+    # failed stage ends the session, and a session whose every stage
+    # succeeded is complete, even when Carrying overran the budget.
+    kind, failed = TIME_ELAPSED, None
     for name, stage in stages:
-        if reason is not None:
+        if env.clock >= budget:
             break
         emit("subtask_start", subtask=name)
         t0 = env.clock
-        ok = outcomes[name] = stage()
+        ok = stage()
         emit("subtask_end", subtask=name, attempted=True, succeeded=ok,
              sim_time_s=round(env.clock - t0, 6))
-        reason = check_termination(env.clock, budget, outcomes)
-
-    assert reason is not None, "pipeline ended without a termination verdict"
-    emit("termination", kind=reason.kind, subtask=reason.subtask)
+        if not ok:
+            kind, failed = SUBTASK_FAILED, name
+            break
+    else:
+        kind = TASK_COMPLETED
+    emit("termination", kind=kind, subtask=failed)
     emit("session_end", duration_s=round(env.clock, 6),
          collisions=env.collisions)
     for e in events:
@@ -164,14 +142,10 @@ def run_batch(cfg: RunConfig) -> list[SessionRecord]:
     """
     if cfg.workers <= 1:
         return [run_session(cfg.seed, cfg, i) for i in range(cfg.sessions)]
-    results: list[SessionRecord | None] = [None] * cfg.sessions
     size = min(cfg.workers, cfg.sessions, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=size) as pool:
-        futures = {pool.submit(run_session, cfg.seed, cfg, i): i
-                   for i in range(cfg.sessions)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return results  # type: ignore[return-value]
+        return list(pool.map(partial(run_session, cfg.seed, cfg),
+                             range(cfg.sessions)))
 
 
 # --- aggregation and reporting ------------------------------------------------

@@ -28,7 +28,7 @@ from .relations import (
     minimal_attr_descriptor,
 )
 from .seeds import h64, substream
-from .vocab import DEFAULT, Vocabulary
+from .vocab import DEFAULT
 from .world import (
     SURFACE, ActionFailure, CameraPose, DynamicObject, Environment, Pose,
     capture_supports, env_record, place_spot, point_in_room, snapshot_record,
@@ -128,7 +128,7 @@ def _room_of_rect(env: Environment, rect) -> str:
     raise ValueError("rectangle not contained in any room")
 
 
-def build_environment(cfg: GenConfig, vocab: Vocabulary = DEFAULT) -> Environment:
+def build_environment(cfg: GenConfig) -> Environment:
     """Instantiate the static layout and scatter dynamic objects.
 
     Per-room counts are Poisson around the configured mean, clamped to
@@ -168,16 +168,16 @@ def build_environment(cfg: GenConfig, vocab: Vocabulary = DEFAULT) -> Environmen
         surfs = room_surfaces[r.id]
         if not surfs:
             raise PlacementExhausted(f"room {r.id} has objects but no surfaces")
-        dup_cat = rng.choice(vocab.objects) if r.id == dup_room else None
+        dup_cat = rng.choice(DEFAULT.objects) if r.id == dup_room else None
         for j in range(n):
             if dup_cat is not None and j < 2:
                 cat = dup_cat
             else:
-                cat = rng.choice(vocab.objects)
-            color = rng.choice(vocab.colors) if rng.random() < cfg.color_presence else None
-            material = (rng.choice(vocab.materials)
+                cat = rng.choice(DEFAULT.objects)
+            color = rng.choice(DEFAULT.colors) if rng.random() < cfg.color_presence else None
+            material = (rng.choice(DEFAULT.materials)
                         if rng.random() < cfg.material_presence else None)
-            radius = vocab.radius_of(cat)
+            radius = DEFAULT.radius_of(cat)
             oid = f"obj_{k:03d}"
             while True:
                 surf = rng.choice(surfs)
@@ -308,8 +308,7 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     return True
 
 
-def generate_task(cfg: GenConfig,
-                  vocab: Vocabulary = DEFAULT) -> tuple[Environment, TaskSpec]:
+def generate_task(cfg: GenConfig) -> tuple[Environment, TaskSpec]:
     """Rejection-sample (environment, task) until the feasibility screen passes.
 
     Up to ENV_ATTEMPTS scenes are tried, TASKS_PER_ENV task draws each; a
@@ -321,7 +320,7 @@ def generate_task(cfg: GenConfig,
         if salt not in envs:
             env_cfg = replace(cfg, seed=h64("gen-env", cfg.seed, salt))
             try:
-                envs[salt] = build_environment(env_cfg, vocab)
+                envs[salt] = build_environment(env_cfg)
             except PlacementExhausted:
                 envs[salt] = None
         env = envs[salt]

@@ -388,46 +388,14 @@ _SPIRAL_STEP_M = 0.035
 _SPIRAL_CANDIDATES = 512
 
 
-def find_place_pose(env: Environment, dest: str, obj_radius: float,
-                    robot_xy: tuple[float, float], reach: float,
-                    exclude: frozenset[str]) -> tuple[float, float] | None:
-    """First free set-down point on `dest` for a disk of `obj_radius`.
-
-    Candidates spiral out from the surface point nearest the robot; each must
-    stay on the surface, stay within reach, and clear every object not in
-    `exclude`.  None when the surface is packed or entirely out of reach.
-    """
-    surf = env._surfaces.get(dest)
-    if surf is None:
-        return None
-    inset = surf.region.inset(obj_radius)
-    ax, ay = inset.clamp(robot_xy[0], robot_xy[1])
-    for k in range(_SPIRAL_CANDIDATES):
-        r = _SPIRAL_STEP_M * math.sqrt(float(k))
-        ang = k * _GOLDEN_ANGLE
-        cx = ax + r * math.cos(ang)
-        cy = ay + r * math.sin(ang)
-        if not inset.contains_closed(cx, cy):
-            continue
-        if dist(robot_xy, (cx, cy)) > reach:
-            continue
-        ok = True
-        for o in env.objects.values():
-            if o.id in exclude:
-                continue
-            if dist(o.pose.xy, (cx, cy)) < o.radius + obj_radius - 1e-9:
-                ok = False
-                break
-        if ok:
-            return (cx, cy)
-    return None
-
-
 def place_spot(env: Environment, dest: str, obj: DynamicObject,
                robot_xy: tuple[float, float]) -> tuple[float, float]:
     """Where `place` would set `obj` down on `dest` with the robot at `robot_xy`.
 
-    Raises NoSuchObject, NoFreePose or SurfaceOutOfReach, as `place` does.
+    Candidates spiral out from the surface point nearest the robot; the
+    first that stays on the surface, within reach, and clear of every other
+    object wins.  Raises NoSuchObject, NoFreePose or SurfaceOutOfReach, as
+    `place` does.
     """
     surf = env._surfaces.get(dest)
     if surf is None:
@@ -439,11 +407,21 @@ def place_spot(env: Environment, dest: str, obj: DynamicObject,
     reach = env.robot.reach
     if inset.distance_to(robot_xy[0], robot_xy[1]) > reach:
         raise SurfaceOutOfReach(dest)
-    spot = find_place_pose(env, dest, obj.radius, robot_xy, reach,
-                           frozenset({obj.id}))
-    if spot is None:
-        raise NoFreePose(dest)
-    return spot
+    ax, ay = inset.clamp(robot_xy[0], robot_xy[1])
+    for k in range(_SPIRAL_CANDIDATES):
+        r = _SPIRAL_STEP_M * math.sqrt(float(k))
+        ang = k * _GOLDEN_ANGLE
+        cx = ax + r * math.cos(ang)
+        cy = ay + r * math.sin(ang)
+        if not inset.contains_closed(cx, cy):
+            continue
+        if dist(robot_xy, (cx, cy)) > reach:
+            continue
+        if all(o.id == obj.id
+               or dist(o.pose.xy, (cx, cy)) >= o.radius + obj.radius - 1e-9
+               for o in env.objects.values()):
+            return (cx, cy)
+    raise NoFreePose(dest)
 
 
 def place(env: Environment, dest: str) -> None:

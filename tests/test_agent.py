@@ -477,7 +477,7 @@ class TestNavigateToRoom:
 
     def test_deadline_failure(self):
         env = make_environment("default")
-        assert navigate_to_room(env, "study", deadline=0.5) is False
+        assert navigate_to_room(env, "study", 0.5, events=[]) is False
 
 
 class TestCrawl:
@@ -485,8 +485,8 @@ class TestCrawl:
         """The crawl hands back the lattice's captures, camera poses and
         snapshots alike, when the deadline does not cut it short."""
         env, task = generate_task(GenConfig(seed=h64("session", 7, 0)))
-        assert navigate_to_room(env, task.room, 300.0)
-        caps = crawl(env, task.room, 300.0)
+        assert navigate_to_room(env, task.room, 300.0, events=[])
+        caps = crawl(env, task.room, 300.0, events=[])
         lattice = lattice_captures(env, task.room)
         assert len(caps) == len(lattice) > 0
         for got, want in zip(caps, lattice):
@@ -495,8 +495,8 @@ class TestCrawl:
 
     def test_deadline_cuts_the_crawl_short(self):
         env, task = generate_task(GenConfig(seed=h64("session", 7, 0)))
-        assert navigate_to_room(env, task.room, 300.0)
-        caps = crawl(env, task.room, env.clock + 5.0)
+        assert navigate_to_room(env, task.room, 300.0, events=[])
+        caps = crawl(env, task.room, env.clock + 5.0, events=[])
         lattice = lattice_captures(env, task.room)
         assert 0 < len(caps) < len(lattice)
         assert caps == lattice[:len(caps)]

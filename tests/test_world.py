@@ -31,10 +31,10 @@ from homefetch.world import (
     attach_pose,
     capture_supports,
     env_record,
-    find_place_pose,
     grasp,
     line_of_sight,
     place,
+    place_spot,
     point_in_room,
     robot_collides,
     step,
@@ -339,8 +339,7 @@ class TestPlace:
     def test_lands_exactly_at_spiral_prediction(self):
         env = self._held_env()
         o = env.objects["o0"]
-        want = find_place_pose(env, "t0/top", o.radius, env.robot.pose.xy,
-                               env.robot.reach, frozenset({"o0"}))
+        want = place_spot(env, "t0/top", o, env.robot.pose.xy)
         v0 = env.scene_version
         place(env, "t0/top")
         assert (o.pose.x, o.pose.y) == want
@@ -362,29 +361,42 @@ class TestPlace:
             place(env, "t0/top")
 
 
-class TestFindPlacePose:
-    def test_skips_occupied_spots(self):
+class TestPlaceSpot:
+    def _squatted_env(self):
+        """A mug sits on the point of the table nearest the robot."""
         t = table("t0", Rect(1.2, 0.7, 2.0, 1.3))
         squatter = ball("o1", (1.30, 1.0), "t0/top", radius=0.05, category="mug")
-        env = make_env(furniture=(t,), objects=(squatter,), robot_xy=(0.9, 1.0))
-        got = find_place_pose(env, "t0/top", 0.05, (0.9, 1.0), 0.8, frozenset())
-        assert got is not None
+        return make_env(furniture=(t,), objects=(squatter,), robot_xy=(0.9, 1.0))
+
+    def test_skips_occupied_spots(self):
+        env = self._squatted_env()
+        mover = ball("o0", (0.9, 1.0), None, radius=0.05)
+        got = place_spot(env, "t0/top", mover, (0.9, 1.0))
         assert math.hypot(got[0] - 1.30, got[1] - 1.0) >= 0.10 - 1e-9
-        # excluding the squatter frees the clamp point again
-        got2 = find_place_pose(env, "t0/top", 0.05, (0.9, 1.0), 0.8,
-                               frozenset({"o1"}))
-        assert got2 == pytest.approx((1.30, 1.0))
+
+    def test_own_disk_does_not_block(self):
+        # the squatter itself may be set down where it stands
+        env = self._squatted_env()
+        got = place_spot(env, "t0/top", env.objects["o1"], (0.9, 1.0))
+        assert got == pytest.approx((1.30, 1.0))
 
     def test_respects_reach(self):
-        t = table("t0", Rect(1.2, 0.7, 2.0, 1.3))
-        env = make_env(furniture=(t,), robot_xy=(0.9, 1.0))
-        assert find_place_pose(env, "t0/top", 0.05, (0.9, 1.0), 0.3,
-                               frozenset()) is None
+        # Every free spot is at least 0.412 m from the robot; only the
+        # occupied clamp point lies within 0.405 m.
+        env = self._squatted_env()
+        mover = ball("o0", (0.9, 1.0), None, radius=0.05)
+        env.robot.reach = 0.405
+        with pytest.raises(NoFreePose):
+            place_spot(env, "t0/top", mover, (0.9, 1.0))
+        env.robot.reach = 0.5
+        got = place_spot(env, "t0/top", mover, (0.9, 1.0))
+        assert math.hypot(got[0] - 0.9, got[1] - 1.0) <= 0.5
 
     def test_result_stays_on_surface(self):
         t = table("t0", Rect(1.2, 0.7, 2.0, 1.3))
         env = make_env(furniture=(t,), robot_xy=(0.9, 1.0))
-        got = find_place_pose(env, "t0/top", 0.05, (0.9, 1.0), 0.8, frozenset())
+        mover = ball("o0", (0.9, 1.0), None, radius=0.05)
+        got = place_spot(env, "t0/top", mover, (0.9, 1.0))
         region = t.surfaces[0].region.inset(0.05)
         assert region.contains_closed(got[0], got[1])
 

@@ -120,6 +120,71 @@ def _termination(rec) -> tuple[str, str | None]:
     return e["kind"], e["subtask"]
 
 
+def _stage_starts(rec) -> list[str]:
+    return [e["subtask"] for e in rec.events if e["event"] == "subtask_start"]
+
+
+class TestCheckTermination:
+    """The termination rules, checked on real sessions whose clock is set
+    by a wrapped stage."""
+
+    def test_failure_beats_budget(self, monkeypatch):
+        """A failed OLR that also overran the budget is a failure, not a
+        time-out."""
+        cfg = _cfg(seed=1, grounder="keyword-baseline")
+        real_crawl = session.crawl
+
+        def overrunning_crawl(env, room, budget, events):
+            captures = real_crawl(env, room, budget, events)
+            env.clock = budget + 200.0
+            return captures
+
+        monkeypatch.setattr(session, "crawl", overrunning_crawl)
+        rec = run_session(1, cfg, 0)
+        assert verdicts(rec.events) == {NAVIGATION: True, OLR: False}
+        assert _termination(rec) == (SUBTASK_FAILED, OLR)
+
+    def test_budget_boundary_is_inclusive(self, monkeypatch):
+        """A clock equal to the budget starts no further stage; a clock
+        just under it does."""
+        cfg = _cfg(seed=7)
+
+        def navigate_until(clock):
+            def nav(env, room, budget, events):
+                env.clock = clock
+                return True
+            return nav
+
+        monkeypatch.setattr(session, "navigate_to_room",
+                            navigate_until(cfg.time_budget_s))
+        rec = run_session(7, cfg, 0)
+        assert _stage_starts(rec) == [NAVIGATION]
+        assert verdicts(rec.events) == {NAVIGATION: True}
+        assert _termination(rec) == (TIME_ELAPSED, None)
+
+        monkeypatch.setattr(session, "navigate_to_room",
+                            navigate_until(cfg.time_budget_s - 0.001))
+        rec = run_session(7, cfg, 0)
+        assert _stage_starts(rec)[:2] == [NAVIGATION, OLR]
+
+    def test_mid_pipeline_continues(self, monkeypatch):
+        """Succeeded stages with budget left lead on to the next stage."""
+        cfg = _cfg(seed=7)
+        clocks = []
+
+        def failing_fetch(env, target, task, deadline, events):
+            clocks.append(env.clock)
+            return False
+
+        monkeypatch.setattr(session, "fetch", failing_fetch)
+        rec = run_session(7, cfg, 0)
+        assert _stage_starts(rec) == [NAVIGATION, OLR, FETCHING]
+        assert verdicts(rec.events) == \
+            {NAVIGATION: True, OLR: True, FETCHING: False}
+        assert len(clocks) == 1 and 0.0 < clocks[0] < cfg.time_budget_s
+        assert _termination(rec) == (SUBTASK_FAILED, FETCHING)
+
+
 class TestRunSession:
     def test_event_skeleton_and_gating(self):
         rec = run_session(7, _cfg(seed=7), 0)

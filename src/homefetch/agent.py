@@ -266,7 +266,7 @@ def follow_path(env: Environment, path: Path, deadline: float) -> bool:
     goal = pts[-1]
     rb = env.robot
     if len(pts) == 1 or path.total_length <= 1e-12:
-        return _settle(env, goal, deadline)
+        return drive_straight(env, goal, deadline)
     cum = _arc_table(pts)
     # Stalled: the arc position has not gained PROGRESS_EPS_M for
     # STALL_LIMIT_S.  A planned detour away from the goal still gains arc.
@@ -276,7 +276,7 @@ def follow_path(env: Environment, path: Path, deadline: float) -> bool:
         p = rb.pose
         remaining = dist(p.xy, goal)
         if remaining <= ARRIVE_TOL_M:
-            return _settle(env, goal, deadline)
+            return drive_straight(env, goal, deadline)
         progress = _advance(pts, cum, p.xy, progress)
         if progress > mark + PROGRESS_EPS_M:
             mark, last_gain = progress, env.clock
@@ -293,13 +293,6 @@ def follow_path(env: Environment, path: Path, deadline: float) -> bool:
             w = max(-rb.max_angular, min(rb.max_angular, 2.5 * alpha))
         world_step(env, v, w, DT_S)
     return False
-
-
-def _settle(env: Environment, goal: tuple[float, float], deadline: float) -> bool:
-    """Close the final few centimetres exactly."""
-    if dist(env.robot.pose.xy, goal) < 1e-12:
-        return True
-    return drive_straight(env, goal, deadline)
 
 
 def _drive(env: Environment, goal: tuple[float, float], deadline: float,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .agent import GROUNDERS
@@ -36,7 +35,7 @@ def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     flags = {k: v for k, v in vars(args).items()
              if k not in ("command", "fn", "config")}
-    return apply_overrides(cfg, **flags)
+    return apply_overrides(cfg, flags)
 
 
 def _tally_dict(t: Tally) -> dict:
@@ -79,12 +78,9 @@ def cmd_run(args) -> int:
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     out = Path(cfg.out or f"dataset/seed{cfg.seed}")
-    tasks = []
     try:
-        for i in range(cfg.sessions):
-            session_seed = h64("session", cfg.seed, i)
-            gen_cfg = replace(cfg.gen, seed=session_seed)
-            tasks.append(generate_task(gen_cfg))
+        tasks = [generate_task(cfg.gen, h64("session", cfg.seed, i))
+                 for i in range(cfg.sessions)]
     except GenerationFailed as e:
         print(f"generation failed: {e}", file=sys.stderr)
         return EXIT_GENERATION
@@ -147,14 +143,14 @@ def _add_config_flags(p: argparse.ArgumentParser, *, runtime: bool) -> None:
     p.add_argument("--out", help="output directory")
     if runtime:
         p.add_argument("--grounder", choices=GROUNDERS)
-        p.add_argument("--p-miss", dest="p_miss", type=float,
+        p.add_argument("--p-miss", dest="noise.p_miss", type=float,
                        help="per-object detector miss probability")
-        p.add_argument("--p-attr", dest="p_attr", type=float,
+        p.add_argument("--p-attr", dest="noise.p_attr", type=float,
                        help="per-attribute corruption probability")
-        p.add_argument("--time-budget", dest="time_budget", type=float,
+        p.add_argument("--time-budget", dest="time_budget_s", type=float,
                        help="session time budget, simulated seconds")
         p.add_argument("--workers", type=int, help="parallel session workers")
-        p.add_argument("--paper-compat-counts", dest="paper_compat_counts",
+        p.add_argument("--paper-compat-counts",
                        action="store_const", const=True,
                        help="count OLR abstentions as non-attempts")
 
@@ -176,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="aggregate logs into table rows")
     rep.add_argument("logs", nargs="+", help="episode log files")
-    rep.add_argument("--paper-compat-counts", dest="paper_compat_counts",
+    rep.add_argument("--paper-compat-counts",
                      action="store_const", const=True)
     rep.set_defaults(fn=cmd_report)
 

@@ -31,7 +31,7 @@ class RunConfig:
     out: str | None = None
     paper_compat_counts: bool = False
     noise: NoiseConfig = NoiseConfig()
-    gen: GenConfig = GenConfig(seed=0)
+    gen: GenConfig = GenConfig()
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
@@ -62,8 +62,6 @@ def _schema(cls) -> dict:
 # Resolved once: evaluating type hints costs more than reading a whole echo,
 # and replay reads one echo per session.
 _SCHEMA = _schema(RunConfig)
-# Each session derives gen.seed from the master seed; no file sets it.
-del _SCHEMA["gen"]["seed"]
 # The master seed is logged on its own; batching and formatting settings
 # never reach a session's events.
 _NOT_ECHOED = ("seed", "sessions", "workers", "out", "paper_compat_counts")
@@ -135,33 +133,30 @@ def load_config(path) -> RunConfig:
     return config_from_dict(data)
 
 
-def apply_overrides(cfg: RunConfig, *, seed=None, sessions=None, grounder=None,
-                    p_miss=None, p_attr=None, time_budget=None, workers=None,
-                    out=None, paper_compat_counts=None) -> RunConfig:
+def apply_overrides(cfg: RunConfig, flags: dict) -> RunConfig:
     """Fold CLI flags over a loaded config; every flag wins over its key.
 
-    A flag is named after its key, except `time_budget` (`time_budget_s`)
-    and `p_miss`/`p_attr` (keys of `noise`).  None keeps the config's value.
+    Each flag is named by its config key, dotted below the top level
+    (`noise.p_miss`).  None keeps the config's value.
     """
-    flags = {k: v for k, v in locals().items() if v is not None}
-    del flags["cfg"]
-    noise = {k: flags.pop(k) for k in ("p_miss", "p_attr") if k in flags}
-    if "time_budget" in flags:
-        flags["time_budget_s"] = flags.pop("time_budget")
-    return _merge(cfg, {**flags, "noise": noise}, _SCHEMA, "")
+    data: dict = {}
+    # Top-level keys first: of two bad flags, the top-level one is reported.
+    for key in sorted(flags, key=lambda k: "." in k):
+        if flags[key] is not None:
+            head, _, rest = key.rpartition(".")
+            (data.setdefault(head, {}) if head else data)[rest] = flags[key]
+    return _merge(cfg, data, _SCHEMA, "")
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """The session-relevant slice of the config, as logged and replayed.
 
     Presentation settings (seed, sessions, workers, out, compat formatting)
-    do not influence a session's events and are deliberately absent, and so
-    is `gen.seed`, which each session derives from the master seed.
+    do not influence a session's events and are deliberately absent.
     """
     echo = asdict(cfg)
     for key in _NOT_ECHOED:
         del echo[key]
-    del echo["gen"]["seed"]
     return echo
 
 

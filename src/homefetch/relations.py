@@ -76,30 +76,16 @@ def minimal_attr_descriptor(subject: Snapshot,
                             context: Sequence[Snapshot]) -> AttributeSet | None:
     """Smallest attribute-only description unique to `subject` in `context`.
 
-    Escalates category -> +color -> +material, then drops any attribute the
-    final set no longer needs.  None when even the full set is ambiguous.
+    Tries category, + color, + material, + both, and returns the first that
+    no other snapshot matches; None when even the full set is ambiguous.
     """
     others = [s for s in context if s.object_id != subject.object_id]
-
-    def unique(attrs: AttributeSet) -> bool:
-        return not any(attrs_match(attrs, s) for s in others)
-
-    attrs = AttributeSet(subject.category)
-    if unique(attrs):
-        return attrs
-    if subject.color is not None:
-        attrs = AttributeSet(attrs.category, subject.color, attrs.material)
-        if unique(attrs):
+    cat, color, material = subject.category, subject.color, subject.material
+    for attrs in (AttributeSet(cat), AttributeSet(cat, color),
+                  AttributeSet(cat, None, material),
+                  AttributeSet(cat, color, material)):
+        if not any(attrs_match(attrs, s) for s in others):
             return attrs
-    if subject.material is not None:
-        attrs = AttributeSet(attrs.category, attrs.color, subject.material)
-        if not unique(attrs):
-            return None
-        if attrs.color is not None:
-            slim = AttributeSet(attrs.category, None, attrs.material)
-            if unique(slim):
-                return slim
-        return attrs
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from operator import add
 
@@ -58,7 +58,7 @@ class SessionRecord:
 def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRecord:
     """One full generate-execute-evaluate cycle on a fresh environment."""
     session_seed = h64("session", seed, session_index)
-    env, task = generate_task(replace(cfg.gen, seed=session_seed))
+    env, task = generate_task(cfg.gen, session_seed)
     env.trace = []
     # The agent appends its own events here; every event gets its session
     # index once the session is over.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .agent import (
@@ -62,7 +62,6 @@ class GenerationFailed(Exception):
 
 @dataclass(frozen=True)
 class GenConfig:
-    seed: int
     layout_id: str = "default"
     objects_per_room: float = 5.0
     min_objects: int = 1
@@ -75,8 +74,6 @@ class GenConfig:
     weights: ScoreWeights = ScoreWeights()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
         if self.layout_id not in layout_ids():
             raise ValueError(f"unknown layout_id {self.layout_id!r}; "
                              f"known: {', '.join(layout_ids())}")
@@ -101,8 +98,6 @@ class TaskSpec:
     destination_capture: Capture
     instruction: InstructionAst
     text: str
-    target_xy: tuple[float, float]
-    destination_xy: tuple[float, float]
 
 
 def _clamped_poisson(rng: random.Random, lam: float, lo: int, hi: int) -> int:
@@ -120,15 +115,7 @@ def _clamped_poisson(rng: random.Random, lam: float, lo: int, hi: int) -> int:
     return max(lo, min(hi, k))
 
 
-def _room_of_rect(env: Environment, rect) -> str:
-    for r in env.rooms:
-        b = r.bounds
-        if b.x0 <= rect.x0 and rect.x1 <= b.x1 and b.y0 <= rect.y0 and rect.y1 <= b.y1:
-            return r.id
-    raise ValueError("rectangle not contained in any room")
-
-
-def build_environment(cfg: GenConfig) -> Environment:
+def build_environment(cfg: GenConfig, seed: int) -> Environment:
     """Instantiate the static layout and scatter dynamic objects.
 
     Per-room counts are Poisson around the configured mean, clamped to
@@ -137,13 +124,13 @@ def build_environment(cfg: GenConfig) -> Environment:
     one room gets two objects of the same category so bare-category
     reference never suffices everywhere.
     """
-    rng = substream("homefetch-env", cfg.seed, cfg.layout_id)
+    rng = substream("homefetch-env", seed, cfg.layout_id)
     env = make_environment(cfg.layout_id)
 
+    # validate_environment requires each footprint inside exactly one room.
     room_surfaces: dict[str, list] = {r.id: [] for r in env.rooms}
     for f in env.furniture:
-        rid = _room_of_rect(env, f.footprint)
-        room_surfaces[rid].extend(f.surfaces)
+        room_surfaces[point_in_room(env, *f.footprint.center)].extend(f.surfaces)
 
     counts = {r.id: _clamped_poisson(rng, cfg.objects_per_room,
                                      cfg.min_objects, cfg.max_objects)
@@ -239,15 +226,14 @@ def capture_views(env: Environment, target: str,
 
 def make_instruction(env: Environment, target: str, destination: str,
                      t_cap: Capture, d_cap: Capture, rng: random.Random,
-                     th: RelationThresholds = RelationThresholds(),
-                     source_prob: float = 0.3) -> tuple[InstructionAst, str]:
+                     cfg: GenConfig) -> tuple[InstructionAst, str]:
     """Synthesize the combined go-and-move instruction for a task."""
     obj = env.objects[target]
     rid = point_in_room(env, obj.pose.x, obj.pose.y)
     room_name = env.room(rid).name
 
     attrs, rel = distinguishing_descriptor(target, t_cap.snapshots,
-                                           t_cap.supports, th)
+                                           t_cap.supports, cfg.thresholds)
     d_context = [s for s in d_cap.snapshots if s.kind == SURFACE]
     d_subject = next((s for s in d_context if s.object_id == destination), None)
     d_attrs = (minimal_attr_descriptor(d_subject, d_context)
@@ -256,7 +242,7 @@ def make_instruction(env: Environment, target: str, destination: str,
         raise NoDistinguishingDescription(destination)
 
     source = None
-    if rel is None and rng.random() < source_prob:
+    if rel is None and rng.random() < cfg.source_phrase_prob:
         sup = obj.support
         t_context = [s for s in t_cap.snapshots if s.kind == SURFACE]
         s_subject = next((s for s in t_context if s.object_id == sup), None)
@@ -308,43 +294,38 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     return True
 
 
-def generate_task(cfg: GenConfig) -> tuple[Environment, TaskSpec]:
+def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
     """Rejection-sample (environment, task) until the feasibility screen passes.
 
     Up to ENV_ATTEMPTS scenes are tried, TASKS_PER_ENV task draws each; a
     full strike-out is a hard error so batch automation stays total.
     """
-    envs: dict[int, Environment | None] = {}
-    for attempt in range(ENV_ATTEMPTS * TASKS_PER_ENV):
-        salt = attempt // TASKS_PER_ENV
-        if salt not in envs:
-            env_cfg = replace(cfg, seed=h64("gen-env", cfg.seed, salt))
-            try:
-                envs[salt] = build_environment(env_cfg)
-            except PlacementExhausted:
-                envs[salt] = None
-        env = envs[salt]
-        if env is None:
-            continue
-        rng = substream("gen-task", cfg.seed, attempt)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    # Each call below names a module global, which the tracer may rebind.
+    for salt in range(ENV_ATTEMPTS):
         try:
-            target, destination = select_task(env, rng)
-            t_cap, d_cap = capture_views(env, target, destination)
-            ast, text = make_instruction(env, target, destination, t_cap, d_cap,
-                                         rng, cfg.thresholds,
-                                         cfg.source_phrase_prob)
-        except (NoFeasibleTask, NoViewpoint, NoDistinguishingDescription):
+            env = build_environment(cfg, h64("gen-env", seed, salt))
+        except PlacementExhausted:
             continue
-        obj = env.objects[target]
-        task = TaskSpec(target, destination,
-                        point_in_room(env, obj.pose.x, obj.pose.y),
-                        t_cap, d_cap, ast, text, obj.pose.xy,
-                        env.surface(destination).region.center)
-        if task_feasible(env, task, cfg):
-            return env, task
+        for attempt in range(salt * TASKS_PER_ENV, (salt + 1) * TASKS_PER_ENV):
+            rng = substream("gen-task", seed, attempt)
+            try:
+                target, destination = select_task(env, rng)
+                t_cap, d_cap = capture_views(env, target, destination)
+                ast, text = make_instruction(env, target, destination,
+                                             t_cap, d_cap, rng, cfg)
+            except (NoFeasibleTask, NoViewpoint, NoDistinguishingDescription):
+                continue
+            obj = env.objects[target]
+            task = TaskSpec(target, destination,
+                            point_in_room(env, obj.pose.x, obj.pose.y),
+                            t_cap, d_cap, ast, text)
+            if task_feasible(env, task, cfg):
+                return env, task
     raise GenerationFailed(f"no feasible task after "
                            f"{ENV_ATTEMPTS * TASKS_PER_ENV} attempts "
-                           f"(seed {cfg.seed})")
+                           f"(seed {seed})")
 
 
 # --- dataset export ----------------------------------------------------------
@@ -387,9 +368,11 @@ def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
         "index": index,
         "scene": env_record(env),
         "task": {
-            "target": {"id": task.target, "xy_m": list(task.target_xy)},
+            "target": {"id": task.target,
+                       "xy_m": list(env.objects[task.target].pose.xy)},
             "destination": {"id": task.destination,
-                            "xy_m": list(task.destination_xy)},
+                            "xy_m": list(env.surface(task.destination)
+                                         .region.center)},
             "room": task.room,
         },
         "instruction": {"text": task.text, "ast": ast_record(task.instruction)},

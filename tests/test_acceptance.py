@@ -242,8 +242,8 @@ def test_criterion_08_visibility_matches_brute_force():
         checked = 0
         for seed in range(300, 350):
             env = build_environment(
-                GenConfig(seed=seed, objects_per_room=2.0,
-                          min_objects=0, max_objects=2))
+                GenConfig(objects_per_room=2.0, min_objects=0, max_objects=2),
+                seed)
             assert len(env.objects) <= 10
             grid = grid_for(env)
             cells = [(ix, iy) for iy in range(grid.ny)

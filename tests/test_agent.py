@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import ball, box_walls, make_env, sighting, table
+from helpers import ball, make_env, sighting, table
 from homefetch.agent import (
     ARRIVE_TOL_M,
     CRAWL_SPACING_M,
@@ -484,7 +484,7 @@ class TestCrawl:
     def test_completed_crawl_is_the_lattice(self):
         """The crawl hands back the lattice's captures, camera poses and
         snapshots alike, when the deadline does not cut it short."""
-        env, task = generate_task(GenConfig(seed=h64("session", 7, 0)))
+        env, task = generate_task(GenConfig(), h64("session", 7, 0))
         assert navigate_to_room(env, task.room, 300.0, events=[])
         caps = crawl(env, task.room, 300.0, events=[])
         lattice = lattice_captures(env, task.room)
@@ -494,7 +494,7 @@ class TestCrawl:
             assert got.snapshots == want.snapshots
 
     def test_deadline_cuts_the_crawl_short(self):
-        env, task = generate_task(GenConfig(seed=h64("session", 7, 0)))
+        env, task = generate_task(GenConfig(), h64("session", 7, 0))
         assert navigate_to_room(env, task.room, 300.0, events=[])
         caps = crawl(env, task.room, env.clock + 5.0, events=[])
         lattice = lattice_captures(env, task.room)

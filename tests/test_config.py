@@ -124,9 +124,10 @@ class TestLoadConfig:
 class TestApplyOverrides:
     def test_flags_win(self):
         base = config_from_dict({"seed": 1, "noise": {"p_miss": 0.1}})
-        cfg = apply_overrides(base, seed=9, sessions=40, grounder="oracle",
-                              p_miss=0.5, time_budget=60, workers=4,
-                              out="runs/o", paper_compat_counts=True)
+        cfg = apply_overrides(base, {
+            "seed": 9, "sessions": 40, "grounder": "oracle",
+            "noise.p_miss": 0.5, "time_budget_s": 60, "workers": 4,
+            "out": "runs/o", "paper_compat_counts": True})
         assert cfg.seed == 9 and cfg.sessions == 40
         assert cfg.grounder == "oracle"
         assert cfg.noise.p_miss == 0.5
@@ -136,12 +137,12 @@ class TestApplyOverrides:
 
     def test_none_means_keep(self):
         base = config_from_dict({"seed": 3, "noise": {"p_miss": 0.2}})
-        cfg = apply_overrides(base)
+        cfg = apply_overrides(base, {"seed": None, "noise.p_miss": None})
         assert cfg == base
 
     def test_invalid_override_rejected(self):
         with pytest.raises(ConfigError):
-            apply_overrides(RunConfig(), p_miss=1.5)
+            apply_overrides(RunConfig(), {"noise.p_miss": 1.5})
 
 
 class TestConfigEcho:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from homefetch.cli import build_parser
 from homefetch.config import (
-    ConfigError, RunConfig, config_echo, config_from_dict, config_from_echo,
+    _SCHEMA, ConfigError, RunConfig, config_echo, config_from_dict,
+    config_from_echo,
 )
 from homefetch.eventlog import canonical_json
 
@@ -16,9 +18,7 @@ DOC = Path(__file__).resolve().parent.parent / "docs" / "config.md"
 
 def _file_defaults() -> dict:
     """Every file key with its default, nested like the file."""
-    defaults = asdict(RunConfig())
-    del defaults["gen"]["seed"]  # derived per session, never read
-    return defaults
+    return asdict(RunConfig())
 
 
 def _doc_tables() -> dict[str, dict[str, str]]:
@@ -93,3 +93,14 @@ def test_reader_accepts_or_raises_config_error(data):
     logged = canonical_json(config_echo(cfg))
     back = config_from_echo(json.loads(logged))
     assert canonical_json(config_echo(back)) == logged
+
+
+def test_every_flag_is_named_by_its_config_key():
+    for command in ("run", "generate"):
+        dests = set(vars(build_parser().parse_args([command])))
+        for key in dests - {"command", "fn", "config"}:
+            node = _SCHEMA
+            for part in key.split("."):
+                assert isinstance(node, dict) and part in node, (command, key)
+                node = node[part]
+            assert not isinstance(node, dict), (command, key)

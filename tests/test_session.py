@@ -254,7 +254,7 @@ class TestRunSession:
         # The budget is the unrounded clock after navigation; the log's
         # rounded sim_time_s may fall short of it.
         cfg = _cfg(seed=7)
-        env, task = generate_task(replace(cfg.gen, seed=h64("session", 7, 0)))
+        env, task = generate_task(cfg.gen, h64("session", 7, 0))
         assert navigate_to_room(env, task.room, cfg.time_budget_s, events=[])
         nav_time = env.clock
         assert nav_time > 0.0

@@ -2,7 +2,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -21,14 +20,12 @@ from homefetch.taskgen import (
     GenConfig,
     GenerationFailed,
     NoFeasibleTask,
-    TaskSpec,
     _clamped_poisson,
     build_environment,
     capture_views,
     episode_record,
     export_dataset,
     generate_task,
-    make_instruction,
     select_task,
     task_feasible,
     validate_episode,
@@ -71,35 +68,35 @@ class TestClampedPoisson:
 class TestGenConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GenConfig(seed=-1)
+            generate_task(GenConfig(), -1)
         with pytest.raises(ValueError):
-            GenConfig(seed=2 ** 64)
+            generate_task(GenConfig(), 2 ** 64)
         with pytest.raises(ValueError):
-            GenConfig(seed=1, min_objects=5, max_objects=3)
+            GenConfig(min_objects=5, max_objects=3)
         with pytest.raises(ValueError):
-            GenConfig(seed=1, min_objects=1, objects_per_room=0.5)
+            GenConfig(min_objects=1, objects_per_room=0.5)
         with pytest.raises(ValueError):
-            GenConfig(seed=1, color_presence=1.5)
+            GenConfig(color_presence=1.5)
         with pytest.raises(ValueError, match="layout_id"):
-            GenConfig(seed=1, layout_id="nope")
-        GenConfig(seed=1, min_objects=0, objects_per_room=0.0)
+            GenConfig(layout_id="nope")
+        GenConfig(min_objects=0, objects_per_room=0.0)
 
 
 class TestBuildEnvironment:
     def test_deterministic(self):
-        cfg = GenConfig(seed=31)
-        a = env_record(build_environment(cfg))
-        b = env_record(build_environment(cfg))
+        cfg = GenConfig()
+        a = env_record(build_environment(cfg, 31))
+        b = env_record(build_environment(cfg, 31))
         assert canonical_json(a) == canonical_json(b)
 
     def test_seed_changes_scene(self):
-        a = env_record(build_environment(GenConfig(seed=1)))
-        b = env_record(build_environment(GenConfig(seed=2)))
+        a = env_record(build_environment(GenConfig(), 1))
+        b = env_record(build_environment(GenConfig(), 2))
         assert a != b
 
     def test_counts_and_ids(self):
-        cfg = GenConfig(seed=5, min_objects=1, max_objects=8)
-        env = build_environment(cfg)
+        cfg = GenConfig(min_objects=1, max_objects=8)
+        env = build_environment(cfg, 5)
         rooms = {r.id: 0 for r in env.rooms}
         for o in env.objects.values():
             rooms[point_in_room(env, o.pose.x, o.pose.y)] += 1
@@ -110,12 +107,12 @@ class TestBuildEnvironment:
 
     def test_validator_clean_many_seeds(self):
         for seed in range(20, 30):
-            env = build_environment(GenConfig(seed=seed))
+            env = build_environment(GenConfig(), seed)
             assert validate_environment(env) == []
 
     def test_distractor_pair_present(self):
         for seed in range(40, 70):
-            env = build_environment(GenConfig(seed=seed))
+            env = build_environment(GenConfig(), seed)
             per_room = {}
             for o in env.objects.values():
                 room = point_in_room(env, o.pose.x, o.pose.y)
@@ -126,9 +123,8 @@ class TestBuildEnvironment:
             ), seed
 
     def test_static_only_scene(self):
-        cfg = GenConfig(seed=3, objects_per_room=0.0, min_objects=0,
-                        max_objects=0)
-        env = build_environment(cfg)
+        cfg = GenConfig(objects_per_room=0.0, min_objects=0, max_objects=0)
+        env = build_environment(cfg, 3)
         assert env.objects == {}
         with pytest.raises(NoFeasibleTask):
             select_task(env, substream("gen-task", 3, 0))
@@ -137,7 +133,7 @@ class TestBuildEnvironment:
         # pooled over seeds: colors ~0.8, materials ~0.6
         total = with_color = with_material = 0
         for seed in range(200, 230):
-            env = build_environment(GenConfig(seed=seed))
+            env = build_environment(GenConfig(), seed)
             for o in env.objects.values():
                 total += 1
                 with_color += o.color is not None
@@ -151,7 +147,7 @@ class TestBuildEnvironment:
         assert abs(with_material / total - 0.6) < 0.10
 
     def test_objects_rest_on_surfaces_with_clearance(self):
-        env = build_environment(GenConfig(seed=77))
+        env = build_environment(GenConfig(), 77)
         objs = list(env.objects.values())
         for o in objs:
             region = env.surface(o.support).region
@@ -165,7 +161,7 @@ class TestBuildEnvironment:
 
 class TestSelectTask:
     def test_uniform_over_objects(self):
-        env = build_environment(GenConfig(seed=8))
+        env = build_environment(GenConfig(), 8)
         n = len(env.objects)
         assert n >= 4
         counts = Counter()
@@ -189,7 +185,7 @@ class TestSelectTask:
 
 class TestCaptureViews:
     def test_ring_pose_and_subject_visible(self):
-        env, task = generate_task(GenConfig(seed=4))
+        env, task = generate_task(GenConfig(), 4)
         t_cap, d_cap = capture_views(env, task.target, task.destination)
         obj = env.objects[task.target]
         cam = t_cap.camera.pose
@@ -204,7 +200,7 @@ class TestCaptureViews:
         assert math.cos(cam.theta - want) == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic(self):
-        env, task = generate_task(GenConfig(seed=4))
+        env, task = generate_task(GenConfig(), 4)
         a = capture_views(env, task.target, task.destination)
         b = capture_views(env, task.target, task.destination)
         assert a == b
@@ -213,14 +209,15 @@ class TestCaptureViews:
 class TestMakeInstruction:
     def test_generated_tasks_faithful(self):
         for seed in range(100, 130):
-            env, task = generate_task(GenConfig(seed=seed))
+            env, task = generate_task(GenConfig(), seed)
             ast = task.instruction
             # surface form round-trips
             assert parse(task.text) == ast
             # goto names the target's room
             room = env.room(task.room)
             assert ast.goto.room == room.name
-            assert point_in_room(env, *task.target_xy) == task.room
+            obj = env.objects[task.target]
+            assert point_in_room(env, obj.pose.x, obj.pose.y) == task.room
             # exhaustive grounding in the capture context picks the truth
             m = ast.manip
             snaps = task.target_capture.snapshots
@@ -240,7 +237,7 @@ class TestMakeInstruction:
     def test_prep_rule(self):
         hits = set()
         for seed in range(100, 140):
-            env, task = generate_task(GenConfig(seed=seed))
+            env, task = generate_task(GenConfig(), seed)
             m = task.instruction.manip
             if m.source is not None:
                 assert m.prep == TO
@@ -255,7 +252,7 @@ class TestMakeInstruction:
 
     def test_relation_and_source_never_combined(self):
         for seed in range(100, 160):
-            _, task = generate_task(GenConfig(seed=seed))
+            _, task = generate_task(GenConfig(), seed)
             m = task.instruction.manip
             assert m.relation is None or m.source is None
 
@@ -264,7 +261,7 @@ class TestMakeInstruction:
         # described by its bare category
         enriched = 0
         for seed in range(100, 140):
-            _, task = generate_task(GenConfig(seed=seed))
+            _, task = generate_task(GenConfig(), seed)
             m = task.instruction.manip
             if (m.target.color is not None or m.target.material is not None
                     or m.relation is not None):
@@ -274,29 +271,27 @@ class TestMakeInstruction:
 
 class TestGenerateTask:
     def test_deterministic_episode(self):
-        a_env, a_task = generate_task(GenConfig(seed=11))
-        b_env, b_task = generate_task(GenConfig(seed=11))
+        a_env, a_task = generate_task(GenConfig(), 11)
+        b_env, b_task = generate_task(GenConfig(), 11)
         assert canonical_json(episode_record(0, a_env, a_task)) == \
             canonical_json(episode_record(0, b_env, b_task))
 
     def test_task_members_valid(self):
-        env, task = generate_task(GenConfig(seed=12))
+        env, task = generate_task(GenConfig(), 12)
         assert task.target in env.objects
         assert task.destination in {s.id for s in env.surfaces}
         assert task.destination != env.objects[task.target].support
-        assert task_feasible(env, task, GenConfig(seed=12))
+        assert task_feasible(env, task, GenConfig())
 
     def test_impossible_config_raises(self):
-        cfg = GenConfig(seed=3, objects_per_room=0.0, min_objects=0,
-                        max_objects=0)
+        cfg = GenConfig(objects_per_room=0.0, min_objects=0, max_objects=0)
         with pytest.raises(GenerationFailed, match="50 attempts"):
-            generate_task(cfg)
+            generate_task(cfg, 3)
 
     def test_failure_names_seed(self):
-        cfg = GenConfig(seed=99, objects_per_room=0.0, min_objects=0,
-                        max_objects=0)
+        cfg = GenConfig(objects_per_room=0.0, min_objects=0, max_objects=0)
         with pytest.raises(GenerationFailed, match=r"seed 99"):
-            generate_task(cfg)
+            generate_task(cfg, 99)
 
 
 class TestScreenAgreesWithExecutor:
@@ -304,7 +299,7 @@ class TestScreenAgreesWithExecutor:
         """Zero noise: fetch and carry stage and dock where the screen did."""
         cfg = RunConfig(seed=7)
         for i in range(6):
-            env, task = generate_task(replace(cfg.gen, seed=h64("session", 7, i)))
+            env, task = generate_task(cfg.gen, h64("session", 7, i))
             caps = lattice_captures(env, task.room)
             g = ground(task.instruction, caps, [c.snapshots for c in caps],
                        RELATIONAL, cfg.gen.weights, cfg.gen.thresholds)
@@ -328,7 +323,7 @@ class TestScreenAgreesWithExecutor:
 
 class TestEpisodeExport:
     def test_schema_and_validation(self):
-        env, task = generate_task(GenConfig(seed=13))
+        env, task = generate_task(GenConfig(), 13)
         rec = episode_record(0, env, task)
         assert rec["format"] == "homefetch-episode/1"
         assert rec["index"] == 0
@@ -337,13 +332,13 @@ class TestEpisodeExport:
         assert set(rec["captures"]) == {"target", "destination"}
 
     def test_validate_flags_tampering(self):
-        env, task = generate_task(GenConfig(seed=13))
+        env, task = generate_task(GenConfig(), 13)
         rec = episode_record(0, env, task)
         rec["task"]["target"]["id"] = "obj_999"
         assert validate_episode(rec)
 
     def test_export_roundtrip_bytes(self, tmp_path):
-        tasks = [generate_task(GenConfig(seed=s)) for s in (14, 15)]
+        tasks = [generate_task(GenConfig(), s) for s in (14, 15)]
         out1, out2 = tmp_path / "a", tmp_path / "b"
         m1 = export_dataset(tasks, out1, meta={"seed": 0})
         m2 = export_dataset(tasks, out2, meta={"seed": 0})

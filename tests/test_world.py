@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import ball, box_walls, brute_force_visible, make_env, table
+from helpers import ball, brute_force_visible, make_env, table
 from homefetch.geometry import Rect
 from homefetch.layouts import make_environment
 from homefetch.taskgen import GenConfig, build_environment
@@ -151,9 +151,8 @@ class TestVisibleObjects:
     def test_matches_brute_force_on_random_scenes(self):
         rng = random.Random(99)
         for i in range(8):
-            cfg = GenConfig(seed=1000 + i, objects_per_room=2.0,
-                            min_objects=0, max_objects=2)
-            env = build_environment(cfg)
+            cfg = GenConfig(objects_per_room=2.0, min_objects=0, max_objects=2)
+            env = build_environment(cfg, 1000 + i)
             from homefetch.planner import grid_for
             grid = grid_for(env)
             free = [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
@@ -407,7 +406,7 @@ class TestValidator:
 
     def test_generated_scenes_clean(self):
         for seed in (3, 4, 5):
-            env = build_environment(GenConfig(seed=seed))
+            env = build_environment(GenConfig(), seed)
             assert validate_environment(env) == []
 
     def test_detects_floating_object(self):
@@ -428,7 +427,7 @@ class TestEnvRecord:
         assert [f["id"] for f in a["furniture"]] == [f.id for f in env.furniture]
 
     def test_unit_suffixed_fields(self):
-        env = build_environment(GenConfig(seed=2))
+        env = build_environment(GenConfig(), 2)
         rec = env_record(env)
         assert rec["layout"] == "default"
         obj = rec["objects"][0]

@@ -35,7 +35,7 @@ from .world import (
     DT_S, DYNAMIC, SURFACE, ActionFailure, CameraPose, Environment, Pose,
     Snapshot, capture_supports, grasp as world_grasp, line_of_sight,
     place as world_place, point_blocked, point_in_room, sight_ignore,
-    step as world_step, visible_objects,
+    step as world_step, visible_batch, visible_objects,
 )
 
 if TYPE_CHECKING:
@@ -123,9 +123,21 @@ class Grounding:
 
 # --- perception ------------------------------------------------------------
 
+def _memo_key(env: Environment, cam: CameraPose) -> tuple:
+    """Everything `visible_objects` reads that can differ between calls on
+    one environment: the scene version and the whole camera."""
+    return (env.scene_version, cam.pose.x, cam.pose.y, cam.pose.theta,
+            cam.fov, cam.range)
+
+
 def captured(env: Environment, cam: CameraPose) -> list[Snapshot]:
-    """visible_objects memoized per (scene version, camera pose)."""
-    key = (env.scene_version, cam.pose.x, cam.pose.y, cam.pose.theta)
+    """visible_objects, memoized on the environment.
+
+    The key is (scene version, x, y, theta, fov, range).  The static
+    geometry is fixed after construction, and every move or re-parenting of
+    an object bumps the scene version.
+    """
+    key = _memo_key(env, cam)
     hit = env._vis_memo.get(key)
     if hit is None:
         hit = visible_objects(env, cam)
@@ -166,14 +178,20 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
 
 
 def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
-    """The captures a full undisturbed crawl of the room would produce."""
+    """The captures a full undisturbed crawl of the room would produce.
+
+    Cameras not yet in the `captured` memo are seen in one `visible_batch`
+    and memoized under the same key.
+    """
     supports = capture_supports(env)
-    caps: list[Capture] = []
-    for (x, y) in crawl_points(env, room_id):
-        for h in HEADINGS:
-            cam = CameraPose(Pose(x, y, h))
-            caps.append(Capture(cam, captured(env, cam), supports))
-    return caps
+    cams = [CameraPose(Pose(x, y, h))
+            for (x, y) in crawl_points(env, room_id) for h in HEADINGS]
+    keys = [_memo_key(env, cam) for cam in cams]
+    memo = env._vis_memo
+    todo = [k for k in range(len(cams)) if keys[k] not in memo]
+    for k, snaps in zip(todo, visible_batch(env, [cams[k] for k in todo])):
+        memo[keys[k]] = snaps
+    return [Capture(cam, memo[key], supports) for cam, key in zip(cams, keys)]
 
 
 # --- low-level motion -------------------------------------------------------

@@ -4,6 +4,10 @@ The world is a 2-D top-down plane.  Furniture and walls are axis-aligned
 rectangles, dynamic objects and the robot are disks, and every dynamic
 object sits on a named support surface.  All mutation happens through
 `step`, `grasp`, and `place`; everything else is a pure query.
+
+`visible_objects` is the visibility contract, one camera at a time.
+`visible_batch` answers for many cameras at once and must return exactly
+what `visible_objects` returns for each, bit for bit.
 """
 from __future__ import annotations
 
@@ -12,7 +16,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .geometry import (
+    TWO_PI,
     Rect,
     dist,
     norm_angle,
@@ -185,7 +192,8 @@ class Environment:
     robot: RobotState
     clock: float = 0.0  # simulated seconds
     collisions: int = 0
-    # Bumped whenever an object re-parents; lets callers cache per-scene work.
+    # Bumped whenever an object re-parents or moves; lets callers cache
+    # per-scene work.
     scene_version: int = 0
     # When set, step() appends the post-step pose: an external motion audit.
     trace: list | None = None
@@ -208,6 +216,14 @@ class Environment:
         static = ([r.bounds for r in self.rooms], self.walls,
                   [f.footprint for f in self.furniture])
         return hashlib.sha256(repr(static).encode("ascii")).hexdigest()
+
+    @cached_property
+    def sight_rects(self) -> np.ndarray:
+        """(x0, y0, x1, y1) rows of every wall, then every furniture
+        footprint in `furniture` order: the rectangles a sight line can hit."""
+        rects = self.walls + [f.footprint for f in self.furniture]
+        return np.array([r.as_tuple() for r in rects],
+                        dtype=np.float64).reshape(-1, 4)
 
     @property
     def surfaces(self) -> list[SupportSurface]:
@@ -265,9 +281,26 @@ def sight_ignore(env: Environment, obj: DynamicObject) -> frozenset[str]:
     return frozenset({obj.id} if owner is None else {obj.id, owner})
 
 
-def _subject_visible(env: Environment, cam: CameraPose, ref: tuple[float, float],
-                     ignore: frozenset[str]) -> tuple[float, float] | None:
-    """(bearing, range) if ref passes the cone, range, and sight tests."""
+def _subjects(env: Environment) -> list[
+        tuple[str, str, DynamicObject | StaticObject, tuple[float, float]]]:
+    """(id, kind, source, reference point) of everything a camera can
+    report, in snapshot order.  The source carries category and attributes:
+    the object itself, or the furniture that owns the surface."""
+    subs: list = [(oid, DYNAMIC, o, o.pose.xy)
+                  for oid, o in sorted(env.objects.items())]
+    subs += [(s.id, SURFACE, f, s.region.center)
+             for f in env.furniture for s in f.surfaces]
+    return subs
+
+
+def _looks_past(env: Environment, kind: str,
+                source: DynamicObject | StaticObject) -> frozenset[str]:
+    """What the sight line to a subject looks past: see `visible_objects`."""
+    return sight_ignore(env, source) if kind == DYNAMIC else frozenset({source.id})
+
+
+def _in_view(cam: CameraPose, ref: tuple[float, float]) -> tuple[float, float] | None:
+    """(bearing, range) if ref passes the camera's range and cone tests."""
     dx = ref[0] - cam.pose.x
     dy = ref[1] - cam.pose.y
     rng = math.hypot(dx, dy)
@@ -276,34 +309,148 @@ def _subject_visible(env: Environment, cam: CameraPose, ref: tuple[float, float]
     bearing = norm_angle(math.atan2(dy, dx) - cam.pose.theta) if rng > 0.0 else 0.0
     if abs(bearing) > cam.fov / 2.0:
         return None
-    if not line_of_sight(env, cam.pose.xy, ref, ignore):
-        return None
     return bearing, rng
+
+
+def _snapshot(sid: str, kind: str, source: DynamicObject | StaticObject,
+              hit: tuple[float, float]) -> Snapshot:
+    return Snapshot(sid, kind, source.category, source.color, source.material,
+                    hit[0], hit[1])
 
 
 def visible_objects(env: Environment, cam: CameraPose) -> list[Snapshot]:
     """Snapshots of every dynamic object and support surface the camera sees.
 
-    The subject's own disk is ignored for its sight test, and so is the
-    furniture piece it rests on: an object standing on a table must be
+    This is the visibility contract; `visible_batch` must equal it.  A
+    subject is seen when its reference point (an object's centre, a
+    surface's region centre) is within range, within the cone, and in clear
+    sight.  The subject's own disk is ignored for its sight test, and so is
+    the furniture piece it rests on: an object standing on a table must be
     visible over that table in this top-down abstraction.  Results are
     ordered by ascending range, ties broken by id.
     """
     out: list[Snapshot] = []
-    for oid in sorted(env.objects):
-        o = env.objects[oid]
-        hit = _subject_visible(env, cam, o.pose.xy, sight_ignore(env, o))
-        if hit is not None:
-            out.append(Snapshot(oid, DYNAMIC, o.category, o.color, o.material,
-                                hit[0], hit[1]))
-    for f in env.furniture:
-        for s in f.surfaces:
-            hit = _subject_visible(env, cam, s.region.center, frozenset({f.id}))
-            if hit is not None:
-                out.append(Snapshot(s.id, SURFACE, f.category, f.color, f.material,
-                                    hit[0], hit[1]))
+    for sid, kind, source, ref in _subjects(env):
+        hit = _in_view(cam, ref)
+        if hit is not None and line_of_sight(env, cam.pose.xy, ref,
+                                             _looks_past(env, kind, source)):
+            out.append(_snapshot(sid, kind, source, hit))
     out.sort(key=lambda s: (s.range, s.object_id))
     return out
+
+
+# Margin of the array prefilters.  np.hypot and np.arctan2 may differ from
+# math.hypot and math.atan2 in the last bit; a pair within this margin of a
+# threshold is handed to the scalar test.
+_BATCH_EPS = 1e-9
+
+
+def visible_batch(env: Environment, cams: list[CameraPose]) -> list[list[Snapshot]]:
+    """`[visible_objects(env, c) for c in cams]`, in a few array passes.
+
+    numpy only discards (camera, subject) pairs that provably fail the
+    cone, range or sight test, or decides a pair with the same IEEE
+    operations as the scalar test.  Every pair it keeps is re-tested by
+    `_in_view`, which also gives each snapshot's bearing and range, so the
+    result is bit-identical to the scalar contract.  The array set-up pays
+    off over a whole lattice of cameras, not over one.
+    """
+    out: list[list[Snapshot]] = [[] for _ in cams]
+    subs = _subjects(env)
+    if not cams or not subs:
+        return out
+    cam = np.array([(c.pose.x, c.pose.y, c.pose.theta, c.fov / 2.0, c.range)
+                    for c in cams])
+    ref = np.array([s[3] for s in subs])
+    dx = ref[None, :, 0] - cam[:, 0:1]
+    dy = ref[None, :, 1] - cam[:, 1:2]
+    near = np.hypot(dx, dy) <= cam[:, 4:5] + _BATCH_EPS
+    off = np.abs(np.mod(np.arctan2(dy, dx) - cam[:, 2:3] + math.pi, TWO_PI)
+                 - math.pi)
+    cone = (off <= cam[:, 3:4] + _BATCH_EPS) | ((dx == 0.0) & (dy == 0.0))
+    ci, sj = np.nonzero(near & cone)
+    clear = _sight_clear(env, subs, sj, cam[ci, 0], cam[ci, 1],
+                         ref[sj, 0], ref[sj, 1])
+    for i, j in zip(ci[clear].tolist(), sj[clear].tolist()):
+        hit = _in_view(cams[i], subs[j][3])
+        if hit is not None:
+            out[i].append(_snapshot(*subs[j][:3], hit))
+    for snaps in out:
+        snaps.sort(key=lambda s: (s.range, s.object_id))
+    return out
+
+
+def _sight_clear(env: Environment, subs: list, sj: np.ndarray,
+                 ax: np.ndarray, ay: np.ndarray,
+                 bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """`line_of_sight` of each segment a-b toward subject `subs[sj]`.
+
+    Rectangles run `segment_crosses_rect` as masks: the same four (p, q)
+    steps, branches and tolerances.  Elementwise float64 arithmetic and
+    comparisons are IEEE-identical to Python's, so each verdict is too.
+    Disks use the distance formula of `segment_point_distance` but decide
+    only outside a band around the radius, since np.hypot may differ from
+    math.hypot in the last bit; inside the band the scalar test decides.
+    """
+    walls = len(env.walls)
+    fcol = {f.id: walls + k for k, f in enumerate(env.furniture)}
+    objs = [source for _, kind, source, _ in subs if kind == DYNAMIC]
+    ocol = {o.id: k for k, o in enumerate(objs)}
+    skip_rect = np.zeros((len(subs), walls + len(fcol)), dtype=bool)
+    skip_disk = np.zeros((len(subs), len(objs)), dtype=bool)
+    for s, (_, kind, source, _) in enumerate(subs):
+        for name in _looks_past(env, kind, source):
+            if name in fcol:
+                skip_rect[s, fcol[name]] = True
+            if name in ocol:
+                skip_disk[s, ocol[name]] = True
+
+    same = (ax == bx) & (ay == by)
+    ax, ay, bx, by = ax[:, None], ay[:, None], bx[:, None], by[:, None]
+    dx = bx - ax
+    dy = by - ay
+    x0, y0, x1, y1 = env.sight_rects.T
+    alive = ~skip_rect[sj]
+    t0 = np.zeros(alive.shape)
+    t1 = np.ones(alive.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # q = u - v, built one step at a time to keep few (K, M) arrays alive.
+        for p, u, v in ((-dx, ax, x0), (dx, x1, ax), (-dy, ay, y0), (dy, y1, ay)):
+            q = u - v
+            t = q / p
+            lo = p < 0.0
+            hi = p > 0.0
+            alive &= ~(((p == 0.0) & (q < 0.0)) | (lo & (t > t1)) | (hi & (t < t0)))
+            np.copyto(t0, t, where=lo & (t > t0))
+            np.copyto(t1, t, where=hi & (t < t1))
+        alive &= ~(t1 - t0 <= 1e-12)
+        # The clipped midpoint a + tm * d, in place: + and * commute exactly.
+        tm = t0
+        tm += t1
+        tm *= 0.5
+        for a, da, lo_edge, hi_edge in ((ax, dx, x0, x1), (ay, dy, y0, y1)):
+            mid = tm * da
+            mid += a
+            alive &= (lo_edge < mid) & (mid < hi_edge)
+        blocked = alive.any(axis=1)
+        if objs:
+            px = np.array([o.pose.x for o in objs])
+            py = np.array([o.pose.y for o in objs])
+            rad = np.array([o.radius for o in objs])
+            # A NaN from a zero-length segment falls into the band.
+            t = np.minimum(1.0, np.maximum(
+                0.0, ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)))
+            d = np.hypot(px - (ax + t * dx), py - (ay + t * dy))
+            live = ~skip_disk[sj]
+            blocked |= (live & (d < rad - _BATCH_EPS)).any(axis=1)
+            band = live & ~(d < rad - _BATCH_EPS) & ~(d > rad + _BATCH_EPS)
+            for k, n in zip(*(ix.tolist() for ix in np.nonzero(band))):
+                o = objs[n]
+                if not blocked[k] and segment_crosses_disk(
+                        ax[k, 0], ay[k, 0], bx[k, 0], by[k, 0],
+                        o.pose.x, o.pose.y, o.radius):
+                    blocked[k] = True
+    return same | ~blocked
 
 
 def capture_supports(env: Environment) -> dict[str, str]:
@@ -359,6 +506,7 @@ def step(env: Environment, v: float, w: float, dt: float) -> bool:
         rb.pose = Pose(nx, ny, nth)
         if rb.gripper is not None:
             env.objects[rb.gripper].pose = attach_pose(rb.pose)
+            env.scene_version += 1
     env.clock += dt
     if env.trace is not None:
         env.trace.append((rb.pose.x, rb.pose.y, rb.pose.theta))

@@ -48,12 +48,15 @@ from homefetch.seeds import KeyedStream, h64
 from homefetch.taskgen import GenConfig, generate_task
 from homefetch.vocab import DEFAULT
 from homefetch.world import (
+    DT_S,
     DYNAMIC,
     SURFACE,
     CameraPose,
     Pose,
     Rect,
     point_in_room,
+    step as world_step,
+    visible_objects,
 )
 
 
@@ -112,6 +115,27 @@ class TestCrawlLattice:
         env.scene_version += 1
         b = captured(env, cam)
         assert b is not a and b == a
+
+    def test_captured_keys_on_fov_and_range(self):
+        env = make_env(furniture=(table("t0"),),
+                       objects=(ball("o0", (2.5, 2.4)),))
+        pose = Pose(1.0, 2.5, 0.0)
+        assert "o0" in [s.object_id for s in captured(env, CameraPose(pose))]
+        narrow = CameraPose(pose, fov=0.01, range=0.5)
+        assert visible_objects(env, narrow) == []
+        assert captured(env, narrow) == []
+
+    def test_captured_sees_a_held_object_move(self):
+        env = make_env(objects=(ball("o0", (1.3, 1.0), None),))
+        env.robot.gripper = "o0"
+        cam = CameraPose(Pose(1.0, 2.5, -math.pi / 2.0))
+        before = captured(env, cam)
+        for _ in range(10):  # a quarter turn in place
+            world_step(env, 0.0, math.pi, DT_S)
+        after = captured(env, cam)
+        assert after == visible_objects(env, cam)
+        assert [s.object_id for s in after] == ["o0"]
+        assert after[0].range < before[0].range - 0.2
 
 
 def _capture(snaps, cam=None):

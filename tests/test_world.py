@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import ball, brute_force_visible, make_env, table
-from homefetch.geometry import Rect
+from homefetch.agent import HEADINGS, crawl_points
+from homefetch.geometry import Rect, norm_angle
 from homefetch.layouts import make_environment
 from homefetch.taskgen import GenConfig, build_environment
 from homefetch.world import (
@@ -39,6 +41,7 @@ from homefetch.world import (
     robot_collides,
     step,
     validate_environment,
+    visible_batch,
     visible_objects,
 )
 
@@ -168,6 +171,99 @@ class TestVisibleObjects:
                 for g, w in zip(got, want):
                     assert g.bearing == pytest.approx(w.bearing, abs=1e-12)
                     assert g.range == pytest.approx(w.range, abs=1e-12)
+
+
+def _lattice(env):
+    return [CameraPose(Pose(x, y, h)) for r in env.rooms
+            for (x, y) in crawl_points(env, r.id) for h in HEADINGS]
+
+
+def _boundary_cams(env, rng: random.Random) -> list[CameraPose]:
+    """Cameras on rectangle corners and edges, at subjects' reference points,
+    and with a subject exactly at range and at bearing +-fov/2."""
+    cams = []
+    for r in env.walls + [f.footprint for f in env.furniture]:
+        for x, y in ((r.x0, r.y0), (r.x1, r.y1), (r.x0, r.center[1]),
+                     (r.center[0], r.y1)):
+            cams.append(CameraPose(Pose(x, y, rng.uniform(-math.pi, math.pi))))
+    refs = ([o.pose.xy for o in env.objects.values()]
+            + [s.region.center for s in env.surfaces])
+    for rx, ry in refs:
+        cams.append(CameraPose(Pose(rx, ry, rng.uniform(-math.pi, math.pi))))
+        pose = Pose(rx + rng.uniform(-3.0, 3.0), ry + rng.uniform(-3.0, 3.0),
+                    rng.uniform(-math.pi, math.pi))
+        dx, dy = rx - pose.x, ry - pose.y
+        bearing = norm_angle(math.atan2(dy, dx) - pose.theta)
+        cams.append(CameraPose(pose, fov=2.0 * abs(bearing),
+                               range=math.hypot(dx, dy)))
+    return cams
+
+
+class TestVisibleBatch:
+    """`visible_batch` equals `visible_objects` camera by camera, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cam_seed=st.integers(0, 2**32 - 1),
+           empty=st.booleans())
+    def test_equals_scalar_on_generated_scenes(self, seed, cam_seed, empty):
+        env = build_environment(GenConfig(), seed)
+        if empty:
+            env.objects.clear()
+        rng = random.Random(cam_seed)
+        b = env.rooms[rng.randrange(len(env.rooms))].bounds
+        cams = _lattice(env) + _boundary_cams(env, rng) + [
+            CameraPose(Pose(rng.uniform(b.x0, b.x1), rng.uniform(b.y0, b.y1),
+                            rng.uniform(-math.pi, math.pi)),
+                       fov=rng.uniform(0.0, 2.0 * math.pi),
+                       range=rng.uniform(0.0, 8.0))
+            for _ in range(20)]
+        assert visible_batch(env, cams) == [visible_objects(env, c) for c in cams]
+
+    def test_sight_tangent_to_a_disk(self):
+        # The line y = 2.25 grazes the 0.25 m disk centred at (3, 2).
+        t = table("t0", Rect(4.1, 1.8, 4.9, 2.7))
+        env = make_env(furniture=(t,), objects=(
+            ball("o0", (3.0, 2.0), None, radius=0.25),
+            ball("o1", (4.5, 2.25), "t0/top", radius=0.05)))
+        cams = [CameraPose(Pose(1.5, 2.25, 0.0)),
+                CameraPose(Pose(1.5, 2.25 - 1e-12, 0.0)),
+                CameraPose(Pose(1.5, 2.25 + 1e-12, 0.0))]
+        got = visible_batch(env, cams)
+        assert got == [visible_objects(env, c) for c in cams]
+        assert "o1" in [s.object_id for s in got[0]]
+        assert "o1" not in [s.object_id for s in got[1]]
+
+    def test_sight_along_an_edge_and_through_a_corner(self):
+        block = table("t0", Rect(2.0, 2.0, 3.0, 3.0))
+        env = make_env(furniture=(block,), objects=(
+            ball("o0", (2.0, 4.0), None), ball("o1", (3.0, 1.0), None),
+            ball("o2", (3.5, 3.5), None)))
+        slide = CameraPose(Pose(2.0, 1.0, math.pi / 2.0))
+        corner = CameraPose(Pose(1.0, 3.0, -math.pi / 4.0))
+        through = CameraPose(Pose(1.0, 1.0, math.pi / 4.0))
+        got = visible_batch(env, [slide, corner, through])
+        assert got == [visible_objects(env, c)
+                       for c in (slide, corner, through)]
+        assert "o0" in [s.object_id for s in got[0]]
+        assert "o1" in [s.object_id for s in got[1]]
+        assert "o2" not in [s.object_id for s in got[2]]
+
+    def test_no_subjects_and_no_cameras(self):
+        env = make_env()
+        cams = [CameraPose(Pose(1.0, 1.0, 0.0)), CameraPose(Pose(3.0, 2.0, 1.0))]
+        assert visible_batch(env, cams) == [[], []]
+        assert visible_batch(make_env(furniture=(table(),)), []) == []
+
+    def test_room_lattices_match_brute_force(self):
+        env = build_environment(GenConfig(), 7)
+        cams = _lattice(env)
+        for got, cam in zip(visible_batch(env, cams), cams):
+            want = brute_force_visible(env, cam)
+            assert [(s.object_id, s.kind) for s in got] == \
+                   [(s.object_id, s.kind) for s in want]
+            for g, w in zip(got, want):
+                assert g.bearing == pytest.approx(w.bearing, abs=1e-12)
+                assert g.range == pytest.approx(w.range, abs=1e-12)
 
 
 def test_capture_supports_excludes_held():

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from .geometry import dist, norm_angle
 from .language import InstructionAst, AttributeSet, SpatialRelation
 from .planner import (
-    NoPath, Path, grid_for, plan_path, segment_clear_exact,
+    NoPath, Path, geometry_key, grid_for, plan_path, segment_clear_exact,
 )
 from .relations import (
     RelationThresholds, attrs_match, n_specified, relation_holds,
@@ -145,36 +145,43 @@ def captured(env: Environment, cam: CameraPose) -> list[Snapshot]:
     return hit
 
 
+# (grid geometry key, room bounds, robot's grid component) -> lattice points.
+_CRAWL_MEMO: dict[tuple, tuple[tuple[float, float], ...]] = {}
+
+
 def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
     """Reachable lattice viewpoints of a room, in serpentine visit order.
 
     Points sit strictly inside the room at 1 m spacing and must be free on
     the inflated grid in the robot's own grid component; the robot only ever
     occupies free cells of the one navigable component, so the runtime crawl
-    and any static replay enumerate the same poses.
+    and any static replay enumerate the same poses.  The lattice depends on
+    nothing else, so it is memoized on exactly that; each call returns a
+    fresh list.
     """
-    room = env.room(room_id)
     grid = grid_for(env)
     comp = grid.component_at(env.robot.pose.x, env.robot.pose.y)
+    b = env.room(room_id).bounds
+    key = (geometry_key(env), b.as_tuple(), comp)
+    if key not in _CRAWL_MEMO:
+        xs, ys = [], []
+        k = 1
+        while b.x0 + k * CRAWL_SPACING_M < b.x1:
+            xs.append(b.x0 + k * CRAWL_SPACING_M)
+            k += 1
+        k = 1
+        while b.y0 + k * CRAWL_SPACING_M < b.y1:
+            ys.append(b.y0 + k * CRAWL_SPACING_M)
+            k += 1
 
-    b = room.bounds
-    xs, ys = [], []
-    k = 1
-    while b.x0 + k * CRAWL_SPACING_M < b.x1:
-        xs.append(b.x0 + k * CRAWL_SPACING_M)
-        k += 1
-    k = 1
-    while b.y0 + k * CRAWL_SPACING_M < b.y1:
-        ys.append(b.y0 + k * CRAWL_SPACING_M)
-        k += 1
-
-    pts: list[tuple[float, float]] = []
-    for row, y in enumerate(ys):
-        row_xs = xs if row % 2 == 0 else list(reversed(xs))
-        for x in row_xs:
-            if comp >= 0 and grid.cell_free(x, y) and grid.component_at(x, y) == comp:
-                pts.append((x, y))
-    return pts
+        pts: list[tuple[float, float]] = []
+        for row, y in enumerate(ys):
+            row_xs = xs if row % 2 == 0 else list(reversed(xs))
+            for x in row_xs:
+                if comp >= 0 and grid.cell_free(x, y) and grid.component_at(x, y) == comp:
+                    pts.append((x, y))
+        _CRAWL_MEMO[key] = tuple(pts)
+    return list(_CRAWL_MEMO[key])
 
 
 def lattice_captures(env: Environment, room_id: str) -> list[Capture]:

@@ -11,11 +11,16 @@ orthogonal cells free), which makes 4-connected flood fill an exact
 reachability oracle.  Ties break on (f, h, cell index) so plans are stable
 across runs and platforms.
 
+`segment_clear_exact` skips each rectangle whose distance from the
+segment's bounding box is at least the clearance plus 1e-9: that distance
+is a lower bound on the segment's own, so only the other rectangles need
+the exact `segment_rect_distance`.
+
 `plan_path` is memoised.  A plan depends on nothing but the static geometry
 (`Environment.geometry_digest`), the inflation (robot radius plus margin,
 which also fixes the radius `_snap_start` keeps from obstacles) and the two
 points, so the memo keys on exactly those, with exact floats; the grid cache
-keys on the same geometry and inflation through `_geometry_key`.  A `NoPath`
+keys on the same geometry and inflation through `geometry_key`.  A `NoPath`
 is cached too, since callers such as `room_entry_path` try unreachable
 doors again and again.  Every call returns a fresh `Path` or raises a fresh
 `NoPath`.  The memo is capped at `PLAN_MEMO_CAP` entries, oldest evicted
@@ -110,10 +115,8 @@ def build_grid(env: Environment, inflate: float) -> Grid:
         b = r.bounds
         inside |= (gx >= b.x0) & (gx < b.x1) & (gy >= b.y0) & (gy < b.y1)
     free = inside.copy()
-    for rect in env.walls:
+    for rect in env.obstacles:
         free &= _rect_distance_field(gx, gy, rect) >= inflate
-    for f in env.furniture:
-        free &= _rect_distance_field(gx, gy, f.footprint) >= inflate
 
     comp = np.full((ny, nx), -1, dtype=np.int32)
     label = 0
@@ -134,7 +137,7 @@ def build_grid(env: Environment, inflate: float) -> Grid:
     return Grid(x0, y0, GRID_RES_M, free, comp)
 
 
-def _geometry_key(env: Environment) -> tuple[str, float]:
+def geometry_key(env: Environment) -> tuple[str, float]:
     """(static geometry digest, inflation): what a grid depends on."""
     return (env.geometry_digest, env.robot.radius + INFLATE_MARGIN_M)
 
@@ -144,20 +147,36 @@ _GRID_CACHE: dict[tuple[str, float], Grid] = {}
 
 def grid_for(env: Environment) -> Grid:
     """Cached grid per static geometry and inflation (robot radius + margin)."""
-    key = _geometry_key(env)
+    key = geometry_key(env)
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = build_grid(env, key[1])
     return _GRID_CACHE[key]
 
 
+# Margin of the segment prefilter's distance bound: covers the rounding of
+# both distances.
+_PREFILTER_EPS = 1e-9
+
+
 def segment_clear_exact(env: Environment, a: tuple[float, float],
                         b: tuple[float, float], clearance: float) -> bool:
-    """True iff the segment keeps `clearance` from all walls and furniture."""
-    for w in env.walls:
-        if segment_rect_distance(a[0], a[1], b[0], b[1], w) < clearance:
-            return False
-    for f in env.furniture:
-        if segment_rect_distance(a[0], a[1], b[0], b[1], f.footprint) < clearance:
+    """True iff the segment keeps `clearance` from all walls and furniture.
+
+    `segment_rect_distance` decides.  A rectangle at least `clearance` plus
+    1e-9 from the segment's bounding box is provably clear and skipped; with
+    a non-finite coordinate every rectangle goes to the exact test.
+    """
+    ax, ay = a
+    bx, by = b
+    lo_x, hi_x = min(ax, bx), max(ax, bx)
+    lo_y, hi_y = min(ay, by), max(ay, by)
+    boxed = math.isfinite(ax + ay + bx + by)
+    need = clearance + _PREFILTER_EPS
+    for r in env.obstacles:
+        if boxed and math.hypot(max(r.x0 - hi_x, lo_x - r.x1, 0.0),
+                                max(r.y0 - hi_y, lo_y - r.y1, 0.0)) >= need:
+            continue
+        if segment_rect_distance(ax, ay, bx, by, r) < clearance:
             return False
     return True
 
@@ -272,7 +291,7 @@ def clear_plan_memo() -> None:
 def plan_path(env: Environment, start: tuple[float, float],
               goal: tuple[float, float]) -> Path:
     """Shortest grid path from start to goal, smoothed; raises NoPath."""
-    key = (_geometry_key(env), start, goal)
+    key = (geometry_key(env), start, goal)
     entry = _PLAN_MEMO.get(key)
     if entry is None:
         try:

@@ -441,14 +441,14 @@ def validate_episode(rec) -> list[str]:
     return bad
 
 
-def export_dataset(tasks: list[tuple[Environment, TaskSpec]], out_dir,
+def export_dataset(records: list[dict], out_dir,
                    meta: dict | None = None) -> dict:
-    """Write one canonical-JSON file per episode plus a manifest; returns it."""
+    """Write one canonical-JSON file per `episode_record` plus a manifest;
+    returns the manifest.  Record i is written as episode i."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
-    for i, (env, task) in enumerate(tasks):
-        rec = episode_record(i, env, task)
+    for i, rec in enumerate(records):
         issues = validate_episode(rec)
         assert not issues, f"episode {i} fails schema: {issues}"
         name = f"episode_{i:04d}.json"

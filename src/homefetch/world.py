@@ -8,6 +8,15 @@ object sits on a named support surface.  All mutation happens through
 `visible_objects` is the visibility contract, one camera at a time.
 `visible_batch` answers for many cameras at once and must return exactly
 what `visible_objects` returns for each, bit for bit.
+
+`point_blocked` is the collision contract: its exact loop over every wall
+and footprint decides.  A clearance field is its conservative shortcut.  For
+each static geometry and clearance, the field marks the 0.05 m cells in
+which every point provably clears: the cell's box, widened by 1e-9, lies
+inside one room's half-open bounds, and its exact box-to-rectangle distance
+to every obstacle is at least the clearance plus 1e-9.  `point_blocked`
+returns False at once in such a cell and runs the exact loop everywhere
+else, so its answer is the same by construction.
 """
 from __future__ import annotations
 
@@ -218,11 +227,15 @@ class Environment:
         return hashlib.sha256(repr(static).encode("ascii")).hexdigest()
 
     @cached_property
+    def obstacles(self) -> tuple[Rect, ...]:
+        """Every wall, then every furniture footprint in `furniture` order:
+        the static rectangles that block motion and sight."""
+        return (*self.walls, *(f.footprint for f in self.furniture))
+
+    @cached_property
     def sight_rects(self) -> np.ndarray:
-        """(x0, y0, x1, y1) rows of every wall, then every furniture
-        footprint in `furniture` order: the rectangles a sight line can hit."""
-        rects = self.walls + [f.footprint for f in self.furniture]
-        return np.array([r.as_tuple() for r in rects],
+        """(x0, y0, x1, y1) rows of `obstacles`."""
+        return np.array([r.as_tuple() for r in self.obstacles],
                         dtype=np.float64).reshape(-1, 4)
 
     @property
@@ -459,16 +472,83 @@ def capture_supports(env: Environment) -> dict[str, str]:
             if o.support is not None}
 
 
+CLEARANCE_CELL_M = 0.05
+# Widening of a field cell's box and margin on its distance bound: covers
+# the rounding of the cell index and of every distance, so a cell's verdict
+# holds for each point the query maps into it.
+_FIELD_EPS = 1e-9
+
+
+@dataclass(frozen=True, slots=True)
+class ClearanceField:
+    """Cells of `CLEARANCE_CELL_M` from (x0, y0); `safe[iy * nx + ix]` is 1
+    where every point of the cell is in a room and clears every obstacle."""
+    x0: float
+    y0: float
+    nx: int
+    ny: int
+    safe: bytes
+
+
+# (geometry digest, clearance) -> field.  Every session builds a fresh
+# Environment on the same layout, so the field is shared by geometry.
+_FIELDS: dict[tuple[str, float], ClearanceField] = {}
+
+
+def clearance_field(env: Environment, clearance: float) -> ClearanceField:
+    """The cached field of env's static geometry at `clearance`."""
+    key = (env.geometry_digest, clearance)
+    fld = _FIELDS.get(key)
+    if fld is None:
+        fld = _FIELDS[key] = _build_field(env, clearance)
+    return fld
+
+
+def _build_field(env: Environment, clearance: float) -> ClearanceField:
+    if not env.rooms:
+        return ClearanceField(0.0, 0.0, 0, 0, b"")
+    res = CLEARANCE_CELL_M
+    bounds = np.array([r.bounds.as_tuple() for r in env.rooms]).reshape(-1, 4)
+    x0, y0 = bounds[:, 0].min(), bounds[:, 1].min()
+    nx = int(math.ceil((bounds[:, 2].max() - x0) / res))
+    ny = int(math.ceil((bounds[:, 3].max() - y0) / res))
+    # Widened cell boxes: [xlo, xhi] per column, [ylo, yhi] per row.
+    xlo = x0 + np.arange(nx) * res - _FIELD_EPS
+    xhi = x0 + np.arange(1, nx + 1) * res + _FIELD_EPS
+    ylo = y0 + np.arange(ny) * res - _FIELD_EPS
+    yhi = y0 + np.arange(1, ny + 1) * res + _FIELD_EPS
+    safe = np.zeros((ny, nx), dtype=bool)
+    for bx0, by0, bx1, by1 in bounds:
+        # Half-open room bounds: the box must stay below the high edges.
+        safe |= (((by0 <= ylo) & (yhi < by1))[:, None]
+                 & ((bx0 <= xlo) & (xhi < bx1))[None, :])
+    need = clearance + _FIELD_EPS
+    for r in env.obstacles:
+        dx = np.maximum(np.maximum(r.x0 - xhi, xlo - r.x1), 0.0)
+        dy = np.maximum(np.maximum(r.y0 - yhi, ylo - r.y1), 0.0)
+        safe &= np.hypot(dy[:, None], dx[None, :]) >= need
+    return ClearanceField(float(x0), float(y0), nx, ny,
+                          safe.astype(np.uint8).tobytes())
+
+
 def point_blocked(env: Environment, x: float, y: float, clearance: float) -> bool:
     """True iff (x, y) is outside every room or nearer than `clearance` to a
-    wall or a furniture footprint."""
+    wall or a furniture footprint.
+
+    The exact loop below is the contract.  A point in a safe cell of the
+    clearance field provably passes it, so it is answered without the loop.
+    """
+    fld = clearance_field(env, clearance)
+    u = (x - fld.x0) / CLEARANCE_CELL_M
+    v = (y - fld.y0) / CLEARANCE_CELL_M
+    # Comparisons with NaN are False, so a NaN coordinate takes the loop.
+    if 0.0 <= u < fld.nx and 0.0 <= v < fld.ny and \
+            fld.safe[int(v) * fld.nx + int(u)]:
+        return False
     if point_in_room(env, x, y) is None:
         return True
-    for w in env.walls:
-        if w.distance_to(x, y) < clearance:
-            return True
-    for f in env.furniture:
-        if f.footprint.distance_to(x, y) < clearance:
+    for r in env.obstacles:
+        if r.distance_to(x, y) < clearance:
             return True
     return False
 

@@ -93,6 +93,13 @@ def sighting(oid: str, kind: str = DYNAMIC, category: str = "bottle",
                     material=material, bearing=bearing, range=rng)
 
 
+def nudge(v: float, rng: random.Random) -> float:
+    """v, or a float one or two steps from it."""
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        v = math.nextafter(v, rng.choice((-math.inf, math.inf)))
+    return v
+
+
 # --- reading a session's facts from its event log -------------------------
 
 def only_event(events: list[dict], name: str) -> dict:

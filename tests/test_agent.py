@@ -96,6 +96,21 @@ class TestCrawlLattice:
         assert (1.0, 1.0) in pts and (2.0, 2.0) in pts
         assert len(pts) == 10
 
+    def test_crawl_points_are_the_callers_own(self):
+        env = make_env(room=Rect(0, 0, 5, 4))
+        crawl_points(env, "r0").clear()
+        assert len(crawl_points(env, "r0")) == 12
+
+    def test_crawl_points_keyed_by_geometry_and_component(self):
+        bare = make_env(room=Rect(0, 0, 5, 4), layout_id="shared")
+        furnished = make_env(room=Rect(0, 0, 5, 4), layout_id="shared",
+                             furniture=(table("t0", Rect(1.8, 0.7, 3.0, 1.5)),))
+        assert len(crawl_points(bare, "r0")) == 12
+        assert len(crawl_points(furnished, "r0")) == 10
+        # Off every free cell the robot is in no component: no lattice.
+        bare.robot.pose = Pose(-1.0, -1.0)
+        assert crawl_points(bare, "r0") == []
+
     def test_lattice_captures_shape(self):
         env = make_env(room=Rect(0, 0, 5, 4))
         before = (env.robot.pose, env.clock)

@@ -1,11 +1,14 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import ball, make_env, table
+from helpers import ball, make_env, nudge, table
 from homefetch import planner
-from homefetch.geometry import Rect, dist
+from homefetch.agent import DOCK_CLEARANCE_M, DOCK_SEGMENT_CLEARANCE_M
+from homefetch.geometry import Rect, dist, segment_rect_distance
 from homefetch.layouts import make_environment
 from homefetch.planner import (
     GRID_RES_M,
@@ -274,3 +277,111 @@ class TestSegmentClearExact:
         env = make_env(furniture=(t,))
         assert not segment_clear_exact(env, (1.0, 2.5), (1.8, 2.5), 0.29)
         assert segment_clear_exact(env, (1.0, 1.0), (1.5, 1.0), 0.29)
+
+
+def _segment_clear_by_loop(env, a, b, clearance: float) -> bool:
+    """`segment_clear_exact` without the prefilter: the plain loop."""
+    for w in env.walls:
+        if segment_rect_distance(a[0], a[1], b[0], b[1], w) < clearance:
+            return False
+    for f in env.furniture:
+        if segment_rect_distance(a[0], a[1], b[0], b[1], f.footprint) < clearance:
+            return False
+    return True
+
+
+def _probe_segments(env, clearance: float, rng: random.Random, n: int):
+    """Segments where a wrong prefilter would show: along a line exactly
+    `clearance` from an obstacle edge, ending exactly `clearance` from a
+    corner, degenerate, short or long, and each end sometimes nudged by a
+    float step."""
+    rects = env.walls + [f.footprint for f in env.furniture]
+    lo_x = min(r.bounds.x0 for r in env.rooms) - 1.0
+    hi_x = max(r.bounds.x1 for r in env.rooms) + 1.0
+    lo_y = min(r.bounds.y0 for r in env.rooms) - 1.0
+    hi_y = max(r.bounds.y1 for r in env.rooms) + 1.0
+
+    def anywhere():
+        return (rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
+
+    segs = []
+    for _ in range(n):
+        r = rng.choice(rects)
+        kind = rng.randrange(5)
+        if kind == 0:  # along a clearance line of an edge
+            if rng.random() < 0.5:
+                x = nudge(rng.choice((r.x0 - clearance, r.x1 + clearance)), rng)
+                a = (x, nudge(rng.uniform(r.y0 - 1.0, r.y1 + 1.0), rng))
+                b = (x, nudge(rng.uniform(r.y0 - 1.0, r.y1 + 1.0), rng))
+            else:
+                y = nudge(rng.choice((r.y0 - clearance, r.y1 + clearance)), rng)
+                a = (nudge(rng.uniform(r.x0 - 1.0, r.x1 + 1.0), rng), y)
+                b = (nudge(rng.uniform(r.x0 - 1.0, r.x1 + 1.0), rng), y)
+        elif kind == 1:  # ends exactly clearance from a corner
+            cx, cy = rng.choice(((r.x0, r.y0), (r.x1, r.y0),
+                                 (r.x0, r.y1), (r.x1, r.y1)))
+            t = rng.uniform(-math.pi, math.pi)
+            a = (nudge(cx + clearance * math.cos(t), rng),
+                 nudge(cy + clearance * math.sin(t), rng))
+            b = anywhere() if rng.random() < 0.5 else a
+        elif kind == 2:  # short, as from staging to dock
+            a = anywhere()
+            t = rng.uniform(-math.pi, math.pi)
+            d = rng.uniform(0.0, 0.8)
+            b = (a[0] + d * math.cos(t), a[1] + d * math.sin(t))
+        else:
+            a, b = anywhere(), anywhere()
+        segs.append((a, b))
+    return segs
+
+
+_CLEARANCES = [ROBOT_RADIUS_M, ROBOT_RADIUS_M + 0.01, DOCK_SEGMENT_CLEARANCE_M,
+               DOCK_CLEARANCE_M]
+
+
+class TestSegmentPrefilter:
+    """`segment_clear_exact` equals the plain loop, segment by segment."""
+
+    @pytest.mark.parametrize("clearance", _CLEARANCES)
+    def test_shipped_layout_equals_loop(self, clearance):
+        env = make_environment("default")
+        for a, b in _probe_segments(env, clearance, random.Random(3), 1500):
+            assert segment_clear_exact(env, a, b, clearance) == \
+                _segment_clear_by_loop(env, a, b, clearance), (a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x0=st.integers(-40, 40), y0=st.integers(-40, 40),
+           w=st.integers(30, 120), h=st.integers(30, 120),
+           tables=st.lists(st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 0.8),
+                                     st.integers(6, 30), st.integers(6, 30)),
+                           max_size=3),
+           seed=st.integers(0, 2**32 - 1), clearance=st.sampled_from(_CLEARANCES))
+    def test_random_scenes_equal_loop(self, x0, y0, w, h, tables, seed,
+                                      clearance):
+        # Corners on the 0.05 m lattice put clearance lines on exact floats.
+        room = Rect(x0 * GRID_RES_M, y0 * GRID_RES_M, (x0 + w) * GRID_RES_M,
+                    (y0 + h) * GRID_RES_M)
+        furniture = []
+        for k, (fx, fy, fw, fh) in enumerate(tables):
+            tx = room.x0 + fx * room.width
+            ty = room.y0 + fy * room.height
+            furniture.append(table(f"t{k}", Rect(tx, ty, tx + fw * GRID_RES_M,
+                                                 ty + fh * GRID_RES_M)))
+        env = make_env(room=room, furniture=tuple(furniture))
+        for a, b in _probe_segments(env, clearance, random.Random(seed), 300):
+            assert segment_clear_exact(env, a, b, clearance) == \
+                _segment_clear_by_loop(env, a, b, clearance), (a, b)
+
+    def test_non_finite_ends_take_the_loop(self):
+        env = make_environment("default")
+        for a, b in (((math.nan, 2.5), (3.0, 2.5)), ((3.0, 2.5), (math.nan, 2.5)),
+                     ((3.0, 2.5), (3.0, math.inf)), ((-math.inf, 2.5), (3.0, 2.5)),
+                     ((3.0, math.nan), (3.0, 2.5)),
+                     ((9.5, -0.6), (math.inf, -math.inf)),
+                     ((-math.inf, 3.4), (-1.0, -math.inf))):
+            assert segment_clear_exact(env, a, b, DOCK_SEGMENT_CLEARANCE_M) == \
+                _segment_clear_by_loop(env, a, b, DOCK_SEGMENT_CLEARANCE_M)
+        # The loop's arithmetic on infinities finds a wall here, though the
+        # segment's bounding box is far from every wall.
+        assert not segment_clear_exact(env, (9.5, -0.6), (math.inf, -math.inf),
+                                       DOCK_SEGMENT_CLEARANCE_M)

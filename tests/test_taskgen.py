@@ -338,10 +338,11 @@ class TestEpisodeExport:
         assert validate_episode(rec)
 
     def test_export_roundtrip_bytes(self, tmp_path):
-        tasks = [generate_task(GenConfig(), s) for s in (14, 15)]
+        records = [episode_record(i, *generate_task(GenConfig(), s))
+                   for i, s in enumerate((14, 15))]
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        m1 = export_dataset(tasks, out1, meta={"seed": 0})
-        m2 = export_dataset(tasks, out2, meta={"seed": 0})
+        m1 = export_dataset(records, out1, meta={"seed": 0})
+        m2 = export_dataset(records, out2, meta={"seed": 0})
         assert m1 == m2
         assert m1["format"] == "homefetch-manifest/1"
         assert m1["count"] == 2

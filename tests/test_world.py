@@ -4,14 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ball, brute_force_visible, make_env, table
-from homefetch.agent import HEADINGS, crawl_points
+from helpers import ball, brute_force_visible, make_env, nudge, table
+from homefetch.agent import DOCK_CLEARANCE_M, HEADINGS, crawl_points
 from homefetch.geometry import Rect, norm_angle
 from homefetch.layouts import make_environment
 from homefetch.taskgen import GenConfig, build_environment
 from homefetch.world import (
     CAMERA_FOV_RAD,
     CAMERA_RANGE_M,
+    CLEARANCE_CELL_M,
     DT_S,
     DYNAMIC,
     GRIP_OFFSET_M,
@@ -22,6 +23,7 @@ from homefetch.world import (
     ROBOT_RADIUS_M,
     SURFACE,
     CameraPose,
+    Environment,
     GripperOccupied,
     NoFreePose,
     NoSuchObject,
@@ -29,14 +31,18 @@ from homefetch.world import (
     Occluded,
     OutOfReach,
     Pose,
+    RobotState,
+    RoomSpec,
     SurfaceOutOfReach,
     attach_pose,
     capture_supports,
+    clearance_field,
     env_record,
     grasp,
     line_of_sight,
     place,
     place_spot,
+    point_blocked,
     point_in_room,
     robot_collides,
     step,
@@ -348,6 +354,167 @@ def test_robot_collides_outside_rooms():
     assert robot_collides(env, -2.0, -2.0)
     assert not robot_collides(env, 3.0, 2.5)
     assert robot_collides(env, 0.2, 2.5)  # 0.15 m from the left wall slab
+
+
+def _blocked_by_loop(env, x: float, y: float, clearance: float) -> bool:
+    """`point_blocked` without the clearance field: the plain loop."""
+    if point_in_room(env, x, y) is None:
+        return True
+    for w in env.walls:
+        if w.distance_to(x, y) < clearance:
+            return True
+    for f in env.furniture:
+        if f.footprint.distance_to(x, y) < clearance:
+            return True
+    return False
+
+
+def _probe_points(env, clearance: float, rng: random.Random,
+                  n: int) -> list[tuple[float, float]]:
+    """Points where a wrong field would show: on field cell edges and room
+    bounds, exactly `clearance` from an obstacle's edge or corner, each
+    nudged by a float step or two, and outside the field's grid."""
+    fld = clearance_field(env, clearance)
+    res = CLEARANCE_CELL_M
+    xs = [fld.x0 + k * res for k in range(fld.nx + 1)]
+    ys = [fld.y0 + k * res for k in range(fld.ny + 1)]
+    for r in env.rooms:
+        xs += [r.bounds.x0, r.bounds.x1]
+        ys += [r.bounds.y0, r.bounds.y1]
+    rings = []
+    for r in env.walls + [f.footprint for f in env.furniture]:
+        xs += [r.x0 - clearance, r.x1 + clearance]
+        ys += [r.y0 - clearance, r.y1 + clearance]
+        rings.append(r)
+    pts = [(-1e6, 0.0), (1e6, 1e6), (fld.x0 - res, fld.y0),
+           (fld.x0 + (fld.nx + 1) * res, fld.y0 + 0.5 * fld.ny * res)]
+    for _ in range(n):
+        kind = rng.randrange(4) if rings else rng.choice((0, 3))
+        if kind == 0:  # a cell edge, room bound or clearance line per axis
+            pts.append((nudge(rng.choice(xs), rng), nudge(rng.choice(ys), rng)))
+        elif kind == 1:  # exactly clearance from an edge, along its span
+            r = rng.choice(rings)
+            along = rng.uniform(r.y0, r.y1)
+            side = rng.choice((r.x0 - clearance, r.x1 + clearance))
+            pts.append((nudge(side, rng), nudge(along, rng)))
+            along = rng.uniform(r.x0, r.x1)
+            side = rng.choice((r.y0 - clearance, r.y1 + clearance))
+            pts.append((nudge(along, rng), nudge(side, rng)))
+        elif kind == 2:  # exactly clearance from a corner
+            r = rng.choice(rings)
+            cx, cy = rng.choice(((r.x0, r.y0), (r.x1, r.y0),
+                                 (r.x0, r.y1), (r.x1, r.y1)))
+            a = rng.uniform(-math.pi, math.pi)
+            pts.append((nudge(cx + clearance * math.cos(a), rng),
+                        nudge(cy + clearance * math.sin(a), rng)))
+        else:  # anywhere, on the grid or a little beyond it
+            pts.append((rng.uniform(fld.x0 - 1.0, fld.x0 + fld.nx * res + 1.0),
+                        rng.uniform(fld.y0 - 1.0, fld.y0 + fld.ny * res + 1.0)))
+    return pts
+
+
+def _open_plan(a: Rect, b: Rect) -> Environment:
+    """Two wall-less rooms: only the half-open room bounds block."""
+    rooms = [RoomSpec(id="a", name="kitchen", bounds=a),
+             RoomSpec(id="b", name="study", bounds=b)]
+    return Environment(layout_id="open", rooms=rooms, doors=[], walls=[],
+                       furniture=[], objects={},
+                       robot=RobotState(pose=Pose(a.x0, a.y0)))
+
+
+_COORD = st.one_of(st.integers(-60, 60).map(lambda k: k * CLEARANCE_CELL_M),
+                   st.floats(-3.0, 3.0))
+_SIZE = st.one_of(st.integers(20, 120).map(lambda k: k * CLEARANCE_CELL_M),
+                  st.floats(1.0, 6.0))
+
+
+@st.composite
+def _scenes(draw):
+    """A random one-room scene with tables, or a wall-less pair of rooms
+    sharing part of an edge; coordinates often on the 0.05 m lattice."""
+    x0, y0, w, h = draw(_COORD), draw(_COORD), draw(_SIZE), draw(_SIZE)
+    room = Rect(x0, y0, x0 + w, y0 + h)
+    if draw(st.booleans()):
+        # The second room sits right of or above the first, shifted along
+        # the shared edge so that part of each room's edge borders nothing.
+        shift, w2, h2 = draw(_COORD), draw(_SIZE), draw(_SIZE)
+        if draw(st.booleans()):
+            other = Rect(room.x1, y0 + shift, room.x1 + w2, y0 + shift + h2)
+        else:
+            other = Rect(x0 + shift, room.y1, x0 + shift + w2, room.y1 + h2)
+        return _open_plan(room, other)
+    tables = []
+    for k in range(draw(st.integers(0, 3))):
+        tx = x0 + draw(st.floats(0.0, 0.8)) * w
+        ty = y0 + draw(st.floats(0.0, 0.8)) * h
+        tw = draw(st.integers(6, 30)) * CLEARANCE_CELL_M
+        th = draw(st.integers(6, 30)) * CLEARANCE_CELL_M
+        tables.append(table(f"t{k}", Rect(tx, ty, tx + tw, ty + th)))
+    return make_env(room=room, furniture=tuple(tables))
+
+
+class TestClearanceField:
+    """`point_blocked` with the field equals the plain loop, point by point."""
+
+    @pytest.mark.parametrize("clearance", [ROBOT_RADIUS_M, DOCK_CLEARANCE_M])
+    def test_shipped_layout_equals_loop(self, clearance):
+        env = make_environment("default")
+        rng = random.Random(11)
+        for x, y in _probe_points(env, clearance, rng, 20000):
+            assert point_blocked(env, x, y, clearance) == \
+                _blocked_by_loop(env, x, y, clearance), (x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(env=_scenes(), seed=st.integers(0, 2**32 - 1),
+           clearance=st.sampled_from([ROBOT_RADIUS_M, DOCK_CLEARANCE_M]))
+    def test_random_scenes_equal_loop(self, env, seed, clearance):
+        for x, y in _probe_points(env, clearance, random.Random(seed), 1500):
+            assert point_blocked(env, x, y, clearance) == \
+                _blocked_by_loop(env, x, y, clearance), (x, y)
+
+    def test_offset_open_plan_equals_loop(self):
+        # Corners where a room edge borders nothing: a cell box that is not
+        # widened lets a point just outside both rooms through.
+        env = _open_plan(Rect(0.0, 0.0, 1.0, 1.0), Rect(-0.05, 1.0, 0.95, 2.0))
+        for clearance in (ROBOT_RADIUS_M, DOCK_CLEARANCE_M):
+            for x, y in _probe_points(env, clearance, random.Random(5), 3000):
+                assert point_blocked(env, x, y, clearance) == \
+                    _blocked_by_loop(env, x, y, clearance), (x, y)
+
+    def test_shared_room_edge_is_half_open(self):
+        env = _open_plan(Rect(0.0, 0.0, 3.0, 3.0), Rect(3.0, 0.0, 6.0, 1.5))
+        assert not point_blocked(env, 3.0, 1.0, 0.25)  # room b's low edge
+        assert point_blocked(env, 3.0, 2.0, 0.25)  # room a's high edge only
+        assert point_blocked(env, 1.0, 3.0, 0.25)
+        assert not point_blocked(env, math.nextafter(3.0, 0.0), 2.0, 0.25)
+
+    def test_non_finite_coordinates_are_blocked(self):
+        env = make_environment("default")
+        for x, y in ((math.nan, 2.5), (3.0, math.nan), (math.inf, 2.5),
+                     (3.0, -math.inf)):
+            assert point_blocked(env, x, y, ROBOT_RADIUS_M)
+            assert _blocked_by_loop(env, x, y, ROBOT_RADIUS_M)
+
+    def test_no_rooms_blocks_everywhere(self):
+        env = make_env()
+        env.rooms.clear()
+        assert point_blocked(env, 3.0, 2.5, ROBOT_RADIUS_M)
+
+    def test_some_cells_skip_the_loop(self):
+        fld = clearance_field(make_environment("default"), ROBOT_RADIUS_M)
+        assert len(fld.safe) == fld.nx * fld.ny
+        assert 0 < sum(fld.safe) < len(fld.safe)
+
+    def test_cache_keyed_by_geometry_not_layout_id(self):
+        bare = make_env(layout_id="shared")
+        furnished = make_env(furniture=(table("t0", Rect(2.0, 2.0, 3.0, 3.0)),),
+                             layout_id="shared")
+        assert not point_blocked(bare, 2.5, 1.9, ROBOT_RADIUS_M)
+        assert point_blocked(furnished, 2.5, 1.9, ROBOT_RADIUS_M)
+        assert clearance_field(bare, ROBOT_RADIUS_M) is not \
+            clearance_field(furnished, ROBOT_RADIUS_M)
+        assert clearance_field(make_env(layout_id="other"), ROBOT_RADIUS_M) \
+            is clearance_field(bare, ROBOT_RADIUS_M)
 
 
 class TestGrasp:

@@ -23,9 +23,7 @@ from typing import TYPE_CHECKING
 
 from .geometry import dist, norm_angle
 from .language import InstructionAst, AttributeSet, SpatialRelation
-from .planner import (
-    NoPath, Path, geometry_key, grid_for, plan_path, segment_clear_exact,
-)
+from .planner import NoPath, Path, plan_path, segment_clear_exact
 from .relations import (
     RelationThresholds, attrs_match, n_specified, relation_holds,
 )
@@ -33,9 +31,9 @@ from .seeds import KeyedStream
 from .vocab import DEFAULT
 from .world import (
     DT_S, DYNAMIC, SURFACE, ActionFailure, CameraPose, Environment, Pose,
-    Snapshot, capture_supports, grasp as world_grasp, line_of_sight,
-    place as world_place, point_blocked, point_in_room, sight_ignore,
-    step as world_step, visible_batch, visible_objects,
+    Snapshot, capture_supports, geometry_key, grasp as world_grasp, grid_for,
+    line_of_sight, place as world_place, point_blocked, point_in_room,
+    sight_ignore, step as world_step, visible_batch, visible_objects,
 )
 
 if TYPE_CHECKING:
@@ -123,13 +121,6 @@ class Grounding:
 
 # --- perception ------------------------------------------------------------
 
-def _memo_key(env: Environment, cam: CameraPose) -> tuple:
-    """Everything `visible_objects` reads that can differ between calls on
-    one environment: the scene version and the whole camera."""
-    return (env.scene_version, cam.pose.x, cam.pose.y, cam.pose.theta,
-            cam.fov, cam.range)
-
-
 def captured(env: Environment, cam: CameraPose) -> list[Snapshot]:
     """visible_objects, memoized on the environment.
 
@@ -137,12 +128,19 @@ def captured(env: Environment, cam: CameraPose) -> list[Snapshot]:
     geometry is fixed after construction, and every move or re-parenting of
     an object bumps the scene version.
     """
-    key = _memo_key(env, cam)
+    key = (env.scene_version, cam.pose.x, cam.pose.y, cam.pose.theta,
+           cam.fov, cam.range)
     hit = env._vis_memo.get(key)
     if hit is None:
         hit = visible_objects(env, cam)
         env._vis_memo[key] = hit
     return hit
+
+
+def _robot_component(env: Environment) -> int | None:
+    """The robot's component of free grid cells, or None off every free cell."""
+    comp = grid_for(env).component_at(env.robot.pose.x, env.robot.pose.y)
+    return comp if comp >= 0 else None
 
 
 # (grid geometry key, room bounds, robot's grid component) -> lattice points.
@@ -160,7 +158,7 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
     fresh list.
     """
     grid = grid_for(env)
-    comp = grid.component_at(env.robot.pose.x, env.robot.pose.y)
+    comp = _robot_component(env)
     b = env.room(room_id).bounds
     key = (geometry_key(env), b.as_tuple(), comp)
     if key not in _CRAWL_MEMO:
@@ -178,7 +176,7 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
         for row, y in enumerate(ys):
             row_xs = xs if row % 2 == 0 else list(reversed(xs))
             for x in row_xs:
-                if comp >= 0 and grid.cell_free(x, y) and grid.component_at(x, y) == comp:
+                if comp is not None and grid.component_at(x, y) == comp:
                     pts.append((x, y))
         _CRAWL_MEMO[key] = tuple(pts)
     return list(_CRAWL_MEMO[key])
@@ -187,18 +185,19 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
 def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
     """The captures a full undisturbed crawl of the room would produce.
 
-    Cameras not yet in the `captured` memo are seen in one `visible_batch`
-    and memoized under the same key.
+    Memoized on the environment by (scene version, room, robot's grid
+    component), all it depends on; each call returns a fresh list.
     """
-    supports = capture_supports(env)
-    cams = [CameraPose(Pose(x, y, h))
-            for (x, y) in crawl_points(env, room_id) for h in HEADINGS]
-    keys = [_memo_key(env, cam) for cam in cams]
-    memo = env._vis_memo
-    todo = [k for k in range(len(cams)) if keys[k] not in memo]
-    for k, snaps in zip(todo, visible_batch(env, [cams[k] for k in todo])):
-        memo[keys[k]] = snaps
-    return [Capture(cam, memo[key], supports) for cam, key in zip(cams, keys)]
+    key = (env.scene_version, room_id, _robot_component(env))
+    caps = env._lattice_memo.get(key)
+    if caps is None:
+        supports = capture_supports(env)
+        cams = [CameraPose(Pose(x, y, h))
+                for (x, y) in crawl_points(env, room_id) for h in HEADINGS]
+        caps = env._lattice_memo[key] = [
+            Capture(cam, snaps, supports)
+            for cam, snaps in zip(cams, visible_batch(env, cams))]
+    return list(caps)
 
 
 # --- low-level motion -------------------------------------------------------
@@ -535,12 +534,6 @@ def ground(instr: InstructionAst, captures: list[Capture],
 class Approach:
     staging: tuple[float, float]
     dock: tuple[float, float]
-
-
-def _robot_component(env: Environment) -> int | None:
-    grid = grid_for(env)
-    comp = grid.component_at(env.robot.pose.x, env.robot.pose.y)
-    return comp if comp >= 0 else None
 
 
 def find_approach(env: Environment, est: tuple[float, float], max_dist: float,

@@ -1,10 +1,12 @@
 """Grid-based path planning over the static geometry.
 
-The occupancy grid rasterizes rooms, walls, and furniture at 0.05 m and
-inflates obstacles by the robot radius plus a safety margin, so any path
-whose samples stay in free cells keeps real clearance well above the robot
-radius.  Dynamic objects never appear in the grid: they always rest on
-furniture, whose inflated footprint already covers them.
+Plans run on `world.Grid`, the one raster of the static geometry, built
+and cached by `world.grid_for`.  Its free cells are those whose centre is
+in a room and clear of every obstacle inflated by the robot radius plus a
+safety margin, so any path whose samples stay in free cells keeps real
+clearance well above the robot radius.  Dynamic objects never appear in the
+grid: they always rest on furniture, whose inflated footprint already
+covers them.
 
 A* is 8-connected with the corner rule (a diagonal move needs both adjacent
 orthogonal cells free), which makes 4-connected flood fill an exact
@@ -20,7 +22,7 @@ the exact `segment_rect_distance`.
 (`Environment.geometry_digest`), the inflation (robot radius plus margin,
 which also fixes the radius `_snap_start` keeps from obstacles) and the two
 points, so the memo keys on exactly those, with exact floats; the grid cache
-keys on the same geometry and inflation through `geometry_key`.  A `NoPath`
+keys on the same geometry and inflation through `world.geometry_key`.  A `NoPath`
 is cached too, since callers such as `room_entry_path` try unreachable
 doors again and again.  Every call returns a fresh `Path` or raises a fresh
 `NoPath`.  The memo is capped at `PLAN_MEMO_CAP` entries, oldest evicted
@@ -36,10 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import dist, segment_rect_distance
-from .world import Environment
+from .world import Environment, Grid, geometry_key, grid_for
 
-GRID_RES_M = 0.05
-INFLATE_MARGIN_M = 0.15  # beyond the robot radius
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -51,106 +51,6 @@ class NoPath(Exception):
 class Path:
     waypoints: list[tuple[float, float]]
     total_length: float
-
-
-@dataclass
-class Grid:
-    x0: float
-    y0: float
-    res: float
-    free: np.ndarray  # bool [ny, nx]
-    comp: np.ndarray  # int32 [ny, nx], -1 on blocked cells
-
-    @property
-    def nx(self) -> int:
-        return self.free.shape[1]
-
-    @property
-    def ny(self) -> int:
-        return self.free.shape[0]
-
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (int(math.floor((x - self.x0) / self.res)),
-                int(math.floor((y - self.y0) / self.res)))
-
-    def in_bounds(self, ix: int, iy: int) -> bool:
-        return 0 <= ix < self.nx and 0 <= iy < self.ny
-
-    def center(self, ix: int, iy: int) -> tuple[float, float]:
-        return (self.x0 + (ix + 0.5) * self.res, self.y0 + (iy + 0.5) * self.res)
-
-    def cell_free(self, x: float, y: float) -> bool:
-        ix, iy = self.cell_of(x, y)
-        return self.in_bounds(ix, iy) and bool(self.free[iy, ix])
-
-    def component_at(self, x: float, y: float) -> int:
-        ix, iy = self.cell_of(x, y)
-        if not self.in_bounds(ix, iy):
-            return -1
-        return int(self.comp[iy, ix])
-
-
-def _rect_distance_field(xs: np.ndarray, ys: np.ndarray, rect) -> np.ndarray:
-    dx = np.maximum(np.maximum(rect.x0 - xs, xs - rect.x1), 0.0)
-    dy = np.maximum(np.maximum(rect.y0 - ys, ys - rect.y1), 0.0)
-    return np.hypot(dx, dy)
-
-
-def build_grid(env: Environment, inflate: float) -> Grid:
-    pad = 2 * GRID_RES_M
-    x0 = min(r.bounds.x0 for r in env.rooms) - pad
-    y0 = min(r.bounds.y0 for r in env.rooms) - pad
-    x1 = max(r.bounds.x1 for r in env.rooms) + pad
-    y1 = max(r.bounds.y1 for r in env.rooms) + pad
-    nx = int(math.ceil((x1 - x0) / GRID_RES_M))
-    ny = int(math.ceil((y1 - y0) / GRID_RES_M))
-    ix = np.arange(nx)
-    iy = np.arange(ny)
-    xs = x0 + (ix + 0.5) * GRID_RES_M
-    ys = y0 + (iy + 0.5) * GRID_RES_M
-    gx, gy = np.meshgrid(xs, ys)
-
-    inside = np.zeros((ny, nx), dtype=bool)
-    for r in env.rooms:
-        b = r.bounds
-        inside |= (gx >= b.x0) & (gx < b.x1) & (gy >= b.y0) & (gy < b.y1)
-    free = inside.copy()
-    for rect in env.obstacles:
-        free &= _rect_distance_field(gx, gy, rect) >= inflate
-
-    comp = np.full((ny, nx), -1, dtype=np.int32)
-    label = 0
-    for sy in range(ny):
-        for sx in range(nx):
-            if not free[sy, sx] or comp[sy, sx] >= 0:
-                continue
-            stack = [(sx, sy)]
-            comp[sy, sx] = label
-            while stack:
-                cx, cy = stack.pop()
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    tx, ty = cx + dx, cy + dy
-                    if 0 <= tx < nx and 0 <= ty < ny and free[ty, tx] and comp[ty, tx] < 0:
-                        comp[ty, tx] = label
-                        stack.append((tx, ty))
-            label += 1
-    return Grid(x0, y0, GRID_RES_M, free, comp)
-
-
-def geometry_key(env: Environment) -> tuple[str, float]:
-    """(static geometry digest, inflation): what a grid depends on."""
-    return (env.geometry_digest, env.robot.radius + INFLATE_MARGIN_M)
-
-
-_GRID_CACHE: dict[tuple[str, float], Grid] = {}
-
-
-def grid_for(env: Environment) -> Grid:
-    """Cached grid per static geometry and inflation (robot radius + margin)."""
-    key = geometry_key(env)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = build_grid(env, key[1])
-    return _GRID_CACHE[key]
 
 
 # Margin of the segment prefilter's distance bound: covers the rounding of

@@ -9,19 +9,21 @@ object sits on a named support surface.  All mutation happens through
 `visible_batch` answers for many cameras at once and must return exactly
 what `visible_objects` returns for each, bit for bit.
 
+`Grid` is the one 0.05 m raster of the static geometry: the planner reads
+its free cells, and each cell's `gap` bounds from below the distance from
+any of its points to the nearest wall or footprint.
+
 `point_blocked` is the collision contract: its exact loop over every wall
-and footprint decides.  A clearance field is its conservative shortcut.  For
-each static geometry and clearance, the field marks the 0.05 m cells in
-which every point provably clears: the cell's box, widened by 1e-9, lies
-inside one room's half-open bounds, and its exact box-to-rectangle distance
-to every obstacle is at least the clearance plus 1e-9.  `point_blocked`
-returns False at once in such a cell and runs the exact loop everywhere
-else, so its answer is the same by construction.
+and footprint decides.  The gap is its conservative shortcut, one grid for
+every clearance: in a cell whose gap is at least the clearance plus 1e-9
+every point provably clears, so `point_blocked` returns False at once there
+and runs the exact loop everywhere else.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -210,7 +212,9 @@ class Environment:
     def __post_init__(self) -> None:
         self._surfaces = {s.id: s for f in self.furniture for s in f.surfaces}
         self._rooms = {r.id: r for r in self.rooms}
+        # Per-scene memos of the agent's `captured` and `lattice_captures`.
         self._vis_memo: dict = {}
+        self._lattice_memo: dict = {}
 
     def room(self, room_id: str) -> RoomSpec:
         return self._rooms[room_id]
@@ -472,78 +476,150 @@ def capture_supports(env: Environment) -> dict[str, str]:
             if o.support is not None}
 
 
-CLEARANCE_CELL_M = 0.05
-# Widening of a field cell's box and margin on its distance bound: covers
-# the rounding of the cell index and of every distance, so a cell's verdict
-# holds for each point the query maps into it.
-_FIELD_EPS = 1e-9
+GRID_RES_M = 0.05
+INFLATE_MARGIN_M = 0.15  # beyond the robot radius
+# Widening of a cell's box and margin on its gap: covers the rounding of the
+# cell index and of every distance, so a cell's gap holds for each point the
+# query maps into it.
+_GAP_EPS = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class ClearanceField:
-    """Cells of `CLEARANCE_CELL_M` from (x0, y0); `safe[iy * nx + ix]` is 1
-    where every point of the cell is in a room and clears every obstacle."""
+@dataclass
+class Grid:
+    """Cells of `res` from the padded origin (x0, y0).  A cell is free when
+    its centre is in a room and at least the inflation from every obstacle.
+    `gap[iy * nx + ix]` is the exact distance from the cell's box, widened
+    by 1e-9, to the nearest obstacle; -inf unless that box lies inside one
+    room's half-open bounds."""
     x0: float
     y0: float
-    nx: int
-    ny: int
-    safe: bytes
+    res: float
+    free: np.ndarray  # bool [ny, nx]
+    comp: np.ndarray  # int32 [ny, nx], 4-connected component, -1 if blocked
+    gap: array  # float64 [ny * nx]
+    nx: int = field(init=False)
+    ny: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ny, self.nx = self.free.shape
+
+    def cell_of(self, x: float, y: float) -> tuple[int, int]:
+        return (int(math.floor((x - self.x0) / self.res)),
+                int(math.floor((y - self.y0) / self.res)))
+
+    def in_bounds(self, ix: int, iy: int) -> bool:
+        return 0 <= ix < self.nx and 0 <= iy < self.ny
+
+    def center(self, ix: int, iy: int) -> tuple[float, float]:
+        return (self.x0 + (ix + 0.5) * self.res, self.y0 + (iy + 0.5) * self.res)
+
+    def cell_free(self, x: float, y: float) -> bool:
+        ix, iy = self.cell_of(x, y)
+        return self.in_bounds(ix, iy) and bool(self.free[iy, ix])
+
+    def component_at(self, x: float, y: float) -> int:
+        ix, iy = self.cell_of(x, y)
+        if not self.in_bounds(ix, iy):
+            return -1
+        return int(self.comp[iy, ix])
 
 
-# (geometry digest, clearance) -> field.  Every session builds a fresh
-# Environment on the same layout, so the field is shared by geometry.
-_FIELDS: dict[tuple[str, float], ClearanceField] = {}
+def _axis_gap(lo: np.ndarray, hi: np.ndarray, a0: float, a1: float) -> np.ndarray:
+    """Distance along one axis from each interval [lo, hi] to [a0, a1]."""
+    return np.maximum(np.maximum(a0 - hi, lo - a1), 0.0)
 
 
-def clearance_field(env: Environment, clearance: float) -> ClearanceField:
-    """The cached field of env's static geometry at `clearance`."""
-    key = (env.geometry_digest, clearance)
-    fld = _FIELDS.get(key)
-    if fld is None:
-        fld = _FIELDS[key] = _build_field(env, clearance)
-    return fld
-
-
-def _build_field(env: Environment, clearance: float) -> ClearanceField:
+def build_grid(env: Environment, inflate: float) -> Grid:
+    """The grid of env's static geometry, obstacles inflated by `inflate`."""
     if not env.rooms:
-        return ClearanceField(0.0, 0.0, 0, 0, b"")
-    res = CLEARANCE_CELL_M
-    bounds = np.array([r.bounds.as_tuple() for r in env.rooms]).reshape(-1, 4)
-    x0, y0 = bounds[:, 0].min(), bounds[:, 1].min()
-    nx = int(math.ceil((bounds[:, 2].max() - x0) / res))
-    ny = int(math.ceil((bounds[:, 3].max() - y0) / res))
+        return Grid(0.0, 0.0, GRID_RES_M, np.zeros((0, 0), dtype=bool),
+                    np.zeros((0, 0), dtype=np.int32), array("d"))
+    pad = 2 * GRID_RES_M
+    x0 = min(r.bounds.x0 for r in env.rooms) - pad
+    y0 = min(r.bounds.y0 for r in env.rooms) - pad
+    x1 = max(r.bounds.x1 for r in env.rooms) + pad
+    y1 = max(r.bounds.y1 for r in env.rooms) + pad
+    nx = int(math.ceil((x1 - x0) / GRID_RES_M))
+    ny = int(math.ceil((y1 - y0) / GRID_RES_M))
+    ix = np.arange(nx)
+    iy = np.arange(ny)
+    xs = x0 + (ix + 0.5) * GRID_RES_M
+    ys = y0 + (iy + 0.5) * GRID_RES_M
     # Widened cell boxes: [xlo, xhi] per column, [ylo, yhi] per row.
-    xlo = x0 + np.arange(nx) * res - _FIELD_EPS
-    xhi = x0 + np.arange(1, nx + 1) * res + _FIELD_EPS
-    ylo = y0 + np.arange(ny) * res - _FIELD_EPS
-    yhi = y0 + np.arange(1, ny + 1) * res + _FIELD_EPS
-    safe = np.zeros((ny, nx), dtype=bool)
-    for bx0, by0, bx1, by1 in bounds:
+    xlo = x0 + ix * GRID_RES_M - _GAP_EPS
+    xhi = x0 + (ix + 1) * GRID_RES_M + _GAP_EPS
+    ylo = y0 + iy * GRID_RES_M - _GAP_EPS
+    yhi = y0 + (iy + 1) * GRID_RES_M + _GAP_EPS
+
+    free = np.zeros((ny, nx), dtype=bool)
+    boxed = np.zeros((ny, nx), dtype=bool)
+    for r in env.rooms:
+        b = r.bounds
+        free |= (((ys >= b.y0) & (ys < b.y1))[:, None]
+                 & ((xs >= b.x0) & (xs < b.x1))[None, :])
         # Half-open room bounds: the box must stay below the high edges.
-        safe |= (((by0 <= ylo) & (yhi < by1))[:, None]
-                 & ((bx0 <= xlo) & (xhi < bx1))[None, :])
-    need = clearance + _FIELD_EPS
+        boxed |= (((b.y0 <= ylo) & (yhi < b.y1))[:, None]
+                  & ((b.x0 <= xlo) & (xhi < b.x1))[None, :])
+    gap = np.full((ny, nx), np.inf)
     for r in env.obstacles:
-        dx = np.maximum(np.maximum(r.x0 - xhi, xlo - r.x1), 0.0)
-        dy = np.maximum(np.maximum(r.y0 - yhi, ylo - r.y1), 0.0)
-        safe &= np.hypot(dy[:, None], dx[None, :]) >= need
-    return ClearanceField(float(x0), float(y0), nx, ny,
-                          safe.astype(np.uint8).tobytes())
+        free &= np.hypot(_axis_gap(xs, xs, r.x0, r.x1)[None, :],
+                         _axis_gap(ys, ys, r.y0, r.y1)[:, None]) >= inflate
+        np.minimum(gap, np.hypot(_axis_gap(xlo, xhi, r.x0, r.x1)[None, :],
+                                 _axis_gap(ylo, yhi, r.y0, r.y1)[:, None]),
+                   out=gap)
+    gap[~boxed] = -np.inf
+
+    comp = np.full((ny, nx), -1, dtype=np.int32)
+    label = 0
+    for sy in range(ny):
+        for sx in range(nx):
+            if not free[sy, sx] or comp[sy, sx] >= 0:
+                continue
+            stack = [(sx, sy)]
+            comp[sy, sx] = label
+            while stack:
+                cx, cy = stack.pop()
+                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    tx, ty = cx + dx, cy + dy
+                    if 0 <= tx < nx and 0 <= ty < ny and free[ty, tx] and comp[ty, tx] < 0:
+                        comp[ty, tx] = label
+                        stack.append((tx, ty))
+            label += 1
+    return Grid(x0, y0, GRID_RES_M, free, comp, array("d", gap.tobytes()))
+
+
+def geometry_key(env: Environment) -> tuple[str, float]:
+    """(static geometry digest, inflation): what a grid depends on."""
+    return (env.geometry_digest, env.robot.radius + INFLATE_MARGIN_M)
+
+
+# Every session builds a fresh Environment on the same layout, so grids are
+# shared by geometry.
+_GRID_CACHE: dict[tuple[str, float], Grid] = {}
+
+
+def grid_for(env: Environment) -> Grid:
+    """Cached grid per static geometry and inflation (robot radius + margin)."""
+    key = geometry_key(env)
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
+        grid = _GRID_CACHE[key] = build_grid(env, key[1])
+    return grid
 
 
 def point_blocked(env: Environment, x: float, y: float, clearance: float) -> bool:
     """True iff (x, y) is outside every room or nearer than `clearance` to a
     wall or a furniture footprint.
 
-    The exact loop below is the contract.  A point in a safe cell of the
-    clearance field provably passes it, so it is answered without the loop.
+    The exact loop below is the contract.  A point in a grid cell whose gap
+    is at least `clearance` plus 1e-9 provably passes it and skips the loop.
     """
-    fld = clearance_field(env, clearance)
-    u = (x - fld.x0) / CLEARANCE_CELL_M
-    v = (y - fld.y0) / CLEARANCE_CELL_M
+    g = grid_for(env)
+    u = (x - g.x0) / g.res
+    v = (y - g.y0) / g.res
     # Comparisons with NaN are False, so a NaN coordinate takes the loop.
-    if 0.0 <= u < fld.nx and 0.0 <= v < fld.ny and \
-            fld.safe[int(v) * fld.nx + int(u)]:
+    if 0.0 <= u < g.nx and 0.0 <= v < g.ny and \
+            g.gap[int(v) * g.nx + int(u)] >= clearance + _GAP_EPS:
         return False
     if point_in_room(env, x, y) is None:
         return True

@@ -100,6 +100,49 @@ def nudge(v: float, rng: random.Random) -> float:
     return v
 
 
+# --- reference occupancy grid --------------------------------------------
+
+def reference_grid(env: Environment,
+                   inflate: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(x0, y0, free, comp) of the 0.05 m grid from full meshgrids, one
+    obstacle at a time: an independent builder for `world.build_grid` to
+    equal."""
+    res = 0.05
+    pad = 2 * res
+    x0 = min(r.bounds.x0 for r in env.rooms) - pad
+    y0 = min(r.bounds.y0 for r in env.rooms) - pad
+    x1 = max(r.bounds.x1 for r in env.rooms) + pad
+    y1 = max(r.bounds.y1 for r in env.rooms) + pad
+    nx = int(math.ceil((x1 - x0) / res))
+    ny = int(math.ceil((y1 - y0) / res))
+    gx, gy = np.meshgrid(x0 + (np.arange(nx) + 0.5) * res,
+                         y0 + (np.arange(ny) + 0.5) * res)
+    free = np.zeros((ny, nx), dtype=bool)
+    for r in env.rooms:
+        b = r.bounds
+        free |= (gx >= b.x0) & (gx < b.x1) & (gy >= b.y0) & (gy < b.y1)
+    for rect in env.walls + [f.footprint for f in env.furniture]:
+        dx = np.maximum(np.maximum(rect.x0 - gx, gx - rect.x1), 0.0)
+        dy = np.maximum(np.maximum(rect.y0 - gy, gy - rect.y1), 0.0)
+        free &= np.hypot(dx, dy) >= inflate
+    comp = np.full((ny, nx), -1, dtype=np.int32)
+    label = 0
+    for sy in range(ny):
+        for sx in range(nx):
+            if not free[sy, sx] or comp[sy, sx] >= 0:
+                continue
+            stack = [(sx, sy)]
+            comp[sy, sx] = label
+            while stack:
+                cx, cy = stack.pop()
+                for tx, ty in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
+                    if 0 <= tx < nx and 0 <= ty < ny and free[ty, tx] and comp[ty, tx] < 0:
+                        comp[ty, tx] = label
+                        stack.append((tx, ty))
+            label += 1
+    return x0, y0, free, comp
+
+
 # --- reading a session's facts from its event log -------------------------
 
 def only_event(events: list[dict], name: str) -> dict:

@@ -11,17 +11,23 @@ from homefetch.agent import DOCK_CLEARANCE_M, DOCK_SEGMENT_CLEARANCE_M
 from homefetch.geometry import Rect, dist, segment_rect_distance
 from homefetch.layouts import make_environment
 from homefetch.planner import (
-    GRID_RES_M,
-    INFLATE_MARGIN_M,
     NoPath,
     _plan,
-    build_grid,
     clear_plan_memo,
-    grid_for,
     plan_path,
     segment_clear_exact,
 )
-from homefetch.world import ROBOT_RADIUS_M, Environment, Pose, RobotState, RoomSpec
+from homefetch.world import (
+    GRID_RES_M,
+    INFLATE_MARGIN_M,
+    ROBOT_RADIUS_M,
+    Environment,
+    Pose,
+    RobotState,
+    RoomSpec,
+    build_grid,
+    grid_for,
+)
 
 INFLATE = ROBOT_RADIUS_M + INFLATE_MARGIN_M
 

@@ -1,10 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ball, brute_force_visible, make_env, nudge, table
+from helpers import ball, brute_force_visible, make_env, nudge, reference_grid, table
 from homefetch.agent import DOCK_CLEARANCE_M, HEADINGS, crawl_points
 from homefetch.geometry import Rect, norm_angle
 from homefetch.layouts import make_environment
@@ -12,10 +13,11 @@ from homefetch.taskgen import GenConfig, build_environment
 from homefetch.world import (
     CAMERA_FOV_RAD,
     CAMERA_RANGE_M,
-    CLEARANCE_CELL_M,
     DT_S,
     DYNAMIC,
+    GRID_RES_M,
     GRIP_OFFSET_M,
+    INFLATE_MARGIN_M,
     MAX_ANGULAR_RPS,
     MAX_LINEAR_MPS,
     MIN_SURFACE_AREA_M2,
@@ -35,10 +37,11 @@ from homefetch.world import (
     RoomSpec,
     SurfaceOutOfReach,
     attach_pose,
+    build_grid,
     capture_supports,
-    clearance_field,
     env_record,
     grasp,
+    grid_for,
     line_of_sight,
     place,
     place_spot,
@@ -50,6 +53,8 @@ from homefetch.world import (
     visible_batch,
     visible_objects,
 )
+
+INFLATE = ROBOT_RADIUS_M + INFLATE_MARGIN_M
 
 
 def test_pinned_constants():
@@ -162,7 +167,6 @@ class TestVisibleObjects:
         for i in range(8):
             cfg = GenConfig(objects_per_room=2.0, min_objects=0, max_objects=2)
             env = build_environment(cfg, 1000 + i)
-            from homefetch.planner import grid_for
             grid = grid_for(env)
             free = [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
                     if grid.free[iy, ix]]
@@ -357,7 +361,7 @@ def test_robot_collides_outside_rooms():
 
 
 def _blocked_by_loop(env, x: float, y: float, clearance: float) -> bool:
-    """`point_blocked` without the clearance field: the plain loop."""
+    """`point_blocked` without the grid's gap: the plain loop."""
     if point_in_room(env, x, y) is None:
         return True
     for w in env.walls:
@@ -371,13 +375,13 @@ def _blocked_by_loop(env, x: float, y: float, clearance: float) -> bool:
 
 def _probe_points(env, clearance: float, rng: random.Random,
                   n: int) -> list[tuple[float, float]]:
-    """Points where a wrong field would show: on field cell edges and room
+    """Points where a wrong gap would show: on grid cell edges and room
     bounds, exactly `clearance` from an obstacle's edge or corner, each
-    nudged by a float step or two, and outside the field's grid."""
-    fld = clearance_field(env, clearance)
-    res = CLEARANCE_CELL_M
-    xs = [fld.x0 + k * res for k in range(fld.nx + 1)]
-    ys = [fld.y0 + k * res for k in range(fld.ny + 1)]
+    nudged by a float step or two, and outside the grid."""
+    grid = grid_for(env)
+    res = grid.res
+    xs = [grid.x0 + k * res for k in range(grid.nx + 1)]
+    ys = [grid.y0 + k * res for k in range(grid.ny + 1)]
     for r in env.rooms:
         xs += [r.bounds.x0, r.bounds.x1]
         ys += [r.bounds.y0, r.bounds.y1]
@@ -386,8 +390,8 @@ def _probe_points(env, clearance: float, rng: random.Random,
         xs += [r.x0 - clearance, r.x1 + clearance]
         ys += [r.y0 - clearance, r.y1 + clearance]
         rings.append(r)
-    pts = [(-1e6, 0.0), (1e6, 1e6), (fld.x0 - res, fld.y0),
-           (fld.x0 + (fld.nx + 1) * res, fld.y0 + 0.5 * fld.ny * res)]
+    pts = [(-1e6, 0.0), (1e6, 1e6), (grid.x0 - res, grid.y0),
+           (grid.x0 + (grid.nx + 1) * res, grid.y0 + 0.5 * grid.ny * res)]
     for _ in range(n):
         kind = rng.randrange(4) if rings else rng.choice((0, 3))
         if kind == 0:  # a cell edge, room bound or clearance line per axis
@@ -408,8 +412,8 @@ def _probe_points(env, clearance: float, rng: random.Random,
             pts.append((nudge(cx + clearance * math.cos(a), rng),
                         nudge(cy + clearance * math.sin(a), rng)))
         else:  # anywhere, on the grid or a little beyond it
-            pts.append((rng.uniform(fld.x0 - 1.0, fld.x0 + fld.nx * res + 1.0),
-                        rng.uniform(fld.y0 - 1.0, fld.y0 + fld.ny * res + 1.0)))
+            pts.append((rng.uniform(grid.x0 - 1.0, grid.x0 + grid.nx * res + 1.0),
+                        rng.uniform(grid.y0 - 1.0, grid.y0 + grid.ny * res + 1.0)))
     return pts
 
 
@@ -422,9 +426,9 @@ def _open_plan(a: Rect, b: Rect) -> Environment:
                        robot=RobotState(pose=Pose(a.x0, a.y0)))
 
 
-_COORD = st.one_of(st.integers(-60, 60).map(lambda k: k * CLEARANCE_CELL_M),
+_COORD = st.one_of(st.integers(-60, 60).map(lambda k: k * GRID_RES_M),
                    st.floats(-3.0, 3.0))
-_SIZE = st.one_of(st.integers(20, 120).map(lambda k: k * CLEARANCE_CELL_M),
+_SIZE = st.one_of(st.integers(20, 120).map(lambda k: k * GRID_RES_M),
                   st.floats(1.0, 6.0))
 
 
@@ -447,14 +451,15 @@ def _scenes(draw):
     for k in range(draw(st.integers(0, 3))):
         tx = x0 + draw(st.floats(0.0, 0.8)) * w
         ty = y0 + draw(st.floats(0.0, 0.8)) * h
-        tw = draw(st.integers(6, 30)) * CLEARANCE_CELL_M
-        th = draw(st.integers(6, 30)) * CLEARANCE_CELL_M
+        tw = draw(st.integers(6, 30)) * GRID_RES_M
+        th = draw(st.integers(6, 30)) * GRID_RES_M
         tables.append(table(f"t{k}", Rect(tx, ty, tx + tw, ty + th)))
     return make_env(room=room, furniture=tuple(tables))
 
 
 class TestClearanceField:
-    """`point_blocked` with the field equals the plain loop, point by point."""
+    """`point_blocked` with the grid's gap equals the plain loop, point by
+    point."""
 
     @pytest.mark.parametrize("clearance", [ROBOT_RADIUS_M, DOCK_CLEARANCE_M])
     def test_shipped_layout_equals_loop(self, clearance):
@@ -501,9 +506,11 @@ class TestClearanceField:
         assert point_blocked(env, 3.0, 2.5, ROBOT_RADIUS_M)
 
     def test_some_cells_skip_the_loop(self):
-        fld = clearance_field(make_environment("default"), ROBOT_RADIUS_M)
-        assert len(fld.safe) == fld.nx * fld.ny
-        assert 0 < sum(fld.safe) < len(fld.safe)
+        grid = grid_for(make_environment("default"))
+        assert len(grid.gap) == grid.nx * grid.ny
+        for clearance in (ROBOT_RADIUS_M, DOCK_CLEARANCE_M):
+            skip = sum(g >= clearance + 1e-9 for g in grid.gap)
+            assert 0 < skip < len(grid.gap)
 
     def test_cache_keyed_by_geometry_not_layout_id(self):
         bare = make_env(layout_id="shared")
@@ -511,10 +518,45 @@ class TestClearanceField:
                              layout_id="shared")
         assert not point_blocked(bare, 2.5, 1.9, ROBOT_RADIUS_M)
         assert point_blocked(furnished, 2.5, 1.9, ROBOT_RADIUS_M)
-        assert clearance_field(bare, ROBOT_RADIUS_M) is not \
-            clearance_field(furnished, ROBOT_RADIUS_M)
-        assert clearance_field(make_env(layout_id="other"), ROBOT_RADIUS_M) \
-            is clearance_field(bare, ROBOT_RADIUS_M)
+        assert grid_for(bare) is not grid_for(furnished)
+        assert grid_for(make_env(layout_id="other")) is grid_for(bare)
+        wider = make_env(layout_id="shared")
+        wider.robot.radius = 0.3
+        assert grid_for(wider) is not grid_for(bare)
+
+
+class TestGridRaster:
+    """`build_grid`'s free cells, components and origin equal the meshgrid
+    builder's."""
+
+    @staticmethod
+    def _assert_equal(env):
+        grid = build_grid(env, INFLATE)
+        x0, y0, free, comp = reference_grid(env, INFLATE)
+        assert (grid.x0, grid.y0, grid.res) == (x0, y0, GRID_RES_M)
+        assert np.array_equal(grid.free, free)
+        assert np.array_equal(grid.comp, comp)
+
+    def test_shipped_layout(self):
+        self._assert_equal(make_environment("default"))
+
+    def test_ties_on_cell_centres(self):
+        # Cell centres exactly on a room's high edge, and exactly the
+        # inflation from a table's edge: the half-open and >= rules decide.
+        g = build_grid(_open_plan(Rect(0.0, 0.0, 3.0, 3.0),
+                                  Rect(3.0, 0.0, 6.0, 1.5)), INFLATE)
+        xs = (g.x0 + (np.arange(g.nx) + 0.5) * g.res).tolist()
+        edge = xs[50]
+        k = next(k for k in range(10, 40) if (xs[k] + INFLATE) - xs[k] == INFLATE)
+        env = _open_plan(Rect(0.0, 0.0, edge, 3.0), Rect(edge, 0.0, 6.0, 1.5))
+        env.furniture.append(table("t0", Rect(xs[k] + INFLATE, 0.5,
+                                              xs[k] + INFLATE + 0.5, 1.0)))
+        self._assert_equal(env)
+
+    @settings(max_examples=60, deadline=None)
+    @given(env=_scenes())
+    def test_random_scenes(self, env):
+        self._assert_equal(env)
 
 
 class TestGrasp:

@@ -31,7 +31,7 @@ from .seeds import KeyedStream
 from .vocab import DEFAULT
 from .world import (
     DT_S, DYNAMIC, SURFACE, ActionFailure, CameraPose, Environment, Pose,
-    Snapshot, capture_supports, geometry_key, grasp as world_grasp, grid_for,
+    Snapshot, capture_supports, grasp as world_grasp, grid_for,
     line_of_sight, place as world_place, point_blocked, point_in_room,
     sight_ignore, step as world_step, visible_batch, visible_objects,
 )
@@ -143,10 +143,6 @@ def _robot_component(env: Environment) -> int | None:
     return comp if comp >= 0 else None
 
 
-# (grid geometry key, room bounds, robot's grid component) -> lattice points.
-_CRAWL_MEMO: dict[tuple, tuple[tuple[float, float], ...]] = {}
-
-
 def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
     """Reachable lattice viewpoints of a room, in serpentine visit order.
 
@@ -154,14 +150,14 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
     the inflated grid in the robot's own grid component; the robot only ever
     occupies free cells of the one navigable component, so the runtime crawl
     and any static replay enumerate the same poses.  The lattice depends on
-    nothing else, so it is memoized on exactly that; each call returns a
-    fresh list.
+    nothing else, so it is memoized on exactly that (the grid's `crawl`, by
+    room bounds and component); each call returns a fresh list.
     """
     grid = grid_for(env)
     comp = _robot_component(env)
     b = env.room(room_id).bounds
-    key = (geometry_key(env), b.as_tuple(), comp)
-    if key not in _CRAWL_MEMO:
+    key = (b.as_tuple(), comp)
+    if key not in grid.crawl:
         xs, ys = [], []
         k = 1
         while b.x0 + k * CRAWL_SPACING_M < b.x1:
@@ -178,8 +174,8 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
             for x in row_xs:
                 if comp is not None and grid.component_at(x, y) == comp:
                     pts.append((x, y))
-        _CRAWL_MEMO[key] = tuple(pts)
-    return list(_CRAWL_MEMO[key])
+        grid.crawl[key] = tuple(pts)
+    return list(grid.crawl[key])
 
 
 def lattice_captures(env: Environment, room_id: str) -> list[Capture]:

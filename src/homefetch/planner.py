@@ -11,7 +11,23 @@ covers them.
 A* is 8-connected with the corner rule (a diagonal move needs both adjacent
 orthogonal cells free), which makes 4-connected flood fill an exact
 reachability oracle.  Ties break on (f, h, cell index) so plans are stable
-across runs and platforms.
+across runs and platforms.  It runs on flat cell indices (`iy * nx + ix`):
+g is a list, the closed set a bytearray, and each cell's moves come from
+`Grid.moves`, a byte per cell with one bit per legal move (in bounds, onto
+a free cell, the corner rule applied), built lazily from `free`.  A table
+of 256 move tuples indexed by that byte gives each move's flat offset and
+its step cost (1 or sqrt 2, times the resolution), so the arithmetic, the
+relax test `cand < g - 1e-12` and so every path are those of a search over
+(ix, iy) pairs.  A move mask never sets a bit that leaves the grid, so a
+flat offset never wraps across a row.
+
+The string pull smooths the cell path greedily: from each kept point it
+takes the farthest later point whose straight segment stays on free cells,
+trying them in order and stopping at the first that fails.  A segment of
+length L is sampled at n = max(2, ceil(L / (res / 2)) + 1) points
+t_k = k * (1 / (n - 1)), the last set to exactly 1.0, which is what
+`np.linspace(0, 1, n)` computes; up to `_PULL_CHUNK` segments are sampled
+and tested in one numpy pass.
 
 `segment_clear_exact` skips each rectangle whose distance from the
 segment's bounding box is at least the clearance plus 1e-9: that distance
@@ -34,13 +50,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import dist, segment_rect_distance
-from .world import Environment, Grid, geometry_key, grid_for
+from .world import GRID_MOVES, Environment, Grid, geometry_key, grid_for
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT2_M1 = _SQRT2 - 1.0
 
 
 class NoPath(Exception):
@@ -81,21 +99,6 @@ def segment_clear_exact(env: Environment, a: tuple[float, float],
     return True
 
 
-def segment_on_free_cells(grid: Grid, a: tuple[float, float],
-                          b: tuple[float, float]) -> bool:
-    """Dense sample of the segment; every sample must land on a free cell."""
-    length = dist(a, b)
-    n = max(2, int(math.ceil(length / (grid.res * 0.5))) + 1)
-    ts = np.linspace(0.0, 1.0, n)
-    xs = a[0] + (b[0] - a[0]) * ts
-    ys = a[1] + (b[1] - a[1]) * ts
-    ixs = np.floor((xs - grid.x0) / grid.res).astype(np.int64)
-    iys = np.floor((ys - grid.y0) / grid.res).astype(np.int64)
-    if (ixs < 0).any() or (ixs >= grid.nx).any() or (iys < 0).any() or (iys >= grid.ny).any():
-        return False
-    return bool(grid.free[iys, ixs].all())
-
-
 # Cell offsets within 8 cells, nearest first, ties by (dy, dx).
 _SNAP_OFFSETS = sorted(((dx, dy) for dx in range(-8, 9) for dy in range(-8, 9)),
                        key=lambda o: (o[0] * o[0] + o[1] * o[1], o[1], o[0]))
@@ -118,61 +121,119 @@ def _snap_start(env: Environment, grid: Grid,
     return None
 
 
+@lru_cache(maxsize=8)
+def _move_table(nx: int, res: float) -> tuple[tuple[tuple[int, int, int, float], ...], ...]:
+    """For each move mask, its moves as (flat offset, dx, dy, step cost)."""
+    steps = [(dy * nx + dx, dx, dy, (_SQRT2 if dx and dy else 1.0) * res)
+             for dx, dy in GRID_MOVES]
+    return tuple(tuple(m for bit, m in enumerate(steps) if mask >> bit & 1)
+                 for mask in range(256))
+
+
 def _astar(grid: Grid, start: tuple[int, int], goal: tuple[int, int]) -> list[tuple[int, int]]:
-    nx, ny = grid.nx, grid.ny
-    free = grid.free
+    """Cells of the shortest 8-connected route, start and goal included.
 
-    def h(ix: int, iy: int) -> float:
-        ax = abs(ix - goal[0])
-        ay = abs(iy - goal[1])
-        return grid.res * (max(ax, ay) + (_SQRT2 - 1.0) * min(ax, ay))
+    Runs on flat cell indices: each cell's legal moves come from its byte in
+    `grid.moves`, so no move tests bounds or the corner rule here.
+    """
+    nx = grid.nx
+    res = grid.res
+    c = _SQRT2_M1
+    moves = grid.moves
+    table = _move_table(nx, res)
+    gx, gy = goal
+    goal_idx = gy * nx + gx
+    start_idx = start[1] * nx + start[0]
 
-    g = {start: 0.0}
-    came: dict[tuple[int, int], tuple[int, int]] = {}
-    h0 = h(*start)
-    open_heap: list[tuple[float, float, int]] = [(h0, h0, start[1] * nx + start[0])]
-    closed: set[tuple[int, int]] = set()
-    moves = ((1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
-             (1, 1, _SQRT2), (1, -1, _SQRT2), (-1, 1, _SQRT2), (-1, -1, _SQRT2))
+    g = [math.inf] * len(moves)
+    g[start_idx] = 0.0
+    came: dict[int, int] = {}
+    closed = bytearray(len(moves))
+    ax, ay = abs(start[0] - gx), abs(start[1] - gy)
+    h0 = res * (max(ax, ay) + c * min(ax, ay))
+    open_heap: list[tuple[float, float, int]] = [(h0, h0, start_idx)]
+    heappop, heappush = heapq.heappop, heapq.heappush
     while open_heap:
-        _, _, idx = heapq.heappop(open_heap)
-        cur = (idx % nx, idx // nx)
-        if cur in closed:
+        idx = heappop(open_heap)[2]
+        if closed[idx]:
             continue
-        closed.add(cur)
-        if cur == goal:
-            path = [cur]
-            while cur in came:
-                cur = came[cur]
-                path.append(cur)
+        closed[idx] = 1
+        if idx == goal_idx:
+            path = [idx]
+            while idx in came:
+                idx = came[idx]
+                path.append(idx)
             path.reverse()
-            return path
-        cx, cy = cur
-        base = g[cur]
-        for dx, dy, cost in moves:
-            tx, ty = cx + dx, cy + dy
-            if not (0 <= tx < nx and 0 <= ty < ny) or not free[ty, tx]:
-                continue
-            if dx != 0 and dy != 0 and not (free[cy, tx] and free[ty, cx]):
-                continue  # corner rule
-            cand = base + cost * grid.res
-            node = (tx, ty)
-            if cand < g.get(node, math.inf) - 1e-12:
-                g[node] = cand
-                came[node] = cur
-                hn = h(tx, ty)
-                heapq.heappush(open_heap, (cand + hn, hn, ty * nx + tx))
+            return [(i % nx, i // nx) for i in path]
+        cy, cx = divmod(idx, nx)
+        rx, ry = cx - gx, cy - gy
+        base = g[idx]
+        for off, dx, dy, step in table[moves[idx]]:
+            t = idx + off
+            cand = base + step
+            if cand < g[t] - 1e-12:
+                g[t] = cand
+                came[t] = idx
+                # h = res * (max + (sqrt 2 - 1) * min) of the axis distances.
+                ax, ay = abs(rx + dx), abs(ry + dy)
+                hn = res * (ax + c * ay if ax >= ay else ay + c * ax)
+                heappush(open_heap, (cand + hn, hn, t))
     raise NoPath(f"no route to cell {goal}")
 
 
+# Shortcuts tested per numpy pass of `_string_pull`.  Any size gives the
+# same result; larger ones test more segments past the first that fails.
+_PULL_CHUNK = 32
+
+
+def _first_blocked(grid: Grid, a: tuple[float, float], bs: np.ndarray,
+                   ns: list[int]) -> int | None:
+    """Index of the first segment a -> bs[k] with a sample off the free
+    cells, or None.  Segment k takes ns[k] samples at linspace(0, 1)."""
+    n = np.array(ns)
+    ends = np.cumsum(n)
+    first = np.repeat(ends - n, n)
+    # np.linspace(0, 1, m) is k * (1 / (m - 1)) with the last sample 1.0.
+    ts = (np.arange(ends[-1]) - first) * np.repeat(1.0 / (n - 1), n)
+    ts[ends - 1] = 1.0
+    xs = a[0] + np.repeat(bs[:, 0] - a[0], n) * ts
+    ys = a[1] + np.repeat(bs[:, 1] - a[1], n) * ts
+    ixs = np.floor((xs - grid.x0) / grid.res).astype(np.int64)
+    iys = np.floor((ys - grid.y0) / grid.res).astype(np.int64)
+    ok = (ixs >= 0) & (ixs < grid.nx) & (iys >= 0) & (iys < grid.ny)
+    ok &= grid.free.ravel()[np.where(ok, iys * grid.nx + ixs, 0)]
+    bad = int(ok.argmin())
+    if ok[bad]:
+        return None
+    return int(np.searchsorted(ends, bad, side="right"))
+
+
 def _string_pull(grid: Grid, pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Greedy forward smoothing: extend each shortcut while it stays free."""
+    """Greedy forward smoothing: extend each shortcut while it stays free.
+
+    From pts[i] the shortcut to pts[k], k = i + 2, i + 3, ..., holds while
+    every sample of the segment lands on a free cell; up to `_PULL_CHUNK`
+    shortcuts are tested in one numpy pass and the first that fails ends it.
+    """
+    half = grid.res * 0.5
+    xy = np.array(pts, dtype=np.float64).reshape(-1, 2)
+    last = len(pts) - 1
     out = [pts[0]]
     i = 0
-    while i < len(pts) - 1:
+    while i < last:
+        a = pts[i]
         j = i + 1
-        while j + 1 < len(pts) and segment_on_free_cells(grid, pts[i], pts[j + 1]):
-            j += 1
+        lo = i + 2
+        while lo <= last:
+            hi = min(lo + _PULL_CHUNK, last + 1)
+            ns = [max(2, int(math.ceil(dist(a, pts[k]) / half)) + 1)
+                  for k in range(lo, hi)]
+            fail = _first_blocked(grid, a, xy[lo:hi], ns)
+            if fail is not None:
+                j = lo + fail - 1
+                break
+            j = hi - 1
+            lo = hi
         out.append(pts[j])
         i = j
     return out

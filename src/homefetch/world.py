@@ -484,13 +484,19 @@ INFLATE_MARGIN_M = 0.15  # beyond the robot radius
 _GAP_EPS = 1e-9
 
 
+# The 8 grid moves (dx, dy) in bit order of `Grid.moves`: orthogonal first.
+GRID_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1),
+              (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
 @dataclass
 class Grid:
     """Cells of `res` from the padded origin (x0, y0).  A cell is free when
     its centre is in a room and at least the inflation from every obstacle.
     `gap[iy * nx + ix]` is the exact distance from the cell's box, widened
     by 1e-9, to the nearest obstacle; -inf unless that box lies inside one
-    room's half-open bounds."""
+    room's half-open bounds.  `crawl` memoizes `agent.crawl_points` on this
+    geometry, so it dies with the grid."""
     x0: float
     y0: float
     res: float
@@ -499,9 +505,32 @@ class Grid:
     gap: array  # float64 [ny * nx]
     nx: int = field(init=False)
     ny: int = field(init=False)
+    crawl: dict = field(init=False, default_factory=dict, repr=False,
+                        compare=False)
 
     def __post_init__(self) -> None:
         self.ny, self.nx = self.free.shape
+
+    @cached_property
+    def moves(self) -> bytes:
+        """Per-cell mask of legal moves, flat by `iy * nx + ix`: bit k is set
+        when the k-th of `GRID_MOVES` lands on a free cell in bounds and, for
+        a diagonal, both orthogonal cells beside it are free (the corner
+        rule).  Built on first use, so only planning pays for it."""
+        nx, ny = self.nx, self.ny
+        padded = np.zeros((ny + 2, nx + 2), dtype=bool)
+        padded[1:-1, 1:-1] = self.free
+
+        def free_at(dx: int, dy: int) -> np.ndarray:
+            return padded[1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
+
+        mask = np.zeros((ny, nx), dtype=np.uint8)
+        for bit, (dx, dy) in enumerate(GRID_MOVES):
+            legal = free_at(dx, dy)
+            if dx and dy:
+                legal = legal & free_at(dx, 0) & free_at(0, dy)
+            mask |= legal.astype(np.uint8) << bit
+        return mask.tobytes()
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         return (int(math.floor((x - self.x0) / self.res)),
@@ -594,7 +623,9 @@ def geometry_key(env: Environment) -> tuple[str, float]:
 
 
 # Every session builds a fresh Environment on the same layout, so grids are
-# shared by geometry.
+# shared by geometry.  A CLI command runs one layout and so keeps one grid;
+# the cap bounds callers that walk many geometries, oldest evicted first.
+GRID_CACHE_CAP = 8
 _GRID_CACHE: dict[tuple[str, float], Grid] = {}
 
 
@@ -603,6 +634,8 @@ def grid_for(env: Environment) -> Grid:
     key = geometry_key(env)
     grid = _GRID_CACHE.get(key)
     if grid is None:
+        if len(_GRID_CACHE) >= GRID_CACHE_CAP:
+            del _GRID_CACHE[next(iter(_GRID_CACHE))]
         grid = _GRID_CACHE[key] = build_grid(env, key[1])
     return grid
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
-from homefetch.geometry import Rect, norm_angle
+from homefetch.geometry import Rect, dist, norm_angle
 from homefetch.language import (
     KIND_ORDER,
     ONTO,
@@ -18,13 +20,16 @@ from homefetch.language import (
     ManipClause,
     SpatialRelation,
 )
+from homefetch.planner import NoPath
 from homefetch.vocab import DEFAULT
 from homefetch.world import (
     DYNAMIC,
+    GRID_RES_M,
     SURFACE,
     CameraPose,
     DynamicObject,
     Environment,
+    Grid,
     Pose,
     RobotState,
     RoomSpec,
@@ -32,6 +37,9 @@ from homefetch.world import (
     StaticObject,
     SupportSurface,
 )
+
+_SQRT2 = math.sqrt(2.0)
+
 
 def box_walls(b: Rect, half: float = 0.05) -> list[Rect]:
     return [
@@ -100,6 +108,48 @@ def nudge(v: float, rng: random.Random) -> float:
     return v
 
 
+# --- random scenes ---------------------------------------------------------
+
+def open_plan(a: Rect, b: Rect) -> Environment:
+    """Two wall-less rooms: only the half-open room bounds block."""
+    rooms = [RoomSpec(id="a", name="kitchen", bounds=a),
+             RoomSpec(id="b", name="study", bounds=b)]
+    return Environment(layout_id="open", rooms=rooms, doors=[], walls=[],
+                       furniture=[], objects={},
+                       robot=RobotState(pose=Pose(a.x0, a.y0)))
+
+
+_COORD = st.one_of(st.integers(-60, 60).map(lambda k: k * GRID_RES_M),
+                   st.floats(-3.0, 3.0))
+_SIZE = st.one_of(st.integers(20, 120).map(lambda k: k * GRID_RES_M),
+                  st.floats(1.0, 6.0))
+
+
+@st.composite
+def scenes(draw):
+    """A random one-room scene with tables, or a wall-less pair of rooms
+    sharing part of an edge; coordinates often on the 0.05 m lattice."""
+    x0, y0, w, h = draw(_COORD), draw(_COORD), draw(_SIZE), draw(_SIZE)
+    room = Rect(x0, y0, x0 + w, y0 + h)
+    if draw(st.booleans()):
+        # The second room sits right of or above the first, shifted along
+        # the shared edge so that part of each room's edge borders nothing.
+        shift, w2, h2 = draw(_COORD), draw(_SIZE), draw(_SIZE)
+        if draw(st.booleans()):
+            other = Rect(room.x1, y0 + shift, room.x1 + w2, y0 + shift + h2)
+        else:
+            other = Rect(x0 + shift, room.y1, x0 + shift + w2, room.y1 + h2)
+        return open_plan(room, other)
+    tables = []
+    for k in range(draw(st.integers(0, 3))):
+        tx = x0 + draw(st.floats(0.0, 0.8)) * w
+        ty = y0 + draw(st.floats(0.0, 0.8)) * h
+        tw = draw(st.integers(6, 30)) * GRID_RES_M
+        th = draw(st.integers(6, 30)) * GRID_RES_M
+        tables.append(table(f"t{k}", Rect(tx, ty, tx + tw, ty + th)))
+    return make_env(room=room, furniture=tuple(tables))
+
+
 # --- reference occupancy grid --------------------------------------------
 
 def reference_grid(env: Environment,
@@ -141,6 +191,87 @@ def reference_grid(env: Environment,
                         stack.append((tx, ty))
             label += 1
     return x0, y0, free, comp
+
+
+# --- reference planner ----------------------------------------------------
+
+def reference_astar(grid: Grid, start: tuple[int, int],
+                    goal: tuple[int, int]) -> list[tuple[int, int]]:
+    """Tuple-keyed A*, the planner's before it ran on flat cell indices:
+    the oracle `planner._astar` must equal cell for cell."""
+    nx, ny = grid.nx, grid.ny
+    free = grid.free
+
+    def h(ix: int, iy: int) -> float:
+        ax = abs(ix - goal[0])
+        ay = abs(iy - goal[1])
+        return grid.res * (max(ax, ay) + (_SQRT2 - 1.0) * min(ax, ay))
+
+    g = {start: 0.0}
+    came: dict[tuple[int, int], tuple[int, int]] = {}
+    h0 = h(*start)
+    open_heap: list[tuple[float, float, int]] = [(h0, h0, start[1] * nx + start[0])]
+    closed: set[tuple[int, int]] = set()
+    moves = ((1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
+             (1, 1, _SQRT2), (1, -1, _SQRT2), (-1, 1, _SQRT2), (-1, -1, _SQRT2))
+    while open_heap:
+        _, _, idx = heapq.heappop(open_heap)
+        cur = (idx % nx, idx // nx)
+        if cur in closed:
+            continue
+        closed.add(cur)
+        if cur == goal:
+            path = [cur]
+            while cur in came:
+                cur = came[cur]
+                path.append(cur)
+            path.reverse()
+            return path
+        cx, cy = cur
+        base = g[cur]
+        for dx, dy, cost in moves:
+            tx, ty = cx + dx, cy + dy
+            if not (0 <= tx < nx and 0 <= ty < ny) or not free[ty, tx]:
+                continue
+            if dx != 0 and dy != 0 and not (free[cy, tx] and free[ty, cx]):
+                continue  # corner rule
+            cand = base + cost * grid.res
+            node = (tx, ty)
+            if cand < g.get(node, math.inf) - 1e-12:
+                g[node] = cand
+                came[node] = cur
+                hn = h(tx, ty)
+                heapq.heappush(open_heap, (cand + hn, hn, ty * nx + tx))
+    raise NoPath(f"no route to cell {goal}")
+
+
+def reference_segment_on_free_cells(grid: Grid, a: tuple[float, float],
+                                    b: tuple[float, float]) -> bool:
+    """Dense sample of the segment; every sample must land on a free cell."""
+    length = dist(a, b)
+    n = max(2, int(math.ceil(length / (grid.res * 0.5))) + 1)
+    ts = np.linspace(0.0, 1.0, n)
+    xs = a[0] + (b[0] - a[0]) * ts
+    ys = a[1] + (b[1] - a[1]) * ts
+    ixs = np.floor((xs - grid.x0) / grid.res).astype(np.int64)
+    iys = np.floor((ys - grid.y0) / grid.res).astype(np.int64)
+    if (ixs < 0).any() or (ixs >= grid.nx).any() or (iys < 0).any() or (iys >= grid.ny).any():
+        return False
+    return bool(grid.free[iys, ixs].all())
+
+
+def reference_string_pull(grid: Grid,
+                          pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """One segment at a time: the oracle `planner._string_pull` must equal."""
+    out = [pts[0]]
+    i = 0
+    while i < len(pts) - 1:
+        j = i + 1
+        while j + 1 < len(pts) and reference_segment_on_free_cells(grid, pts[i], pts[j + 1]):
+            j += 1
+        out.append(pts[j])
+        i = j
+    return out
 
 
 # --- reading a session's facts from its event log -------------------------

@@ -50,10 +50,13 @@ from homefetch.vocab import DEFAULT
 from homefetch.world import (
     DT_S,
     DYNAMIC,
+    INFLATE_MARGIN_M,
     SURFACE,
     CameraPose,
     Pose,
     Rect,
+    build_grid,
+    grid_for,
     point_in_room,
     step as world_step,
     visible_objects,
@@ -100,6 +103,13 @@ class TestCrawlLattice:
         env = make_env(room=Rect(0, 0, 5, 4))
         crawl_points(env, "r0").clear()
         assert len(crawl_points(env, "r0")) == 12
+
+    def test_crawl_memo_lives_on_the_grid(self):
+        env = make_env(room=Rect(0, 0, 5, 4), layout_id="crawl-memo")
+        pts = crawl_points(env, "r0")
+        grid = grid_for(env)
+        assert list(grid.crawl.values()) == [tuple(pts)]
+        assert build_grid(env, env.robot.radius + INFLATE_MARGIN_M).crawl == {}
 
     def test_crawl_points_keyed_by_geometry_and_component(self):
         bare = make_env(room=Rect(0, 0, 5, 4), layout_id="shared")

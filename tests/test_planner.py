@@ -1,27 +1,42 @@
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ball, make_env, nudge, table
+from helpers import (
+    ball,
+    make_env,
+    nudge,
+    reference_astar,
+    reference_segment_on_free_cells,
+    reference_string_pull,
+    scenes,
+    table,
+)
 from homefetch import planner
 from homefetch.agent import DOCK_CLEARANCE_M, DOCK_SEGMENT_CLEARANCE_M
 from homefetch.geometry import Rect, dist, segment_rect_distance
 from homefetch.layouts import make_environment
 from homefetch.planner import (
+    _PULL_CHUNK,
     NoPath,
+    _astar,
     _plan,
+    _string_pull,
     clear_plan_memo,
     plan_path,
     segment_clear_exact,
 )
 from homefetch.world import (
+    GRID_MOVES,
     GRID_RES_M,
     INFLATE_MARGIN_M,
     ROBOT_RADIUS_M,
     Environment,
+    Grid,
     Pose,
     RobotState,
     RoomSpec,
@@ -178,6 +193,194 @@ class TestPlanPath:
                         min(f.footprint.distance_to(x, y) for f in env.furniture),
                     )
                     assert clear >= ROBOT_RADIUS_M + 0.05
+
+
+def _bare_grid(free: np.ndarray) -> Grid:
+    """A grid straight from a free mask, with no padding round it."""
+    return Grid(0.0, 0.0, GRID_RES_M, free, np.full(free.shape, -1, np.int32),
+                array("d", bytes(8 * free.size)))
+
+
+def _route(search, grid: Grid, start, goal):
+    """The search's cells, or ("NoPath", message)."""
+    try:
+        return search(grid, start, goal)
+    except NoPath as e:
+        return ("NoPath", str(e))
+
+
+def _assert_legal(grid: Grid, cells) -> None:
+    """Each step moves to a free 8-neighbour in bounds, by the corner rule."""
+    for (ax, ay), (bx, by) in zip(cells, cells[1:]):
+        assert max(abs(bx - ax), abs(by - ay)) == 1
+        assert grid.in_bounds(bx, by) and grid.free[by, bx]
+        if ax != bx and ay != by:
+            assert grid.free[ay, bx] and grid.free[by, ax]
+
+
+_FREE_MASKS = st.integers(1, 12).flatmap(
+    lambda nx: st.integers(1, 12).flatmap(
+        lambda ny: st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)
+        .map(lambda bits: np.array(bits, dtype=bool).reshape(ny, nx))))
+
+
+class TestMoveMask:
+    @settings(max_examples=80, deadline=None)
+    @given(free=_FREE_MASKS)
+    def test_bits_are_the_legal_moves(self, free):
+        grid = _bare_grid(free)
+        assert len(grid.moves) == grid.nx * grid.ny
+        for iy in range(grid.ny):
+            for ix in range(grid.nx):
+                want = 0
+                for bit, (dx, dy) in enumerate(GRID_MOVES):
+                    tx, ty = ix + dx, iy + dy
+                    if not grid.in_bounds(tx, ty) or not free[ty, tx]:
+                        continue
+                    if dx and dy and not (free[iy, tx] and free[ty, ix]):
+                        continue
+                    want |= 1 << bit
+                assert grid.moves[iy * grid.nx + ix] == want, (ix, iy)
+
+    def test_built_lazily_not_with_the_grid(self):
+        grid = build_grid(make_env(), INFLATE)
+        assert "moves" not in vars(grid)
+        assert grid.moves is grid.moves
+
+
+class TestFlatAstar:
+    """`_astar` on flat cell indices equals the tuple-keyed reference, cell
+    for cell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(env=scenes(), data=st.data())
+    def test_random_scenes_equal_reference(self, env, data):
+        grid = build_grid(env, INFLATE)
+        cells = [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
+                 if grid.free[iy, ix]]
+        if not cells:
+            return
+        start = data.draw(st.sampled_from(cells))
+        comp = grid.comp[start[1], start[0]]
+        same = [c for c in cells if grid.comp[c[1], c[0]] == comp]
+        goals = [start, data.draw(st.sampled_from(same))]
+        sx, sy = start
+        goals += [(sx + dx, sy + dy) for dx, dy in GRID_MOVES
+                  if grid.in_bounds(sx + dx, sy + dy) and grid.free[sy + dy, sx + dx]]
+        for goal in goals:
+            got = _route(_astar, grid, start, goal)
+            assert got == _route(reference_astar, grid, start, goal), (start, goal)
+            if isinstance(got, list):
+                assert got[0] == start and got[-1] == goal
+                _assert_legal(grid, got)
+
+    def test_start_equals_goal(self):
+        grid = grid_for(make_environment("default"))
+        cell = next((ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
+                    if grid.free[iy, ix])
+        assert _astar(grid, cell, cell) == [cell] == reference_astar(grid, cell, cell)
+
+    def test_diagonal_needs_both_orthogonal_cells(self):
+        # (0, 0) -> (1, 1) with only (1, 0) free beside the diagonal.
+        free = np.array([[True, True, False],
+                         [False, True, False]])
+        grid = _bare_grid(free)
+        path = _astar(grid, (0, 0), (1, 1))
+        assert path == [(0, 0), (1, 0), (1, 1)] == reference_astar(grid, (0, 0), (1, 1))
+        # Neither orthogonal cell free: no route at all.
+        cut = _bare_grid(np.array([[True, False], [False, True]]))
+        assert _route(_astar, cut, (0, 0), (1, 1)) == \
+            _route(reference_astar, cut, (0, 0), (1, 1)) == \
+            ("NoPath", "no route to cell (1, 1)")
+
+    def test_no_step_wraps_across_a_row(self):
+        # Free first and last columns joined only along the top row: a flat
+        # index that wrapped (idx - 1 at ix = 0, idx + 1 at ix = nx - 1)
+        # would cut straight across.
+        free = np.zeros((6, 7), dtype=bool)
+        free[:, 0] = free[:, -1] = free[-1, :] = True
+        grid = _bare_grid(free)
+        for start, goal in (((0, 1), (6, 0)), ((6, 0), (0, 1)),
+                            ((0, 0), (6, 0)), ((6, 2), (0, 3))):
+            path = _astar(grid, start, goal)
+            assert path == reference_astar(grid, start, goal)
+            _assert_legal(grid, path)
+            assert (0, 5) in path and (6, 5) in path
+        # The first and last rows: idx -/+ nx leaves the grid there.
+        free = np.zeros((5, 6), dtype=bool)
+        free[0, :] = free[-1, :] = free[:, 0] = True
+        grid = _bare_grid(free)
+        path = _astar(grid, (5, 0), (5, 4))
+        assert path == reference_astar(grid, (5, 0), (5, 4))
+        _assert_legal(grid, path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(free=_FREE_MASKS, data=st.data())
+    def test_unpadded_grids_equal_reference(self, free, data):
+        # Free cells on every edge of the grid, as `build_grid` never makes.
+        grid = _bare_grid(free)
+        cells = [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
+                 if free[iy, ix]]
+        if not cells:
+            return
+        start = data.draw(st.sampled_from(cells))
+        goal = data.draw(st.sampled_from(cells))
+        got = _route(_astar, grid, start, goal)
+        assert got == _route(reference_astar, grid, start, goal)
+        if isinstance(got, list):
+            _assert_legal(grid, got)
+
+
+class TestBatchedStringPull:
+    """`_string_pull` equals the segment-at-a-time reference."""
+
+    def test_samples_equal_linspace(self):
+        for n in range(2, 3000):
+            ts = np.arange(n) * (1.0 / (n - 1))
+            ts[-1] = 1.0
+            assert np.array_equal(ts, np.linspace(0.0, 1.0, n)), n
+
+    def test_round_paths_equal_reference(self):
+        env = make_environment("default")
+        grid = grid_for(env)
+        rng = random.Random(31)
+        cells = [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
+                 if grid.free[iy, ix]]
+        for _ in range(25):
+            a, b = rng.choice(cells), rng.choice(cells)
+            pts = [grid.center(ix, iy) for ix, iy in _astar(grid, a, b)]
+            assert _string_pull(grid, pts) == reference_string_pull(grid, pts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(env=scenes(), data=st.data())
+    def test_random_polylines_equal_reference(self, env, data):
+        grid = build_grid(env, INFLATE)
+        if grid.nx == 0:
+            return
+        w, h = grid.nx * grid.res, grid.ny * grid.res
+        # Points inside and outside the grid, on cell centres and repeated.
+        coord_x = st.one_of(st.floats(grid.x0 - 1.0, grid.x0 + w + 1.0),
+                            st.integers(0, grid.nx - 1).map(lambda i: grid.center(i, 0)[0]))
+        coord_y = st.one_of(st.floats(grid.y0 - 1.0, grid.y0 + h + 1.0),
+                            st.integers(0, grid.ny - 1).map(lambda i: grid.center(0, i)[1]))
+        pts = data.draw(st.lists(st.tuples(coord_x, coord_y), min_size=1,
+                                 max_size=3 * _PULL_CHUNK))
+        repeats = data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=4))
+        for k in sorted(repeats, reverse=True):
+            pts.insert(k, pts[k])
+        assert _string_pull(grid, pts) == reference_string_pull(grid, pts)
+
+    def test_long_free_run_crosses_chunks(self):
+        free = np.ones((4, 3 * _PULL_CHUNK + 5), dtype=bool)
+        free[0, 2 * _PULL_CHUNK] = False
+        grid = _bare_grid(free)
+        pts = [grid.center(ix, 1) for ix in range(grid.nx)]
+        pts.append(grid.center(2 * _PULL_CHUNK, 0))
+        pts += [grid.center(grid.nx - 1, 3)] * 2
+        got = _string_pull(grid, pts)
+        assert got == reference_string_pull(grid, pts)
+        assert got[1] == pts[-4]  # the free run is one shortcut
+        assert not reference_segment_on_free_cells(grid, pts[0], pts[-3])
 
 
 def _answer(plan, env, start, goal):

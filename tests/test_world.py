@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ball, brute_force_visible, make_env, nudge, reference_grid, table
+from helpers import (
+    ball,
+    brute_force_visible,
+    make_env,
+    nudge,
+    open_plan,
+    reference_grid,
+    scenes,
+    table,
+)
+from homefetch import world
 from homefetch.agent import DOCK_CLEARANCE_M, HEADINGS, crawl_points
 from homefetch.geometry import Rect, norm_angle
 from homefetch.layouts import make_environment
@@ -15,6 +25,7 @@ from homefetch.world import (
     CAMERA_RANGE_M,
     DT_S,
     DYNAMIC,
+    GRID_CACHE_CAP,
     GRID_RES_M,
     GRIP_OFFSET_M,
     INFLATE_MARGIN_M,
@@ -25,7 +36,6 @@ from homefetch.world import (
     ROBOT_RADIUS_M,
     SURFACE,
     CameraPose,
-    Environment,
     GripperOccupied,
     NoFreePose,
     NoSuchObject,
@@ -33,8 +43,6 @@ from homefetch.world import (
     Occluded,
     OutOfReach,
     Pose,
-    RobotState,
-    RoomSpec,
     SurfaceOutOfReach,
     attach_pose,
     build_grid,
@@ -417,46 +425,6 @@ def _probe_points(env, clearance: float, rng: random.Random,
     return pts
 
 
-def _open_plan(a: Rect, b: Rect) -> Environment:
-    """Two wall-less rooms: only the half-open room bounds block."""
-    rooms = [RoomSpec(id="a", name="kitchen", bounds=a),
-             RoomSpec(id="b", name="study", bounds=b)]
-    return Environment(layout_id="open", rooms=rooms, doors=[], walls=[],
-                       furniture=[], objects={},
-                       robot=RobotState(pose=Pose(a.x0, a.y0)))
-
-
-_COORD = st.one_of(st.integers(-60, 60).map(lambda k: k * GRID_RES_M),
-                   st.floats(-3.0, 3.0))
-_SIZE = st.one_of(st.integers(20, 120).map(lambda k: k * GRID_RES_M),
-                  st.floats(1.0, 6.0))
-
-
-@st.composite
-def _scenes(draw):
-    """A random one-room scene with tables, or a wall-less pair of rooms
-    sharing part of an edge; coordinates often on the 0.05 m lattice."""
-    x0, y0, w, h = draw(_COORD), draw(_COORD), draw(_SIZE), draw(_SIZE)
-    room = Rect(x0, y0, x0 + w, y0 + h)
-    if draw(st.booleans()):
-        # The second room sits right of or above the first, shifted along
-        # the shared edge so that part of each room's edge borders nothing.
-        shift, w2, h2 = draw(_COORD), draw(_SIZE), draw(_SIZE)
-        if draw(st.booleans()):
-            other = Rect(room.x1, y0 + shift, room.x1 + w2, y0 + shift + h2)
-        else:
-            other = Rect(x0 + shift, room.y1, x0 + shift + w2, room.y1 + h2)
-        return _open_plan(room, other)
-    tables = []
-    for k in range(draw(st.integers(0, 3))):
-        tx = x0 + draw(st.floats(0.0, 0.8)) * w
-        ty = y0 + draw(st.floats(0.0, 0.8)) * h
-        tw = draw(st.integers(6, 30)) * GRID_RES_M
-        th = draw(st.integers(6, 30)) * GRID_RES_M
-        tables.append(table(f"t{k}", Rect(tx, ty, tx + tw, ty + th)))
-    return make_env(room=room, furniture=tuple(tables))
-
-
 class TestClearanceField:
     """`point_blocked` with the grid's gap equals the plain loop, point by
     point."""
@@ -470,7 +438,7 @@ class TestClearanceField:
                 _blocked_by_loop(env, x, y, clearance), (x, y)
 
     @settings(max_examples=60, deadline=None)
-    @given(env=_scenes(), seed=st.integers(0, 2**32 - 1),
+    @given(env=scenes(), seed=st.integers(0, 2**32 - 1),
            clearance=st.sampled_from([ROBOT_RADIUS_M, DOCK_CLEARANCE_M]))
     def test_random_scenes_equal_loop(self, env, seed, clearance):
         for x, y in _probe_points(env, clearance, random.Random(seed), 1500):
@@ -480,14 +448,14 @@ class TestClearanceField:
     def test_offset_open_plan_equals_loop(self):
         # Corners where a room edge borders nothing: a cell box that is not
         # widened lets a point just outside both rooms through.
-        env = _open_plan(Rect(0.0, 0.0, 1.0, 1.0), Rect(-0.05, 1.0, 0.95, 2.0))
+        env = open_plan(Rect(0.0, 0.0, 1.0, 1.0), Rect(-0.05, 1.0, 0.95, 2.0))
         for clearance in (ROBOT_RADIUS_M, DOCK_CLEARANCE_M):
             for x, y in _probe_points(env, clearance, random.Random(5), 3000):
                 assert point_blocked(env, x, y, clearance) == \
                     _blocked_by_loop(env, x, y, clearance), (x, y)
 
     def test_shared_room_edge_is_half_open(self):
-        env = _open_plan(Rect(0.0, 0.0, 3.0, 3.0), Rect(3.0, 0.0, 6.0, 1.5))
+        env = open_plan(Rect(0.0, 0.0, 3.0, 3.0), Rect(3.0, 0.0, 6.0, 1.5))
         assert not point_blocked(env, 3.0, 1.0, 0.25)  # room b's low edge
         assert point_blocked(env, 3.0, 2.0, 0.25)  # room a's high edge only
         assert point_blocked(env, 1.0, 3.0, 0.25)
@@ -525,6 +493,27 @@ class TestClearanceField:
         assert grid_for(wider) is not grid_for(bare)
 
 
+class TestGridCache:
+    def test_grid_count_stays_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(world, "_GRID_CACHE", {})
+        envs = [make_env(room=Rect(0.0, 0.0, 2.0 + 0.5 * k, 2.0))
+                for k in range(GRID_CACHE_CAP + 3)]
+        grids = [grid_for(env) for env in envs]
+        assert len(world._GRID_CACHE) == GRID_CACHE_CAP
+        assert grid_for(envs[-1]) is grids[-1]
+        # The oldest was evicted: it is built again, and evicts the next.
+        assert grid_for(envs[0]) is not grids[0]
+        assert len(world._GRID_CACHE) == GRID_CACHE_CAP
+        assert grid_for(envs[-1]) is grids[-1]
+
+    def test_one_layout_never_evicts(self, monkeypatch):
+        monkeypatch.setattr(world, "_GRID_CACHE", {})
+        grid = grid_for(make_environment("default"))
+        for _ in range(3 * GRID_CACHE_CAP):
+            assert grid_for(make_environment("default")) is grid
+        assert len(world._GRID_CACHE) == 1
+
+
 class TestGridRaster:
     """`build_grid`'s free cells, components and origin equal the meshgrid
     builder's."""
@@ -543,18 +532,18 @@ class TestGridRaster:
     def test_ties_on_cell_centres(self):
         # Cell centres exactly on a room's high edge, and exactly the
         # inflation from a table's edge: the half-open and >= rules decide.
-        g = build_grid(_open_plan(Rect(0.0, 0.0, 3.0, 3.0),
+        g = build_grid(open_plan(Rect(0.0, 0.0, 3.0, 3.0),
                                   Rect(3.0, 0.0, 6.0, 1.5)), INFLATE)
         xs = (g.x0 + (np.arange(g.nx) + 0.5) * g.res).tolist()
         edge = xs[50]
         k = next(k for k in range(10, 40) if (xs[k] + INFLATE) - xs[k] == INFLATE)
-        env = _open_plan(Rect(0.0, 0.0, edge, 3.0), Rect(edge, 0.0, 6.0, 1.5))
+        env = open_plan(Rect(0.0, 0.0, edge, 3.0), Rect(edge, 0.0, 6.0, 1.5))
         env.furniture.append(table("t0", Rect(xs[k] + INFLATE, 0.5,
                                               xs[k] + INFLATE + 0.5, 1.0)))
         self._assert_equal(env)
 
     @settings(max_examples=60, deadline=None)
-    @given(env=_scenes())
+    @given(env=scenes())
     def test_random_scenes(self, env):
         self._assert_equal(env)
 

@@ -5,6 +5,15 @@ real grounding code on the deterministic viewpoint lattice and checks that
 an approach pose exists for both the grasp and the set-down.  The screen
 uses exactly the code paths the executor will run, so a zero-noise session
 on an emitted task cannot fail for geometric reasons.
+
+Each candidate goes through, in order: the draw (`select_task`); the
+lattice check, which drops it unless some capture of its room's lattice
+(`lattice_captures`) sees both the target and the destination; the ring
+captures (`capture_views`); the description (`make_instruction`); and the
+screen (`task_feasible`).  The lattice check changes no output byte: the
+screen grounds only on detections in those same captures, so it rejects
+every candidate the check drops, and each attempt draws from its own
+substream, so skipping a candidate's later steps moves no other draw.
 """
 from __future__ import annotations
 
@@ -298,7 +307,10 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
     """Rejection-sample (environment, task) until the feasibility screen passes.
 
     Up to ENV_ATTEMPTS scenes are tried, TASKS_PER_ENV task draws each; a
-    full strike-out is a hard error so batch automation stays total.
+    full strike-out is a hard error so batch automation stays total.  Each
+    draw is checked against the lattice of the target's room before its
+    ring captures and description are made, then screened; the check only
+    drops draws the screen would reject, so the result is the same.
     """
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -312,15 +324,21 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
             rng = substream("gen-task", seed, attempt)
             try:
                 target, destination = select_task(env, rng)
+            except NoFeasibleTask:
+                continue
+            obj = env.objects[target]
+            room = point_in_room(env, obj.pose.x, obj.pose.y)
+            seen = {s.object_id for c in lattice_captures(env, room)
+                    for s in c.snapshots}
+            if target not in seen or destination not in seen:
+                continue
+            try:
                 t_cap, d_cap = capture_views(env, target, destination)
                 ast, text = make_instruction(env, target, destination,
                                              t_cap, d_cap, rng, cfg)
-            except (NoFeasibleTask, NoViewpoint, NoDistinguishingDescription):
+            except (NoViewpoint, NoDistinguishingDescription):
                 continue
-            obj = env.objects[target]
-            task = TaskSpec(target, destination,
-                            point_in_room(env, obj.pose.x, obj.pose.y),
-                            t_cap, d_cap, ast, text)
+            task = TaskSpec(target, destination, room, t_cap, d_cap, ast, text)
             if task_feasible(env, task, cfg):
                 return env, task
     raise GenerationFailed(f"no feasible task after "

@@ -21,6 +21,23 @@ from homefetch.language import (
     SpatialRelation,
 )
 from homefetch.planner import NoPath
+from homefetch.relations import NoDistinguishingDescription
+from homefetch.seeds import h64, substream
+from homefetch.taskgen import (
+    ENV_ATTEMPTS,
+    TASKS_PER_ENV,
+    GenConfig,
+    GenerationFailed,
+    NoFeasibleTask,
+    NoViewpoint,
+    PlacementExhausted,
+    TaskSpec,
+    build_environment,
+    capture_views,
+    make_instruction,
+    select_task,
+    task_feasible,
+)
 from homefetch.vocab import DEFAULT
 from homefetch.world import (
     DYNAMIC,
@@ -36,6 +53,7 @@ from homefetch.world import (
     Snapshot,
     StaticObject,
     SupportSurface,
+    point_in_room,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -272,6 +290,41 @@ def reference_string_pull(grid: Grid,
         out.append(pts[j])
         i = j
     return out
+
+
+# --- reference task generation --------------------------------------------
+
+def reference_generate_task(cfg: GenConfig,
+                            seed: int) -> tuple[Environment, TaskSpec]:
+    """`taskgen.generate_task` before it checked the room lattice ahead of
+    the ring captures: every candidate pays for `capture_views` and
+    `make_instruction`, and only `task_feasible` consults the lattice.  The
+    oracle the generator must equal, task for task and error for error."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    for salt in range(ENV_ATTEMPTS):
+        try:
+            env = build_environment(cfg, h64("gen-env", seed, salt))
+        except PlacementExhausted:
+            continue
+        for attempt in range(salt * TASKS_PER_ENV, (salt + 1) * TASKS_PER_ENV):
+            rng = substream("gen-task", seed, attempt)
+            try:
+                target, destination = select_task(env, rng)
+                t_cap, d_cap = capture_views(env, target, destination)
+                ast, text = make_instruction(env, target, destination,
+                                             t_cap, d_cap, rng, cfg)
+            except (NoFeasibleTask, NoViewpoint, NoDistinguishingDescription):
+                continue
+            obj = env.objects[target]
+            task = TaskSpec(target, destination,
+                            point_in_room(env, obj.pose.x, obj.pose.y),
+                            t_cap, d_cap, ast, text)
+            if task_feasible(env, task, cfg):
+                return env, task
+    raise GenerationFailed(f"no feasible task after "
+                           f"{ENV_ATTEMPTS * TASKS_PER_ENV} attempts "
+                           f"(seed {seed})")
 
 
 # --- reading a session's facts from its event log -------------------------

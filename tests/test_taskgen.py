@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from helpers import ball, make_env, table
+from helpers import ball, make_env, reference_generate_task, table
+from homefetch import taskgen
 from homefetch.agent import (
     RELATIONAL, grasp_approach, ground, lattice_captures, place_approach,
 )
@@ -13,19 +14,24 @@ from homefetch.config import RunConfig
 from homefetch.eventlog import canonical_json
 from homefetch.language import ONTO, TO, parse
 from homefetch.layouts import TABLE_LEVEL
-from homefetch.relations import attrs_match, relation_holds
+from homefetch.relations import (
+    NoDistinguishingDescription, attrs_match, relation_holds,
+)
 from homefetch.seeds import h64, substream
 from homefetch.session import run_session
 from homefetch.taskgen import (
     GenConfig,
     GenerationFailed,
     NoFeasibleTask,
+    NoViewpoint,
+    TaskSpec,
     _clamped_poisson,
     build_environment,
     capture_views,
     episode_record,
     export_dataset,
     generate_task,
+    make_instruction,
     select_task,
     task_feasible,
     validate_episode,
@@ -353,3 +359,76 @@ class TestEpisodeExport:
             assert validate_episode(rec) == []
         assert (out1 / "manifest.json").read_bytes() == \
             (out2 / "manifest.json").read_bytes()
+
+
+class TestLatticeCheckFirst:
+    """`generate_task` drops a candidate whose target or destination no
+    lattice capture of the target's room sees before it takes the ring
+    captures; `task_feasible` would reject every such candidate anyway."""
+
+    @pytest.mark.parametrize("master", [7, 4],
+                             ids=["run-seed7", "generate-seed4"])
+    def test_equals_reference(self, master):
+        cfg = RunConfig(seed=master).gen
+        for i in range(20):
+            seed = h64("session", master, i)
+            env, task = generate_task(cfg, seed)
+            ref_env, ref_task = reference_generate_task(cfg, seed)
+            assert env_record(env) == env_record(ref_env)
+            assert task == ref_task
+            assert canonical_json(episode_record(i, env, task)) == \
+                canonical_json(episode_record(i, ref_env, ref_task))
+
+    def test_failure_equals_reference(self):
+        """`run --seed 17 --sessions 1` fails generation on both paths."""
+        seed = h64("session", 17, 0)
+        with pytest.raises(GenerationFailed) as new:
+            generate_task(GenConfig(), seed)
+        with pytest.raises(GenerationFailed) as ref:
+            reference_generate_task(GenConfig(), seed)
+        assert str(new.value) == str(ref.value)
+
+    def test_dropped_candidates_fail_the_old_path(self, monkeypatch):
+        """Every candidate drawn, with the screen forced to reject so all
+        50 are: each one the lattice check drops is one the unchecked path
+        rejects in `capture_views`, `make_instruction` or `task_feasible`."""
+        draws = []  # [env, target, destination, rng after the draw, kept]
+        orig_select = taskgen.select_task
+        orig_views = taskgen.capture_views
+
+        def select(env, rng):
+            target, destination = orig_select(env, rng)
+            after = random.Random()
+            after.setstate(rng.getstate())
+            draws.append([env, target, destination, after, False])
+            return target, destination
+
+        def views(env, target, destination):
+            assert draws[-1][:3] == [env, target, destination]
+            draws[-1][4] = True
+            return orig_views(env, target, destination)
+
+        monkeypatch.setattr(taskgen, "select_task", select)
+        monkeypatch.setattr(taskgen, "capture_views", views)
+        monkeypatch.setattr(taskgen, "task_feasible", lambda *a: False)
+        cfg = GenConfig()
+        for master in (3, 7, 11, 17):
+            for i in range(3):
+                with pytest.raises(GenerationFailed):
+                    generate_task(cfg, h64("session", master, i))
+        monkeypatch.undo()
+
+        dropped = [d for d in draws if not d[4]]
+        assert len(draws) == 600
+        assert 0 < len(dropped) < len(draws)
+        for env, target, destination, rng, _ in dropped:
+            obj = env.objects[target]
+            room = point_in_room(env, obj.pose.x, obj.pose.y)
+            try:
+                t_cap, d_cap = capture_views(env, target, destination)
+                ast, text = make_instruction(env, target, destination,
+                                             t_cap, d_cap, rng, cfg)
+            except (NoViewpoint, NoDistinguishingDescription):
+                continue
+            task = TaskSpec(target, destination, room, t_cap, d_cap, ast, text)
+            assert not task_feasible(env, task, cfg), (target, destination)

@@ -1,8 +1,10 @@
-"""Canonical JSON-lines event logs.
+"""Canonical JSON-lines event logs: writing, strict reading, framing.
 
 Every record serializes through `canonical_json`, so two runs that produce
 equal Python values produce byte-equal log lines.  That is the contract the
-replay checker and the determinism tests lean on.
+replay checker and the determinism tests lean on.  `read_events` loads a
+log as strictly as it is written, and `split_sessions` frames it into
+sessions; both `report` and `replay` read every log through the two.
 """
 from __future__ import annotations
 
@@ -76,16 +78,29 @@ def read_events(path) -> list[dict]:
     return out
 
 
-def validate_events(events: list) -> list[str]:
-    """Structural check of a loaded log; returns violations (empty == ok)."""
-    issues: list[str] = []
+def split_sessions(events: list) -> list[list[dict]]:
+    """Frame a loaded log into its sessions, in log order.
+
+    Every record must be an object with a non-empty string `event` and an
+    integer `session`, and must lie inside one session: the records from a
+    `session_start` up to and including the next `session_end`.  The first
+    record that breaks either rule raises SchemaError naming its number.
+    """
+    sessions: list[list[dict]] = []
     for i, e in enumerate(events, 1):
-        if not isinstance(e, dict):
-            issues.append(f"record {i}: not a JSON object")
-            continue
-        name = e.get("event")
-        if not isinstance(name, str) or not name:
-            issues.append(f"record {i}: missing or empty 'event'")
-        if not isinstance(e.get("session"), int):
-            issues.append(f"record {i}: missing integer 'session'")
-    return issues
+        name = e.get("event") if isinstance(e, dict) else None
+        if not (isinstance(name, str) and name and type(e.get("session")) is int):
+            raise SchemaError(f"record {i}: not an object with a non-empty "
+                              f"string 'event' and an integer 'session'")
+        closed = not sessions or sessions[-1][-1]["event"] == "session_end"
+        if name == "session_start" and not closed:
+            raise SchemaError(f"record {i}: session_start inside an open session")
+        if name != "session_start" and closed:
+            gap = "after session_end" if sessions else "before any session_start"
+            raise SchemaError(f"record {i}: {name} {gap}")
+        if closed:
+            sessions.append([])
+        sessions[-1].append(e)
+    if sessions and sessions[-1][-1]["event"] != "session_end":
+        raise SchemaError("log truncated: the last session has no session_end")
+    return sessions

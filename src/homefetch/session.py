@@ -6,6 +6,11 @@ while budget is left), then a single termination verdict.  Everything
 observable is appended to a structured event list whose canonical JSON
 serialization is the unit of determinism: replay re-runs the session from
 the logged seed and compares line by line.
+
+Both readers take a log's sessions from `eventlog.split_sessions`.  The
+tally counts each session with `session_tally`, which refuses a session
+whose stage ends break the gating; replay checks the framing only and
+leaves every value to the event-by-event comparison.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 from operator import add
 
 from .agent import (
@@ -20,7 +26,9 @@ from .agent import (
     navigate_to_room,
 )
 from .config import RunConfig, config_echo, config_from_echo, ConfigError
-from .eventlog import SchemaError, canonical_json, digest16, read_events, validate_events
+from .eventlog import (
+    SchemaError, canonical_json, digest16, read_events, split_sessions,
+)
 from .language import parse
 from .seeds import KeyedStream, h64
 from .taskgen import capture_record, generate_task
@@ -163,24 +171,20 @@ class Tally:
 
 def aggregate(records: list[SessionRecord],
               abstain_as_unattempted: bool = False) -> Tally:
-    """Attempt/success counts per subtask, summed over the records' events.
+    """Attempt/success counts per subtask, summed over the records' sessions.
 
     With `abstain_as_unattempted`, an OLR round that abstained is dropped
     from the attempt count, so a grounder that always abstains reports
     0 attempts instead of 0% of the batch.
     """
-    per_label = tallies_from_events([e for r in records for e in r.events],
-                                    abstain_as_unattempted)
-    return sum(per_label.values(), Tally())
+    return sum((session_tally(r.events, abstain_as_unattempted)[1]
+                for r in records), Tally())
 
 
 def _cell(successes: int, attempts: int) -> str:
     if attempts == 0:
         return "0 (0/0)"
-    rate = 100.0 * successes / attempts
-    text = f"{rate:.1f}"
-    if text.endswith(".0"):
-        text = text[:-2]
+    text = f"{100.0 * successes / attempts:.1f}".removesuffix(".0")
     return f"{text} ({successes}/{attempts})"
 
 
@@ -194,53 +198,67 @@ def format_report(label: str, tally: Tally) -> str:
     return f"{label} | {row}" if label else row
 
 
+def session_tally(events: list[dict], abstain_as_unattempted: bool = False,
+                  ) -> tuple[str, Tally]:
+    """The grounder label and tally of one framed session.
+
+    The attempted stages must end in `SUBTASKS` order, each at most once
+    and none after a failed one, with boolean `attempted` and `succeeded`;
+    an OLR whose `olr` event abstained must not succeed.  A session that
+    breaks a rule raises SchemaError.  A `subtask_end` whose `attempted` is
+    false is skipped.
+    """
+    cfg = events[0].get("config")
+    label = cfg.get("grounder") if isinstance(cfg, dict) else None
+    if not isinstance(label, str):
+        raise SchemaError("session_start without a string config.grounder")
+    where = f"session {events[0]['session']}"
+    attempts, successes = [0, 0, 0, 0], [0, 0, 0, 0]
+    ended, failed, abstained = 0, False, False  # ended: stages ended so far
+    for e in events:
+        if e["event"] == "olr":
+            abstained = bool(e.get("abstained"))
+        if e["event"] != "subtask_end":
+            continue
+        sub, attempted, ok = e.get("subtask"), e.get("attempted"), e.get("succeeded")
+        if sub not in SUBTASKS:
+            raise SchemaError(f"{where}: unknown subtask {sub!r}")
+        if not (isinstance(attempted, bool) and isinstance(ok, bool)):
+            raise SchemaError(f"{where}: {sub} attempted/succeeded not boolean")
+        if not attempted:
+            continue
+        i = SUBTASKS.index(sub)
+        if i != ended or failed:
+            rule = ("ends twice" if i < ended else
+                    f"ends before {SUBTASKS[ended]} ends" if i > ended else
+                    f"ends after {SUBTASKS[i - 1]} failed")
+            raise SchemaError(f"{where}: {sub} {rule}")
+        if sub == OLR and abstained and ok:
+            raise SchemaError(f"{where}: OLR succeeds though its olr event abstained")
+        ended, failed = i + 1, not ok
+        if not (abstain_as_unattempted and sub == OLR and abstained):
+            attempts[i] += 1
+            successes[i] += ok
+    return label, Tally(tuple(attempts), tuple(successes))
+
+
 def tallies_from_events(events: list[dict],
                         abstain_as_unattempted: bool = False,
                         ) -> dict[str, Tally]:
-    """Aggregate a loaded event log into one Tally per method label."""
-    raw: dict[str, tuple[list[int], list[int]]] = {}
-    label = None
-    abstained = False
-    for e in events:
-        name = e.get("event")
-        if name == "session_start":
-            cfg = e.get("config")
-            label = cfg.get("grounder") if isinstance(cfg, dict) else None
-            if not isinstance(label, str):
-                raise SchemaError("session_start without a string config.grounder")
-            abstained = False
-            raw.setdefault(label, ([0, 0, 0, 0], [0, 0, 0, 0]))
-        elif name == "olr":
-            abstained = bool(e.get("abstained"))
-        elif name == "subtask_end":
-            if label is None:
-                raise SchemaError("subtask_end before session_start")
-            sub = e.get("subtask")
-            if sub not in SUBTASKS:
-                raise SchemaError(f"unknown subtask {sub!r}")
-            if not e.get("attempted"):
-                continue
-            if abstain_as_unattempted and sub == OLR and abstained:
-                continue
-            i = SUBTASKS.index(sub)
-            attempts, successes = raw[label]
-            attempts[i] += 1
-            if e.get("succeeded"):
-                successes[i] += 1
-    return {lab: Tally(tuple(a), tuple(s)) for lab, (a, s) in raw.items()}
+    """Frame a loaded event log and sum its session tallies per label."""
+    out: dict[str, Tally] = {}
+    for events_of_session in split_sessions(events):
+        label, tally = session_tally(events_of_session, abstain_as_unattempted)
+        out[label] = out.get(label, Tally()) + tally
+    return out
 
 
 # --- replay -------------------------------------------------------------------
 
 def replay(events: list[dict]) -> SessionRecord:
     """Re-run one session from its logged head and demand identical events."""
-    issues = validate_events(events)
-    if issues:
-        raise SchemaError("; ".join(issues[:5]))
-    if not events or events[0].get("event") != "session_start":
-        raise SchemaError("log must begin with session_start")
-    if events[-1].get("event") != "session_end":
-        raise SchemaError("log truncated: no session_end")
+    if len(split_sessions(events)) != 1:
+        raise SchemaError("replay takes exactly one session")
     head = events[0]
     seed = head.get("seed")
     if not isinstance(seed, int):
@@ -249,11 +267,8 @@ def replay(events: list[dict]) -> SessionRecord:
         cfg = config_from_echo(head.get("config"))
     except ConfigError as e:
         raise SchemaError(f"bad config echo: {e}") from e
-    fresh = run_session(seed, cfg, head.get("session", 0))
-    n = max(len(events), len(fresh.events))
-    for i in range(n):
-        a = events[i] if i < len(events) else None
-        b = fresh.events[i] if i < len(fresh.events) else None
+    fresh = run_session(seed, cfg, head["session"])
+    for i, (a, b) in enumerate(zip_longest(events, fresh.events)):
         if a is None or b is None or canonical_json(a) != canonical_json(b):
             raise MismatchDetected(i, a, b)
     return fresh
@@ -261,19 +276,9 @@ def replay(events: list[dict]) -> SessionRecord:
 
 def replay_log(path) -> int:
     """Replay every session in a log file; returns how many were verified."""
-    events = read_events(path)
-    if not events:
-        raise SchemaError(f"{path}: empty log")
-    groups: list[list[dict]] = []
-    current: list[dict] | None = None
-    for e in events:
-        if isinstance(e, dict) and e.get("event") == "session_start":
-            current = [e]
-            groups.append(current)
-        elif current is None:
-            raise SchemaError(f"{path}: event before any session_start")
-        else:
-            current.append(e)
-    for group in groups:
-        replay(group)
-    return len(groups)
+    sessions = split_sessions(read_events(path))
+    if not sessions:
+        raise SchemaError("empty log")
+    for events in sessions:
+        replay(events)
+    return len(sessions)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .agent import (
@@ -279,8 +279,6 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     if parse(task.text) != task.instruction:
         return False
     caps = lattice_captures(env, task.room)
-    if not caps:
-        return False
     g = ground(task.instruction, caps, [c.snapshots for c in caps],
                RELATIONAL, cfg.weights, cfg.thresholds)
     if not (g.resolved and g.target.strict and g.destination.strict
@@ -348,27 +346,6 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
 
 # --- dataset export ----------------------------------------------------------
 
-def _attrs_record(a) -> dict:
-    return {"category": a.category, "color": a.color, "material": a.material}
-
-
-def ast_record(ast: InstructionAst) -> dict:
-    m = ast.manip
-    return {
-        "goto": {"room": ast.goto.room},
-        "manip": {
-            "target": _attrs_record(m.target),
-            "relation": None if m.relation is None else {
-                "kind": m.relation.kind,
-                "landmark": _attrs_record(m.relation.landmark),
-            },
-            "source": None if m.source is None else _attrs_record(m.source),
-            "prep": m.prep,
-            "destination": _attrs_record(m.destination),
-        },
-    }
-
-
 def capture_record(cap: Capture) -> dict:
     return {
         "camera": {"x_m": cap.camera.pose.x, "y_m": cap.camera.pose.y,
@@ -393,7 +370,7 @@ def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
                                          .region.center)},
             "room": task.room,
         },
-        "instruction": {"text": task.text, "ast": ast_record(task.instruction)},
+        "instruction": {"text": task.text, "ast": asdict(task.instruction)},
         "captures": {"target": capture_record(task.target_capture),
                      "destination": capture_record(task.destination_capture)},
     }

@@ -278,6 +278,54 @@ def test_malformed_line_exits_5(tmp_path, capsys, command, case):
     assert captured.err.startswith("schema error") and captured.err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def seed7_events(tmp_path_factory):
+    """The events of `run --seed 7 --sessions 10`: every stage of every
+    session succeeds, so the report is 100 (10/10) in each cell."""
+    out = tmp_path_factory.mktemp("seed7")
+    assert main(["run", "--seed", "7", "--sessions", "10",
+                 "--out", str(out)]) == EXIT_OK
+    return read_events(out / "episodes.jsonl")
+
+
+def _first_end(events, subtask):
+    return next(i for i, e in enumerate(events) if e["event"] == "subtask_end"
+                and e["subtask"] == subtask)
+
+
+def _duplicated_end(events):
+    """Navigation would read 100 (11/11)."""
+    i = _first_end(events, "Navigation")
+    events.insert(i, dict(events[i]))
+
+
+def _ungated_end(events):
+    """Fetching would read (10/10) under OLR 90 (9/10)."""
+    events[_first_end(events, "OLR")]["succeeded"] = False
+
+
+def _string_verdict(events):
+    """A string would count as a success."""
+    events[_first_end(events, "Carrying")]["succeeded"] = "no"
+
+
+@pytest.mark.parametrize("breaks", [_duplicated_end, _ungated_end,
+                                    _string_verdict])
+def test_broken_session_shape(tmp_path, capsys, seed7_events, breaks):
+    """`report` refuses a log whose first session breaks the gating; `replay`
+    finds the changed event."""
+    events = [dict(e) for e in seed7_events]
+    breaks(events)
+    log = tmp_path / "broken.jsonl"
+    write_events(log, events)
+    assert main(["report", str(log)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error in {log}: session 0: ")
+    assert err.count("\n") == 1
+    assert main(["replay", str(log)]) == EXIT_MISMATCH
+    assert capsys.readouterr().err.startswith(f"replay mismatch in {log}")
+
+
 class TestReplay:
     def test_verifies_run_log(self, tmp_path, capsys):
         _, out = _run(tmp_path)

@@ -8,7 +8,7 @@ from homefetch.eventlog import (
     canonical_json,
     digest16,
     read_events,
-    validate_events,
+    split_sessions,
     write_events,
 )
 
@@ -72,16 +72,44 @@ class TestWriteRead:
             read_events(path)
 
 
-class TestValidateEvents:
+def _ev(name, session=0):
+    return {"event": name, "session": session}
+
+
+class TestSplitSessions:
     def test_clean(self):
-        assert validate_events([{"event": "x", "session": 0}]) == []
+        log = [_ev("session_start"), _ev("task"), _ev("session_end"),
+               _ev("session_start", 1), _ev("session_end", 1)]
+        assert split_sessions(log) == [log[:3], log[3:]]
+        assert split_sessions([]) == []
 
     def test_flags_shape_violations(self):
-        issues = validate_events([
-            "not a dict",
-            {"session": 0},
-            {"event": "", "session": 0},
-            {"event": "x"},
-        ])
-        assert len(issues) == 4
-        assert "record 1" in issues[0]
+        for record in ["not a dict", {"session": 0}, {"event": "", "session": 0},
+                       {"event": 3, "session": 0}, {"event": "x"},
+                       {"event": "x", "session": "0"},
+                       {"event": "x", "session": True},
+                       {"event": "x", "session": 0.0}]:
+            log = [_ev("session_start"), record, _ev("session_end")]
+            with pytest.raises(SchemaError, match=r"^record 2: .*'session'"):
+                split_sessions(log)
+
+    def test_orphan_record(self):
+        with pytest.raises(SchemaError,
+                           match="record 1: task before any session_start"):
+            split_sessions([_ev("task"), _ev("session_start"),
+                            _ev("session_end")])
+        with pytest.raises(SchemaError,
+                           match="record 3: scene after session_end"):
+            split_sessions([_ev("session_start"), _ev("session_end"),
+                            _ev("scene")])
+
+    def test_session_start_inside_an_open_session(self):
+        with pytest.raises(SchemaError,
+                           match="record 3: session_start inside an open"):
+            split_sessions([_ev("session_start"), _ev("task"),
+                            _ev("session_start", 1), _ev("session_end", 1)])
+
+    def test_truncated_log(self):
+        with pytest.raises(SchemaError, match="truncated"):
+            split_sessions([_ev("session_start"), _ev("session_end"),
+                            _ev("session_start", 1), _ev("task", 1)])

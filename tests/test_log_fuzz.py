@@ -3,18 +3,21 @@
 Logs are short lists of JSON objects.  Most are events of one real session
 with some values, at any depth, swapped for arbitrary ones, so the readers
 get past the JSON layer into the checks behind it; the rest are objects
-built from the real event names and keys.
+built from the real event names and keys.  A second family keeps only
+what the tally reads, near the gated shape, so that `report` accepts some
+of those logs and each accepted one can be checked for gated counts.
 """
 import contextlib
 import io
 import json
+import re
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from homefetch.agent import GROUNDERS
 from homefetch.cli import main
 from homefetch.config import RunConfig
-from homefetch.session import SUBTASKS, run_session
+from homefetch.session import OLR, SUBTASKS, run_session
 
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 
@@ -73,19 +76,79 @@ logs = st.builds(
     st.lists(real_events["session_end"], max_size=1))
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(log=logs)
-def test_malformed_logs_exit_by_contract(tmp_path, log):
+def _write(tmp_path, log):
     path = tmp_path / "fuzz.jsonl"
     # json.dumps writes NaN and Infinity, which the reader must refuse.
     path.write_text("".join(json.dumps(e) + "\n" for e in log),
                     encoding="ascii")
+    return path
+
+
+def _main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log=logs)
+def test_malformed_logs_exit_by_contract(tmp_path, log):
+    path = _write(tmp_path, log)
     for command in ("report", "replay"):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            rc = main([command, str(path)])
+        rc, _, err = _main([command, str(path)])
         assert rc in EXIT_CODES, (command, rc)
         if rc != 0:
-            assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+            assert err.count("\n") == 1, (command, err)
+
+
+def _session(index, label, abstained, verdicts, extra):
+    """One session: the gated stage ends of `verdicts`, up to the first
+    failure, then the `extra` ends, which may break the gating."""
+    def ev(name, **fields):
+        return {"event": name, "session": index, **fields}
+
+    out = [ev("session_start", config={"grounder": label})]
+    for sub, ok in zip(SUBTASKS, verdicts):
+        if sub == OLR:
+            out.append(ev("olr", abstained=abstained))
+        out.append(ev("subtask_end", subtask=sub, attempted=True,
+                      succeeded=ok))
+        if not ok:
+            break
+    out += [ev("subtask_end", subtask=sub, attempted=attempted,
+               succeeded=ok) for sub, attempted, ok in extra]
+    return out + [ev("session_end")]
+
+
+stage_ends = st.lists(st.tuples(st.sampled_from(SUBTASKS), st.booleans(),
+                                st.booleans() | st.just("no")), max_size=1)
+tally_logs = st.lists(
+    st.tuples(st.sampled_from(GROUNDERS), st.booleans(),
+              st.lists(st.booleans(), max_size=4), stage_ends),
+    max_size=4).map(lambda sessions: [e for i, s in enumerate(sessions)
+                                      for e in _session(i, *s)])
+_CELL = re.compile(r"\((\d+)/(\d+)\)")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log=tally_logs | logs)
+def test_accepted_logs_have_gated_counts(tmp_path, log):
+    """Per label, no stage after Navigation has more attempts than the
+    stage before it has successes, with or without the compat count; the
+    compat count changes the counts, never which logs are accepted."""
+    path = _write(tmp_path, log)
+    codes = set()
+    for compat in ([], ["--paper-compat-counts"]):
+        rc, out, err = _main(["report", str(path), *compat])
+        codes.add(rc)
+        if rc != 0:
+            assert rc == 5 and err.count("\n") == 1, (rc, err)
+            continue
+        for row in out.splitlines():
+            cells = [tuple(map(int, m)) for m in _CELL.findall(row)]
+            for (succeeded, _), (_, attempts) in zip(cells, cells[1:]):
+                assert attempts <= succeeded, (compat, row)
+    assert len(codes) == 1, codes

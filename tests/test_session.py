@@ -102,13 +102,41 @@ class TestTalliesFromEvents:
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError, match="config.grounder"):
-            tallies_from_events([{"event": "session_start", "session": 0}])
-        with pytest.raises(SchemaError, match="before session_start"):
+            tallies_from_events([{"event": "session_start", "session": 0},
+                                 {"event": "session_end", "session": 0}])
+        with pytest.raises(SchemaError, match="before any session_start"):
             tallies_from_events([{"event": "subtask_end", "session": 0,
                                   "subtask": NAVIGATION, "attempted": True}])
         bad = _session_events("relational", [("Daydreaming", True, True)])
         with pytest.raises(SchemaError, match="unknown subtask"):
             tallies_from_events(bad)
+
+    @pytest.mark.parametrize("ends,abstained,rule", [
+        ([(NAVIGATION, True, True), (NAVIGATION, True, True)], False,
+         "Navigation ends twice"),
+        ([(OLR, True, True)], False, "OLR ends before Navigation ends"),
+        ([(NAVIGATION, True, True), (OLR, True, False),
+          (FETCHING, True, True)], False, "Fetching ends after OLR failed"),
+        ([(NAVIGATION, True, "no")], False, "not boolean"),
+        ([(NAVIGATION, 1, True)], False, "not boolean"),
+        ([(NAVIGATION, True, True), (OLR, True, True)], True,
+         "OLR succeeds though its olr event abstained"),
+        ([(NAVIGATION, True, True), (OLR, True, False), (OLR, True, False)],
+         True, "OLR ends twice"),
+    ])
+    def test_gating_errors(self, ends, abstained, rule):
+        """Each rule holds with and without the compat count."""
+        bad = _session_events("relational", ends, abstained)
+        for compat in (False, True):
+            with pytest.raises(SchemaError, match=f"^session 0: .*{rule}"):
+                tallies_from_events(bad, abstain_as_unattempted=compat)
+
+    def test_unattempted_end_is_skipped(self):
+        ev = _session_events("relational", [
+            (NAVIGATION, True, True), (FETCHING, False, False),
+            (OLR, True, True), (OLR, False, True)])
+        assert tallies_from_events(ev) == {
+            "relational": Tally((1, 1, 0, 0), (1, 1, 0, 0))}
 
 
 def _cfg(**kw):

@@ -9,6 +9,21 @@ Motion is layered so that every executed trajectory is provably safe:
   segment clearance, and the robot drives the staging-to-dock segment as an
   exact straight line, then retreats along it.
 
+`follow_path` and `rotate_exact` are memoized legs.  With an empty gripper a
+leg reads nothing but the static geometry, the robot's radius and speed
+limits, its exact pose and clock at the start, the deadline, and the path's
+waypoints and length (or the heading).  The memo keys on exactly those, the
+floats by their bits, so a signed zero is a key of its own.  Dynamic
+objects are not in the key: `step` collides only with `env.obstacles`, and
+an empty gripper moves no object.  A hit restores the return value, the
+final `Pose` object itself, the final clock and the collisions added, and
+extends `env.trace` with the stored segment, whose tuples it shares.  A leg
+with a held object, or with no trace to extend, runs uncached.
+`drive_straight` turns through the memoized `rotate_exact`.  The memo holds
+at most `LEG_MEMO_CAP` legs, oldest evicted first, and `cli.main` clears it
+before each command, so legs are reused within a command, never across.
+No code mutates a `Pose` in place, which is what lets entries share them.
+
 Perception is geometric visibility plus parametric noise.  Detection noise
 is drawn from a keyed stream: a miss is keyed by object (one fate per object
 per session), attribute corruption by (capture, object).  Keyed draws give
@@ -18,7 +33,9 @@ degrade monotonically in the miss rate instead of jittering.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .geometry import dist, norm_angle
@@ -31,7 +48,7 @@ from .seeds import KeyedStream
 from .vocab import DEFAULT
 from .world import (
     DT_S, DYNAMIC, SURFACE, ActionFailure, CameraPose, Environment, Pose,
-    Snapshot, capture_supports, grasp as world_grasp, grid_for,
+    Snapshot, capture_supports, geometry_key, grasp as world_grasp, grid_for,
     line_of_sight, place as world_place, point_blocked, point_in_room,
     sight_ignore, step as world_step, visible_batch, visible_objects,
 )
@@ -198,8 +215,54 @@ def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
 
 # --- low-level motion -------------------------------------------------------
 
+LEG_MEMO_CAP = 4096
+# (body, geometry key, float bits) ->
+# (return value, final pose, final clock, collisions added, trace segment)
+_LEG_MEMO: dict[tuple, tuple[bool, Pose, float, int, list]] = {}
+
+
+def clear_leg_memo() -> None:
+    """Forget every memoized leg (called once per CLI command)."""
+    _LEG_MEMO.clear()
+
+
+def _memo_leg(env: Environment, body, deadline: float,
+              floats: list[float], arg) -> bool:
+    """`body(env, arg, deadline)`, or its stored outcome replayed on `env`."""
+    rb = env.robot
+    trace = env.trace
+    if rb.gripper is not None or trace is None:
+        return body(env, arg, deadline)
+    p = rb.pose
+    bits = struct.pack(f"<{8 + len(floats)}d", rb.radius, rb.max_linear,
+                       rb.max_angular, p.x, p.y, p.theta, env.clock,
+                       deadline, *floats)
+    key = (body, geometry_key(env), bits)
+    hit = _LEG_MEMO.get(key)
+    if hit is None:
+        start, collisions = len(trace), env.collisions
+        ok = body(env, arg, deadline)
+        if len(_LEG_MEMO) >= LEG_MEMO_CAP:
+            del _LEG_MEMO[next(iter(_LEG_MEMO))]
+        _LEG_MEMO[key] = (ok, rb.pose, env.clock, env.collisions - collisions,
+                          trace[start:])
+        return ok
+    ok, rb.pose, env.clock, collisions, segment = hit
+    env.collisions += collisions
+    trace.extend(segment)
+    return ok
+
+
 def rotate_exact(env: Environment, heading: float, deadline: float) -> bool:
-    """Turn in place to an exact heading; False only on deadline."""
+    """Turn in place to an exact heading; False only on deadline.
+
+    A memoized leg (see the module docstring).
+    """
+    return _memo_leg(env, _rotate_exact, deadline, [heading], heading)
+
+
+def _rotate_exact(env: Environment, heading: float, deadline: float) -> bool:
+    """The uncached turn behind `rotate_exact`."""
     rb = env.robot
     while env.clock < deadline - 1e-9:
         delta = norm_angle(heading - rb.pose.theta)
@@ -281,7 +344,17 @@ def _advance(pts, cum, p: tuple[float, float], progress: float) -> float:
 
 
 def follow_path(env: Environment, path: Path, deadline: float) -> bool:
-    """Pure pursuit along the waypoint polyline, then an exact landing."""
+    """Pure pursuit along the waypoint polyline, then an exact landing.
+
+    A memoized leg (see the module docstring).
+    """
+    return _memo_leg(env, _follow_path, deadline,
+                     [*chain.from_iterable(path.waypoints), path.total_length],
+                     path)
+
+
+def _follow_path(env: Environment, path: Path, deadline: float) -> bool:
+    """The uncached pure pursuit behind `follow_path`."""
     pts = path.waypoints
     goal = pts[-1]
     rb = env.robot

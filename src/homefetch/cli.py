@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agent import GROUNDERS
+from .agent import GROUNDERS, clear_leg_memo
 from .config import (
     ConfigError, RunConfig, apply_overrides, config_echo, load_config,
 )
@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    clear_plan_memo()  # plans are memoised per command, never across commands
+    # Plans and motion legs are memoised per command, never across commands.
+    clear_plan_memo()
+    clear_leg_memo()
     try:
         return args.fn(args)
     except ConfigError as e:

@@ -42,8 +42,9 @@ keys on the same geometry and inflation through `world.geometry_key`.  A `NoPath
 is cached too, since callers such as `room_entry_path` try unreachable
 doors again and again.  Every call returns a fresh `Path` or raises a fresh
 `NoPath`.  The memo is capped at `PLAN_MEMO_CAP` entries, oldest evicted
-first, and `cli.main` clears it before each command, so every command
-starts cold, as it would in a process of its own.
+first.  `cli.main` clears it and the agent's leg memo (`agent.clear_leg_memo`)
+before each command, so every command starts cold, as it would in a process
+of its own.
 """
 from __future__ import annotations
 

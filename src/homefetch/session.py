@@ -9,8 +9,9 @@ the logged seed and compares line by line.
 
 Both readers take a log's sessions from `eventlog.split_sessions`.  The
 tally counts each session with `session_tally`, which refuses a session
-whose stage ends break the gating; replay checks the framing only and
-leaves every value to the event-by-event comparison.
+whose records carry more than one `session` index or whose stage ends break
+the gating; replay checks the framing only and leaves every value to the
+event-by-event comparison.
 """
 from __future__ import annotations
 
@@ -202,20 +203,25 @@ def session_tally(events: list[dict], abstain_as_unattempted: bool = False,
                   ) -> tuple[str, Tally]:
     """The grounder label and tally of one framed session.
 
-    The attempted stages must end in `SUBTASKS` order, each at most once
-    and none after a failed one, with boolean `attempted` and `succeeded`;
-    an OLR whose `olr` event abstained must not succeed.  A session that
-    breaks a rule raises SchemaError.  A `subtask_end` whose `attempted` is
-    false is skipped.
+    Every record must carry the `session` index of the session's
+    `session_start`.  The attempted stages must end in `SUBTASKS` order,
+    each at most once and none after a failed one, with boolean `attempted`
+    and `succeeded`; an OLR whose `olr` event abstained must not succeed.
+    A session that breaks a rule raises SchemaError.  A `subtask_end` whose
+    `attempted` is false is skipped.
     """
     cfg = events[0].get("config")
     label = cfg.get("grounder") if isinstance(cfg, dict) else None
     if not isinstance(label, str):
         raise SchemaError("session_start without a string config.grounder")
-    where = f"session {events[0]['session']}"
+    index = events[0]["session"]
+    where = f"session {index}"
     attempts, successes = [0, 0, 0, 0], [0, 0, 0, 0]
     ended, failed, abstained = 0, False, False  # ended: stages ended so far
-    for e in events:
+    for k, e in enumerate(events, 1):
+        if e["session"] != index:
+            raise SchemaError(f"{where}: its record {k} ({e['event']}) "
+                              f"carries session index {e['session']}")
         if e["event"] == "olr":
             abstained = bool(e.get("abstained"))
         if e["event"] != "subtask_end":

@@ -5,6 +5,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import struct
+from itertools import chain
 
 import numpy as np
 from hypothesis import strategies as st
@@ -328,6 +330,11 @@ def reference_generate_task(cfg: GenConfig,
 
 
 # --- reading a session's facts from its event log -------------------------
+
+def trace_bits(trace: list) -> bytes:
+    """A pose trace as the bytes of its floats, so equal means bit-equal."""
+    return struct.pack(f"<{3 * len(trace)}d", *chain.from_iterable(trace))
+
 
 def only_event(events: list[dict], name: str) -> dict:
     """The one event of that name in a session's log."""

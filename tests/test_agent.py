@@ -1,9 +1,12 @@
 import math
+import struct
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import ball, make_env, sighting, table
+from helpers import ball, make_env, sighting, table, trace_bits
+from homefetch import agent
 from homefetch.agent import (
     ARRIVE_TOL_M,
     CRAWL_SPACING_M,
@@ -17,9 +20,12 @@ from homefetch.agent import (
     STALL_LIMIT_S,
     STANDOFF_RADII_M,
     Capture,
+    _follow_path,
+    _rotate_exact,
     NoiseConfig,
     Pick,
     captured,
+    clear_leg_memo,
     crawl,
     crawl_points,
     detect,
@@ -503,6 +509,162 @@ class TestMotion:
         path = Path([(0.7, 0.7), (9.3, 0.7)], 8.6)
         assert not follow_path(env, path, deadline=60.0)
         assert env.clock < 10.0
+
+
+_LEG_ROOM = Rect(0.0, 0.0, 8.0, 4.0)
+_LEG_TABLE = table("t0", Rect(3.5, 1.5, 4.5, 4.0))
+
+
+def _leg_env(start, clock, furniture=(_LEG_TABLE,), objects=None):
+    """A room with a table against the far wall to stall or collide on, and
+    a ball on the table; the robot at `start` (x, y, theta) at `clock`."""
+    if objects is None:
+        objects = (ball(xy=(4.0, 2.8)),)
+    env = make_env(room=_LEG_ROOM, furniture=furniture, objects=objects,
+                   robot_xy=start[:2], theta=start[2], layout_id="leg-memo")
+    env.clock = clock
+    env.trace = [(-1.0, -1.0, 0.0)]  # a leg extends, never replaces
+    env.collisions = 2  # and adds to the count
+    return env
+
+
+def _outcome(env, ok):
+    """What a leg leaves on `_leg_env`, every float by its bits."""
+    p = env.robot.pose
+    return (ok, struct.pack("<4d", p.x, p.y, p.theta, env.clock),
+            env.collisions - 2, trace_bits(env.trace))
+
+
+_coord = st.floats(0.3, 7.7)
+
+
+@st.composite
+def _legs(draw):
+    """(memoised entry, uncached body, its argument, start, clock, deadline)."""
+    start = (draw(_coord), draw(st.floats(0.3, 3.7)),
+             draw(st.floats(-math.pi, math.pi)))
+    clock = draw(st.floats(0.0, 100.0))
+    deadline = clock + draw(st.floats(0.0, 30.0))
+    if draw(st.booleans()):
+        return (rotate_exact, _rotate_exact, draw(st.floats(-4.0, 4.0)),
+                start, clock, deadline)
+    pts = [start[:2]] + draw(st.lists(st.tuples(_coord, st.floats(0.3, 3.7)),
+                                      max_size=3))
+    length = sum(math.dist(a, b) for a, b in zip(pts, pts[1:]))
+    return (follow_path, _follow_path, Path(pts, length), start, clock,
+            deadline)
+
+
+class TestLegMemo:
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        clear_leg_memo()
+        yield
+        clear_leg_memo()
+
+    @settings(max_examples=40, deadline=None)
+    @given(leg=_legs())
+    def test_hit_equals_uncached_leg(self, leg):
+        memoised, body, arg, start, clock, deadline = leg
+        uncached = _leg_env(start, clock)
+        want = _outcome(uncached, body(uncached, arg, deadline))
+        clear_leg_memo()
+        first = _leg_env(start, clock)
+        assert _outcome(first, memoised(first, arg, deadline)) == want
+        stored = len(agent._LEG_MEMO)
+        again = _leg_env(start, clock)
+        assert _outcome(again, memoised(again, arg, deadline)) == want
+        # A hit stores nothing and restores the stored Pose object itself.
+        assert len(agent._LEG_MEMO) == stored
+        assert again.robot.pose is first.robot.pose
+
+    @pytest.mark.parametrize("change", [
+        "nothing", "radius", "max_linear", "max_angular", "x", "y", "theta",
+        "clock", "signed zero", "deadline", "waypoint", "total_length",
+        "heading", "geometry"])
+    def test_each_key_field_misses(self, change):
+        """A leg stores a new entry exactly when one field of its key
+        changes; the float fields move by one ulp, or from 0.0 to -0.0."""
+        def up(v):
+            return math.nextafter(v, math.inf)
+
+        def stores(leg, start=(1.0, 1.0, 0.0), clock=0.0, deadline=40.0,
+                   path=Path([(1.0, 1.0), (6.0, 1.0), (6.0, 3.0)], 7.0),
+                   heading=1.0, furniture=(_LEG_TABLE,), scaled=None,
+                   theta=None):
+            env = _leg_env(start, clock, furniture)
+            if theta is not None:  # past Pose's wrap, which rounds an ulp
+                env.robot.pose.theta = theta
+            if scaled is not None:
+                name, factor = scaled
+                setattr(env.robot, name, getattr(env.robot, name) * factor)
+            before = len(agent._LEG_MEMO)
+            leg(env, path if leg is follow_path else heading, deadline)
+            return len(agent._LEG_MEMO) > before
+
+        changed = {
+            "nothing": {},
+            "radius": {"scaled": ("radius", 0.96)},
+            "max_linear": {"scaled": ("max_linear", 0.96)},
+            "max_angular": {"scaled": ("max_angular", 0.96)},
+            "x": {"start": (up(1.0), 1.0, 0.0)},
+            "y": {"start": (1.0, up(1.0), 0.0)},
+            "theta": {"theta": up(0.0)},
+            "clock": {"clock": up(0.0)},
+            "signed zero": {"clock": -0.0},
+            "deadline": {"deadline": up(40.0)},
+            "waypoint": {"path": Path([(1.0, 1.0), (6.0, up(1.0)),
+                                       (6.0, 3.0)], 7.0)},
+            "total_length": {"path": Path([(1.0, 1.0), (6.0, 1.0),
+                                           (6.0, 3.0)], up(7.0))},
+            "heading": {"heading": up(1.0)},
+            "geometry": {"furniture": (table("t0", Rect(3.5, 1.6, 4.5, 4.0)),)},
+        }[change]
+        legs = {"waypoint": (follow_path,), "total_length": (follow_path,),
+                "heading": (rotate_exact,)}.get(change,
+                                                (follow_path, rotate_exact))
+        for leg in legs:
+            assert stores(leg)  # cold
+            assert stores(leg, **changed) == (change != "nothing")
+
+    def test_held_object_or_no_trace_is_never_stored(self):
+        path = Path([(1.0, 1.0), (3.0, 1.0)], 2.0)
+        held = _leg_env((1.0, 1.0, 0.0), 0.0,
+                        objects=(ball(xy=(1.25, 1.0), support=None),))
+        held.robot.gripper = "o0"
+        assert follow_path(held, path, 40.0)
+        assert rotate_exact(held, 1.0, 40.0)
+        untraced = _leg_env((1.0, 1.0, 0.0), 0.0)
+        untraced.trace = None
+        assert follow_path(untraced, path, 40.0)
+        assert rotate_exact(untraced, 1.0, 40.0)
+        assert agent._LEG_MEMO == {}
+        assert held.objects["o0"].pose.xy != (1.25, 1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(leg=_legs(), xy=st.tuples(_coord, st.floats(0.3, 3.7)),
+           on_table=st.booleans())
+    def test_dynamic_objects_do_not_change_a_leg(self, leg, xy, on_table):
+        """Why the key leaves dynamic objects out: moving or re-parenting
+        them leaves an uncached leg exactly as it was."""
+        _, body, arg, start, clock, deadline = leg
+        base = _leg_env(start, clock)
+        moved = _leg_env(start, clock, objects=(
+            ball(xy=xy, support="t0/top" if on_table else None),
+            ball("o1", xy=(4.2, 2.0))))
+        moved.scene_version = 7
+        assert _outcome(moved, body(moved, arg, deadline)) == \
+            _outcome(base, body(base, arg, deadline))
+
+    def test_memo_is_capped_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(agent, "LEG_MEMO_CAP", 2)
+        stored = []
+        for heading in (0.5, 1.0, 1.5):
+            before = set(agent._LEG_MEMO)
+            rotate_exact(_leg_env((1.0, 1.0, 0.0), 0.0), heading, 40.0)
+            stored += set(agent._LEG_MEMO) - before
+        assert len(stored) == 3
+        assert list(agent._LEG_MEMO) == stored[1:]
 
 
 class TestNavigateToRoom:

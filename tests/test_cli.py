@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from homefetch import planner
+from homefetch import agent, planner
 from homefetch.cli import (
     EXIT_CONFIG,
     EXIT_GENERATION,
@@ -234,6 +234,15 @@ class TestReport:
         capsys.readouterr()
         assert planner._PLAN_MEMO == {}
 
+    def test_each_command_starts_with_an_empty_leg_memo(self, tmp_path,
+                                                        capsys):
+        agent._LEG_MEMO[("sentinel",)] = "stale"
+        log = tmp_path / "empty.jsonl"
+        log.write_text("")
+        assert main(["report", str(log)]) == EXIT_OK
+        capsys.readouterr()
+        assert agent._LEG_MEMO == {}
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope.jsonl")])
         assert rc == EXIT_IO
@@ -309,8 +318,13 @@ def _string_verdict(events):
     events[_first_end(events, "Carrying")]["succeeded"] = "no"
 
 
+def _relabelled_record(events):
+    """A record of session 0 would count under session 1's index."""
+    next(e for e in events if e["event"] == "path")["session"] = 1
+
+
 @pytest.mark.parametrize("breaks", [_duplicated_end, _ungated_end,
-                                    _string_verdict])
+                                    _string_verdict, _relabelled_record])
 def test_broken_session_shape(tmp_path, capsys, seed7_events, breaks):
     """`report` refuses a log whose first session breaks the gating; `replay`
     finds the changed event."""

@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import only_event, verdicts
+from helpers import only_event, trace_bits, verdicts
 from homefetch import session
-from homefetch.agent import NoiseConfig, navigate_to_room
+from homefetch.agent import NoiseConfig, clear_leg_memo, navigate_to_room
 from homefetch.config import RunConfig, config_echo
 from homefetch.eventlog import SchemaError, canonical_json, write_events
 from homefetch.seeds import h64
@@ -130,6 +130,13 @@ class TestTalliesFromEvents:
         for compat in (False, True):
             with pytest.raises(SchemaError, match=f"^session 0: .*{rule}"):
                 tallies_from_events(bad, abstain_as_unattempted=compat)
+
+    def test_one_session_index_per_session(self):
+        ev = _session_events("relational", [(NAVIGATION, True, True)])
+        ev[1]["session"] = 1
+        with pytest.raises(SchemaError, match=r"^session 0: its record 2 "
+                           r"\(subtask_end\) carries session index 1$"):
+            tallies_from_events(ev)
 
     def test_unattempted_end_is_skipped(self):
         ev = _session_events("relational", [
@@ -366,6 +373,18 @@ class TestRunBatch:
             assert a.events[0]["session"] == b.events[0]["session"] == i
             assert [canonical_json(e) for e in a.events] == \
                 [canonical_json(e) for e in b.events]
+
+    def test_sessions_do_not_leak_through_the_leg_memo(self):
+        """Each session of a batch equals that session run alone from a
+        cold leg memo: the same events and the same pose after every tick."""
+        cfg = _cfg(seed=7, sessions=12)
+        batch = run_batch(cfg)
+        for i, rec in enumerate(batch):
+            clear_leg_memo()
+            alone = run_session(7, cfg, i)
+            assert [canonical_json(e) for e in alone.events] == \
+                [canonical_json(e) for e in rec.events]
+            assert trace_bits(alone.trace) == trace_bits(rec.trace)
 
     def test_pool_capped_at_sessions_and_cpus(self, monkeypatch):
         """The pool is sized min(workers, sessions, CPUs) and still used at

@@ -9,20 +9,19 @@ Motion is layered so that every executed trajectory is provably safe:
   segment clearance, and the robot drives the staging-to-dock segment as an
   exact straight line, then retreats along it.
 
-`follow_path` and `rotate_exact` are memoized legs.  With an empty gripper a
-leg reads nothing but the static geometry, the robot's radius and speed
-limits, its exact pose and clock at the start, the deadline, and the path's
-waypoints and length (or the heading).  The memo keys on exactly those, the
-floats by their bits, so a signed zero is a key of its own.  Dynamic
-objects are not in the key: `step` collides only with `env.obstacles`, and
-an empty gripper moves no object.  A hit restores the return value, the
-final `Pose` object itself, the final clock and the collisions added, and
-extends `env.trace` with the stored segment, whose tuples it shares.  A leg
-with a held object, or with no trace to extend, runs uncached.
-`drive_straight` turns through the memoized `rotate_exact`.  The memo holds
-at most `LEG_MEMO_CAP` legs, oldest evicted first, and `cli.main` clears it
-before each command, so legs are reused within a command, never across.
-No code mutates a `Pose` in place, which is what lets entries share them.
+`follow_path` and `rotate_exact` are memoized legs, on the grid's memo
+(see the `world` module docstring).  With an empty gripper a leg reads
+nothing but the static geometry, the robot's radius and speed limits, its
+exact pose and clock at the start, the deadline, and the path's waypoints
+and length (or the heading).  The key holds the floats by their bits, so a
+signed zero is a key of its own.  Dynamic objects are not in the key:
+`step` collides only with `env.obstacles`, and an empty gripper moves no
+object.  A hit restores the return value, the final `Pose` object itself,
+the final clock and the collisions added, and extends `env.trace` with the
+stored segment, whose tuples it shares.  A leg with a held object, or with
+no trace to extend, runs uncached.  `drive_straight` turns through the
+memoized `rotate_exact`.  No code mutates a `Pose` in place, which is what
+lets entries share them.
 
 Perception is geometric visibility plus parametric noise.  Detection noise
 is drawn from a keyed stream: a miss is keyed by object (one fate per object
@@ -48,7 +47,7 @@ from .seeds import KeyedStream
 from .vocab import DEFAULT
 from .world import (
     DT_S, DYNAMIC, SURFACE, ActionFailure, CameraPose, Environment, Pose,
-    Snapshot, capture_supports, geometry_key, grasp as world_grasp, grid_for,
+    Snapshot, capture_supports, grasp as world_grasp, grid_for,
     line_of_sight, place as world_place, point_blocked, point_in_room,
     sight_ignore, step as world_step, visible_batch, visible_objects,
 )
@@ -139,18 +138,16 @@ class Grounding:
 # --- perception ------------------------------------------------------------
 
 def captured(env: Environment, cam: CameraPose) -> list[Snapshot]:
-    """visible_objects, memoized on the environment.
+    """visible_objects, memoized on the environment's scene memo.
 
-    The key is (scene version, x, y, theta, fov, range).  The static
-    geometry is fixed after construction, and every move or re-parenting of
-    an object bumps the scene version.
+    The key is the camera's (x, y, theta, fov, range).  The static geometry
+    is fixed after construction, and every move or re-parenting of an
+    object empties the memo.
     """
-    key = (env.scene_version, cam.pose.x, cam.pose.y, cam.pose.theta,
-           cam.fov, cam.range)
-    hit = env._vis_memo.get(key)
+    key = ("view", cam.pose.x, cam.pose.y, cam.pose.theta, cam.fov, cam.range)
+    hit = env.memo.get(key)
     if hit is None:
-        hit = visible_objects(env, cam)
-        env._vis_memo[key] = hit
+        hit = env.memo[key] = visible_objects(env, cam)
     return hit
 
 
@@ -167,14 +164,15 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
     the inflated grid in the robot's own grid component; the robot only ever
     occupies free cells of the one navigable component, so the runtime crawl
     and any static replay enumerate the same poses.  The lattice depends on
-    nothing else, so it is memoized on exactly that (the grid's `crawl`, by
+    nothing else, so it is memoized on exactly that (the grid's memo, by
     room bounds and component); each call returns a fresh list.
     """
     grid = grid_for(env)
     comp = _robot_component(env)
     b = env.room(room_id).bounds
-    key = (b.as_tuple(), comp)
-    if key not in grid.crawl:
+    key = ("crawl", b.as_tuple(), comp)
+    pts = grid.memo.get(key)
+    if pts is None:
         xs, ys = [], []
         k = 1
         while b.x0 + k * CRAWL_SPACING_M < b.x1:
@@ -185,29 +183,29 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
             ys.append(b.y0 + k * CRAWL_SPACING_M)
             k += 1
 
-        pts: list[tuple[float, float]] = []
+        found = []
         for row, y in enumerate(ys):
             row_xs = xs if row % 2 == 0 else list(reversed(xs))
             for x in row_xs:
                 if comp is not None and grid.component_at(x, y) == comp:
-                    pts.append((x, y))
-        grid.crawl[key] = tuple(pts)
-    return list(grid.crawl[key])
+                    found.append((x, y))
+        pts = grid.remember(key, tuple(found))
+    return list(pts)
 
 
 def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
     """The captures a full undisturbed crawl of the room would produce.
 
-    Memoized on the environment by (scene version, room, robot's grid
+    Memoized on the environment's scene memo by (room, robot's grid
     component), all it depends on; each call returns a fresh list.
     """
-    key = (env.scene_version, room_id, _robot_component(env))
-    caps = env._lattice_memo.get(key)
+    key = ("lattice", room_id, _robot_component(env))
+    caps = env.memo.get(key)
     if caps is None:
         supports = capture_supports(env)
         cams = [CameraPose(Pose(x, y, h))
                 for (x, y) in crawl_points(env, room_id) for h in HEADINGS]
-        caps = env._lattice_memo[key] = [
+        caps = env.memo[key] = [
             Capture(cam, snaps, supports)
             for cam, snaps in zip(cams, visible_batch(env, cams))]
     return list(caps)
@@ -215,20 +213,13 @@ def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
 
 # --- low-level motion -------------------------------------------------------
 
-LEG_MEMO_CAP = 4096
-# (body, geometry key, float bits) ->
-# (return value, final pose, final clock, collisions added, trace segment)
-_LEG_MEMO: dict[tuple, tuple[bool, Pose, float, int, list]] = {}
-
-
-def clear_leg_memo() -> None:
-    """Forget every memoized leg (called once per CLI command)."""
-    _LEG_MEMO.clear()
-
-
 def _memo_leg(env: Environment, body, deadline: float,
               floats: list[float], arg) -> bool:
-    """`body(env, arg, deadline)`, or its stored outcome replayed on `env`."""
+    """`body(env, arg, deadline)`, or its stored outcome replayed on `env`.
+
+    The grid's memo maps (body, float bits) to (return value, final pose,
+    final clock, collisions added, trace segment).
+    """
     rb = env.robot
     trace = env.trace
     if rb.gripper is not None or trace is None:
@@ -237,15 +228,14 @@ def _memo_leg(env: Environment, body, deadline: float,
     bits = struct.pack(f"<{8 + len(floats)}d", rb.radius, rb.max_linear,
                        rb.max_angular, p.x, p.y, p.theta, env.clock,
                        deadline, *floats)
-    key = (body, geometry_key(env), bits)
-    hit = _LEG_MEMO.get(key)
+    grid = grid_for(env)
+    key = (body, bits)
+    hit = grid.memo.get(key)
     if hit is None:
         start, collisions = len(trace), env.collisions
         ok = body(env, arg, deadline)
-        if len(_LEG_MEMO) >= LEG_MEMO_CAP:
-            del _LEG_MEMO[next(iter(_LEG_MEMO))]
-        _LEG_MEMO[key] = (ok, rb.pose, env.clock, env.collisions - collisions,
-                          trace[start:])
+        grid.remember(key, (ok, rb.pose, env.clock,
+                            env.collisions - collisions, trace[start:]))
         return ok
     ok, rb.pose, env.clock, collisions, segment = hit
     env.collisions += collisions

@@ -10,12 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agent import GROUNDERS, clear_leg_memo
+from .agent import GROUNDERS
 from .config import (
     ConfigError, RunConfig, apply_overrides, config_echo, load_config,
 )
 from .eventlog import SchemaError, canonical_json, read_events, write_events
-from .planner import clear_plan_memo
 from .seeds import h64
 from .session import (
     MismatchDetected, SUBTASKS, Tally, aggregate, format_cells, format_report,
@@ -24,6 +23,7 @@ from .session import (
 from .taskgen import (
     GenerationFailed, episode_record, export_dataset, generate_task,
 )
+from .world import forget_memos
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Plans and motion legs are memoised per command, never across commands.
-    clear_plan_memo()
-    clear_leg_memo()
+    # Work on a geometry is memoised per command, never across commands.
+    forget_memos()
     try:
         return args.fn(args)
     except ConfigError as e:

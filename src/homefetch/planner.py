@@ -14,12 +14,12 @@ reachability oracle.  Ties break on (f, h, cell index) so plans are stable
 across runs and platforms.  It runs on flat cell indices (`iy * nx + ix`):
 g is a list, the closed set a bytearray, and each cell's moves come from
 `Grid.moves`, a byte per cell with one bit per legal move (in bounds, onto
-a free cell, the corner rule applied), built lazily from `free`.  A table
-of 256 move tuples indexed by that byte gives each move's flat offset and
-its step cost (1 or sqrt 2, times the resolution), so the arithmetic, the
-relax test `cand < g - 1e-12` and so every path are those of a search over
-(ix, iy) pairs.  A move mask never sets a bit that leaves the grid, so a
-flat offset never wraps across a row.
+a free cell, the corner rule applied), built lazily from `free`.
+`Grid.move_table`, 256 move tuples indexed by that byte, gives each move's
+flat offset and its step cost (1 or sqrt 2, times the resolution), so the
+arithmetic, the relax test `cand < g - 1e-12` and so every path are those
+of a search over (ix, iy) pairs.  A move mask never sets a bit that leaves
+the grid, so a flat offset never wraps across a row.
 
 The string pull smooths the cell path greedily: from each kept point it
 takes the farthest later point whose straight segment stays on free cells,
@@ -34,32 +34,26 @@ segment's bounding box is at least the clearance plus 1e-9: that distance
 is a lower bound on the segment's own, so only the other rectangles need
 the exact `segment_rect_distance`.
 
-`plan_path` is memoised.  A plan depends on nothing but the static geometry
-(`Environment.geometry_digest`), the inflation (robot radius plus margin,
-which also fixes the radius `_snap_start` keeps from obstacles) and the two
-points, so the memo keys on exactly those, with exact floats; the grid cache
-keys on the same geometry and inflation through `world.geometry_key`.  A `NoPath`
-is cached too, since callers such as `room_entry_path` try unreachable
-doors again and again.  Every call returns a fresh `Path` or raises a fresh
-`NoPath`.  The memo is capped at `PLAN_MEMO_CAP` entries, oldest evicted
-first.  `cli.main` clears it and the agent's leg memo (`agent.clear_leg_memo`)
-before each command, so every command starts cold, as it would in a process
-of its own.
+`plan_path` is memoised on the grid (`world.Grid.memo`, described in the
+`world` module docstring).  A plan depends on nothing but the static
+geometry, the inflation (robot radius plus margin, which also fixes the
+radius `_snap_start` keeps from obstacles) and the two exact points, and
+the grid is that geometry and inflation.  A `NoPath` is cached too, since
+callers such as `room_entry_path` try unreachable doors again and again.
+Every call returns a fresh `Path` or raises a fresh `NoPath`.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .geometry import dist, segment_rect_distance
-from .world import GRID_MOVES, Environment, Grid, geometry_key, grid_for
+from .world import Environment, Grid, grid_for
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT2_M1 = _SQRT2 - 1.0
+_SQRT2_M1 = math.sqrt(2.0) - 1.0
 
 
 class NoPath(Exception):
@@ -122,15 +116,6 @@ def _snap_start(env: Environment, grid: Grid,
     return None
 
 
-@lru_cache(maxsize=8)
-def _move_table(nx: int, res: float) -> tuple[tuple[tuple[int, int, int, float], ...], ...]:
-    """For each move mask, its moves as (flat offset, dx, dy, step cost)."""
-    steps = [(dy * nx + dx, dx, dy, (_SQRT2 if dx and dy else 1.0) * res)
-             for dx, dy in GRID_MOVES]
-    return tuple(tuple(m for bit, m in enumerate(steps) if mask >> bit & 1)
-                 for mask in range(256))
-
-
 def _astar(grid: Grid, start: tuple[int, int], goal: tuple[int, int]) -> list[tuple[int, int]]:
     """Cells of the shortest 8-connected route, start and goal included.
 
@@ -141,7 +126,7 @@ def _astar(grid: Grid, start: tuple[int, int], goal: tuple[int, int]) -> list[tu
     res = grid.res
     c = _SQRT2_M1
     moves = grid.moves
-    table = _move_table(nx, res)
+    table = grid.move_table
     gx, gy = goal
     goal_idx = gy * nx + gx
     start_idx = start[1] * nx + start[0]
@@ -240,41 +225,30 @@ def _string_pull(grid: Grid, pts: list[tuple[float, float]]) -> list[tuple[float
     return out
 
 
-PLAN_MEMO_CAP = 4096
-# (geometry key, start, goal) -> (waypoints, length), or the NoPath message.
-_PLAN_MEMO: dict[tuple, tuple[tuple[tuple[float, float], ...], float] | str] = {}
-
-
-def clear_plan_memo() -> None:
-    """Forget every memoised plan (called once per CLI command)."""
-    _PLAN_MEMO.clear()
-
-
 def plan_path(env: Environment, start: tuple[float, float],
               goal: tuple[float, float]) -> Path:
     """Shortest grid path from start to goal, smoothed; raises NoPath."""
-    key = (geometry_key(env), start, goal)
-    entry = _PLAN_MEMO.get(key)
+    grid = grid_for(env)
+    key = ("plan", start, goal)
+    # The waypoints and length, or the NoPath message.
+    entry = grid.memo.get(key)
     if entry is None:
         try:
-            path = _plan(env, start, goal)
+            path = _plan(env, grid, start, goal)
             entry = (tuple(path.waypoints), path.total_length)
         except NoPath as e:
             entry = str(e)
-        if len(_PLAN_MEMO) >= PLAN_MEMO_CAP:
-            del _PLAN_MEMO[next(iter(_PLAN_MEMO))]
-        _PLAN_MEMO[key] = entry
+        grid.remember(key, entry)
     if isinstance(entry, str):
         raise NoPath(entry)
     return Path(list(entry[0]), entry[1])
 
 
-def _plan(env: Environment, start: tuple[float, float],
+def _plan(env: Environment, grid: Grid, start: tuple[float, float],
           goal: tuple[float, float]) -> Path:
     """The uncached planner behind `plan_path`."""
     if dist(start, goal) <= 1e-9:
         return Path([start], 0.0)
-    grid = grid_for(env)
     gix, giy = grid.cell_of(goal[0], goal[1])
     if not grid.in_bounds(gix, giy) or not grid.free[giy, gix]:
         raise NoPath(f"goal cell blocked at {goal}")

@@ -18,6 +18,19 @@ and footprint decides.  The gap is its conservative shortcut, one grid for
 every clearance: in a cell whose gap is at least the clearance plus 1e-9
 every point provably clears, so `point_blocked` returns False at once there
 and runs the exact loop everywhere else.
+
+Memos keep every result byte-identical to an uncached run, and each lives
+on the object whose lifetime matches what it depends on.  `Grid.memo`
+holds one command's work on one geometry, which no key restates: plans
+(`("plan", start, goal)`), motion legs (`(body, bits)`, see `agent`) and
+crawl lattices (`("crawl", room bounds, component)`), at most `MEMO_CAP`
+of them together, oldest evicted first.  `forget_memos`, called by
+`cli.main` before each command, empties it.  The raster (`free`, `comp`,
+`gap`, `moves`) outlives it: a function of the geometry alone, it costs a
+set-up build.  `Environment.memo` holds work on one scene state, the
+agent's `captured` views (`("view", x, y, theta, fov, range)`) and
+`lattice_captures` (`("lattice", room, component)`); `step` with a held
+object, `grasp` and `place`, the only moves of an object, empty it.
 """
 from __future__ import annotations
 
@@ -203,18 +216,14 @@ class Environment:
     robot: RobotState
     clock: float = 0.0  # simulated seconds
     collisions: int = 0
-    # Bumped whenever an object re-parents or moves; lets callers cache
-    # per-scene work.
-    scene_version: int = 0
     # When set, step() appends the post-step pose: an external motion audit.
     trace: list | None = None
 
     def __post_init__(self) -> None:
         self._surfaces = {s.id: s for f in self.furniture for s in f.surfaces}
         self._rooms = {r.id: r for r in self.rooms}
-        # Per-scene memos of the agent's `captured` and `lattice_captures`.
-        self._vis_memo: dict = {}
-        self._lattice_memo: dict = {}
+        # Scene memo: emptied by every move or re-parenting of an object.
+        self.memo: dict = {}
 
     def room(self, room_id: str) -> RoomSpec:
         return self._rooms[room_id]
@@ -488,6 +497,8 @@ _GAP_EPS = 1e-9
 GRID_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1),
               (1, 1), (1, -1), (-1, 1), (-1, -1))
 
+MEMO_CAP = 4096  # entries of one grid's memo, all kinds together
+
 
 @dataclass
 class Grid:
@@ -495,8 +506,8 @@ class Grid:
     its centre is in a room and at least the inflation from every obstacle.
     `gap[iy * nx + ix]` is the exact distance from the cell's box, widened
     by 1e-9, to the nearest obstacle; -inf unless that box lies inside one
-    room's half-open bounds.  `crawl` memoizes `agent.crawl_points` on this
-    geometry, so it dies with the grid."""
+    room's half-open bounds.  `memo` holds the per-command work on this
+    geometry (see the module docstring)."""
     x0: float
     y0: float
     res: float
@@ -505,8 +516,8 @@ class Grid:
     gap: array  # float64 [ny * nx]
     nx: int = field(init=False)
     ny: int = field(init=False)
-    crawl: dict = field(init=False, default_factory=dict, repr=False,
-                        compare=False)
+    memo: dict = field(init=False, default_factory=dict, repr=False,
+                       compare=False)
 
     def __post_init__(self) -> None:
         self.ny, self.nx = self.free.shape
@@ -531,6 +542,22 @@ class Grid:
                 legal = legal & free_at(dx, 0) & free_at(0, dy)
             mask |= legal.astype(np.uint8) << bit
         return mask.tobytes()
+
+    @cached_property
+    def move_table(self) -> tuple[tuple[tuple[int, int, int, float], ...], ...]:
+        """Per byte of `moves`, its moves as (flat offset, dx, dy, cost)."""
+        steps = [(dy * self.nx + dx, dx, dy,
+                  (math.sqrt(2.0) if dx and dy else 1.0) * self.res)
+                 for dx, dy in GRID_MOVES]
+        return tuple(tuple(m for bit, m in enumerate(steps) if mask >> bit & 1)
+                     for mask in range(256))
+
+    def remember(self, key, value):
+        """`memo[key] = value`, oldest evicted at `MEMO_CAP`; returns value."""
+        if len(self.memo) >= MEMO_CAP:
+            del self.memo[next(iter(self.memo))]
+        self.memo[key] = value
+        return value
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         return (int(math.floor((x - self.x0) / self.res)),
@@ -617,11 +644,6 @@ def build_grid(env: Environment, inflate: float) -> Grid:
     return Grid(x0, y0, GRID_RES_M, free, comp, array("d", gap.tobytes()))
 
 
-def geometry_key(env: Environment) -> tuple[str, float]:
-    """(static geometry digest, inflation): what a grid depends on."""
-    return (env.geometry_digest, env.robot.radius + INFLATE_MARGIN_M)
-
-
 # Every session builds a fresh Environment on the same layout, so grids are
 # shared by geometry.  A CLI command runs one layout and so keeps one grid;
 # the cap bounds callers that walk many geometries, oldest evicted first.
@@ -631,13 +653,20 @@ _GRID_CACHE: dict[tuple[str, float], Grid] = {}
 
 def grid_for(env: Environment) -> Grid:
     """Cached grid per static geometry and inflation (robot radius + margin)."""
-    key = geometry_key(env)
+    inflate = env.robot.radius + INFLATE_MARGIN_M
+    key = (env.geometry_digest, inflate)
     grid = _GRID_CACHE.get(key)
     if grid is None:
         if len(_GRID_CACHE) >= GRID_CACHE_CAP:
             del _GRID_CACHE[next(iter(_GRID_CACHE))]
-        grid = _GRID_CACHE[key] = build_grid(env, key[1])
+        grid = _GRID_CACHE[key] = build_grid(env, inflate)
     return grid
+
+
+def forget_memos() -> None:
+    """Empty the memo of every cached grid; the rasters stay."""
+    for grid in _GRID_CACHE.values():
+        grid.memo.clear()
 
 
 def point_blocked(env: Environment, x: float, y: float, clearance: float) -> bool:
@@ -687,6 +716,9 @@ def step(env: Environment, v: float, w: float, dt: float) -> bool:
     p = rb.pose
     nx = p.x + v * math.cos(p.theta) * dt
     ny = p.y + v * math.sin(p.theta) * dt
+    # `Pose` wraps again.  A wrap rounds (pi is added before the fmod), so
+    # both wraps are part of the per-tick trace bits, the byte contract the
+    # leg memo replays: dropping either is a declared behaviour change.
     nth = norm_angle(p.theta + w * dt)
     collided = (nx != p.x or ny != p.y) and robot_collides(env, nx, ny)
     if collided:
@@ -695,7 +727,7 @@ def step(env: Environment, v: float, w: float, dt: float) -> bool:
         rb.pose = Pose(nx, ny, nth)
         if rb.gripper is not None:
             env.objects[rb.gripper].pose = attach_pose(rb.pose)
-            env.scene_version += 1
+            env.memo.clear()
     env.clock += dt
     if env.trace is not None:
         env.trace.append((rb.pose.x, rb.pose.y, rb.pose.theta))
@@ -717,7 +749,7 @@ def grasp(env: Environment, target: str) -> None:
     obj.support = None
     rb.gripper = target
     obj.pose = attach_pose(rb.pose)
-    env.scene_version += 1
+    env.memo.clear()
 
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -775,7 +807,7 @@ def place(env: Environment, dest: str) -> None:
     obj.pose = Pose(spot[0], spot[1], 0.0)
     obj.support = dest
     rb.gripper = None
-    env.scene_version += 1
+    env.memo.clear()
 
 
 def validate_environment(env: Environment) -> list[str]:

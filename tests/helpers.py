@@ -100,7 +100,8 @@ def make_env(room: Rect = Rect(0.0, 0.0, 6.0, 5.0),
              layout_id: str = "test") -> Environment:
     """One sealed rectangular room; fixtures may bypass the validator.
 
-    Fixtures may share a layout id: the planner caches grids by geometry.
+    Fixtures may share a layout id: grids, and the plans, legs and crawl
+    lattices memoised on them, are cached by geometry, not by layout id.
     """
     spec = RoomSpec(id="r0", name=name, bounds=room, doors=[])
     return Environment(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ball, make_env, sighting, table, trace_bits
-from homefetch import agent
+from homefetch import world
 from homefetch.agent import (
     ARRIVE_TOL_M,
     CRAWL_SPACING_M,
@@ -25,7 +25,6 @@ from homefetch.agent import (
     NoiseConfig,
     Pick,
     captured,
-    clear_leg_memo,
     crawl,
     crawl_points,
     detect,
@@ -62,6 +61,7 @@ from homefetch.world import (
     Pose,
     Rect,
     build_grid,
+    forget_memos,
     grid_for,
     point_in_room,
     step as world_step,
@@ -114,8 +114,9 @@ class TestCrawlLattice:
         env = make_env(room=Rect(0, 0, 5, 4), layout_id="crawl-memo")
         pts = crawl_points(env, "r0")
         grid = grid_for(env)
-        assert list(grid.crawl.values()) == [tuple(pts)]
-        assert build_grid(env, env.robot.radius + INFLATE_MARGIN_M).crawl == {}
+        assert [v for k, v in grid.memo.items() if k[0] == "crawl"] == \
+            [tuple(pts)]
+        assert build_grid(env, env.robot.radius + INFLATE_MARGIN_M).memo == {}
 
     def test_crawl_points_keyed_by_geometry_and_component(self):
         bare = make_env(room=Rect(0, 0, 5, 4), layout_id="shared")
@@ -143,7 +144,7 @@ class TestCrawlLattice:
         cam = CameraPose(Pose(1.0, 1.0, 0.5))
         a = captured(env, cam)
         assert captured(env, cam) is a
-        env.scene_version += 1
+        env.memo.clear()  # what every move of an object does
         b = captured(env, cam)
         assert b is not a and b == a
 
@@ -167,6 +168,30 @@ class TestCrawlLattice:
         assert after == visible_objects(env, cam)
         assert [s.object_id for s in after] == ["o0"]
         assert after[0].range < before[0].range - 0.2
+
+    @pytest.mark.parametrize("move", ["grasp", "place", "held step"])
+    def test_each_object_move_empties_the_scene_memo(self, move):
+        t = table("t0", Rect(1.2, 0.7, 2.0, 1.3))
+        env = make_env(furniture=(t,), robot_xy=(0.9, 1.0),
+                       objects=(ball("o0", (1.6, 1.0), "t0/top", radius=0.05),))
+        if move != "grasp":
+            world.grasp(env, "o0")
+        cam = CameraPose(Pose(0.9, 2.5, -math.pi / 2.0))
+        before = (captured(env, cam), lattice_captures(env, "r0"))
+        assert len(env.memo) == 2
+        if move == "grasp":
+            world.grasp(env, "o0")
+        elif move == "place":
+            world.place(env, "t0/top")
+        else:
+            world_step(env, 0.0, math.pi, DT_S)
+        assert env.memo == {}
+        after = (captured(env, cam), lattice_captures(env, "r0"))
+        assert after[0] == visible_objects(env, cam)
+        supports = world.capture_supports(env)
+        assert after[1] == [Capture(c.camera, visible_objects(env, c.camera),
+                                    supports) for c in after[1]]
+        assert after != before
 
 
 def _capture(snaps, cam=None):
@@ -558,9 +583,9 @@ def _legs(draw):
 class TestLegMemo:
     @pytest.fixture(autouse=True)
     def _cold_memo(self):
-        clear_leg_memo()
+        forget_memos()
         yield
-        clear_leg_memo()
+        forget_memos()
 
     @settings(max_examples=40, deadline=None)
     @given(leg=_legs())
@@ -568,14 +593,15 @@ class TestLegMemo:
         memoised, body, arg, start, clock, deadline = leg
         uncached = _leg_env(start, clock)
         want = _outcome(uncached, body(uncached, arg, deadline))
-        clear_leg_memo()
+        forget_memos()
         first = _leg_env(start, clock)
         assert _outcome(first, memoised(first, arg, deadline)) == want
-        stored = len(agent._LEG_MEMO)
+        memo = grid_for(first).memo
+        stored = len(memo)
         again = _leg_env(start, clock)
         assert _outcome(again, memoised(again, arg, deadline)) == want
         # A hit stores nothing and restores the stored Pose object itself.
-        assert len(agent._LEG_MEMO) == stored
+        assert len(memo) == stored
         assert again.robot.pose is first.robot.pose
 
     @pytest.mark.parametrize("change", [
@@ -598,9 +624,10 @@ class TestLegMemo:
             if scaled is not None:
                 name, factor = scaled
                 setattr(env.robot, name, getattr(env.robot, name) * factor)
-            before = len(agent._LEG_MEMO)
+            memo = grid_for(env).memo
+            before = len(memo)
             leg(env, path if leg is follow_path else heading, deadline)
-            return len(agent._LEG_MEMO) > before
+            return len(memo) > before
 
         changed = {
             "nothing": {},
@@ -638,7 +665,8 @@ class TestLegMemo:
         untraced.trace = None
         assert follow_path(untraced, path, 40.0)
         assert rotate_exact(untraced, 1.0, 40.0)
-        assert agent._LEG_MEMO == {}
+        assert grid_for(held).memo == {}
+        assert grid_for(untraced) is grid_for(held)
         assert held.objects["o0"].pose.xy != (1.25, 1.0)
 
     @settings(max_examples=25, deadline=None)
@@ -652,19 +680,22 @@ class TestLegMemo:
         moved = _leg_env(start, clock, objects=(
             ball(xy=xy, support="t0/top" if on_table else None),
             ball("o1", xy=(4.2, 2.0))))
-        moved.scene_version = 7
         assert _outcome(moved, body(moved, arg, deadline)) == \
             _outcome(base, body(base, arg, deadline))
 
     def test_memo_is_capped_oldest_first(self, monkeypatch):
-        monkeypatch.setattr(agent, "LEG_MEMO_CAP", 2)
+        """Plans and legs share one cap and leave oldest first."""
+        monkeypatch.setattr(world, "MEMO_CAP", 3)
+        memo = grid_for(_leg_env((1.0, 1.0, 0.0), 0.0)).memo
         stored = []
-        for heading in (0.5, 1.0, 1.5):
-            before = set(agent._LEG_MEMO)
-            rotate_exact(_leg_env((1.0, 1.0, 0.0), 0.0), heading, 40.0)
-            stored += set(agent._LEG_MEMO) - before
-        assert len(stored) == 3
-        assert list(agent._LEG_MEMO) == stored[1:]
+        for k in range(3):
+            plan_path(_leg_env((1.0, 1.0, 0.0), 0.0), (1.0, 1.0),
+                      (2.0 + k, 1.0))
+            rotate_exact(_leg_env((1.0, 1.0, 0.0), 0.0), 0.5 * (k + 1), 40.0)
+            stored += list(memo)[-2:]
+        assert [key[0] for key in stored] == ["plan", _rotate_exact] * 3
+        assert len(set(stored)) == 6
+        assert list(memo) == stored[-3:]
 
 
 class TestNavigateToRoom:

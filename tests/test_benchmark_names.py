@@ -2,9 +2,11 @@
 
 `perfbench/tracer.py` wraps `homefetch.<module>.<function>` by name, and
 `perfbench/workloads.py` counts sessions through one such name per workload
-and patches `cli.run_batch` and `agent.follow_path`.  A refactor that drops
-or renames one of them must fail here, not only in the benchmark.  Both
-files are read as source, not imported.
+and patches `cli.run_batch` and `agent.follow_path`.  Every
+`from homefetch.<module> import <name>` in `perfbench/*.py`, at any depth,
+must resolve too.  A refactor that drops or renames one of them must fail
+here, not only in the benchmark.  The files are read as source, not
+imported.
 """
 import ast
 import importlib
@@ -67,3 +69,29 @@ def test_named_function_exists(name):
     module, fn = name.split(".")
     assert callable(getattr(importlib.import_module(f"homefetch.{module}"),
                             fn, None)), name
+
+
+def _imported_names() -> list[str]:
+    """`module.name` of every `from homefetch.<module> import <name>`."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("homefetch.")):
+                module = node.module.removeprefix("homefetch.")
+                names.update(f"{module}.{a.name}" for a in node.names)
+    return sorted(names)
+
+
+IMPORTED = _imported_names()
+
+
+def test_function_level_imports_are_read():
+    assert {"planner.grid_for", "session.run_session"} <= set(IMPORTED)
+
+
+@pytest.mark.parametrize("name", IMPORTED)
+def test_imported_name_exists(name):
+    module, attr = name.split(".")
+    assert hasattr(importlib.import_module(f"homefetch.{module}"), attr), name

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from homefetch import agent, planner
+from homefetch import agent
+from homefetch.agent import rotate_exact
 from homefetch.cli import (
     EXIT_CONFIG,
     EXIT_GENERATION,
@@ -13,8 +14,11 @@ from homefetch.cli import (
     main,
 )
 from homefetch.eventlog import read_events, write_events
+from homefetch.layouts import make_environment
+from homefetch.planner import plan_path
 from homefetch.session import SUBTASKS
 from homefetch.taskgen import validate_episode
+from homefetch.world import grid_for
 
 
 def _run(tmp_path, *extra):
@@ -225,23 +229,45 @@ class TestReport:
         assert capsys.readouterr().out.strip() == \
             "0 (0/0) | 0 (0/0) | 0 (0/0) | 0 (0/0)"
 
-    def test_each_command_starts_with_an_empty_plan_memo(self, tmp_path,
-                                                         capsys):
-        planner._PLAN_MEMO[("sentinel",)] = "stale"
+    def test_each_command_forgets_every_grid_memo(self, tmp_path, capsys):
+        """Plans, legs and crawl lattices are forgotten before each command;
+        the raster stays cached."""
+        grid = grid_for(make_environment("default"))
+        free = grid.free
+        grid.memo[("sentinel",)] = "stale"
         log = tmp_path / "empty.jsonl"
         log.write_text("")
         assert main(["report", str(log)]) == EXIT_OK
         capsys.readouterr()
-        assert planner._PLAN_MEMO == {}
+        assert grid.memo == {}
+        assert grid_for(make_environment("default")) is grid
+        assert grid.free is free
+
+    def test_each_command_starts_with_an_empty_plan_memo(self, tmp_path,
+                                                         capsys):
+        env = make_environment("default")
+        rb = env.robot.pose
+        plan_path(env, (rb.x, rb.y), (rb.x, rb.y))
+        memo = grid_for(env).memo
+        assert any(k[0] == "plan" for k in memo)
+        log = tmp_path / "empty.jsonl"
+        log.write_text("")
+        assert main(["report", str(log)]) == EXIT_OK
+        capsys.readouterr()
+        assert not any(k[0] == "plan" for k in memo)
 
     def test_each_command_starts_with_an_empty_leg_memo(self, tmp_path,
                                                         capsys):
-        agent._LEG_MEMO[("sentinel",)] = "stale"
+        env = make_environment("default")
+        env.trace = []
+        assert rotate_exact(env, 1.0, 60.0)
+        memo = grid_for(env).memo
+        assert any(k[0] is agent._rotate_exact for k in memo)
         log = tmp_path / "empty.jsonl"
         log.write_text("")
         assert main(["report", str(log)]) == EXIT_OK
         capsys.readouterr()
-        assert agent._LEG_MEMO == {}
+        assert not any(k[0] is agent._rotate_exact for k in memo)
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope.jsonl")])

@@ -1,13 +1,18 @@
 """The output bytes of a few commands, pinned by digest.
 
 A changed log or dataset byte is a behaviour change.  A change that means
-to make one updates the digests below and declares it.
+to make one updates the digests below and declares it.  The logs round
+poses, so the per-tick motion is pinned on its own, by the bits of its
+floats: that is what the leg memo stores and replays.
 """
 import hashlib
 
 import pytest
 
+from helpers import trace_bits
 from homefetch.cli import EXIT_OK, main
+from homefetch.config import RunConfig
+from homefetch.session import run_batch
 
 
 def _sha(*paths) -> str:
@@ -39,3 +44,11 @@ def test_generate_outputs(tmp_path):
         *(f"episode_{i:04d}.json" for i in range(4)), "manifest.json"]
     assert _sha(*files) == \
         "305dec3d24a2c29c10539dbe339988b2c6aebc5985a89b13f7b4d49c743c022c"
+
+
+def test_trace_bits():
+    h = hashlib.sha256()
+    for rec in run_batch(RunConfig(seed=7, sessions=12)):
+        h.update(trace_bits(rec.trace))
+    assert h.hexdigest() == \
+        "4234834244cf30d089c2647ca8f6bda6fc1460febe389c6288a90f83701afa16"

@@ -16,7 +16,7 @@ from helpers import (
     scenes,
     table,
 )
-from homefetch import planner
+from homefetch import planner, world
 from homefetch.agent import DOCK_CLEARANCE_M, DOCK_SEGMENT_CLEARANCE_M
 from homefetch.geometry import Rect, dist, segment_rect_distance
 from homefetch.layouts import make_environment
@@ -26,7 +26,6 @@ from homefetch.planner import (
     _astar,
     _plan,
     _string_pull,
-    clear_plan_memo,
     plan_path,
     segment_clear_exact,
 )
@@ -41,6 +40,7 @@ from homefetch.world import (
     RobotState,
     RoomSpec,
     build_grid,
+    forget_memos,
     grid_for,
 )
 
@@ -383,6 +383,10 @@ class TestBatchedStringPull:
         assert not reference_segment_on_free_cells(grid, pts[0], pts[-3])
 
 
+def _uncached(env, start, goal):
+    return _plan(env, grid_for(env), start, goal)
+
+
 def _answer(plan, env, start, goal):
     try:
         path = plan(env, start, goal)
@@ -394,9 +398,9 @@ def _answer(plan, env, start, goal):
 class TestPlanMemo:
     @pytest.fixture(autouse=True)
     def _cold_memo(self):
-        clear_plan_memo()
+        forget_memos()
         yield
-        clear_plan_memo()
+        forget_memos()
 
     def test_memo_answers_equal_uncached_plans(self):
         env = make_environment("default")
@@ -414,7 +418,7 @@ class TestPlanMemo:
         cases += [(_two_sealed_rooms(), (1.0, 1.0), (6.0, 1.0))] * 2
         failures = set()
         for case in cases:
-            want = _answer(_plan, *case)
+            want = _answer(_uncached, *case)
             assert _answer(plan_path, *case) == want
             if want[0] == "NoPath":
                 failures.add(want[1])
@@ -445,9 +449,9 @@ class TestPlanMemo:
         """Goals that reached the uncached planner, in call order."""
         goals = []
 
-        def counting(env, start, goal):
+        def counting(env, grid, start, goal):
             goals.append(goal)
-            return _plan(env, start, goal)
+            return _plan(env, grid, start, goal)
 
         monkeypatch.setattr(planner, "_plan", counting)
         return goals
@@ -460,12 +464,12 @@ class TestPlanMemo:
         assert planned == [(6.0, 1.0)]
 
     def test_cap_evicts_the_oldest_entry(self, monkeypatch, planned):
-        monkeypatch.setattr(planner, "PLAN_MEMO_CAP", 2)
+        monkeypatch.setattr(world, "MEMO_CAP", 2)
         env = make_env(robot_xy=(1.0, 1.0))
         goals = [(2.0, 1.0), (3.0, 1.0), (4.0, 1.0)]
         for g in goals:
             plan_path(env, (1.0, 1.0), g)
-        assert len(planner._PLAN_MEMO) == 2
+        assert len(grid_for(env).memo) == 2
         plan_path(env, (1.0, 1.0), goals[2])
         assert planned == goals
         plan_path(env, (1.0, 1.0), goals[0])

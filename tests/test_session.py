@@ -4,7 +4,7 @@ import pytest
 
 from helpers import only_event, trace_bits, verdicts
 from homefetch import session
-from homefetch.agent import NoiseConfig, clear_leg_memo, navigate_to_room
+from homefetch.agent import NoiseConfig, navigate_to_room
 from homefetch.config import RunConfig, config_echo
 from homefetch.eventlog import SchemaError, canonical_json, write_events
 from homefetch.seeds import h64
@@ -29,6 +29,7 @@ from homefetch.session import (
     tallies_from_events,
 )
 from homefetch.taskgen import generate_task
+from homefetch.world import forget_memos
 
 
 class TestFormatting:
@@ -375,12 +376,13 @@ class TestRunBatch:
                 [canonical_json(e) for e in b.events]
 
     def test_sessions_do_not_leak_through_the_leg_memo(self):
-        """Each session of a batch equals that session run alone from a
-        cold leg memo: the same events and the same pose after every tick."""
+        """Each session of a batch equals that session run alone from cold
+        grid memos (plans, legs and crawl lattices): the same events and
+        the same pose after every tick."""
         cfg = _cfg(seed=7, sessions=12)
         batch = run_batch(cfg)
         for i, rec in enumerate(batch):
-            clear_leg_memo()
+            forget_memos()
             alone = run_session(7, cfg, i)
             assert [canonical_json(e) for e in alone.events] == \
                 [canonical_json(e) for e in rec.events]

@@ -193,6 +193,11 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
     return list(pts)
 
 
+def _lattice_cameras(env: Environment, room_id: str) -> list[CameraPose]:
+    return [CameraPose(Pose(x, y, h))
+            for (x, y) in crawl_points(env, room_id) for h in HEADINGS]
+
+
 def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
     """The captures a full undisturbed crawl of the room would produce.
 
@@ -203,12 +208,36 @@ def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
     caps = env.memo.get(key)
     if caps is None:
         supports = capture_supports(env)
-        cams = [CameraPose(Pose(x, y, h))
-                for (x, y) in crawl_points(env, room_id) for h in HEADINGS]
+        cams = _lattice_cameras(env, room_id)
         caps = env.memo[key] = [
             Capture(cam, snaps, supports)
             for cam, snaps in zip(cams, visible_batch(env, cams))]
     return list(caps)
+
+
+def lattice_surfaces(env: Environment, room_id: str) -> frozenset[str]:
+    """Ids of the surfaces some lattice camera of the room sees when the
+    scene holds no dynamic object: every surface any `lattice_captures` of
+    the room can show, whatever the objects.
+
+    Objects only add disk blockers, and a surface's sight test looks past
+    its own furniture alone, never past an object, so removing the objects
+    can only reveal a surface.  The answer depends on the geometry, the
+    lattice cameras (room bounds and robot's component, as in
+    `crawl_points`) and each surface's id, owner and reference point
+    (`Environment.surface_layout`), so it is memoized on the grid's memo by
+    the last two.
+    """
+    key = ("surfaces", env.room(room_id).bounds.as_tuple(),
+           _robot_component(env), env.surface_layout)
+    grid = grid_for(env)
+    ids = grid.memo.get(key)
+    if ids is None:
+        views = visible_batch(replace(env, objects={}),
+                              _lattice_cameras(env, room_id))
+        ids = grid.remember(key, frozenset(s.object_id for snaps in views
+                                           for s in snaps))
+    return ids
 
 
 # --- low-level motion -------------------------------------------------------

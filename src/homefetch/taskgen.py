@@ -7,13 +7,22 @@ uses exactly the code paths the executor will run, so a zero-noise session
 on an emitted task cannot fail for geometric reasons.
 
 Each candidate goes through, in order: the draw (`select_task`); the
-lattice check, which drops it unless some capture of its room's lattice
-(`lattice_captures`) sees both the target and the destination; the ring
-captures (`capture_views`); the description (`make_instruction`); and the
-screen (`task_feasible`).  The lattice check changes no output byte: the
-screen grounds only on detections in those same captures, so it rejects
-every candidate the check drops, and each attempt draws from its own
-substream, so skipping a candidate's later steps moves no other draw.
+surface prefilter, which drops it unless some lattice camera of the target's
+room sees the destination in the scene without objects (`lattice_surfaces`,
+computed once per room, not per scene); the lattice check, which drops it
+unless some capture of that room's lattice (`lattice_captures`) sees both
+the target and the destination; the ring captures (`capture_views`); the
+description (`make_instruction`); and the screen (`task_feasible`).
+
+Neither check changes an output byte.  The screen grounds only on
+detections in the lattice captures, so it rejects every candidate the
+lattice check drops; objects only add disk blockers and a surface's sight
+line looks past no object, so the prefilter drops only candidates the
+lattice check drops; and each attempt draws from its own substream, so
+skipping a candidate's later steps moves no other draw.  The ring captures
+probe each pose for the subject alone with `world.sees`, the per-subject
+test of `visible_objects`, and see in full only the first pose that passes:
+the pose and the view a full view of every pose would have found.
 """
 from __future__ import annotations
 
@@ -23,8 +32,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .agent import (
-    RELATIONAL, Capture, ScoreWeights, captured,
-    grasp_approach, ground, lattice_captures, place_approach, room_entry_path,
+    RELATIONAL, Capture, ScoreWeights, captured, grasp_approach, ground,
+    lattice_captures, lattice_surfaces, place_approach, room_entry_path,
 )
 from .eventlog import canonical_json
 from .geometry import dist, norm_angle
@@ -39,9 +48,9 @@ from .relations import (
 from .seeds import h64, substream
 from .vocab import DEFAULT
 from .world import (
-    SURFACE, ActionFailure, CameraPose, DynamicObject, Environment, Pose,
-    capture_supports, env_record, place_spot, point_in_room, snapshot_record,
-    validate_environment,
+    DYNAMIC, SURFACE, ActionFailure, CameraPose, DynamicObject, Environment,
+    Pose, StaticObject, capture_supports, env_record, place_spot,
+    point_in_room, sees, snapshot_record, validate_environment,
 )
 
 CAPTURE_RING_RADIUS_M = 1.5
@@ -211,25 +220,32 @@ def select_task(env: Environment, rng: random.Random) -> tuple[str, str]:
     return target, rng.choice(dests)
 
 
-def _capture_for(env: Environment, subject_id: str,
+def _capture_for(env: Environment, subject_id: str, kind: str,
+                 source: DynamicObject | StaticObject,
                  ref: tuple[float, float]) -> Capture:
-    supports = capture_supports(env)
+    """The first ring camera around `ref` that sees the subject, with its
+    full view.  Each pose asks `sees` about the subject alone; only the
+    pose that passes is seen in full, and `visible_objects` shows the
+    subject there because it applies the same test."""
     for k in range(CAPTURE_RING_POSES):
         ang = 2.0 * math.pi * k / CAPTURE_RING_POSES
         cx = ref[0] + CAPTURE_RING_RADIUS_M * math.cos(ang)
         cy = ref[1] + CAPTURE_RING_RADIUS_M * math.sin(ang)
         cam = CameraPose(Pose(cx, cy, norm_angle(ang + math.pi)))
-        snaps = captured(env, cam)
-        if any(s.object_id == subject_id for s in snaps):
-            return Capture(cam, snaps, supports, subject=subject_id)
+        if sees(env, cam, kind, source, ref) is not None:
+            return Capture(cam, captured(env, cam), capture_supports(env),
+                           subject=subject_id)
     raise NoViewpoint(subject_id)
 
 
 def capture_views(env: Environment, target: str,
                   destination: str) -> tuple[Capture, Capture]:
     """One validated camera view of the target and one of the destination."""
-    t_cap = _capture_for(env, target, env.objects[target].pose.xy)
-    d_cap = _capture_for(env, destination, env.surface(destination).region.center)
+    obj = env.objects[target]
+    surf = env.surface(destination)
+    owner = next(f for f in env.furniture if f.id == surf.owner)
+    t_cap = _capture_for(env, target, DYNAMIC, obj, obj.pose.xy)
+    d_cap = _capture_for(env, destination, SURFACE, owner, surf.region.center)
     return t_cap, d_cap
 
 
@@ -306,9 +322,11 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
 
     Up to ENV_ATTEMPTS scenes are tried, TASKS_PER_ENV task draws each; a
     full strike-out is a hard error so batch automation stays total.  Each
-    draw is checked against the lattice of the target's room before its
-    ring captures and description are made, then screened; the check only
-    drops draws the screen would reject, so the result is the same.
+    draw's destination is checked against the surfaces the lattice of the
+    target's room sees with no object in the scene, then both roles against
+    that lattice's captures, before its ring captures and description are
+    made; then it is screened.  The checks only drop draws the screen would
+    reject, so the result is the same (see the module docstring).
     """
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -326,6 +344,8 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
                 continue
             obj = env.objects[target]
             room = point_in_room(env, obj.pose.x, obj.pose.y)
+            if destination not in lattice_surfaces(env, room):
+                continue
             seen = {s.object_id for c in lattice_captures(env, room)
                     for s in c.snapshots}
             if target not in seen or destination not in seen:

@@ -5,9 +5,10 @@ rectangles, dynamic objects and the robot are disks, and every dynamic
 object sits on a named support surface.  All mutation happens through
 `step`, `grasp`, and `place`; everything else is a pure query.
 
-`visible_objects` is the visibility contract, one camera at a time.
-`visible_batch` answers for many cameras at once and must return exactly
-what `visible_objects` returns for each, bit for bit.
+`visible_objects` is the visibility contract, one camera at a time; its
+per-subject test is `sees`, which a caller asking about one subject calls
+directly.  `visible_batch` answers for many cameras at once and must return
+exactly what `visible_objects` returns for each, bit for bit.
 
 `Grid` is the one 0.05 m raster of the static geometry: the planner reads
 its free cells, and each cell's `gap` bounds from below the distance from
@@ -22,15 +23,20 @@ and runs the exact loop everywhere else.
 Memos keep every result byte-identical to an uncached run, and each lives
 on the object whose lifetime matches what it depends on.  `Grid.memo`
 holds one command's work on one geometry, which no key restates: plans
-(`("plan", start, goal)`), motion legs (`(body, bits)`, see `agent`) and
-crawl lattices (`("crawl", room bounds, component)`), at most `MEMO_CAP`
-of them together, oldest evicted first.  `forget_memos`, called by
-`cli.main` before each command, empties it.  The raster (`free`, `comp`,
-`gap`, `moves`) outlives it: a function of the geometry alone, it costs a
-set-up build.  `Environment.memo` holds work on one scene state, the
-agent's `captured` views (`("view", x, y, theta, fov, range)`) and
-`lattice_captures` (`("lattice", room, component)`); `step` with a held
-object, `grasp` and `place`, the only moves of an object, empty it.
+(`("plan", start, goal)`), motion legs (`(body, bits)`, see `agent`),
+crawl lattices (`("crawl", room bounds, component)`) and the surfaces a
+room's lattice sees with no object in the scene (`("surfaces", room
+bounds, component, surface_layout)`, see `agent.lattice_surfaces`), at
+most `MEMO_CAP` of them together, oldest evicted first.  The geometry
+covers no surface region or id, so that last key names them:
+`Environment.surface_layout` holds each surface's id, owner and reference
+point.  `forget_memos`, called by `cli.main` before each command, empties
+the grid memo.  The raster (`free`, `comp`, `gap`, `moves`) outlives it: a
+function of the geometry alone, it costs a set-up build.
+`Environment.memo` holds work on one scene state, the agent's `captured`
+views (`("view", x, y, theta, fov, range)`) and `lattice_captures`
+(`("lattice", room, component)`); `step` with a held object, `grasp` and
+`place`, the only moves of an object, empty it.
 """
 from __future__ import annotations
 
@@ -240,6 +246,15 @@ class Environment:
         return hashlib.sha256(repr(static).encode("ascii")).hexdigest()
 
     @cached_property
+    def surface_layout(self) -> tuple:
+        """(furniture id, ((surface id, region centre), ...)) per piece of
+        furniture: what sight reads of the surfaces, their ids, owners and
+        reference points, which `geometry_digest` leaves out.  Read once;
+        the furniture is fixed after construction."""
+        return tuple((f.id, tuple((s.id, s.region.center) for s in f.surfaces))
+                     for f in self.furniture)
+
+    @cached_property
     def obstacles(self) -> tuple[Rect, ...]:
         """Every wall, then every furniture footprint in `furniture` order:
         the static rectangles that block motion and sight."""
@@ -344,6 +359,22 @@ def _snapshot(sid: str, kind: str, source: DynamicObject | StaticObject,
                     hit[0], hit[1])
 
 
+def sees(env: Environment, cam: CameraPose, kind: str,
+         source: DynamicObject | StaticObject,
+         ref: tuple[float, float]) -> tuple[float, float] | None:
+    """(bearing, range) when the camera sees one subject, else None.
+
+    The per-subject test of `visible_objects`, for a subject given as one
+    row of `_subjects` (kind, source, reference point), so a caller that
+    asks about one subject need not see the whole scene.
+    """
+    hit = _in_view(cam, ref)
+    if hit is None or not line_of_sight(env, cam.pose.xy, ref,
+                                        _looks_past(env, kind, source)):
+        return None
+    return hit
+
+
 def visible_objects(env: Environment, cam: CameraPose) -> list[Snapshot]:
     """Snapshots of every dynamic object and support surface the camera sees.
 
@@ -352,14 +383,14 @@ def visible_objects(env: Environment, cam: CameraPose) -> list[Snapshot]:
     surface's region centre) is within range, within the cone, and in clear
     sight.  The subject's own disk is ignored for its sight test, and so is
     the furniture piece it rests on: an object standing on a table must be
-    visible over that table in this top-down abstraction.  Results are
-    ordered by ascending range, ties broken by id.
+    visible over that table in this top-down abstraction.  That test is
+    `sees`, one subject at a time, which the generator's ring probe also
+    calls.  Results are ordered by ascending range, ties broken by id.
     """
     out: list[Snapshot] = []
     for sid, kind, source, ref in _subjects(env):
-        hit = _in_view(cam, ref)
-        if hit is not None and line_of_sight(env, cam.pose.xy, ref,
-                                             _looks_past(env, kind, source)):
+        hit = sees(env, cam, kind, source, ref)
+        if hit is not None:
             out.append(_snapshot(sid, kind, source, hit))
     out.sort(key=lambda s: (s.range, s.object_id))
     return out

@@ -11,6 +11,7 @@ from itertools import chain
 import numpy as np
 from hypothesis import strategies as st
 
+from homefetch.agent import Capture, captured
 from homefetch.geometry import Rect, dist, norm_angle
 from homefetch.language import (
     KIND_ORDER,
@@ -26,6 +27,8 @@ from homefetch.planner import NoPath
 from homefetch.relations import NoDistinguishingDescription
 from homefetch.seeds import h64, substream
 from homefetch.taskgen import (
+    CAPTURE_RING_POSES,
+    CAPTURE_RING_RADIUS_M,
     ENV_ATTEMPTS,
     TASKS_PER_ENV,
     GenConfig,
@@ -35,7 +38,6 @@ from homefetch.taskgen import (
     PlacementExhausted,
     TaskSpec,
     build_environment,
-    capture_views,
     make_instruction,
     select_task,
     task_feasible,
@@ -55,6 +57,7 @@ from homefetch.world import (
     Snapshot,
     StaticObject,
     SupportSurface,
+    capture_supports,
     point_in_room,
 )
 
@@ -297,12 +300,30 @@ def reference_string_pull(grid: Grid,
 
 # --- reference task generation --------------------------------------------
 
+def reference_capture_for(env: Environment, subject_id: str,
+                          ref: tuple[float, float]) -> Capture:
+    """`taskgen._capture_for` before the ring probe: each of the 16 ring
+    poses around `ref` is seen in full until one shows the subject."""
+    supports = capture_supports(env)
+    for k in range(CAPTURE_RING_POSES):
+        ang = 2.0 * math.pi * k / CAPTURE_RING_POSES
+        cx = ref[0] + CAPTURE_RING_RADIUS_M * math.cos(ang)
+        cy = ref[1] + CAPTURE_RING_RADIUS_M * math.sin(ang)
+        cam = CameraPose(Pose(cx, cy, norm_angle(ang + math.pi)))
+        snaps = captured(env, cam)
+        if any(s.object_id == subject_id for s in snaps):
+            return Capture(cam, snaps, supports, subject=subject_id)
+    raise NoViewpoint(subject_id)
+
+
 def reference_generate_task(cfg: GenConfig,
                             seed: int) -> tuple[Environment, TaskSpec]:
-    """`taskgen.generate_task` before it checked the room lattice ahead of
-    the ring captures: every candidate pays for `capture_views` and
-    `make_instruction`, and only `task_feasible` consults the lattice.  The
-    oracle the generator must equal, task for task and error for error."""
+    """`taskgen.generate_task` without either check ahead of the ring
+    captures (the surface prefilter and the lattice check) and without the
+    ring probe: every candidate pays for full-view ring captures
+    (`reference_capture_for`) and `make_instruction`, and only
+    `task_feasible` consults the lattice.  The oracle the generator must
+    equal, task for task and error for error."""
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     for salt in range(ENV_ATTEMPTS):
@@ -314,7 +335,10 @@ def reference_generate_task(cfg: GenConfig,
             rng = substream("gen-task", seed, attempt)
             try:
                 target, destination = select_task(env, rng)
-                t_cap, d_cap = capture_views(env, target, destination)
+                t_cap = reference_capture_for(env, target,
+                                              env.objects[target].pose.xy)
+                d_cap = reference_capture_for(
+                    env, destination, env.surface(destination).region.center)
                 ast, text = make_instruction(env, target, destination,
                                              t_cap, d_cap, rng, cfg)
             except (NoFeasibleTask, NoViewpoint, NoDistinguishingDescription):

@@ -35,6 +35,7 @@ from homefetch.agent import (
     follow_path,
     ground,
     lattice_captures,
+    lattice_surfaces,
     navigate_to_room,
     rotate_exact,
 )
@@ -50,7 +51,9 @@ from homefetch.geometry import norm_angle
 from homefetch.layouts import make_environment
 from homefetch.planner import Path, plan_path
 from homefetch.seeds import KeyedStream, h64
-from homefetch.taskgen import GenConfig, generate_task
+from homefetch.taskgen import (
+    GenConfig, PlacementExhausted, build_environment, generate_task,
+)
 from homefetch.vocab import DEFAULT
 from homefetch.world import (
     DT_S,
@@ -60,6 +63,8 @@ from homefetch.world import (
     CameraPose,
     Pose,
     Rect,
+    StaticObject,
+    SupportSurface,
     build_grid,
     forget_memos,
     grid_for,
@@ -192,6 +197,50 @@ class TestCrawlLattice:
         assert after[1] == [Capture(c.camera, visible_objects(env, c.camera),
                                     supports) for c in after[1]]
         assert after != before
+
+
+class TestLatticeSurfaces:
+    """`lattice_surfaces` is the generator's prefilter: the surfaces a
+    room's lattice sees with no object in the scene."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           per_room=st.floats(1.0, 8.0))
+    def test_holds_every_surface_the_lattice_shows(self, seed, per_room):
+        """Over generated scenes, with the grid memo shared across them as
+        within one command: every surface in a capture of the room's
+        lattice is in the set."""
+        try:
+            env = build_environment(GenConfig(objects_per_room=per_room), seed)
+        except PlacementExhausted:
+            return
+        for room in env.rooms:
+            shown = {s.object_id for c in lattice_captures(env, room.id)
+                     for s in c.snapshots if s.kind == SURFACE}
+            assert shown <= lattice_surfaces(env, room.id)
+
+    def test_keyed_by_surface_regions(self):
+        """Same walls and footprints, one surface region moved behind a
+        cabinet: the grid is shared, the memo entry is not.  Nor is it
+        shared with a robot in no component, which has no lattice."""
+        cabinet = StaticObject("c0", "cabinet", Rect(2.95, 1.9, 4.1, 3.1), [])
+
+        def scene(region):
+            top = SupportSurface("t0/top", "t0", region, "table-level")
+            t0 = StaticObject("t0", "table", Rect(2.0, 2.0, 4.0, 3.0), [top])
+            return make_env(furniture=(t0, cabinet), layout_id="moved-top")
+
+        forget_memos()
+        open_top = scene(Rect(2.1, 2.1, 2.9, 2.9))
+        hidden_top = scene(Rect(3.1, 2.1, 3.9, 2.9))
+        assert open_top.geometry_digest == hidden_top.geometry_digest
+        assert grid_for(open_top) is grid_for(hidden_top)
+        assert "t0/top" in lattice_surfaces(open_top, "r0")
+        assert "t0/top" not in lattice_surfaces(hidden_top, "r0")
+        assert len([k for k in grid_for(open_top).memo
+                    if k[0] == "surfaces"]) == 2
+        open_top.robot.pose = Pose(-1.0, -1.0)
+        assert lattice_surfaces(open_top, "r0") == frozenset()
 
 
 def _capture(snaps, cam=None):

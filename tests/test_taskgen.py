@@ -4,14 +4,19 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import ball, make_env, reference_generate_task, table
-from homefetch import taskgen
+from helpers import (
+    ball, make_env, reference_capture_for, reference_generate_task, table,
+)
+from homefetch import agent, taskgen
 from homefetch.agent import (
-    RELATIONAL, grasp_approach, ground, lattice_captures, place_approach,
+    RELATIONAL, grasp_approach, ground, lattice_captures, lattice_surfaces,
+    place_approach,
 )
 from homefetch.config import RunConfig
 from homefetch.eventlog import canonical_json
+from homefetch.geometry import norm_angle
 from homefetch.language import ONTO, TO, parse
 from homefetch.layouts import TABLE_LEVEL
 from homefetch.relations import (
@@ -20,11 +25,15 @@ from homefetch.relations import (
 from homefetch.seeds import h64, substream
 from homefetch.session import run_session
 from homefetch.taskgen import (
+    CAPTURE_RING_POSES,
+    CAPTURE_RING_RADIUS_M,
     GenConfig,
     GenerationFailed,
     NoFeasibleTask,
     NoViewpoint,
+    PlacementExhausted,
     TaskSpec,
+    _capture_for,
     _clamped_poisson,
     build_environment,
     capture_views,
@@ -40,9 +49,15 @@ from homefetch.vocab import DEFAULT
 from homefetch.world import (
     DYNAMIC,
     SURFACE,
+    CameraPose,
+    Pose,
+    _subjects,
     env_record,
+    forget_memos,
     point_in_room,
+    sees,
     validate_environment,
+    visible_objects,
 )
 
 
@@ -362,13 +377,20 @@ class TestEpisodeExport:
 
 
 class TestLatticeCheckFirst:
-    """`generate_task` drops a candidate whose target or destination no
-    lattice capture of the target's room sees before it takes the ring
-    captures; `task_feasible` would reject every such candidate anyway."""
+    """`generate_task` drops a candidate whose destination no lattice camera
+    of the target's room sees in the scene without objects (the surface
+    prefilter), and then one whose target or destination no lattice capture
+    sees (the lattice check), before it takes the ring captures;
+    `task_feasible` would reject every such candidate anyway.  The ring
+    captures probe each pose for the subject alone (the ring probe) and see
+    in full only the pose that passes."""
 
     @pytest.mark.parametrize("master", [7, 4],
                              ids=["run-seed7", "generate-seed4"])
     def test_equals_reference(self, master):
+        """Equal to `reference_generate_task`, which has neither the surface
+        prefilter and the lattice check nor the ring probe: every candidate
+        gets full-view ring captures and a description."""
         cfg = RunConfig(seed=master).gen
         for i in range(20):
             seed = h64("session", master, i)
@@ -432,3 +454,95 @@ class TestLatticeCheckFirst:
                 continue
             task = TaskSpec(target, destination, room, t_cap, d_cap, ast, text)
             assert not task_feasible(env, task, cfg), (target, destination)
+
+    def test_shortcuts_fire(self, monkeypatch):
+        """Both shortcuts do their work: on sessions 0-19 of `generate
+        --seed 4`, the generator sees fewer lattices (`visible_batch`) and
+        full views (`visible_objects`) than the reference; it sees at most
+        one full view per ring capture kept, and never a room's lattice for
+        a destination that the surface prefilter rejects."""
+        calls = Counter()
+        last_draw = []
+
+        def counted(name):
+            orig = getattr(agent, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return orig(*args)
+            monkeypatch.setattr(agent, name, wrapper)
+
+        counted("visible_batch")
+        counted("visible_objects")
+        orig_select = taskgen.select_task
+        orig_views = taskgen.capture_views
+        orig_lattice = taskgen.lattice_captures
+
+        def select(env, rng):
+            last_draw[:] = orig_select(env, rng)
+            return tuple(last_draw)
+
+        def views(env, target, destination):
+            calls["capture_views"] += 1
+            return orig_views(env, target, destination)
+
+        def lattice(env, room):
+            # The reference draws through its own `select_task`.
+            if last_draw:
+                assert last_draw[1] in lattice_surfaces(env, room)
+            return orig_lattice(env, room)
+
+        monkeypatch.setattr(taskgen, "select_task", select)
+        monkeypatch.setattr(taskgen, "capture_views", views)
+        monkeypatch.setattr(taskgen, "lattice_captures", lattice)
+        seeds = [h64("session", 4, i) for i in range(20)]
+        forget_memos()
+        for seed in seeds:
+            generate_task(GenConfig(), seed)
+        new = dict(calls)
+        calls.clear()
+        last_draw.clear()
+        forget_memos()
+        for seed in seeds:
+            reference_generate_task(GenConfig(), seed)
+        assert new["visible_batch"] < calls["visible_batch"]
+        assert new["visible_objects"] < calls["visible_objects"]
+        assert new["visible_objects"] <= 2 * new["capture_views"]
+
+
+class TestRingProbe:
+    """`_capture_for` asks `sees` about its subject at each ring pose and
+    sees only the first pose that passes in full."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           per_room=st.floats(1.0, 8.0))
+    def test_probe_is_the_contract(self, seed, per_room):
+        """Over generated scenes, for every subject: at each ring pose the
+        probe says yes exactly when `visible_objects` shows the subject, and
+        the capture equals the full-view walk's, or both find no pose."""
+        try:
+            env = build_environment(GenConfig(objects_per_room=per_room), seed)
+        except PlacementExhausted:
+            return
+        for sid, kind, source, ref in _subjects(env):
+            for k in range(CAPTURE_RING_POSES):
+                ang = 2.0 * math.pi * k / CAPTURE_RING_POSES
+                cam = CameraPose(Pose(
+                    ref[0] + CAPTURE_RING_RADIUS_M * math.cos(ang),
+                    ref[1] + CAPTURE_RING_RADIUS_M * math.sin(ang),
+                    norm_angle(ang + math.pi)))
+                shown = [s.object_id for s in visible_objects(env, cam)]
+                assert (sees(env, cam, kind, source, ref) is not None) == \
+                    (sid in shown)
+            env.memo.clear()
+            try:
+                cap = _capture_for(env, sid, kind, source, ref)
+            except NoViewpoint:
+                cap = None
+            env.memo.clear()
+            try:
+                ref_cap = reference_capture_for(env, sid, ref)
+            except NoViewpoint:
+                ref_cap = None
+            assert cap == ref_cap

@@ -23,6 +23,10 @@ no trace to extend, runs uncached.  `drive_straight` turns through the
 memoized `rotate_exact`.  No code mutates a `Pose` in place, which is what
 lets entries share them.
 
+`room_lattice` states once per room the cameras the crawl stops at and
+the surfaces they can ever see: one grid-memo entry, which every scene of
+a command shares with the generator's checks.
+
 Perception is geometric visibility plus parametric noise.  Detection noise
 is drawn from a keyed stream: a miss is keyed by object (one fate per object
 per session), attribute corruption by (capture, object).  Keyed draws give
@@ -157,22 +161,30 @@ def _robot_component(env: Environment) -> int | None:
     return comp if comp >= 0 else None
 
 
-def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
-    """Reachable lattice viewpoints of a room, in serpentine visit order.
+@dataclass(frozen=True)
+class RoomLattice:
+    """The cameras (`HEADINGS` at each point, serpentine visit order) and
+    the ids of the surfaces they see in the scene without objects."""
+    cameras: tuple[CameraPose, ...]
+    surfaces: frozenset[str]
 
-    Points sit strictly inside the room at 1 m spacing and must be free on
-    the inflated grid in the robot's own grid component; the robot only ever
-    occupies free cells of the one navigable component, so the runtime crawl
-    and any static replay enumerate the same poses.  The lattice depends on
-    nothing else, so it is memoized on exactly that (the grid's memo, by
-    room bounds and component); each call returns a fresh list.
+
+def room_lattice(env: Environment, room_id: str) -> RoomLattice:
+    """The room's lattice, memoized on the grid (keyed by the static
+    layout) by room bounds and the robot's grid component.
+
+    Points sit strictly inside the room at 1 m spacing, free on the
+    inflated grid in the robot's component, which is all the robot ever
+    occupies, so the runtime crawl and any static replay agree.  Objects
+    only add disk blockers and a surface's sight line looks past no object,
+    so `surfaces` holds every surface any `lattice_captures` can show.
     """
     grid = grid_for(env)
     comp = _robot_component(env)
     b = env.room(room_id).bounds
-    key = ("crawl", b.as_tuple(), comp)
-    pts = grid.memo.get(key)
-    if pts is None:
+    key = ("lattice", b.as_tuple(), comp)
+    lattice = grid.memo.get(key)
+    if lattice is None:
         xs, ys = [], []
         k = 1
         while b.x0 + k * CRAWL_SPACING_M < b.x1:
@@ -183,19 +195,16 @@ def crawl_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
             ys.append(b.y0 + k * CRAWL_SPACING_M)
             k += 1
 
-        found = []
+        cams = []
         for row, y in enumerate(ys):
-            row_xs = xs if row % 2 == 0 else list(reversed(xs))
-            for x in row_xs:
+            for x in xs if row % 2 == 0 else reversed(xs):
                 if comp is not None and grid.component_at(x, y) == comp:
-                    found.append((x, y))
-        pts = grid.remember(key, tuple(found))
-    return list(pts)
-
-
-def _lattice_cameras(env: Environment, room_id: str) -> list[CameraPose]:
-    return [CameraPose(Pose(x, y, h))
-            for (x, y) in crawl_points(env, room_id) for h in HEADINGS]
+                    cams += [CameraPose(Pose(x, y, h)) for h in HEADINGS]
+        views = visible_batch(replace(env, objects={}), cams)
+        lattice = grid.remember(key, RoomLattice(
+            tuple(cams),
+            frozenset(s.object_id for snaps in views for s in snaps)))
+    return lattice
 
 
 def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
@@ -208,36 +217,11 @@ def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
     caps = env.memo.get(key)
     if caps is None:
         supports = capture_supports(env)
-        cams = _lattice_cameras(env, room_id)
+        cams = room_lattice(env, room_id).cameras
         caps = env.memo[key] = [
             Capture(cam, snaps, supports)
-            for cam, snaps in zip(cams, visible_batch(env, cams))]
+            for cam, snaps in zip(cams, visible_batch(env, list(cams)))]
     return list(caps)
-
-
-def lattice_surfaces(env: Environment, room_id: str) -> frozenset[str]:
-    """Ids of the surfaces some lattice camera of the room sees when the
-    scene holds no dynamic object: every surface any `lattice_captures` of
-    the room can show, whatever the objects.
-
-    Objects only add disk blockers, and a surface's sight test looks past
-    its own furniture alone, never past an object, so removing the objects
-    can only reveal a surface.  The answer depends on the geometry, the
-    lattice cameras (room bounds and robot's component, as in
-    `crawl_points`) and each surface's id, owner and reference point
-    (`Environment.surface_layout`), so it is memoized on the grid's memo by
-    the last two.
-    """
-    key = ("surfaces", env.room(room_id).bounds.as_tuple(),
-           _robot_component(env), env.surface_layout)
-    grid = grid_for(env)
-    ids = grid.memo.get(key)
-    if ids is None:
-        views = visible_batch(replace(env, objects={}),
-                              _lattice_cameras(env, room_id))
-        ids = grid.remember(key, frozenset(s.object_id for snaps in views
-                                           for s in snaps))
-    return ids
 
 
 # --- low-level motion -------------------------------------------------------

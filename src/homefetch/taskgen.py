@@ -8,11 +8,12 @@ on an emitted task cannot fail for geometric reasons.
 
 Each candidate goes through, in order: the draw (`select_task`); the
 surface prefilter, which drops it unless some lattice camera of the target's
-room sees the destination in the scene without objects (`lattice_surfaces`,
-computed once per room, not per scene); the lattice check, which drops it
-unless some capture of that room's lattice (`lattice_captures`) sees both
-the target and the destination; the ring captures (`capture_views`); the
-description (`make_instruction`); and the screen (`task_feasible`).
+room sees the destination in the scene without objects (the `surfaces` of
+`room_lattice`, computed once per room, not per scene); the lattice check,
+which drops it unless some capture of that room's lattice
+(`lattice_captures`) sees both the target and the destination; the ring
+captures (`capture_views`); the description (`make_instruction`); and the
+screen (`task_feasible`).
 
 Neither check changes an output byte.  The screen grounds only on
 detections in the lattice captures, so it rejects every candidate the
@@ -33,7 +34,7 @@ from pathlib import Path
 
 from .agent import (
     RELATIONAL, Capture, ScoreWeights, captured, grasp_approach, ground,
-    lattice_captures, lattice_surfaces, place_approach, room_entry_path,
+    lattice_captures, place_approach, room_entry_path, room_lattice,
 )
 from .eventlog import canonical_json
 from .geometry import dist, norm_angle
@@ -344,7 +345,7 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
                 continue
             obj = env.objects[target]
             room = point_in_room(env, obj.pose.x, obj.pose.y)
-            if destination not in lattice_surfaces(env, room):
+            if destination not in room_lattice(env, room).surfaces:
                 continue
             seen = {s.object_id for c in lattice_captures(env, room)
                     for s in c.snapshots}
@@ -396,14 +397,22 @@ def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
     }
 
 
+def _objects(value) -> list[dict] | None:
+    """`value` when it is a list of JSON objects, else None."""
+    ok = isinstance(value, list) and all(isinstance(v, dict) for v in value)
+    return value if ok else None
+
+
 def validate_episode(rec) -> list[str]:
-    """Structural schema check for one exported episode record."""
+    """Structural schema check for one exported episode record: the list of
+    problems, empty for a well-formed record, for any JSON value."""
     bad: list[str] = []
     if not isinstance(rec, dict):
         return ["episode is not an object"]
     if rec.get("format") != "homefetch-episode/1":
         bad.append("format tag missing or unknown")
-    if not isinstance(rec.get("index"), int) or rec.get("index", -1) < 0:
+    index = rec.get("index")
+    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
         bad.append("index must be a non-negative integer")
     scene = rec.get("scene")
     if not isinstance(scene, dict):
@@ -416,41 +425,45 @@ def validate_episode(rec) -> list[str]:
     if not isinstance(task, dict):
         bad.append("task missing")
         return bad
-    object_ids = {o.get("id") for o in scene.get("objects", [])}
-    surface_ids = {s.get("id") for f in scene.get("furniture", [])
-                   for s in f.get("surfaces", [])}
-    t = task.get("target", {})
-    d = task.get("destination", {})
-    if t.get("id") not in object_ids:
+    # Lists, not sets: an id may be any JSON value, hashable or not.
+    object_ids = [o.get("id") for o in _objects(scene.get("objects")) or []]
+    surface_ids = [s.get("id")
+                   for f in _objects(scene.get("furniture")) or []
+                   for s in _objects(f.get("surfaces")) or []]
+    roles = {role: task[role] if isinstance(task.get(role), dict) else {}
+             for role in ("target", "destination")}
+    if roles["target"].get("id") not in object_ids:
         bad.append("task.target not among scene objects")
-    if d.get("id") not in surface_ids:
+    if roles["destination"].get("id") not in surface_ids:
         bad.append("task.destination not among scene surfaces")
-    for role in ("target", "destination"):
-        xy = task.get(role, {}).get("xy_m")
+    for role, spec in roles.items():
+        xy = spec.get("xy_m")
         if (not isinstance(xy, list) or len(xy) != 2
                 or not all(isinstance(v, (int, float)) for v in xy)):
             bad.append(f"task.{role}.xy_m must be [x, y]")
     instr = rec.get("instruction")
-    if not isinstance(instr, dict) or not isinstance(instr.get("text"), str):
+    instr = instr if isinstance(instr, dict) else {}
+    if not isinstance(instr.get("text"), str):
         bad.append("instruction.text missing")
     elif not instr["text"].endswith("."):
         bad.append("instruction.text must end with a period")
-    if not isinstance((instr or {}).get("ast"), dict):
+    if not isinstance(instr.get("ast"), dict):
         bad.append("instruction.ast missing")
     caps = rec.get("captures")
     if not isinstance(caps, dict):
         bad.append("captures missing")
         return bad
-    for role, want in (("target", t.get("id")), ("destination", d.get("id"))):
+    for role, spec in roles.items():
+        want = spec.get("id")
         cap = caps.get(role)
         if not isinstance(cap, dict):
             bad.append(f"captures.{role} missing")
             continue
         if cap.get("subject") != want:
             bad.append(f"captures.{role}.subject != task.{role}.id")
-        snaps = cap.get("snapshots")
-        if not isinstance(snaps, list):
-            bad.append(f"captures.{role}.snapshots missing")
+        snaps = _objects(cap.get("snapshots"))
+        if snaps is None:
+            bad.append(f"captures.{role}.snapshots must be a list of objects")
         elif want is not None and all(s.get("id") != want for s in snaps):
             bad.append(f"captures.{role} does not show its subject")
     return bad

@@ -21,16 +21,14 @@ every point provably clears, so `point_blocked` returns False at once there
 and runs the exact loop everywhere else.
 
 Memos keep every result byte-identical to an uncached run, and each lives
-on the object whose lifetime matches what it depends on.  `Grid.memo`
-holds one command's work on one geometry, which no key restates: plans
-(`("plan", start, goal)`), motion legs (`(body, bits)`, see `agent`),
-crawl lattices (`("crawl", room bounds, component)`) and the surfaces a
-room's lattice sees with no object in the scene (`("surfaces", room
-bounds, component, surface_layout)`, see `agent.lattice_surfaces`), at
-most `MEMO_CAP` of them together, oldest evicted first.  The geometry
-covers no surface region or id, so that last key names them:
-`Environment.surface_layout` holds each surface's id, owner and reference
-point.  `forget_memos`, called by `cli.main` before each command, empties
+on the object whose lifetime matches what it depends on.  `grid_for` keys
+each grid by the inflation and `Environment.static_key`, the static layout:
+room bounds, walls, and each piece of furniture's id, footprint and
+surfaces.  `Grid.memo` holds one command's work on one layout, which no key
+restates: plans (`("plan", start, goal)`), motion legs (`(body, bits)`, see
+`agent`) and room lattices (`("lattice", room bounds, component)`, see
+`agent.room_lattice`), at most `MEMO_CAP` of them together, oldest evicted
+first.  `forget_memos`, called by `cli.main` before each command, empties
 the grid memo.  The raster (`free`, `comp`, `gap`, `moves`) outlives it: a
 function of the geometry alone, it costs a set-up build.
 `Environment.memo` holds work on one scene state, the agent's `captured`
@@ -40,7 +38,6 @@ views (`("view", x, y, theta, fov, range)`) and `lattice_captures`
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -238,21 +235,16 @@ class Environment:
         return self._surfaces[sid]
 
     @cached_property
-    def geometry_digest(self) -> str:
-        """Digest of the static geometry: room bounds, walls and furniture
-        footprints.  Read once; the geometry is fixed after construction."""
-        static = ([r.bounds for r in self.rooms], self.walls,
-                  [f.footprint for f in self.furniture])
-        return hashlib.sha256(repr(static).encode("ascii")).hexdigest()
-
-    @cached_property
-    def surface_layout(self) -> tuple:
-        """(furniture id, ((surface id, region centre), ...)) per piece of
-        furniture: what sight reads of the surfaces, their ids, owners and
-        reference points, which `geometry_digest` leaves out.  Read once;
-        the furniture is fixed after construction."""
-        return tuple((f.id, tuple((s.id, s.region.center) for s in f.surfaces))
-                     for f in self.furniture)
+    def static_key(self) -> str:
+        """Exact `repr` of the static layout: room bounds, walls, and per
+        piece of furniture its id, footprint and surfaces (id and region).
+        Read once; the layout is fixed after construction."""
+        return repr((tuple(r.bounds.as_tuple() for r in self.rooms),
+                     tuple(w.as_tuple() for w in self.walls),
+                     tuple((f.id, f.footprint.as_tuple(),
+                            tuple((s.id, s.region.as_tuple())
+                                  for s in f.surfaces))
+                           for f in self.furniture)))
 
     @cached_property
     def obstacles(self) -> tuple[Rect, ...]:
@@ -449,11 +441,14 @@ def _sight_clear(env: Environment, subs: list, sj: np.ndarray,
     only outside a band around the radius, since np.hypot may differ from
     math.hypot in the last bit; inside the band the scalar test decides.
     """
-    walls = len(env.walls)
-    fcol = {f.id: walls + k for k, f in enumerate(env.furniture)}
+    # Columns of `sight_rects` per furniture id: `line_of_sight` looks past
+    # every piece that bears an ignored id.
+    fcol: dict[str, list[int]] = {}
+    for k, f in enumerate(env.furniture):
+        fcol.setdefault(f.id, []).append(len(env.walls) + k)
     objs = [source for _, kind, source, _ in subs if kind == DYNAMIC]
     ocol = {o.id: k for k, o in enumerate(objs)}
-    skip_rect = np.zeros((len(subs), walls + len(fcol)), dtype=bool)
+    skip_rect = np.zeros((len(subs), len(env.obstacles)), dtype=bool)
     skip_disk = np.zeros((len(subs), len(objs)), dtype=bool)
     for s, (_, kind, source, _) in enumerate(subs):
         for name in _looks_past(env, kind, source):
@@ -676,16 +671,16 @@ def build_grid(env: Environment, inflate: float) -> Grid:
 
 
 # Every session builds a fresh Environment on the same layout, so grids are
-# shared by geometry.  A CLI command runs one layout and so keeps one grid;
-# the cap bounds callers that walk many geometries, oldest evicted first.
+# shared by static layout.  A CLI command runs one layout and so keeps one
+# grid; the cap bounds callers that walk many layouts, oldest evicted first.
 GRID_CACHE_CAP = 8
 _GRID_CACHE: dict[tuple[str, float], Grid] = {}
 
 
 def grid_for(env: Environment) -> Grid:
-    """Cached grid per static geometry and inflation (robot radius + margin)."""
+    """Cached grid per static layout and inflation (robot radius + margin)."""
     inflate = env.robot.radius + INFLATE_MARGIN_M
-    key = (env.geometry_digest, inflate)
+    key = (env.static_key, inflate)
     grid = _GRID_CACHE.get(key)
     if grid is None:
         if len(_GRID_CACHE) >= GRID_CACHE_CAP:

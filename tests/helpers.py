@@ -6,12 +6,15 @@ import heapq
 import math
 import random
 import struct
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
 from hypothesis import strategies as st
 
-from homefetch.agent import Capture, captured
+from homefetch.agent import (
+    CRAWL_SPACING_M, HEADINGS, Capture, captured, room_lattice,
+)
 from homefetch.geometry import Rect, dist, norm_angle
 from homefetch.language import (
     KIND_ORDER,
@@ -58,7 +61,9 @@ from homefetch.world import (
     StaticObject,
     SupportSurface,
     capture_supports,
+    grid_for,
     point_in_room,
+    visible_batch,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -103,8 +108,9 @@ def make_env(room: Rect = Rect(0.0, 0.0, 6.0, 5.0),
              layout_id: str = "test") -> Environment:
     """One sealed rectangular room; fixtures may bypass the validator.
 
-    Fixtures may share a layout id: grids, and the plans, legs and crawl
-    lattices memoised on them, are cached by geometry, not by layout id.
+    Fixtures may share a layout id: grids, and the plans, legs and room
+    lattices memoised on them, are cached by static layout, not by layout
+    id.
     """
     spec = RoomSpec(id="r0", name=name, bounds=room, doors=[])
     return Environment(
@@ -296,6 +302,46 @@ def reference_string_pull(grid: Grid,
         out.append(pts[j])
         i = j
     return out
+
+
+# --- reference room lattice ----------------------------------------------
+
+def reference_room_lattice(env: Environment, room_id: str) -> tuple[
+        list[CameraPose], frozenset[str]]:
+    """(cameras, surfaces) of the room's lattice as they were built before
+    `agent.room_lattice` merged them, with no memo: the point loops of
+    `crawl_points`, the cameras of `_lattice_cameras` and the empty-scene
+    batch of `lattice_surfaces`.  The oracle `room_lattice` must equal."""
+    grid = grid_for(env)
+    comp = grid.component_at(env.robot.pose.x, env.robot.pose.y)
+    comp = comp if comp >= 0 else None
+    b = env.room(room_id).bounds
+    xs, ys = [], []
+    k = 1
+    while b.x0 + k * CRAWL_SPACING_M < b.x1:
+        xs.append(b.x0 + k * CRAWL_SPACING_M)
+        k += 1
+    k = 1
+    while b.y0 + k * CRAWL_SPACING_M < b.y1:
+        ys.append(b.y0 + k * CRAWL_SPACING_M)
+        k += 1
+
+    found = []
+    for row, y in enumerate(ys):
+        row_xs = xs if row % 2 == 0 else list(reversed(xs))
+        for x in row_xs:
+            if comp is not None and grid.component_at(x, y) == comp:
+                found.append((x, y))
+    cams = [CameraPose(Pose(x, y, h)) for (x, y) in found for h in HEADINGS]
+    views = visible_batch(replace(env, objects={}), cams)
+    return cams, frozenset(s.object_id for snaps in views for s in snaps)
+
+
+def lattice_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
+    """The room's lattice points in visit order, one per `HEADINGS` run of
+    `room_lattice`'s cameras."""
+    cams = room_lattice(env, room_id).cameras
+    return [c.pose.xy for c in cams[::len(HEADINGS)]]
 
 
 # --- reference task generation --------------------------------------------

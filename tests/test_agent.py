@@ -1,11 +1,16 @@
 import math
 import struct
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ball, make_env, sighting, table, trace_bits
+from helpers import (
+    ball, lattice_points, make_env, reference_room_lattice, scenes, sighting,
+    table, trace_bits,
+)
 from homefetch import world
 from homefetch.agent import (
     ARRIVE_TOL_M,
@@ -25,8 +30,8 @@ from homefetch.agent import (
     NoiseConfig,
     Pick,
     captured,
+    RoomLattice,
     crawl,
-    crawl_points,
     detect,
     drive_straight,
     estimated_position,
@@ -35,8 +40,8 @@ from homefetch.agent import (
     follow_path,
     ground,
     lattice_captures,
-    lattice_surfaces,
     navigate_to_room,
+    room_lattice,
     rotate_exact,
 )
 from homefetch.language import (
@@ -70,6 +75,7 @@ from homefetch.world import (
     grid_for,
     point_in_room,
     step as world_step,
+    visible_batch,
     visible_objects,
 )
 
@@ -95,7 +101,7 @@ def test_noise_config_validation():
 class TestCrawlLattice:
     def test_serpentine_order_empty_room(self):
         env = make_env(room=Rect(0, 0, 5, 4))
-        assert crawl_points(env, "r0") == [
+        assert lattice_points(env, "r0") == [
             (1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0),
             (4.0, 2.0), (3.0, 2.0), (2.0, 2.0), (1.0, 2.0),
             (1.0, 3.0), (2.0, 3.0), (3.0, 3.0), (4.0, 3.0),
@@ -104,40 +110,53 @@ class TestCrawlLattice:
     def test_furniture_blocks_points(self):
         t = table("t0", footprint=Rect(1.8, 0.7, 3.0, 1.5))
         env = make_env(room=Rect(0, 0, 5, 4), furniture=(t,))
-        pts = crawl_points(env, "r0")
+        pts = lattice_points(env, "r0")
         assert (2.0, 1.0) not in pts
         assert (3.0, 1.0) not in pts
         assert (1.0, 1.0) in pts and (2.0, 2.0) in pts
         assert len(pts) == 10
 
-    def test_crawl_points_are_the_callers_own(self):
+    def test_each_point_takes_every_heading(self):
         env = make_env(room=Rect(0, 0, 5, 4))
-        crawl_points(env, "r0").clear()
-        assert len(crawl_points(env, "r0")) == 12
+        cams = room_lattice(env, "r0").cameras
+        assert cams == tuple(CameraPose(Pose(x, y, h))
+                             for x, y in lattice_points(env, "r0")
+                             for h in HEADINGS)
+
+    def test_one_frozen_entry_shared_by_every_call(self):
+        env = make_env(room=Rect(0, 0, 5, 4))
+        lattice = room_lattice(env, "r0")
+        assert room_lattice(make_env(room=Rect(0, 0, 5, 4)), "r0") is lattice
+        assert isinstance(lattice.cameras, tuple)
+        with pytest.raises(FrozenInstanceError):
+            lattice.cameras = ()
+        assert len(lattice.cameras) == 4 * 12
 
     def test_crawl_memo_lives_on_the_grid(self):
-        env = make_env(room=Rect(0, 0, 5, 4), layout_id="crawl-memo")
-        pts = crawl_points(env, "r0")
+        forget_memos()
+        env = make_env(room=Rect(0, 0, 5, 4), layout_id="lattice-memo")
+        lattice = room_lattice(env, "r0")
         grid = grid_for(env)
-        assert [v for k, v in grid.memo.items() if k[0] == "crawl"] == \
-            [tuple(pts)]
+        assert [v for k, v in grid.memo.items() if k[0] == "lattice"] == \
+            [lattice]
         assert build_grid(env, env.robot.radius + INFLATE_MARGIN_M).memo == {}
 
     def test_crawl_points_keyed_by_geometry_and_component(self):
         bare = make_env(room=Rect(0, 0, 5, 4), layout_id="shared")
         furnished = make_env(room=Rect(0, 0, 5, 4), layout_id="shared",
                              furniture=(table("t0", Rect(1.8, 0.7, 3.0, 1.5)),))
-        assert len(crawl_points(bare, "r0")) == 12
-        assert len(crawl_points(furnished, "r0")) == 10
+        assert len(lattice_points(bare, "r0")) == 12
+        assert len(lattice_points(furnished, "r0")) == 10
         # Off every free cell the robot is in no component: no lattice.
         bare.robot.pose = Pose(-1.0, -1.0)
-        assert crawl_points(bare, "r0") == []
+        assert room_lattice(bare, "r0") == RoomLattice((), frozenset())
 
     def test_lattice_captures_shape(self):
         env = make_env(room=Rect(0, 0, 5, 4))
         before = (env.robot.pose, env.clock)
         caps = lattice_captures(env, "r0")
-        assert len(caps) == 4 * len(crawl_points(env, "r0"))
+        assert len(caps) == 4 * len(lattice_points(env, "r0"))
+        assert tuple(c.camera for c in caps) == room_lattice(env, "r0").cameras
         assert (env.robot.pose, env.clock) == before
         for cap in caps:
             assert any(abs(norm_angle(cap.camera.pose.theta - h)) < 1e-12
@@ -200,7 +219,7 @@ class TestCrawlLattice:
 
 
 class TestLatticeSurfaces:
-    """`lattice_surfaces` is the generator's prefilter: the surfaces a
+    """`RoomLattice.surfaces` is the generator's prefilter: the surfaces a
     room's lattice sees with no object in the scene."""
 
     @settings(max_examples=25, deadline=None)
@@ -217,12 +236,13 @@ class TestLatticeSurfaces:
         for room in env.rooms:
             shown = {s.object_id for c in lattice_captures(env, room.id)
                      for s in c.snapshots if s.kind == SURFACE}
-            assert shown <= lattice_surfaces(env, room.id)
+            assert shown <= room_lattice(env, room.id).surfaces
 
     def test_keyed_by_surface_regions(self):
         """Same walls and footprints, one surface region moved behind a
-        cabinet: the grid is shared, the memo entry is not.  Nor is it
-        shared with a robot in no component, which has no lattice."""
+        cabinet: the static key tells the layouts apart, so each has its
+        own grid and lattice entry.  Nor is the entry shared with a robot
+        in no component, which has no lattice."""
         cabinet = StaticObject("c0", "cabinet", Rect(2.95, 1.9, 4.1, 3.1), [])
 
         def scene(region):
@@ -233,14 +253,75 @@ class TestLatticeSurfaces:
         forget_memos()
         open_top = scene(Rect(2.1, 2.1, 2.9, 2.9))
         hidden_top = scene(Rect(3.1, 2.1, 3.9, 2.9))
-        assert open_top.geometry_digest == hidden_top.geometry_digest
-        assert grid_for(open_top) is grid_for(hidden_top)
-        assert "t0/top" in lattice_surfaces(open_top, "r0")
-        assert "t0/top" not in lattice_surfaces(hidden_top, "r0")
-        assert len([k for k in grid_for(open_top).memo
-                    if k[0] == "surfaces"]) == 2
+        assert open_top.static_key != hidden_top.static_key
+        assert grid_for(open_top) is not grid_for(hidden_top)
+        assert "t0/top" in room_lattice(open_top, "r0").surfaces
+        assert "t0/top" not in room_lattice(hidden_top, "r0").surfaces
+        for env in (open_top, hidden_top):
+            assert len([k for k in grid_for(env).memo
+                        if k[0] == "lattice"]) == 1
         open_top.robot.pose = Pose(-1.0, -1.0)
-        assert lattice_surfaces(open_top, "r0") == frozenset()
+        assert room_lattice(open_top, "r0").surfaces == frozenset()
+
+    def test_keyed_by_furniture_ids(self):
+        """A surface's sight line looks past every piece bearing its
+        furniture's id.  A bar with the table's own id hides nothing; with
+        an id of its own it hides the table's top from the whole lattice,
+        though walls, footprints and surfaces are the same."""
+        def scene(bar_id):
+            top = SupportSurface("t0/top", "t0", Rect(5.3, 4.3, 5.8, 4.8),
+                                 "table-level")
+            t0 = StaticObject("t0", "table", Rect(5.2, 4.2, 5.9, 4.9), [top])
+            bar = StaticObject(bar_id, "cabinet", Rect(5.05, 0.5, 5.15, 4.9),
+                               [])
+            return make_env(furniture=(t0, bar), layout_id="bar")
+
+        forget_memos()
+        own, shared = scene("c0"), scene("t0")
+        assert room_lattice(own, "r0").surfaces == frozenset()
+        assert room_lattice(shared, "r0").surfaces == {"t0/top"}
+        for env in (own, shared):
+            cams = room_lattice(env, "r0").cameras
+            assert visible_batch(env, list(cams)) == \
+                [visible_objects(env, c) for c in cams]
+
+
+class TestRoomLatticeOracle:
+    """`room_lattice` equals the lattice as it was built before its cameras
+    and surfaces shared one entry (`reference_room_lattice`): the same
+    cameras in the same order, and the same surfaces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(env=scenes(), pick=st.integers(0, 2 ** 32))
+    def test_random_scenes(self, env, pick):
+        """With the robot on a drawn free cell, so that its component and
+        the lattice vary."""
+        grid = grid_for(env)
+        free = np.argwhere(grid.free)
+        if len(free):
+            iy, ix = free[pick % len(free)].tolist()
+            env.robot.pose = Pose(*grid.center(ix, iy))
+        for room in env.rooms:
+            lattice = room_lattice(env, room.id)
+            cams, surfaces = reference_room_lattice(env, room.id)
+            assert list(lattice.cameras) == cams
+            assert lattice.surfaces == surfaces
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           per_room=st.floats(1.0, 8.0))
+    def test_generated_scenes(self, seed, per_room):
+        """Over generated scenes, with the grid memo shared across them as
+        within one command."""
+        try:
+            env = build_environment(GenConfig(objects_per_room=per_room), seed)
+        except PlacementExhausted:
+            return
+        for room in env.rooms:
+            lattice = room_lattice(env, room.id)
+            cams, surfaces = reference_room_lattice(env, room.id)
+            assert list(lattice.cameras) == cams
+            assert lattice.surfaces == surfaces
 
 
 def _capture(snaps, cam=None):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from homefetch.agent import crawl_points
+from helpers import lattice_points
 from homefetch.layouts import layout_ids, make_environment
 from homefetch.planner import grid_for
 from homefetch.vocab import DEFAULT
@@ -104,14 +104,14 @@ class TestDefaultLayout:
         # a room with no reachable survey pose would be a dead zone
         env = make_environment("default")
         for room in env.rooms:
-            pts = crawl_points(env, room.id)
+            pts = lattice_points(env, room.id)
             assert pts, room.id
             for x, y in pts:
                 assert room.bounds.contains(x, y)
 
     def test_lattice_is_metre_spaced_serpentine(self):
         env = make_environment("default")
-        pts = crawl_points(env, "kitchen")
+        pts = lattice_points(env, "kitchen")
         for x, y in pts:
             assert x == pytest.approx(round(x)) and y == pytest.approx(round(y))
         ys = [y for _, y in pts]

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -11,12 +12,12 @@ from helpers import (
 )
 from homefetch import agent, taskgen
 from homefetch.agent import (
-    RELATIONAL, grasp_approach, ground, lattice_captures, lattice_surfaces,
-    place_approach,
+    RELATIONAL, grasp_approach, ground, lattice_captures, place_approach,
+    room_lattice,
 )
 from homefetch.config import RunConfig
 from homefetch.eventlog import canonical_json
-from homefetch.geometry import norm_angle
+from homefetch.geometry import Rect, norm_angle
 from homefetch.language import ONTO, TO, parse
 from homefetch.layouts import TABLE_LEVEL
 from homefetch.relations import (
@@ -226,6 +227,41 @@ class TestCaptureViews:
         b = capture_views(env, task.target, task.destination)
         assert a == b
 
+    def test_no_ring_pose_sees_into_a_small_room(self):
+        """Every pose of the 1.5 m ring lies outside a 1 m room, so a wall
+        blocks each sight line to the subject."""
+        t = table("t0", Rect(0.3, 0.3, 0.7, 0.7))
+        env = make_env(room=Rect(0.0, 0.0, 1.0, 1.0), furniture=(t,),
+                       objects=(ball("o0", (0.5, 0.5), radius=0.05),))
+        with pytest.raises(NoViewpoint, match="o0"):
+            capture_views(env, "o0", "t0/top")
+        with pytest.raises(NoViewpoint, match="t0/top"):
+            _capture_for(env, "t0/top", SURFACE, t, t.surfaces[0].region.center)
+
+    def test_generation_moves_past_a_candidate_with_no_viewpoint(
+            self, monkeypatch):
+        """The first candidate to reach the ring captures, which the
+        generator would otherwise accept, finds no pose: the generator
+        drops it and returns a later candidate's task."""
+        seed = h64("session", 4, 0)
+        _, accepted = generate_task(GenConfig(), seed)
+        orig = taskgen.capture_views
+        drawn, views = [], []
+
+        def first_fails(env, target, destination):
+            drawn.append((target, destination))
+            if len(drawn) == 1:
+                raise NoViewpoint(target)
+            views.append(orig(env, target, destination))
+            return views[-1]
+
+        monkeypatch.setattr(taskgen, "capture_views", first_fails)
+        _, task = generate_task(GenConfig(), seed)
+        assert drawn[0] == (accepted.target, accepted.destination)
+        assert len(drawn) >= 2
+        assert (task.target, task.destination) == drawn[-1]
+        assert (task.target_capture, task.destination_capture) == views[-1]
+
 
 class TestMakeInstruction:
     def test_generated_tasks_faithful(self):
@@ -376,6 +412,83 @@ class TestEpisodeExport:
             (out2 / "manifest.json").read_bytes()
 
 
+def _episode_file_record() -> dict:
+    """Episode 0 of `generate --seed 4`, as read back from its file."""
+    env, task = generate_task(GenConfig(), h64("session", 4, 0))
+    return json.loads(canonical_json(episode_record(0, env, task)))
+
+
+_RECORD = _episode_file_record()
+_TARGET_AT = [o["id"] for o in _RECORD["scene"]["objects"]].index(
+    _RECORD["task"]["target"]["id"])
+
+
+def _paths(tree, path=()):
+    """The path of every subtree below the root, as keys and indices."""
+    items = (tree.items() if isinstance(tree, dict)
+             else enumerate(tree) if isinstance(tree, list) else ())
+    for key, sub in items:
+        yield path + (key,)
+        yield from _paths(sub, path + (key,))
+
+
+def _mutated(path, value, drop):
+    rec = copy.deepcopy(_RECORD)
+    *head, last = path
+    parent = rec
+    for key in head:
+        parent = parent[key]
+    if drop:
+        del parent[last]
+    else:
+        parent[last] = value
+    return rec
+
+
+# Any JSON value, ids of the record among the strings.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from([_RECORD["task"]["target"]["id"],
+                       _RECORD["task"]["destination"]["id"]]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "surfaces", "snapshots"])
+                      | st.text(max_size=4), inner, max_size=4),
+    max_leaves=10)
+
+
+class TestValidateEpisode:
+    """`validate_episode` returns a list of problems for any JSON value."""
+
+    def test_real_record_is_valid(self):
+        assert validate_episode(copy.deepcopy(_RECORD)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(sorted(_paths(_RECORD), key=repr)),
+           value=_JSON, drop=st.booleans())
+    def test_any_subtree_replaced_or_dropped(self, path, value, drop):
+        bad = validate_episode(_mutated(path, value, drop))
+        assert isinstance(bad, list)
+        assert all(isinstance(b, str) for b in bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=_JSON)
+    def test_any_value(self, value):
+        assert isinstance(validate_episode(value), list)
+
+    @pytest.mark.parametrize("path, value", [
+        (("instruction",), "abc"),
+        (("task", "target"), []),
+        (("scene", "furniture"), [5]),
+        (("captures", "target", "snapshots"), [1]),
+        (("scene", "objects", _TARGET_AT, "id"), ["unhashable"]),
+        (("task", "target", "id"), {"unhashable": 1}),
+        (("index",), True),
+    ])
+    def test_malformed_fields_are_reported(self, path, value):
+        assert validate_episode(_mutated(path, value, drop=False))
+
+
 class TestLatticeCheckFirst:
     """`generate_task` drops a candidate whose destination no lattice camera
     of the target's room sees in the scene without objects (the surface
@@ -489,7 +602,7 @@ class TestLatticeCheckFirst:
         def lattice(env, room):
             # The reference draws through its own `select_task`.
             if last_draw:
-                assert last_draw[1] in lattice_surfaces(env, room)
+                assert last_draw[1] in room_lattice(env, room).surfaces
             return orig_lattice(env, room)
 
         monkeypatch.setattr(taskgen, "select_task", select)

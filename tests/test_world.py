@@ -16,7 +16,7 @@ from helpers import (
     table,
 )
 from homefetch import world
-from homefetch.agent import DOCK_CLEARANCE_M, HEADINGS, crawl_points
+from homefetch.agent import DOCK_CLEARANCE_M, room_lattice
 from homefetch.geometry import Rect, norm_angle
 from homefetch.layouts import make_environment
 from homefetch.taskgen import GenConfig, build_environment
@@ -192,8 +192,7 @@ class TestVisibleObjects:
 
 
 def _lattice(env):
-    return [CameraPose(Pose(x, y, h)) for r in env.rooms
-            for (x, y) in crawl_points(env, r.id) for h in HEADINGS]
+    return [cam for r in env.rooms for cam in room_lattice(env, r.id).cameras]
 
 
 def _boundary_cams(env, rng: random.Random) -> list[CameraPose]:

@@ -15,7 +15,7 @@ nothing but the static geometry, the robot's radius and speed limits, its
 exact pose and clock at the start, the deadline, and the path's waypoints
 and length (or the heading).  The key holds the floats by their bits, so a
 signed zero is a key of its own.  Dynamic objects are not in the key:
-`step` collides only with `env.obstacles`, and an empty gripper moves no
+`step` collides only with `env.layout.obstacles`, and an empty gripper moves no
 object.  A hit restores the return value, the final `Pose` object itself,
 the final clock and the collisions added, and extends `env.trace` with the
 stored segment, whose tuples it shares.  A leg with a held object, or with
@@ -170,8 +170,8 @@ class RoomLattice:
 
 
 def room_lattice(env: Environment, room_id: str) -> RoomLattice:
-    """The room's lattice, memoized on the grid (keyed by the static
-    layout) by room bounds and the robot's grid component.
+    """The room's lattice, memoized on the layout's grid by room bounds
+    and the robot's grid component.
 
     Points sit strictly inside the room at 1 m spacing, free on the
     inflated grid in the robot's component, which is all the robot ever
@@ -181,7 +181,7 @@ def room_lattice(env: Environment, room_id: str) -> RoomLattice:
     """
     grid = grid_for(env)
     comp = _robot_component(env)
-    b = env.room(room_id).bounds
+    b = env.layout.room(room_id).bounds
     key = ("lattice", b.as_tuple(), comp)
     lattice = grid.memo.get(key)
     if lattice is None:
@@ -200,7 +200,7 @@ def room_lattice(env: Environment, room_id: str) -> RoomLattice:
             for x in xs if row % 2 == 0 else reversed(xs):
                 if comp is not None and grid.component_at(x, y) == comp:
                     cams += [CameraPose(Pose(x, y, h)) for h in HEADINGS]
-        views = visible_batch(replace(env, objects={}), cams)
+        views = visible_batch(Environment(env.layout, {}, env.robot), cams)
         lattice = grid.remember(key, RoomLattice(
             tuple(cams),
             frozenset(s.object_id for snaps in views for s in snaps)))
@@ -423,7 +423,7 @@ def navigate_to_room(env: Environment, room_id: str, deadline: float,
 def room_entry_path(env: Environment, room_id: str) -> Path | None:
     """Path from the robot to the first door anchor of the room, by door id,
     that the planner can reach; None when no anchor is reachable."""
-    room = env.room(room_id)
+    room = env.layout.room(room_id)
     for door in sorted(room.doors, key=lambda d: d.id):
         try:
             return plan_path(env, env.robot.pose.xy,
@@ -695,7 +695,7 @@ def place_approach(env: Environment, destination: Pick) -> Approach | None:
     Aims at the point of the surface, inset by a nominal object radius,
     nearest the destination's camera; None when the surface is unknown.
     """
-    surf = env._surfaces.get(destination.id)
+    surf = env.layout.surface_index.get(destination.id)
     if surf is None:
         return None
     pose = destination.camera.pose
@@ -755,7 +755,7 @@ def carry(env: Environment, destination: Pick, task: "TaskSpec",
     emit_event(events, env, "place", surface=destination.id,
                ok=True, xy=[obj.pose.x, obj.pose.y])
     return (obj.support == task.destination
-            and env.surface(task.destination).region.inset(obj.radius)
+            and env.layout.surface(task.destination).region.inset(obj.radius)
             .contains_closed(obj.pose.x, obj.pose.y))
 
 

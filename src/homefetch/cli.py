@@ -15,6 +15,7 @@ from .config import (
     ConfigError, RunConfig, apply_overrides, config_echo, load_config,
 )
 from .eventlog import SchemaError, canonical_json, read_events, write_events
+from .layouts import forget_memos
 from .seeds import h64
 from .session import (
     MismatchDetected, SUBTASKS, Tally, aggregate, format_cells, format_report,
@@ -23,7 +24,6 @@ from .session import (
 from .taskgen import (
     GenerationFailed, episode_record, export_dataset, generate_task,
 )
-from .world import forget_memos
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

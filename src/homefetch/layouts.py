@@ -4,14 +4,19 @@ A layout fixes everything except the dynamic objects: room geometry, doors,
 walls, furniture (with support surfaces), and the robot start pose.  Walls
 are thin rectangles straddling room boundaries, carved around door gaps, so
 movement and sight between rooms funnel through doors.
+
+Each shipped layout is built and validated once per process; every scene
+`make_environment` starts shares it, and with it its grids and their memos.
 """
 from __future__ import annotations
 
 import math
+from copy import copy
 
 from .geometry import Rect
 from .world import (
-    Door, Environment, Pose, RobotState, RoomSpec, StaticObject, SupportSurface,
+    Door, Environment, Layout, Pose, RobotState, RoomSpec, StaticObject,
+    SupportSurface, validate_layout,
 )
 
 WALL_HALF_M = 0.05
@@ -51,7 +56,7 @@ def _furn(fid: str, category: str, rect: Rect, height: str,
                         surfaces=[surface], color=color, material=material)
 
 
-def _default_layout() -> Environment:
+def _default_layout() -> Layout:
     rooms = [
         RoomSpec("living_room", "living room", Rect(0.0, 0.0, 6.0, 5.0)),
         RoomSpec("kitchen", "kitchen", Rect(6.0, 0.0, 10.0, 5.0)),
@@ -111,21 +116,38 @@ def _default_layout() -> Environment:
         _furn("s_cabinet", "cabinet", Rect(6.1, 7.5, 7.7, 7.95), TABLE_LEVEL,
               "brown", "wooden"),
     ]
-    return Environment(layout_id="default", rooms=rooms, doors=doors,
-                       walls=walls, furniture=furniture, objects={},
-                       robot=RobotState(pose=Pose(5.0, 1.3, math.pi / 2.0)))
+    return Layout("default", rooms, doors, walls, furniture,
+                  Pose(5.0, 1.3, math.pi / 2.0))
 
 
 _BUILDERS = {"default": _default_layout}
 
 
+def _validated(layout: Layout) -> Layout:
+    issues = validate_layout(layout)
+    assert not issues, f"shipped layout {layout.id} is invalid: {issues}"
+    return layout
+
+
+_LAYOUTS = {lid: _validated(build()) for lid, build in _BUILDERS.items()}
+
+
 def layout_ids() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(_LAYOUTS)
 
 
 def make_environment(layout_id: str) -> Environment:
-    """Fresh environment for a shipped layout, without dynamic objects.
+    """A fresh scene on a shipped layout, without dynamic objects.
 
     Raises KeyError for an unknown layout id.
     """
-    return _BUILDERS[layout_id]()
+    layout = _LAYOUTS[layout_id]
+    return Environment(layout, {}, RobotState(pose=copy(layout.start)))
+
+
+def forget_memos() -> None:
+    """Empty the memo of every grid of the shipped layouts; the rasters
+    stay."""
+    for layout in _LAYOUTS.values():
+        for grid in layout.grids.values():
+            grid.memo.clear()

@@ -1,7 +1,7 @@
 """Grid-based path planning over the static geometry.
 
 Plans run on `world.Grid`, the one raster of the static geometry, built
-and cached by `world.grid_for`.  Its free cells are those whose centre is
+by `world.grid_for` and kept on the layout.  Its free cells are those whose centre is
 in a room and clear of every obstacle inflated by the robot radius plus a
 safety margin, so any path whose samples stay in free cells keeps real
 clearance well above the robot radius.  Dynamic objects never appear in the
@@ -85,7 +85,7 @@ def segment_clear_exact(env: Environment, a: tuple[float, float],
     lo_y, hi_y = min(ay, by), max(ay, by)
     boxed = math.isfinite(ax + ay + bx + by)
     need = clearance + _PREFILTER_EPS
-    for r in env.obstacles:
+    for r in env.layout.obstacles:
         if boxed and math.hypot(max(r.x0 - hi_x, lo_x - r.x1, 0.0),
                                 max(r.y0 - hi_y, lo_y - r.y1, 0.0)) >= need:
             continue

@@ -76,7 +76,7 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
 
     emit("session_start", seed=seed, session_seed=session_seed,
          config=config_echo(cfg))
-    emit("scene", layout=env.layout_id, objects=len(env.objects),
+    emit("scene", layout=env.layout.id, objects=len(env.objects),
          digest=digest16(env_record(env)))
     emit("task", target=task.target, destination=task.destination,
          room=task.room, text=task.text)

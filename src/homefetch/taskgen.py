@@ -145,19 +145,20 @@ def build_environment(cfg: GenConfig, seed: int) -> Environment:
     """
     rng = substream("homefetch-env", seed, cfg.layout_id)
     env = make_environment(cfg.layout_id)
+    rooms = env.layout.rooms
 
-    # validate_environment requires each footprint inside exactly one room.
-    room_surfaces: dict[str, list] = {r.id: [] for r in env.rooms}
-    for f in env.furniture:
+    # validate_layout requires each footprint inside exactly one room.
+    room_surfaces: dict[str, list] = {r.id: [] for r in rooms}
+    for f in env.layout.furniture:
         room_surfaces[point_in_room(env, *f.footprint.center)].extend(f.surfaces)
 
     counts = {r.id: _clamped_poisson(rng, cfg.objects_per_room,
                                      cfg.min_objects, cfg.max_objects)
-              for r in env.rooms}
+              for r in rooms}
 
     dup_room = None
     if cfg.distractor_guarantee and cfg.max_objects >= 2:
-        furnished = [r.id for r in env.rooms if room_surfaces[r.id]]
+        furnished = [r.id for r in rooms if room_surfaces[r.id]]
         with_pair = [rid for rid in furnished if counts[rid] >= 2]
         if with_pair:
             dup_room = with_pair[0]
@@ -167,7 +168,7 @@ def build_environment(cfg: GenConfig, seed: int) -> Environment:
 
     rejections = 0
     k = 0
-    for r in env.rooms:
+    for r in rooms:
         n = counts[r.id]
         if n == 0:
             continue
@@ -215,7 +216,7 @@ def select_task(env: Environment, rng: random.Random) -> tuple[str, str]:
         raise NoFeasibleTask("no dynamic objects")
     target = rng.choice(objs)
     current = env.objects[target].support
-    dests = sorted(s.id for s in env.surfaces if s.id != current)
+    dests = sorted(s.id for s in env.layout.surfaces if s.id != current)
     if not dests:
         raise NoFeasibleTask("no surface other than the target's own")
     return target, rng.choice(dests)
@@ -243,8 +244,8 @@ def capture_views(env: Environment, target: str,
                   destination: str) -> tuple[Capture, Capture]:
     """One validated camera view of the target and one of the destination."""
     obj = env.objects[target]
-    surf = env.surface(destination)
-    owner = next(f for f in env.furniture if f.id == surf.owner)
+    surf = env.layout.surface(destination)
+    owner = next(f for f in env.layout.furniture if f.id == surf.owner)
     t_cap = _capture_for(env, target, DYNAMIC, obj, obj.pose.xy)
     d_cap = _capture_for(env, destination, SURFACE, owner, surf.region.center)
     return t_cap, d_cap
@@ -256,7 +257,7 @@ def make_instruction(env: Environment, target: str, destination: str,
     """Synthesize the combined go-and-move instruction for a task."""
     obj = env.objects[target]
     rid = point_in_room(env, obj.pose.x, obj.pose.y)
-    room_name = env.room(rid).name
+    room_name = env.layout.room(rid).name
 
     attrs, rel = distinguishing_descriptor(target, t_cap.snapshots,
                                            t_cap.supports, cfg.thresholds)
@@ -278,7 +279,7 @@ def make_instruction(env: Environment, target: str, destination: str,
     if source is not None:
         prep = TO
     else:
-        height = env.surface(destination).height_class
+        height = env.layout.surface(destination).height_class
         prep = ONTO if height == TABLE_LEVEL else TO
     ast = InstructionAst(GotoClause(room_name),
                          ManipClause(attrs, d_attrs, prep, rel, source))
@@ -387,7 +388,7 @@ def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
             "target": {"id": task.target,
                        "xy_m": list(env.objects[task.target].pose.xy)},
             "destination": {"id": task.destination,
-                            "xy_m": list(env.surface(task.destination)
+                            "xy_m": list(env.layout.surface(task.destination)
                                          .region.center)},
             "room": task.room,
         },
@@ -425,21 +426,27 @@ def validate_episode(rec) -> list[str]:
     if not isinstance(task, dict):
         bad.append("task missing")
         return bad
-    # Lists, not sets: an id may be any JSON value, hashable or not.
-    object_ids = [o.get("id") for o in _objects(scene.get("objects")) or []]
-    surface_ids = [s.get("id")
-                   for f in _objects(scene.get("furniture")) or []
-                   for s in _objects(f.get("surfaces")) or []]
+    objects = _objects(scene.get("objects")) or []
+    surfaces = [s for f in _objects(scene.get("furniture")) or []
+                for s in _objects(f.get("surfaces")) or []]
+    ids = {}
+    for kind, items in (("objects", objects), ("surfaces", surfaces)):
+        if not all(isinstance(o.get("id"), str) for o in items):
+            bad.append(f"scene {kind} ids must be strings")
+        ids[kind] = {o["id"] for o in items if isinstance(o.get("id"), str)}
     roles = {role: task[role] if isinstance(task.get(role), dict) else {}
              for role in ("target", "destination")}
-    if roles["target"].get("id") not in object_ids:
-        bad.append("task.target not among scene objects")
-    if roles["destination"].get("id") not in surface_ids:
-        bad.append("task.destination not among scene surfaces")
+    for role, kind in (("target", "objects"), ("destination", "surfaces")):
+        rid = roles[role].get("id")
+        if not isinstance(rid, str):
+            bad.append(f"task.{role}.id must be a string")
+        if not isinstance(rid, str) or rid not in ids[kind]:
+            bad.append(f"task.{role} not among scene {kind}")
     for role, spec in roles.items():
         xy = spec.get("xy_m")
         if (not isinstance(xy, list) or len(xy) != 2
-                or not all(isinstance(v, (int, float)) for v in xy)):
+                or not all(isinstance(v, (int, float))
+                           and not isinstance(v, bool) for v in xy)):
             bad.append(f"task.{role}.xy_m must be [x, y]")
     instr = rec.get("instruction")
     instr = instr if isinstance(instr, dict) else {}

@@ -21,16 +21,18 @@ every point provably clears, so `point_blocked` returns False at once there
 and runs the exact loop everywhere else.
 
 Memos keep every result byte-identical to an uncached run, and each lives
-on the object whose lifetime matches what it depends on.  `grid_for` keys
-each grid by the inflation and `Environment.static_key`, the static layout:
-room bounds, walls, and each piece of furniture's id, footprint and
-surfaces.  `Grid.memo` holds one command's work on one layout, which no key
-restates: plans (`("plan", start, goal)`), motion legs (`(body, bits)`, see
-`agent`) and room lattices (`("lattice", room bounds, component)`, see
+on the object whose lifetime matches what it depends on.  A `Layout` is the
+static home, shared by every scene on it and equal only to itself, so
+nothing is keyed by its contents: `grid_for` finds the grid for an
+inflation in the layout's own `grids`, and a layout's grids go with it.
+`Grid.memo` holds one command's work on one grid, which no key restates:
+plans (`("plan", start, goal)`), motion legs (`(body, bits)`, see `agent`)
+and room lattices (`("lattice", room bounds, component)`, see
 `agent.room_lattice`), at most `MEMO_CAP` of them together, oldest evicted
-first.  `forget_memos`, called by `cli.main` before each command, empties
-the grid memo.  The raster (`free`, `comp`, `gap`, `moves`) outlives it: a
-function of the geometry alone, it costs a set-up build.
+first.  `layouts.forget_memos`, called by `cli.main` before each command,
+empties the grid memos of the shipped layouts.  The raster (`free`, `comp`,
+`gap`, `moves`) outlives them: a function of the geometry alone, it costs a
+set-up build.
 `Environment.memo` holds work on one scene state, the agent's `captured`
 views (`("view", x, y, theta, fov, range)`) and `lattice_captures`
 (`("lattice", room, component)`); `step` with a held object, `grasp` and
@@ -208,43 +210,28 @@ class Snapshot:
     range: float  # m
 
 
-@dataclass
-class Environment:
-    layout_id: str
-    rooms: list[RoomSpec]
-    doors: list[Door]
-    walls: list[Rect]
-    furniture: list[StaticObject]
-    objects: dict[str, DynamicObject]
-    robot: RobotState
-    clock: float = 0.0  # simulated seconds
-    collisions: int = 0
-    # When set, step() appends the post-step pose: an external motion audit.
-    trace: list | None = None
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """The static home every scene of a command shares: rooms, doors,
+    walls, furniture and the robot's start pose, stored as tuples.
+
+    A layout equals only itself, so what depends on these fields alone
+    lives on it: `obstacles`, `sight_rects`, the surface and room indexes,
+    and `grids`, one `Grid` per inflation (see `grid_for`).  Nothing changes
+    a layout after construction; `validate_layout` checks its invariants.
+    """
+    id: str
+    rooms: tuple[RoomSpec, ...]
+    doors: tuple[Door, ...]
+    walls: tuple[Rect, ...]
+    furniture: tuple[StaticObject, ...]
+    start: Pose
+    grids: dict[float, Grid] = field(default_factory=dict, init=False,
+                                     repr=False)
 
     def __post_init__(self) -> None:
-        self._surfaces = {s.id: s for f in self.furniture for s in f.surfaces}
-        self._rooms = {r.id: r for r in self.rooms}
-        # Scene memo: emptied by every move or re-parenting of an object.
-        self.memo: dict = {}
-
-    def room(self, room_id: str) -> RoomSpec:
-        return self._rooms[room_id]
-
-    def surface(self, sid: str) -> SupportSurface:
-        return self._surfaces[sid]
-
-    @cached_property
-    def static_key(self) -> str:
-        """Exact `repr` of the static layout: room bounds, walls, and per
-        piece of furniture its id, footprint and surfaces (id and region).
-        Read once; the layout is fixed after construction."""
-        return repr((tuple(r.bounds.as_tuple() for r in self.rooms),
-                     tuple(w.as_tuple() for w in self.walls),
-                     tuple((f.id, f.footprint.as_tuple(),
-                            tuple((s.id, s.region.as_tuple())
-                                  for s in f.surfaces))
-                           for f in self.furniture)))
+        for name in ("rooms", "doors", "walls", "furniture"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @cached_property
     def obstacles(self) -> tuple[Rect, ...]:
@@ -258,14 +245,47 @@ class Environment:
         return np.array([r.as_tuple() for r in self.obstacles],
                         dtype=np.float64).reshape(-1, 4)
 
-    @property
-    def surfaces(self) -> list[SupportSurface]:
-        return [s for f in self.furniture for s in f.surfaces]
+    @cached_property
+    def surfaces(self) -> tuple[SupportSurface, ...]:
+        return tuple(s for f in self.furniture for s in f.surfaces)
 
-    def support_owner(self, obj: DynamicObject) -> str | None:
-        if obj.support is None:
-            return None
-        return self.surface(obj.support).owner
+    @cached_property
+    def surface_index(self) -> dict[str, SupportSurface]:
+        return {s.id: s for s in self.surfaces}
+
+    @cached_property
+    def room_index(self) -> dict[str, RoomSpec]:
+        return {r.id: r for r in self.rooms}
+
+    def room(self, room_id: str) -> RoomSpec:
+        return self.room_index[room_id]
+
+    def surface(self, sid: str) -> SupportSurface:
+        return self.surface_index[sid]
+
+
+@dataclass
+class Environment:
+    """One scene: its `Layout` and the state that changes."""
+    layout: Layout
+    objects: dict[str, DynamicObject]
+    robot: RobotState
+    clock: float = 0.0  # simulated seconds
+    collisions: int = 0
+    # When set, step() appends the post-step pose: an external motion audit.
+    trace: list | None = None
+    # Scene memo: emptied by every move or re-parenting of an object.
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
+
+    # `perfbench/workloads.py` reads these two of `make_environment`'s scene.
+    @property
+    def walls(self) -> tuple[Rect, ...]:
+        return self.layout.walls
+
+    @property
+    def furniture(self) -> tuple[StaticObject, ...]:
+        return self.layout.furniture
 
 
 def point_in_room(env: Environment, x: float, y: float) -> str | None:
@@ -274,7 +294,7 @@ def point_in_room(env: Environment, x: float, y: float) -> str | None:
     Room bounds are half-open so a point on a shared wall belongs to
     exactly one room.
     """
-    for r in env.rooms:
+    for r in env.layout.rooms:
         if r.bounds.contains(x, y):
             return r.id
     return None
@@ -291,10 +311,10 @@ def line_of_sight(env: Environment, a: tuple[float, float], b: tuple[float, floa
     bx, by = b
     if ax == bx and ay == by:
         return True
-    for w in env.walls:
+    for w in env.layout.walls:
         if segment_crosses_rect(ax, ay, bx, by, w):
             return False
-    for f in env.furniture:
+    for f in env.layout.furniture:
         if f.id in ignore:
             continue
         if segment_crosses_rect(ax, ay, bx, by, f.footprint):
@@ -310,8 +330,9 @@ def line_of_sight(env: Environment, a: tuple[float, float], b: tuple[float, floa
 def sight_ignore(env: Environment, obj: DynamicObject) -> frozenset[str]:
     """What a sight line to `obj` looks past: the object itself and the
     furniture it rests on."""
-    owner = env.support_owner(obj)
-    return frozenset({obj.id} if owner is None else {obj.id, owner})
+    if obj.support is None:
+        return frozenset({obj.id})
+    return frozenset({obj.id, env.layout.surface(obj.support).owner})
 
 
 def _subjects(env: Environment) -> list[
@@ -322,7 +343,7 @@ def _subjects(env: Environment) -> list[
     subs: list = [(oid, DYNAMIC, o, o.pose.xy)
                   for oid, o in sorted(env.objects.items())]
     subs += [(s.id, SURFACE, f, s.region.center)
-             for f in env.furniture for s in f.surfaces]
+             for f in env.layout.furniture for s in f.surfaces]
     return subs
 
 
@@ -443,12 +464,13 @@ def _sight_clear(env: Environment, subs: list, sj: np.ndarray,
     """
     # Columns of `sight_rects` per furniture id: `line_of_sight` looks past
     # every piece that bears an ignored id.
+    layout = env.layout
     fcol: dict[str, list[int]] = {}
-    for k, f in enumerate(env.furniture):
-        fcol.setdefault(f.id, []).append(len(env.walls) + k)
+    for k, f in enumerate(layout.furniture):
+        fcol.setdefault(f.id, []).append(len(layout.walls) + k)
     objs = [source for _, kind, source, _ in subs if kind == DYNAMIC]
     ocol = {o.id: k for k, o in enumerate(objs)}
-    skip_rect = np.zeros((len(subs), len(env.obstacles)), dtype=bool)
+    skip_rect = np.zeros((len(subs), len(layout.obstacles)), dtype=bool)
     skip_disk = np.zeros((len(subs), len(objs)), dtype=bool)
     for s, (_, kind, source, _) in enumerate(subs):
         for name in _looks_past(env, kind, source):
@@ -461,7 +483,7 @@ def _sight_clear(env: Environment, subs: list, sj: np.ndarray,
     ax, ay, bx, by = ax[:, None], ay[:, None], bx[:, None], by[:, None]
     dx = bx - ax
     dy = by - ay
-    x0, y0, x1, y1 = env.sight_rects.T
+    x0, y0, x1, y1 = layout.sight_rects.T
     alive = ~skip_rect[sj]
     t0 = np.zeros(alive.shape)
     t1 = np.ones(alive.shape)
@@ -611,16 +633,16 @@ def _axis_gap(lo: np.ndarray, hi: np.ndarray, a0: float, a1: float) -> np.ndarra
     return np.maximum(np.maximum(a0 - hi, lo - a1), 0.0)
 
 
-def build_grid(env: Environment, inflate: float) -> Grid:
-    """The grid of env's static geometry, obstacles inflated by `inflate`."""
-    if not env.rooms:
+def build_grid(layout: Layout, inflate: float) -> Grid:
+    """The grid of the layout's geometry, obstacles inflated by `inflate`."""
+    if not layout.rooms:
         return Grid(0.0, 0.0, GRID_RES_M, np.zeros((0, 0), dtype=bool),
                     np.zeros((0, 0), dtype=np.int32), array("d"))
     pad = 2 * GRID_RES_M
-    x0 = min(r.bounds.x0 for r in env.rooms) - pad
-    y0 = min(r.bounds.y0 for r in env.rooms) - pad
-    x1 = max(r.bounds.x1 for r in env.rooms) + pad
-    y1 = max(r.bounds.y1 for r in env.rooms) + pad
+    x0 = min(r.bounds.x0 for r in layout.rooms) - pad
+    y0 = min(r.bounds.y0 for r in layout.rooms) - pad
+    x1 = max(r.bounds.x1 for r in layout.rooms) + pad
+    y1 = max(r.bounds.y1 for r in layout.rooms) + pad
     nx = int(math.ceil((x1 - x0) / GRID_RES_M))
     ny = int(math.ceil((y1 - y0) / GRID_RES_M))
     ix = np.arange(nx)
@@ -635,7 +657,7 @@ def build_grid(env: Environment, inflate: float) -> Grid:
 
     free = np.zeros((ny, nx), dtype=bool)
     boxed = np.zeros((ny, nx), dtype=bool)
-    for r in env.rooms:
+    for r in layout.rooms:
         b = r.bounds
         free |= (((ys >= b.y0) & (ys < b.y1))[:, None]
                  & ((xs >= b.x0) & (xs < b.x1))[None, :])
@@ -643,7 +665,7 @@ def build_grid(env: Environment, inflate: float) -> Grid:
         boxed |= (((b.y0 <= ylo) & (yhi < b.y1))[:, None]
                   & ((b.x0 <= xlo) & (xhi < b.x1))[None, :])
     gap = np.full((ny, nx), np.inf)
-    for r in env.obstacles:
+    for r in layout.obstacles:
         free &= np.hypot(_axis_gap(xs, xs, r.x0, r.x1)[None, :],
                          _axis_gap(ys, ys, r.y0, r.y1)[:, None]) >= inflate
         np.minimum(gap, np.hypot(_axis_gap(xlo, xhi, r.x0, r.x1)[None, :],
@@ -670,29 +692,15 @@ def build_grid(env: Environment, inflate: float) -> Grid:
     return Grid(x0, y0, GRID_RES_M, free, comp, array("d", gap.tobytes()))
 
 
-# Every session builds a fresh Environment on the same layout, so grids are
-# shared by static layout.  A CLI command runs one layout and so keeps one
-# grid; the cap bounds callers that walk many layouts, oldest evicted first.
-GRID_CACHE_CAP = 8
-_GRID_CACHE: dict[tuple[str, float], Grid] = {}
-
-
 def grid_for(env: Environment) -> Grid:
-    """Cached grid per static layout and inflation (robot radius + margin)."""
+    """The grid of env's layout for its inflation (robot radius + margin),
+    built on first use and kept on the layout."""
     inflate = env.robot.radius + INFLATE_MARGIN_M
-    key = (env.static_key, inflate)
-    grid = _GRID_CACHE.get(key)
+    grids = env.layout.grids
+    grid = grids.get(inflate)
     if grid is None:
-        if len(_GRID_CACHE) >= GRID_CACHE_CAP:
-            del _GRID_CACHE[next(iter(_GRID_CACHE))]
-        grid = _GRID_CACHE[key] = build_grid(env, inflate)
+        grid = grids[inflate] = build_grid(env.layout, inflate)
     return grid
-
-
-def forget_memos() -> None:
-    """Empty the memo of every cached grid; the rasters stay."""
-    for grid in _GRID_CACHE.values():
-        grid.memo.clear()
 
 
 def point_blocked(env: Environment, x: float, y: float, clearance: float) -> bool:
@@ -711,7 +719,7 @@ def point_blocked(env: Environment, x: float, y: float, clearance: float) -> boo
         return False
     if point_in_room(env, x, y) is None:
         return True
-    for r in env.obstacles:
+    for r in env.layout.obstacles:
         if r.distance_to(x, y) < clearance:
             return True
     return False
@@ -792,7 +800,7 @@ def place_spot(env: Environment, dest: str, obj: DynamicObject,
     object wins.  Raises NoSuchObject, NoFreePose or SurfaceOutOfReach, as
     `place` does.
     """
-    surf = env._surfaces.get(dest)
+    surf = env.layout.surface_index.get(dest)
     if surf is None:
         raise NoSuchObject(dest)
     inset = surf.region.inset(obj.radius)
@@ -836,32 +844,42 @@ def place(env: Environment, dest: str) -> None:
     env.memo.clear()
 
 
-def validate_environment(env: Environment) -> list[str]:
-    """Full invariant check; returns a list of violations (empty == valid)."""
+def validate_layout(layout: Layout) -> list[str]:
+    """The layout's invariants; returns a list of violations (empty ==
+    valid)."""
     bad: list[str] = []
-    for i, a in enumerate(env.rooms):
-        for b in env.rooms[i + 1:]:
+    for kind, ids in (("room", [r.id for r in layout.rooms]),
+                      ("furniture", [f.id for f in layout.furniture]),
+                      ("surface", [s.id for s in layout.surfaces])):
+        for dup in sorted({i for i in ids if ids.count(i) > 1}):
+            bad.append(f"{kind} id {dup} repeated")
+    rooms = layout.rooms
+    for i, a in enumerate(rooms):
+        for b in rooms[i + 1:]:
             if a.bounds.overlaps(b.bounds):
                 bad.append(f"rooms {a.id} and {b.id} overlap")
     # Connectivity over the door graph.
-    if len(env.rooms) > 1:
-        adj: dict[str, set[str]] = {r.id: set() for r in env.rooms}
-        for d in env.doors:
+    if len(rooms) > 1:
+        adj: dict[str, set[str]] = {r.id: set() for r in rooms}
+        for d in layout.doors:
             ra, rb_ = d.rooms
+            if ra not in adj or rb_ not in adj:
+                bad.append(f"door {d.id} joins an unknown room")
+                continue
             adj[ra].add(rb_)
             adj[rb_].add(ra)
-        seen = {env.rooms[0].id}
-        queue = [env.rooms[0].id]
+        seen = {rooms[0].id}
+        queue = [rooms[0].id]
         while queue:
             cur = queue.pop()
             for nxt in adj[cur]:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-        if len(seen) != len(env.rooms):
+        if len(seen) != len(adj):
             bad.append("rooms not mutually reachable via doors")
-    for f in env.furniture:
-        containing = [r.id for r in env.rooms
+    for f in layout.furniture:
+        containing = [r.id for r in rooms
                       if r.bounds.x0 <= f.footprint.x0 and f.footprint.x1 <= r.bounds.x1
                       and r.bounds.y0 <= f.footprint.y0 and f.footprint.y1 <= r.bounds.y1]
         if len(containing) != 1:
@@ -873,6 +891,14 @@ def validate_environment(env: Environment) -> list[str]:
                 bad.append(f"surface {s.id} outside footprint of {f.id}")
             if s.region.area < MIN_SURFACE_AREA_M2:
                 bad.append(f"surface {s.id} below minimum placeable area")
+    return bad
+
+
+def validate_environment(env: Environment) -> list[str]:
+    """The scene's invariants (objects and robot) on its layout, which
+    `validate_layout` checks; returns a list of violations (empty ==
+    valid)."""
+    bad: list[str] = []
     held = env.robot.gripper
     objs = sorted(env.objects.values(), key=lambda o: o.id)
     for o in objs:
@@ -886,7 +912,7 @@ def validate_environment(env: Environment) -> list[str]:
         if o.support is None:
             bad.append(f"object {o.id} has no support and is not held")
             continue
-        surf = env._surfaces.get(o.support)
+        surf = env.layout.surface_index.get(o.support)
         if surf is None:
             bad.append(f"object {o.id} supported by unknown surface {o.support}")
             continue
@@ -915,16 +941,16 @@ def snapshot_record(s: Snapshot) -> dict:
 def env_record(env: Environment) -> dict:
     """Stable tree encoding of the scene with explicit units in key names."""
     return {
-        "layout": env.layout_id,
+        "layout": env.layout.id,
         "clock_s": env.clock,
         "rooms": [
             {"id": r.id, "name": r.name, "bounds_m": list(r.bounds.as_tuple())}
-            for r in env.rooms
+            for r in env.layout.rooms
         ],
         "doors": [
             {"id": d.id, "rooms": list(d.rooms), "axis": d.axis,
              "pos_m": d.pos, "span_m": list(d.span)}
-            for d in env.doors
+            for d in env.layout.doors
         ],
         "furniture": [
             {"id": f.id, "category": f.category, "color": f.color,
@@ -934,7 +960,7 @@ def env_record(env: Environment) -> dict:
                   "height_class": s.height_class}
                  for s in f.surfaces
              ]}
-            for f in env.furniture
+            for f in env.layout.furniture
         ],
         "objects": [
             {"id": o.id, "category": o.category, "color": o.color,

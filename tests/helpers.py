@@ -6,7 +6,6 @@ import heapq
 import math
 import random
 import struct
-from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -54,6 +53,7 @@ from homefetch.world import (
     DynamicObject,
     Environment,
     Grid,
+    Layout,
     Pose,
     RobotState,
     RoomSpec,
@@ -99,6 +99,24 @@ def ball(oid: str = "o0", xy: tuple[float, float] = (2.5, 2.4),
                          material=material)
 
 
+def room_layout(room: Rect = Rect(0.0, 0.0, 6.0, 5.0),
+                furniture: tuple[StaticObject, ...] = (),
+                name: str = "living room",
+                layout_id: str = "test") -> Layout:
+    """One sealed rectangular room "r0", the robot starting at (1, 1)."""
+    spec = RoomSpec(id="r0", name=name, bounds=room, doors=[])
+    return Layout(layout_id, [spec], [], box_walls(room), furniture,
+                  Pose(1.0, 1.0))
+
+
+def scene(layout: Layout, objects: tuple[DynamicObject, ...] = (),
+          robot_xy: tuple[float, float] = (1.0, 1.0),
+          theta: float = 0.0) -> Environment:
+    """A fresh scene on `layout`, sharing its grids and their memos."""
+    return Environment(layout, {o.id: o for o in objects},
+                       RobotState(pose=Pose(robot_xy[0], robot_xy[1], theta)))
+
+
 def make_env(room: Rect = Rect(0.0, 0.0, 6.0, 5.0),
              furniture: tuple[StaticObject, ...] = (),
              objects: tuple[DynamicObject, ...] = (),
@@ -108,20 +126,12 @@ def make_env(room: Rect = Rect(0.0, 0.0, 6.0, 5.0),
              layout_id: str = "test") -> Environment:
     """One sealed rectangular room; fixtures may bypass the validator.
 
-    Fixtures may share a layout id: grids, and the plans, legs and room
-    lattices memoised on them, are cached by static layout, not by layout
-    id.
+    Each call builds a layout of its own, so the scene's grids, and the
+    plans, legs and room lattices memoised on them, start empty and go
+    with it; `scene` puts another scene on the same layout.
     """
-    spec = RoomSpec(id="r0", name=name, bounds=room, doors=[])
-    return Environment(
-        layout_id=layout_id,
-        rooms=[spec],
-        doors=[],
-        walls=box_walls(room),
-        furniture=list(furniture),
-        objects={o.id: o for o in objects},
-        robot=RobotState(pose=Pose(robot_xy[0], robot_xy[1], theta)),
-    )
+    return scene(room_layout(room, furniture, name, layout_id), objects,
+                 robot_xy, theta)
 
 
 def sighting(oid: str, kind: str = DYNAMIC, category: str = "bottle",
@@ -140,13 +150,13 @@ def nudge(v: float, rng: random.Random) -> float:
 
 # --- random scenes ---------------------------------------------------------
 
-def open_plan(a: Rect, b: Rect) -> Environment:
+def open_plan(a: Rect, b: Rect,
+              furniture: tuple[StaticObject, ...] = ()) -> Environment:
     """Two wall-less rooms: only the half-open room bounds block."""
     rooms = [RoomSpec(id="a", name="kitchen", bounds=a),
              RoomSpec(id="b", name="study", bounds=b)]
-    return Environment(layout_id="open", rooms=rooms, doors=[], walls=[],
-                       furniture=[], objects={},
-                       robot=RobotState(pose=Pose(a.x0, a.y0)))
+    return scene(Layout("open", rooms, [], [], furniture, Pose(a.x0, a.y0)),
+                 robot_xy=(a.x0, a.y0))
 
 
 _COORD = st.one_of(st.integers(-60, 60).map(lambda k: k * GRID_RES_M),
@@ -189,19 +199,20 @@ def reference_grid(env: Environment,
     equal."""
     res = 0.05
     pad = 2 * res
-    x0 = min(r.bounds.x0 for r in env.rooms) - pad
-    y0 = min(r.bounds.y0 for r in env.rooms) - pad
-    x1 = max(r.bounds.x1 for r in env.rooms) + pad
-    y1 = max(r.bounds.y1 for r in env.rooms) + pad
+    layout = env.layout
+    x0 = min(r.bounds.x0 for r in layout.rooms) - pad
+    y0 = min(r.bounds.y0 for r in layout.rooms) - pad
+    x1 = max(r.bounds.x1 for r in layout.rooms) + pad
+    y1 = max(r.bounds.y1 for r in layout.rooms) + pad
     nx = int(math.ceil((x1 - x0) / res))
     ny = int(math.ceil((y1 - y0) / res))
     gx, gy = np.meshgrid(x0 + (np.arange(nx) + 0.5) * res,
                          y0 + (np.arange(ny) + 0.5) * res)
     free = np.zeros((ny, nx), dtype=bool)
-    for r in env.rooms:
+    for r in layout.rooms:
         b = r.bounds
         free |= (gx >= b.x0) & (gx < b.x1) & (gy >= b.y0) & (gy < b.y1)
-    for rect in env.walls + [f.footprint for f in env.furniture]:
+    for rect in layout.obstacles:
         dx = np.maximum(np.maximum(rect.x0 - gx, gx - rect.x1), 0.0)
         dy = np.maximum(np.maximum(rect.y0 - gy, gy - rect.y1), 0.0)
         free &= np.hypot(dx, dy) >= inflate
@@ -315,7 +326,7 @@ def reference_room_lattice(env: Environment, room_id: str) -> tuple[
     grid = grid_for(env)
     comp = grid.component_at(env.robot.pose.x, env.robot.pose.y)
     comp = comp if comp >= 0 else None
-    b = env.room(room_id).bounds
+    b = env.layout.room(room_id).bounds
     xs, ys = [], []
     k = 1
     while b.x0 + k * CRAWL_SPACING_M < b.x1:
@@ -333,7 +344,7 @@ def reference_room_lattice(env: Environment, room_id: str) -> tuple[
             if comp is not None and grid.component_at(x, y) == comp:
                 found.append((x, y))
     cams = [CameraPose(Pose(x, y, h)) for (x, y) in found for h in HEADINGS]
-    views = visible_batch(replace(env, objects={}), cams)
+    views = visible_batch(Environment(env.layout, {}, env.robot), cams)
     return cams, frozenset(s.object_id for snaps in views for s in snaps)
 
 
@@ -384,7 +395,8 @@ def reference_generate_task(cfg: GenConfig,
                 t_cap = reference_capture_for(env, target,
                                               env.objects[target].pose.xy)
                 d_cap = reference_capture_for(
-                    env, destination, env.surface(destination).region.center)
+                    env, destination,
+                    env.layout.surface(destination).region.center)
                 ast, text = make_instruction(env, target, destination,
                                              t_cap, d_cap, rng, cfg)
             except (NoFeasibleTask, NoViewpoint, NoDistinguishingDescription):
@@ -434,9 +446,9 @@ def _ray_clear(env: Environment, a: tuple[float, float],
     xs = ax + (bx - ax) * t
     ys = ay + (by - ay) * t
     hit = np.zeros(t.shape, dtype=bool)
-    for w in env.walls:
+    for w in env.layout.walls:
         hit |= (xs > w.x0) & (xs < w.x1) & (ys > w.y0) & (ys < w.y1)
-    for f in env.furniture:
+    for f in env.layout.furniture:
         if f.id in ignore:
             continue
         fp = f.footprint
@@ -456,10 +468,10 @@ def brute_force_visible(env: Environment, cam: CameraPose) -> list[Snapshot]:
         o = env.objects[oid]
         ignore = {oid}
         if o.support is not None:
-            ignore.add(env.surface(o.support).owner)
+            ignore.add(env.layout.surface(o.support).owner)
         subjects.append((oid, DYNAMIC, o.category, o.color, o.material,
                          o.pose.x, o.pose.y, ignore))
-    for f in env.furniture:
+    for f in env.layout.furniture:
         for s in f.surfaces:
             rx, ry = s.region.center
             subjects.append((s.id, SURFACE, f.category, f.color, f.material,

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    ball, lattice_points, make_env, reference_room_lattice, scenes, sighting,
-    table, trace_bits,
+    ball, lattice_points, make_env, reference_room_lattice, room_layout,
+    scene, scenes, sighting, table, trace_bits,
 )
 from homefetch import world
 from homefetch.agent import (
@@ -71,7 +71,6 @@ from homefetch.world import (
     StaticObject,
     SupportSurface,
     build_grid,
-    forget_memos,
     grid_for,
     point_in_room,
     step as world_step,
@@ -126,20 +125,20 @@ class TestCrawlLattice:
     def test_one_frozen_entry_shared_by_every_call(self):
         env = make_env(room=Rect(0, 0, 5, 4))
         lattice = room_lattice(env, "r0")
-        assert room_lattice(make_env(room=Rect(0, 0, 5, 4)), "r0") is lattice
+        assert room_lattice(scene(env.layout), "r0") is lattice
         assert isinstance(lattice.cameras, tuple)
         with pytest.raises(FrozenInstanceError):
             lattice.cameras = ()
         assert len(lattice.cameras) == 4 * 12
 
     def test_crawl_memo_lives_on_the_grid(self):
-        forget_memos()
         env = make_env(room=Rect(0, 0, 5, 4), layout_id="lattice-memo")
         lattice = room_lattice(env, "r0")
         grid = grid_for(env)
         assert [v for k, v in grid.memo.items() if k[0] == "lattice"] == \
             [lattice]
-        assert build_grid(env, env.robot.radius + INFLATE_MARGIN_M).memo == {}
+        assert build_grid(env.layout,
+                          env.robot.radius + INFLATE_MARGIN_M).memo == {}
 
     def test_crawl_points_keyed_by_geometry_and_component(self):
         bare = make_env(room=Rect(0, 0, 5, 4), layout_id="shared")
@@ -233,16 +232,16 @@ class TestLatticeSurfaces:
             env = build_environment(GenConfig(objects_per_room=per_room), seed)
         except PlacementExhausted:
             return
-        for room in env.rooms:
+        for room in env.layout.rooms:
             shown = {s.object_id for c in lattice_captures(env, room.id)
                      for s in c.snapshots if s.kind == SURFACE}
             assert shown <= room_lattice(env, room.id).surfaces
 
     def test_keyed_by_surface_regions(self):
         """Same walls and footprints, one surface region moved behind a
-        cabinet: the static key tells the layouts apart, so each has its
-        own grid and lattice entry.  Nor is the entry shared with a robot
-        in no component, which has no lattice."""
+        cabinet: each layout has its own grid and lattice entry.  Nor is
+        the entry shared with a robot in no component, which has no
+        lattice."""
         cabinet = StaticObject("c0", "cabinet", Rect(2.95, 1.9, 4.1, 3.1), [])
 
         def scene(region):
@@ -250,10 +249,8 @@ class TestLatticeSurfaces:
             t0 = StaticObject("t0", "table", Rect(2.0, 2.0, 4.0, 3.0), [top])
             return make_env(furniture=(t0, cabinet), layout_id="moved-top")
 
-        forget_memos()
         open_top = scene(Rect(2.1, 2.1, 2.9, 2.9))
         hidden_top = scene(Rect(3.1, 2.1, 3.9, 2.9))
-        assert open_top.static_key != hidden_top.static_key
         assert grid_for(open_top) is not grid_for(hidden_top)
         assert "t0/top" in room_lattice(open_top, "r0").surfaces
         assert "t0/top" not in room_lattice(hidden_top, "r0").surfaces
@@ -276,7 +273,6 @@ class TestLatticeSurfaces:
                                [])
             return make_env(furniture=(t0, bar), layout_id="bar")
 
-        forget_memos()
         own, shared = scene("c0"), scene("t0")
         assert room_lattice(own, "r0").surfaces == frozenset()
         assert room_lattice(shared, "r0").surfaces == {"t0/top"}
@@ -301,7 +297,7 @@ class TestRoomLatticeOracle:
         if len(free):
             iy, ix = free[pick % len(free)].tolist()
             env.robot.pose = Pose(*grid.center(ix, iy))
-        for room in env.rooms:
+        for room in env.layout.rooms:
             lattice = room_lattice(env, room.id)
             cams, surfaces = reference_room_lattice(env, room.id)
             assert list(lattice.cameras) == cams
@@ -317,7 +313,7 @@ class TestRoomLatticeOracle:
             env = build_environment(GenConfig(objects_per_room=per_room), seed)
         except PlacementExhausted:
             return
-        for room in env.rooms:
+        for room in env.layout.rooms:
             lattice = room_lattice(env, room.id)
             cams, surfaces = reference_room_lattice(env, room.id)
             assert list(lattice.cameras) == cams
@@ -670,13 +666,17 @@ _LEG_ROOM = Rect(0.0, 0.0, 8.0, 4.0)
 _LEG_TABLE = table("t0", Rect(3.5, 1.5, 4.5, 4.0))
 
 
-def _leg_env(start, clock, furniture=(_LEG_TABLE,), objects=None):
-    """A room with a table against the far wall to stall or collide on, and
-    a ball on the table; the robot at `start` (x, y, theta) at `clock`."""
+def _leg_layout(furniture=(_LEG_TABLE,)):
+    """A room with a table against the far wall to stall or collide on."""
+    return room_layout(_LEG_ROOM, furniture, layout_id="leg-memo")
+
+
+def _leg_env(start, clock, layout=None, objects=None):
+    """A scene on `layout` (a new `_leg_layout` by default) with a ball on
+    the table; the robot at `start` (x, y, theta) at `clock`."""
     if objects is None:
         objects = (ball(xy=(4.0, 2.8)),)
-    env = make_env(room=_LEG_ROOM, furniture=furniture, objects=objects,
-                   robot_xy=start[:2], theta=start[2], layout_id="leg-memo")
+    env = scene(layout or _leg_layout(), objects, start[:2], start[2])
     env.clock = clock
     env.trace = [(-1.0, -1.0, 0.0)]  # a leg extends, never replaces
     env.collisions = 2  # and adds to the count
@@ -711,24 +711,18 @@ def _legs(draw):
 
 
 class TestLegMemo:
-    @pytest.fixture(autouse=True)
-    def _cold_memo(self):
-        forget_memos()
-        yield
-        forget_memos()
-
     @settings(max_examples=40, deadline=None)
     @given(leg=_legs())
     def test_hit_equals_uncached_leg(self, leg):
         memoised, body, arg, start, clock, deadline = leg
         uncached = _leg_env(start, clock)
         want = _outcome(uncached, body(uncached, arg, deadline))
-        forget_memos()
-        first = _leg_env(start, clock)
+        layout = _leg_layout()
+        first = _leg_env(start, clock, layout)
         assert _outcome(first, memoised(first, arg, deadline)) == want
         memo = grid_for(first).memo
         stored = len(memo)
-        again = _leg_env(start, clock)
+        again = _leg_env(start, clock, layout)
         assert _outcome(again, memoised(again, arg, deadline)) == want
         # A hit stores nothing and restores the stored Pose object itself.
         assert len(memo) == stored
@@ -744,11 +738,12 @@ class TestLegMemo:
         def up(v):
             return math.nextafter(v, math.inf)
 
+        shared = _leg_layout()
+
         def stores(leg, start=(1.0, 1.0, 0.0), clock=0.0, deadline=40.0,
                    path=Path([(1.0, 1.0), (6.0, 1.0), (6.0, 3.0)], 7.0),
-                   heading=1.0, furniture=(_LEG_TABLE,), scaled=None,
-                   theta=None):
-            env = _leg_env(start, clock, furniture)
+                   heading=1.0, layout=shared, scaled=None, theta=None):
+            env = _leg_env(start, clock, layout)
             if theta is not None:  # past Pose's wrap, which rounds an ulp
                 env.robot.pose.theta = theta
             if scaled is not None:
@@ -775,7 +770,8 @@ class TestLegMemo:
             "total_length": {"path": Path([(1.0, 1.0), (6.0, 1.0),
                                            (6.0, 3.0)], up(7.0))},
             "heading": {"heading": up(1.0)},
-            "geometry": {"furniture": (table("t0", Rect(3.5, 1.6, 4.5, 4.0)),)},
+            "geometry": {"layout": _leg_layout(
+                (table("t0", Rect(3.5, 1.6, 4.5, 4.0)),))},
         }[change]
         legs = {"waypoint": (follow_path,), "total_length": (follow_path,),
                 "heading": (rotate_exact,)}.get(change,
@@ -786,12 +782,13 @@ class TestLegMemo:
 
     def test_held_object_or_no_trace_is_never_stored(self):
         path = Path([(1.0, 1.0), (3.0, 1.0)], 2.0)
-        held = _leg_env((1.0, 1.0, 0.0), 0.0,
+        layout = _leg_layout()
+        held = _leg_env((1.0, 1.0, 0.0), 0.0, layout,
                         objects=(ball(xy=(1.25, 1.0), support=None),))
         held.robot.gripper = "o0"
         assert follow_path(held, path, 40.0)
         assert rotate_exact(held, 1.0, 40.0)
-        untraced = _leg_env((1.0, 1.0, 0.0), 0.0)
+        untraced = _leg_env((1.0, 1.0, 0.0), 0.0, layout)
         untraced.trace = None
         assert follow_path(untraced, path, 40.0)
         assert rotate_exact(untraced, 1.0, 40.0)
@@ -816,12 +813,14 @@ class TestLegMemo:
     def test_memo_is_capped_oldest_first(self, monkeypatch):
         """Plans and legs share one cap and leave oldest first."""
         monkeypatch.setattr(world, "MEMO_CAP", 3)
-        memo = grid_for(_leg_env((1.0, 1.0, 0.0), 0.0)).memo
+        layout = _leg_layout()
+        memo = grid_for(_leg_env((1.0, 1.0, 0.0), 0.0, layout)).memo
         stored = []
         for k in range(3):
-            plan_path(_leg_env((1.0, 1.0, 0.0), 0.0), (1.0, 1.0),
+            plan_path(_leg_env((1.0, 1.0, 0.0), 0.0, layout), (1.0, 1.0),
                       (2.0 + k, 1.0))
-            rotate_exact(_leg_env((1.0, 1.0, 0.0), 0.0), 0.5 * (k + 1), 40.0)
+            rotate_exact(_leg_env((1.0, 1.0, 0.0), 0.0, layout),
+                         0.5 * (k + 1), 40.0)
             stored += list(memo)[-2:]
         assert [key[0] for key in stored] == ["plan", _rotate_exact] * 3
         assert len(set(stored)) == 6

@@ -13,13 +13,14 @@ from helpers import (
     reference_astar,
     reference_segment_on_free_cells,
     reference_string_pull,
+    scene,
     scenes,
     table,
 )
 from homefetch import planner, world
 from homefetch.agent import DOCK_CLEARANCE_M, DOCK_SEGMENT_CLEARANCE_M
 from homefetch.geometry import Rect, dist, segment_rect_distance
-from homefetch.layouts import make_environment
+from homefetch.layouts import forget_memos, make_environment
 from homefetch.planner import (
     _PULL_CHUNK,
     NoPath,
@@ -37,10 +38,9 @@ from homefetch.world import (
     Environment,
     Grid,
     Pose,
-    RobotState,
+    Layout,
     RoomSpec,
     build_grid,
-    forget_memos,
     grid_for,
 )
 
@@ -65,8 +65,8 @@ class TestGrid:
             ix, iy = cells[rng.randrange(len(cells))]
             x, y = grid.center(ix, iy)
             clear = min(
-                min(w.distance_to(x, y) for w in env.walls),
-                min(f.footprint.distance_to(x, y) for f in env.furniture),
+                min(w.distance_to(x, y) for w in env.layout.walls),
+                min(f.footprint.distance_to(x, y) for f in env.layout.furniture),
             )
             assert clear >= INFLATE - 1e-9
 
@@ -82,8 +82,8 @@ class TestGrid:
         t2 = table("t0", Rect(2.0, 2.0, 3.0, 3.0))
         objs = (ball("o0", (2.5, 2.5), "t0/top"), ball("o1", (2.2, 2.8), "t0/top", category="mug"))
         with_objects = make_env(furniture=(t2,), objects=objs)
-        a = build_grid(base, INFLATE)
-        b = build_grid(with_objects, INFLATE)
+        a = build_grid(base.layout, INFLATE)
+        b = build_grid(with_objects.layout, INFLATE)
         assert np.array_equal(a.free, b.free)
 
     def test_cache_keyed_by_geometry_not_layout_id(self):
@@ -91,10 +91,12 @@ class TestGrid:
         furnished = make_env(furniture=(table("t0", Rect(2.0, 2.0, 3.0, 3.0)),),
                              layout_id="shared")
         a, b = grid_for(bare), grid_for(furnished)
-        assert np.array_equal(a.free, build_grid(bare, INFLATE).free)
-        assert np.array_equal(b.free, build_grid(furnished, INFLATE).free)
+        assert np.array_equal(a.free, build_grid(bare.layout, INFLATE).free)
+        assert np.array_equal(b.free,
+                              build_grid(furnished.layout, INFLATE).free)
         assert not b.cell_free(2.5, 2.5)
-        assert grid_for(make_env(layout_id="other")) is a
+        assert grid_for(scene(bare.layout)) is a
+        assert grid_for(make_env(layout_id="shared")) is not a
 
     def test_default_layout_single_component(self):
         grid = grid_for(make_environment("default"))
@@ -112,9 +114,7 @@ def _two_sealed_rooms() -> Environment:
         RoomSpec(id="a", name="kitchen", bounds=Rect(0.0, 0.0, 3.0, 3.0)),
         RoomSpec(id="b", name="study", bounds=Rect(5.0, 0.0, 8.0, 3.0)),
     ]
-    return Environment(layout_id="test", rooms=rooms, doors=[],
-                       walls=[], furniture=[], objects={},
-                       robot=RobotState(pose=Pose(1.0, 1.0)))
+    return scene(Layout("test", rooms, [], [], [], Pose(1.0, 1.0)))
 
 
 class TestPlanPath:
@@ -189,8 +189,8 @@ class TestPlanPath:
                     x = p[0] + (q[0] - p[0]) * i / n
                     y = p[1] + (q[1] - p[1]) * i / n
                     clear = min(
-                        min(w.distance_to(x, y) for w in env.walls),
-                        min(f.footprint.distance_to(x, y) for f in env.furniture),
+                        min(w.distance_to(x, y) for w in env.layout.walls),
+                        min(f.footprint.distance_to(x, y) for f in env.layout.furniture),
                     )
                     assert clear >= ROBOT_RADIUS_M + 0.05
 
@@ -243,7 +243,7 @@ class TestMoveMask:
                 assert grid.moves[iy * grid.nx + ix] == want, (ix, iy)
 
     def test_built_lazily_not_with_the_grid(self):
-        grid = build_grid(make_env(), INFLATE)
+        grid = build_grid(make_env().layout, INFLATE)
         assert "moves" not in vars(grid)
         assert grid.moves is grid.moves
 
@@ -255,7 +255,7 @@ class TestFlatAstar:
     @settings(max_examples=60, deadline=None)
     @given(env=scenes(), data=st.data())
     def test_random_scenes_equal_reference(self, env, data):
-        grid = build_grid(env, INFLATE)
+        grid = build_grid(env.layout, INFLATE)
         cells = [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
                  if grid.free[iy, ix]]
         if not cells:
@@ -354,7 +354,7 @@ class TestBatchedStringPull:
     @settings(max_examples=150, deadline=None)
     @given(env=scenes(), data=st.data())
     def test_random_polylines_equal_reference(self, env, data):
-        grid = build_grid(env, INFLATE)
+        grid = build_grid(env.layout, INFLATE)
         if grid.nx == 0:
             return
         w, h = grid.nx * grid.res, grid.ny * grid.res
@@ -410,7 +410,7 @@ class TestPlanMemo:
                  if grid.free[iy, ix]]
         queries = [(grid.center(*rng.choice(cells)), grid.center(*rng.choice(cells)))
                    for _ in range(200)]
-        blocked_goal = env.furniture[0].footprint.center
+        blocked_goal = env.layout.furniture[0].footprint.center
         queries.append((queries[0][0], blocked_goal))
         queries += rng.sample(queries, 60)
         rng.shuffle(queries)
@@ -494,10 +494,10 @@ class TestSegmentClearExact:
 
 def _segment_clear_by_loop(env, a, b, clearance: float) -> bool:
     """`segment_clear_exact` without the prefilter: the plain loop."""
-    for w in env.walls:
+    for w in env.layout.walls:
         if segment_rect_distance(a[0], a[1], b[0], b[1], w) < clearance:
             return False
-    for f in env.furniture:
+    for f in env.layout.furniture:
         if segment_rect_distance(a[0], a[1], b[0], b[1], f.footprint) < clearance:
             return False
     return True
@@ -508,11 +508,12 @@ def _probe_segments(env, clearance: float, rng: random.Random, n: int):
     `clearance` from an obstacle edge, ending exactly `clearance` from a
     corner, degenerate, short or long, and each end sometimes nudged by a
     float step."""
-    rects = env.walls + [f.footprint for f in env.furniture]
-    lo_x = min(r.bounds.x0 for r in env.rooms) - 1.0
-    hi_x = max(r.bounds.x1 for r in env.rooms) + 1.0
-    lo_y = min(r.bounds.y0 for r in env.rooms) - 1.0
-    hi_y = max(r.bounds.y1 for r in env.rooms) + 1.0
+    rects = env.layout.obstacles
+    rooms = env.layout.rooms
+    lo_x = min(r.bounds.x0 for r in rooms) - 1.0
+    hi_x = max(r.bounds.x1 for r in rooms) + 1.0
+    lo_y = min(r.bounds.y0 for r in rooms) - 1.0
+    hi_y = max(r.bounds.y1 for r in rooms) + 1.0
 
     def anywhere():
         return (rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))

@@ -7,6 +7,7 @@ from homefetch import session
 from homefetch.agent import NoiseConfig, navigate_to_room
 from homefetch.config import RunConfig, config_echo
 from homefetch.eventlog import SchemaError, canonical_json, write_events
+from homefetch.layouts import forget_memos
 from homefetch.seeds import h64
 from homefetch.session import (
     CARRYING,
@@ -29,7 +30,6 @@ from homefetch.session import (
     tallies_from_events,
 )
 from homefetch.taskgen import generate_task
-from homefetch.world import forget_memos
 
 
 class TestFormatting:

@@ -19,7 +19,7 @@ from homefetch.config import RunConfig
 from homefetch.eventlog import canonical_json
 from homefetch.geometry import Rect, norm_angle
 from homefetch.language import ONTO, TO, parse
-from homefetch.layouts import TABLE_LEVEL
+from homefetch.layouts import TABLE_LEVEL, forget_memos
 from homefetch.relations import (
     NoDistinguishingDescription, attrs_match, relation_holds,
 )
@@ -54,7 +54,6 @@ from homefetch.world import (
     Pose,
     _subjects,
     env_record,
-    forget_memos,
     point_in_room,
     sees,
     validate_environment,
@@ -119,7 +118,7 @@ class TestBuildEnvironment:
     def test_counts_and_ids(self):
         cfg = GenConfig(min_objects=1, max_objects=8)
         env = build_environment(cfg, 5)
-        rooms = {r.id: 0 for r in env.rooms}
+        rooms = {r.id: 0 for r in env.layout.rooms}
         for o in env.objects.values():
             rooms[point_in_room(env, o.pose.x, o.pose.y)] += 1
         for n in rooms.values():
@@ -172,7 +171,7 @@ class TestBuildEnvironment:
         env = build_environment(GenConfig(), 77)
         objs = list(env.objects.values())
         for o in objs:
-            region = env.surface(o.support).region
+            region = env.layout.surface(o.support).region
             assert region.inset(o.radius).contains_closed(o.pose.x, o.pose.y)
         for i, a in enumerate(objs):
             for b in objs[i + 1:]:
@@ -192,7 +191,7 @@ class TestSelectTask:
             target, dest = select_task(env, substream("t", 8, i))
             counts[target] += 1
             assert dest != env.objects[target].support
-            assert dest in {s.id for s in env.surfaces}
+            assert dest in {s.id for s in env.layout.surfaces}
         assert len(counts) == n
         for c in counts.values():
             assert abs(c - draws / n) < 4 * math.sqrt(draws / n)
@@ -271,7 +270,7 @@ class TestMakeInstruction:
             # surface form round-trips
             assert parse(task.text) == ast
             # goto names the target's room
-            room = env.room(task.room)
+            room = env.layout.room(task.room)
             assert ast.goto.room == room.name
             obj = env.objects[task.target]
             assert point_in_room(env, obj.pose.x, obj.pose.y) == task.room
@@ -299,7 +298,7 @@ class TestMakeInstruction:
             if m.source is not None:
                 assert m.prep == TO
                 hits.add("source")
-            elif env.surface(task.destination).height_class == TABLE_LEVEL:
+            elif env.layout.surface(task.destination).height_class == TABLE_LEVEL:
                 assert m.prep == ONTO
                 hits.add("onto")
             else:
@@ -336,7 +335,7 @@ class TestGenerateTask:
     def test_task_members_valid(self):
         env, task = generate_task(GenConfig(), 12)
         assert task.target in env.objects
-        assert task.destination in {s.id for s in env.surfaces}
+        assert task.destination in {s.id for s in env.layout.surfaces}
         assert task.destination != env.objects[task.target].support
         assert task_feasible(env, task, GenConfig())
 
@@ -421,6 +420,11 @@ def _episode_file_record() -> dict:
 _RECORD = _episode_file_record()
 _TARGET_AT = [o["id"] for o in _RECORD["scene"]["objects"]].index(
     _RECORD["task"]["target"]["id"])
+_OTHER_OBJECT = (_TARGET_AT + 1) % len(_RECORD["scene"]["objects"])
+# The first piece of furniture whose surface is not the destination.
+_OTHER_FURNITURE = next(
+    i for i, f in enumerate(_RECORD["scene"]["furniture"])
+    if f["surfaces"][0]["id"] != _RECORD["task"]["destination"]["id"])
 
 
 def _paths(tree, path=()):
@@ -484,9 +488,31 @@ class TestValidateEpisode:
         (("scene", "objects", _TARGET_AT, "id"), ["unhashable"]),
         (("task", "target", "id"), {"unhashable": 1}),
         (("index",), True),
+        (("task", "destination", "xy_m"), [True, False]),
+        (("task", "target", "xy_m", 0), False),
+        (("scene", "objects", _OTHER_OBJECT, "id"), 7),
+        (("scene", "furniture", _OTHER_FURNITURE, "surfaces", 0, "id"), None),
     ])
     def test_malformed_fields_are_reported(self, path, value):
         assert validate_episode(_mutated(path, value, drop=False))
+
+    @pytest.mark.parametrize("role, where", [
+        ("target", ("scene", "objects", _TARGET_AT)),
+        ("destination", ("scene", "furniture", _OTHER_FURNITURE,
+                         "surfaces", 0)),
+    ])
+    def test_a_consistent_non_string_id_is_reported(self, role, where):
+        """The subject's id, the task's id, the capture's subject and a
+        snapshot's id all the same list: consistent, but not an id."""
+        rec = copy.deepcopy(_RECORD)
+        subject = rec
+        for key in where:
+            subject = subject[key]
+        for holder in (subject, rec["task"][role],
+                       rec["captures"][role]["snapshots"][0]):
+            holder["id"] = ["x"]
+        rec["captures"][role]["subject"] = ["x"]
+        assert f"task.{role}.id must be a string" in validate_episode(rec)
 
 
 class TestLatticeCheckFirst:

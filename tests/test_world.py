@@ -12,10 +12,11 @@ from helpers import (
     nudge,
     open_plan,
     reference_grid,
+    room_layout,
+    scene,
     scenes,
     table,
 )
-from homefetch import world
 from homefetch.agent import DOCK_CLEARANCE_M, room_lattice
 from homefetch.geometry import Rect, norm_angle
 from homefetch.layouts import make_environment
@@ -25,7 +26,6 @@ from homefetch.world import (
     CAMERA_RANGE_M,
     DT_S,
     DYNAMIC,
-    GRID_CACHE_CAP,
     GRID_RES_M,
     GRIP_OFFSET_M,
     INFLATE_MARGIN_M,
@@ -36,13 +36,19 @@ from homefetch.world import (
     ROBOT_RADIUS_M,
     SURFACE,
     CameraPose,
+    Environment,
     GripperOccupied,
+    Layout,
     NoFreePose,
     NoSuchObject,
     NotHolding,
     Occluded,
     OutOfReach,
     Pose,
+    RobotState,
+    RoomSpec,
+    StaticObject,
+    SupportSurface,
     SurfaceOutOfReach,
     attach_pose,
     build_grid,
@@ -58,6 +64,7 @@ from homefetch.world import (
     robot_collides,
     step,
     validate_environment,
+    validate_layout,
     visible_batch,
     visible_objects,
 )
@@ -97,15 +104,15 @@ class TestRooms:
         rng = random.Random(7)
         for _ in range(500):
             x, y = rng.uniform(0, 9.999), rng.uniform(0, 7.999)
-            hits = [r.id for r in env.rooms if r.bounds.contains(x, y)]
+            hits = [r.id for r in env.layout.rooms if r.bounds.contains(x, y)]
             assert len(hits) == 1
             assert point_in_room(env, x, y) == hits[0]
 
     def test_door_anchor_sides(self):
         env = make_environment("default")
-        door = next(d for d in env.doors if d.id == "door_lk")
-        lr = env.room("living_room")
-        k = env.room("kitchen")
+        door = next(d for d in env.layout.doors if d.id == "door_lk")
+        lr = env.layout.room("living_room")
+        k = env.layout.room("kitchen")
         assert door.anchor_in(lr, 0.7) == pytest.approx((5.3, 2.6))
         assert door.anchor_in(k, 0.7) == pytest.approx((6.7, 2.6))
 
@@ -192,19 +199,20 @@ class TestVisibleObjects:
 
 
 def _lattice(env):
-    return [cam for r in env.rooms for cam in room_lattice(env, r.id).cameras]
+    return [cam for r in env.layout.rooms
+            for cam in room_lattice(env, r.id).cameras]
 
 
 def _boundary_cams(env, rng: random.Random) -> list[CameraPose]:
     """Cameras on rectangle corners and edges, at subjects' reference points,
     and with a subject exactly at range and at bearing +-fov/2."""
     cams = []
-    for r in env.walls + [f.footprint for f in env.furniture]:
+    for r in env.layout.obstacles:
         for x, y in ((r.x0, r.y0), (r.x1, r.y1), (r.x0, r.center[1]),
                      (r.center[0], r.y1)):
             cams.append(CameraPose(Pose(x, y, rng.uniform(-math.pi, math.pi))))
     refs = ([o.pose.xy for o in env.objects.values()]
-            + [s.region.center for s in env.surfaces])
+            + [s.region.center for s in env.layout.surfaces])
     for rx, ry in refs:
         cams.append(CameraPose(Pose(rx, ry, rng.uniform(-math.pi, math.pi))))
         pose = Pose(rx + rng.uniform(-3.0, 3.0), ry + rng.uniform(-3.0, 3.0),
@@ -227,7 +235,8 @@ class TestVisibleBatch:
         if empty:
             env.objects.clear()
         rng = random.Random(cam_seed)
-        b = env.rooms[rng.randrange(len(env.rooms))].bounds
+        rooms = env.layout.rooms
+        b = rooms[rng.randrange(len(rooms))].bounds
         cams = _lattice(env) + _boundary_cams(env, rng) + [
             CameraPose(Pose(rng.uniform(b.x0, b.x1), rng.uniform(b.y0, b.y1),
                             rng.uniform(-math.pi, math.pi)),
@@ -371,10 +380,10 @@ def _blocked_by_loop(env, x: float, y: float, clearance: float) -> bool:
     """`point_blocked` without the grid's gap: the plain loop."""
     if point_in_room(env, x, y) is None:
         return True
-    for w in env.walls:
+    for w in env.layout.walls:
         if w.distance_to(x, y) < clearance:
             return True
-    for f in env.furniture:
+    for f in env.layout.furniture:
         if f.footprint.distance_to(x, y) < clearance:
             return True
     return False
@@ -389,11 +398,11 @@ def _probe_points(env, clearance: float, rng: random.Random,
     res = grid.res
     xs = [grid.x0 + k * res for k in range(grid.nx + 1)]
     ys = [grid.y0 + k * res for k in range(grid.ny + 1)]
-    for r in env.rooms:
+    for r in env.layout.rooms:
         xs += [r.bounds.x0, r.bounds.x1]
         ys += [r.bounds.y0, r.bounds.y1]
     rings = []
-    for r in env.walls + [f.footprint for f in env.furniture]:
+    for r in env.layout.obstacles:
         xs += [r.x0 - clearance, r.x1 + clearance]
         ys += [r.y0 - clearance, r.y1 + clearance]
         rings.append(r)
@@ -468,8 +477,8 @@ class TestClearanceField:
             assert _blocked_by_loop(env, x, y, ROBOT_RADIUS_M)
 
     def test_no_rooms_blocks_everywhere(self):
-        env = make_env()
-        env.rooms.clear()
+        walls = room_layout().walls
+        env = scene(Layout("test", [], [], walls, [], Pose(1.0, 1.0)))
         assert point_blocked(env, 3.0, 2.5, ROBOT_RADIUS_M)
 
     def test_some_cells_skip_the_loop(self):
@@ -480,37 +489,21 @@ class TestClearanceField:
             assert 0 < skip < len(grid.gap)
 
     def test_cache_keyed_by_geometry_not_layout_id(self):
+        """Grids live on the layout object, one per inflation: the layout
+        id keys nothing."""
         bare = make_env(layout_id="shared")
         furnished = make_env(furniture=(table("t0", Rect(2.0, 2.0, 3.0, 3.0)),),
                              layout_id="shared")
         assert not point_blocked(bare, 2.5, 1.9, ROBOT_RADIUS_M)
         assert point_blocked(furnished, 2.5, 1.9, ROBOT_RADIUS_M)
         assert grid_for(bare) is not grid_for(furnished)
-        assert grid_for(make_env(layout_id="other")) is grid_for(bare)
-        wider = make_env(layout_id="shared")
-        wider.robot.radius = 0.3
+        assert grid_for(scene(bare.layout, robot_xy=(3.0, 2.0))) is \
+            grid_for(bare)
+        wider = Environment(bare.layout, {},
+                            RobotState(Pose(1.0, 1.0), radius=0.3))
         assert grid_for(wider) is not grid_for(bare)
-
-
-class TestGridCache:
-    def test_grid_count_stays_at_the_cap(self, monkeypatch):
-        monkeypatch.setattr(world, "_GRID_CACHE", {})
-        envs = [make_env(room=Rect(0.0, 0.0, 2.0 + 0.5 * k, 2.0))
-                for k in range(GRID_CACHE_CAP + 3)]
-        grids = [grid_for(env) for env in envs]
-        assert len(world._GRID_CACHE) == GRID_CACHE_CAP
-        assert grid_for(envs[-1]) is grids[-1]
-        # The oldest was evicted: it is built again, and evicts the next.
-        assert grid_for(envs[0]) is not grids[0]
-        assert len(world._GRID_CACHE) == GRID_CACHE_CAP
-        assert grid_for(envs[-1]) is grids[-1]
-
-    def test_one_layout_never_evicts(self, monkeypatch):
-        monkeypatch.setattr(world, "_GRID_CACHE", {})
-        grid = grid_for(make_environment("default"))
-        for _ in range(3 * GRID_CACHE_CAP):
-            assert grid_for(make_environment("default")) is grid
-        assert len(world._GRID_CACHE) == 1
+        assert set(bare.layout.grids) == {ROBOT_RADIUS_M + INFLATE_MARGIN_M,
+                                          0.3 + INFLATE_MARGIN_M}
 
 
 class TestGridRaster:
@@ -519,7 +512,7 @@ class TestGridRaster:
 
     @staticmethod
     def _assert_equal(env):
-        grid = build_grid(env, INFLATE)
+        grid = build_grid(env.layout, INFLATE)
         x0, y0, free, comp = reference_grid(env, INFLATE)
         assert (grid.x0, grid.y0, grid.res) == (x0, y0, GRID_RES_M)
         assert np.array_equal(grid.free, free)
@@ -532,13 +525,13 @@ class TestGridRaster:
         # Cell centres exactly on a room's high edge, and exactly the
         # inflation from a table's edge: the half-open and >= rules decide.
         g = build_grid(open_plan(Rect(0.0, 0.0, 3.0, 3.0),
-                                  Rect(3.0, 0.0, 6.0, 1.5)), INFLATE)
+                                  Rect(3.0, 0.0, 6.0, 1.5)).layout, INFLATE)
         xs = (g.x0 + (np.arange(g.nx) + 0.5) * g.res).tolist()
         edge = xs[50]
         k = next(k for k in range(10, 40) if (xs[k] + INFLATE) - xs[k] == INFLATE)
-        env = open_plan(Rect(0.0, 0.0, edge, 3.0), Rect(edge, 0.0, 6.0, 1.5))
-        env.furniture.append(table("t0", Rect(xs[k] + INFLATE, 0.5,
-                                              xs[k] + INFLATE + 0.5, 1.0)))
+        t0 = table("t0", Rect(xs[k] + INFLATE, 0.5, xs[k] + INFLATE + 0.5, 1.0))
+        env = open_plan(Rect(0.0, 0.0, edge, 3.0), Rect(edge, 0.0, 6.0, 1.5),
+                        furniture=(t0,))
         self._assert_equal(env)
 
     @settings(max_examples=60, deadline=None)
@@ -602,10 +595,10 @@ class TestGrasp:
 
 
 class TestPlace:
-    def _held_env(self):
+    def _held_env(self, *more):
         t = table("t0", Rect(1.2, 0.7, 2.0, 1.3))
         o = ball("o0", (1.6, 1.0), "t0/top", radius=0.05)
-        env = make_env(furniture=(t,), objects=(o,), robot_xy=(0.9, 1.0))
+        env = make_env(furniture=(t, *more), objects=(o,), robot_xy=(0.9, 1.0))
         grasp(env, "o0")
         return env
 
@@ -621,10 +614,7 @@ class TestPlace:
             place(env, "ghost/top")
 
     def test_surface_out_of_reach(self):
-        t2 = table("t1", Rect(4.0, 3.0, 5.0, 4.0))
-        env = self._held_env()
-        env.furniture.append(t2)
-        env._surfaces[t2.surfaces[0].id] = t2.surfaces[0]
+        env = self._held_env(table("t1", Rect(4.0, 3.0, 5.0, 4.0)))
         with pytest.raises(SurfaceOutOfReach):
             place(env, "t1/top")
 
@@ -695,7 +685,44 @@ class TestPlaceSpot:
 
 class TestValidator:
     def test_default_layout_clean(self):
-        assert validate_environment(make_environment("default")) == []
+        env = make_environment("default")
+        assert validate_layout(env.layout) == []
+        assert validate_environment(env) == []
+
+    @staticmethod
+    def _default_with(**fields):
+        """The default layout's fields with some replaced, as a new layout."""
+        lay = make_environment("default").layout
+        base = {"id": lay.id, "rooms": lay.rooms, "doors": lay.doors,
+                "walls": lay.walls, "furniture": lay.furniture,
+                "start": lay.start}
+        return Layout(**{**base, **fields})
+
+    def test_repeated_furniture_id(self):
+        furniture = make_environment("default").layout.furniture
+        first = furniture[0]
+        again = StaticObject(first.id, first.category, first.footprint, [],
+                             first.color, first.material)
+        issues = validate_layout(self._default_with(
+            furniture=(*furniture, again)))
+        assert issues == [f"furniture id {first.id} repeated"]
+
+    def test_repeated_surface_id(self):
+        furniture = list(make_environment("default").layout.furniture)
+        a, b = furniture[0], furniture[1]
+        stolen = SupportSurface(a.surfaces[0].id, b.id,
+                                b.surfaces[0].region, b.surfaces[0].height_class)
+        furniture[1] = StaticObject(b.id, b.category, b.footprint, [stolen],
+                                    b.color, b.material)
+        issues = validate_layout(self._default_with(furniture=furniture))
+        assert issues == [f"surface id {a.surfaces[0].id} repeated"]
+
+    def test_repeated_room_id(self):
+        rooms = list(make_environment("default").layout.rooms)
+        rooms[1] = RoomSpec(rooms[0].id, rooms[1].name, rooms[1].bounds,
+                            rooms[1].doors)
+        issues = validate_layout(self._default_with(rooms=rooms))
+        assert f"room id {rooms[0].id} repeated" in issues
 
     def test_generated_scenes_clean(self):
         for seed in (3, 4, 5):
@@ -717,7 +744,8 @@ class TestEnvRecord:
         b = env_record(make_environment("default"))
         assert a == b
         # furniture keeps layout declaration order, itself deterministic
-        assert [f["id"] for f in a["furniture"]] == [f.id for f in env.furniture]
+        assert [f["id"] for f in a["furniture"]] == \
+            [f.id for f in env.layout.furniture]
 
     def test_unit_suffixed_fields(self):
         env = build_environment(GenConfig(), 2)

@@ -6,24 +6,22 @@ an approach pose exists for both the grasp and the set-down.  The screen
 uses exactly the code paths the executor will run, so a zero-noise session
 on an emitted task cannot fail for geometric reasons.
 
-Each candidate goes through, in order: the draw (`select_task`); the
-surface prefilter, which drops it unless some lattice camera of the target's
-room sees the destination in the scene without objects (the `surfaces` of
-`room_lattice`, computed once per room, not per scene); the lattice check,
-which drops it unless some capture of that room's lattice
-(`lattice_captures`) sees both the target and the destination; the ring
-captures (`capture_views`); the description (`make_instruction`); and the
-screen (`task_feasible`).
+Each candidate goes through, in order: the draw (`select_task`), whose
+destination is one of the surfaces the crawl lattice of the target's room
+can see in the scene without objects (the `surfaces` of `room_lattice`,
+computed once per room, not per scene); the lattice check, which drops it
+unless some capture of that room's lattice (`lattice_captures`) sees both
+the target and the destination; the ring captures (`capture_views`); the
+description (`make_instruction`); and the screen (`task_feasible`).
 
-Neither check changes an output byte.  The screen grounds only on
-detections in the lattice captures, so it rejects every candidate the
-lattice check drops; objects only add disk blockers and a surface's sight
-line looks past no object, so the prefilter drops only candidates the
-lattice check drops; and each attempt draws from its own substream, so
-skipping a candidate's later steps moves no other draw.  The ring captures
-probe each pose for the subject alone with `world.sees`, the per-subject
-test of `visible_objects`, and see in full only the first pose that passes:
-the pose and the view a full view of every pose would have found.
+The screen grounds only on detections in the lattice captures, so a
+destination no lattice camera can see could never pass it, and the
+lattice check drops only candidates the screen would reject; each attempt
+draws from its own substream, so skipping a candidate's later steps moves
+no other draw.  The ring captures probe each pose for the subject alone
+with `world.sees`, the per-subject test of `visible_objects`, and see in
+full only the first pose that passes: the pose and the view a full view of
+every pose would have found.
 """
 from __future__ import annotations
 
@@ -210,15 +208,18 @@ def build_environment(cfg: GenConfig, seed: int) -> Environment:
 
 
 def select_task(env: Environment, rng: random.Random) -> tuple[str, str]:
-    """Uniform target over objects; uniform destination over other surfaces."""
+    """Uniform target over objects; uniform destination over the surfaces
+    the lattice of the target's room can see, other than the target's own."""
     objs = sorted(env.objects)
     if not objs:
         raise NoFeasibleTask("no dynamic objects")
     target = rng.choice(objs)
-    current = env.objects[target].support
-    dests = sorted(s.id for s in env.layout.surfaces if s.id != current)
+    obj = env.objects[target]
+    room = point_in_room(env, obj.pose.x, obj.pose.y)
+    dests = sorted(room_lattice(env, room).surfaces - {obj.support})
     if not dests:
-        raise NoFeasibleTask("no surface other than the target's own")
+        raise NoFeasibleTask("no surface other than the target's own "
+                             "in sight of its room's lattice")
     return target, rng.choice(dests)
 
 
@@ -323,12 +324,11 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
     """Rejection-sample (environment, task) until the feasibility screen passes.
 
     Up to ENV_ATTEMPTS scenes are tried, TASKS_PER_ENV task draws each; a
-    full strike-out is a hard error so batch automation stays total.  Each
-    draw's destination is checked against the surfaces the lattice of the
-    target's room sees with no object in the scene, then both roles against
-    that lattice's captures, before its ring captures and description are
-    made; then it is screened.  The checks only drop draws the screen would
-    reject, so the result is the same (see the module docstring).
+    full strike-out is a hard error so batch automation stays total.  Both
+    roles of each draw are checked against the captures of the lattice of
+    the target's room before its ring captures and description are made;
+    then it is screened.  The check only drops draws the screen would
+    reject (see the module docstring).
     """
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -346,8 +346,6 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
                 continue
             obj = env.objects[target]
             room = point_in_room(env, obj.pose.x, obj.pose.y)
-            if destination not in room_lattice(env, room).surfaces:
-                continue
             seen = {s.object_id for c in lattice_captures(env, room)
                     for s in c.snapshots}
             if target not in seen or destination not in seen:

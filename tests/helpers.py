@@ -375,12 +375,12 @@ def reference_capture_for(env: Environment, subject_id: str,
 
 def reference_generate_task(cfg: GenConfig,
                             seed: int) -> tuple[Environment, TaskSpec]:
-    """`taskgen.generate_task` without either check ahead of the ring
-    captures (the surface prefilter and the lattice check) and without the
-    ring probe: every candidate pays for full-view ring captures
+    """`taskgen.generate_task` without the lattice check ahead of the ring
+    captures and without the ring probe: every candidate of the same draw
+    (`select_task`) pays for full-view ring captures
     (`reference_capture_for`) and `make_instruction`, and only
-    `task_feasible` consults the lattice.  The oracle the generator must
-    equal, task for task and error for error."""
+    `task_feasible` consults the lattice captures.  The oracle the
+    generator must equal, task for task and error for error."""
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     for salt in range(ENV_ATTEMPTS):

@@ -218,8 +218,8 @@ class TestCrawlLattice:
 
 
 class TestLatticeSurfaces:
-    """`RoomLattice.surfaces` is the generator's prefilter: the surfaces a
-    room's lattice sees with no object in the scene."""
+    """`RoomLattice.surfaces` is the generator's destination pool: the
+    surfaces a room's lattice sees with no object in the scene."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1),

@@ -48,6 +48,17 @@ class TestRun:
         assert set(summary["tally"]) == set(SUBTASKS)
         assert summary["config"]["grounder"] == "relational"
 
+    def test_session_that_once_failed_generation_runs(self, tmp_path, capsys):
+        """Session 46 of seed 3 failed generation while destinations were
+        drawn over every surface, and the run wrote nothing."""
+        out = tmp_path / "out"
+        assert main(["run", "--seed", "3", "--sessions", "47",
+                     "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        events = read_events(out / "episodes.jsonl")
+        assert {e["session"] for e in events} == set(range(47))
+        assert (out / "report.json").exists()
+
     def test_default_out_directory(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--seed", "3", "--sessions", "1"]) == EXIT_OK

@@ -24,11 +24,11 @@ def _sha(*paths) -> str:
 
 @pytest.mark.parametrize("argv, episodes, report", [
     (["--seed", "7", "--sessions", "8"],
-     "6c01160e6c83b55c45c0bbadbceb76c28620e34070c2a650d45681a468d780c0",
+     "dffcdc13c592d58d724304ecec64764a7ca91aa574cd338f4ef37abf2d04b354",
      "e1f3bcbdc071fde78f1a4db9cfaaf82caf01cf866e4b50d0349d9ced93123720"),
     (["--seed", "11", "--sessions", "8", "--p-miss", "0.3", "--p-attr", "0.5"],
-     "9f0755a9f777fc1a3d60644e474514ffda86050c09fd100df8b0ae7e8d1c788d",
-     "efd86ab53a976e9eef16687d137dd2477f82eb816f1ec335ac5a8048cbef6a28"),
+     "108b899359cb914a782c6e4e4b74441ce4c5a67356e3aa1e6c3c84d609db6a08",
+     "3e5ae9b0ccfd0562638404e8c02304b7130f3adb6dabeeac0fff41990c42db4c"),
 ], ids=["seed7", "seed11-noisy"])
 def test_run_outputs(tmp_path, argv, episodes, report):
     assert main(["run", *argv, "--out", str(tmp_path)]) == EXIT_OK
@@ -43,7 +43,7 @@ def test_generate_outputs(tmp_path):
     assert [f.name for f in files] == [
         *(f"episode_{i:04d}.json" for i in range(4)), "manifest.json"]
     assert _sha(*files) == \
-        "305dec3d24a2c29c10539dbe339988b2c6aebc5985a89b13f7b4d49c743c022c"
+        "bad1b33d4e2d745f409d86a53968a2b05d446ee7accb50a4291b9ba6ef2de2f7"
 
 
 def test_trace_bits():
@@ -51,4 +51,4 @@ def test_trace_bits():
     for rec in run_batch(RunConfig(seed=7, sessions=12)):
         h.update(trace_bits(rec.trace))
     assert h.hexdigest() == \
-        "4234834244cf30d089c2647ca8f6bda6fc1460febe389c6288a90f83701afa16"
+        "58334a45bc4000a17571a5d2a9e0f89a0ce2af1e6f97dada54fa7f3028b12639"

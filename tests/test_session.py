@@ -262,12 +262,12 @@ class TestRunSession:
 
     def test_partial_grounding_is_logged(self):
         """A round that resolves one role logs it, capture 0 included."""
-        rec = run_session(11, RunConfig(seed=11, noise=NoiseConfig(p_miss=0.8)), 0)
+        rec = run_session(11, RunConfig(seed=11, noise=NoiseConfig(p_miss=0.8)), 1)
         olr = only_event(rec.events, "olr")
         assert {k: olr[k] for k in ("target", "target_capture", "destination",
                                     "destination_capture", "abstained",
                                     "correct")} == {
-            "target": "obj_008", "target_capture": 0,
+            "target": "obj_015", "target_capture": 0,
             "destination": None, "destination_capture": None,
             "abstained": True, "correct": False}
 

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from helpers import (
     ball, make_env, reference_capture_for, reference_generate_task, table,
 )
@@ -196,6 +197,21 @@ class TestSelectTask:
         for c in counts.values():
             assert abs(c - draws / n) < 4 * math.sqrt(draws / n)
 
+    def test_destination_drawn_from_the_target_rooms_lattice(self):
+        """The destination is one of the surfaces the lattice of the
+        target's room can see, other than the target's own, drawn in
+        sorted order by the draw that follows the target's."""
+        env = build_environment(GenConfig(), 8)
+        for i in range(100):
+            rng = substream("t", 8, i)
+            target, dest = select_task(env, rng)
+            obj = env.objects[target]
+            room = point_in_room(env, obj.pose.x, obj.pose.y)
+            pool = sorted(room_lattice(env, room).surfaces - {obj.support})
+            again = substream("t", 8, i)
+            assert again.choice(sorted(env.objects)) == target
+            assert again.choice(pool) == dest
+
     def test_no_alternative_surface(self):
         t = table("t0")
         o = ball("o0", (2.5, 2.4), "t0/top")
@@ -325,7 +341,20 @@ class TestMakeInstruction:
         assert enriched > 0
 
 
+# (master seed, session) of the 17 sessions of master seeds 0-19 x 200 that
+# failed generation while the destination was drawn over every surface.
+_ONCE_FAILED = ((2, 55), (3, 46), (5, 122), (9, 9), (9, 198), (10, 150),
+                (12, 128), (13, 190), (14, 117), (14, 147), (15, 9), (16, 184),
+                (17, 0), (17, 34), (17, 57), (19, 45), (19, 160))
+
+
 class TestGenerateTask:
+    @pytest.mark.parametrize("master, session", _ONCE_FAILED)
+    def test_sessions_that_once_failed_generate(self, master, session):
+        cfg = RunConfig(seed=master).gen
+        env, task = generate_task(cfg, h64("session", master, session))
+        assert task_feasible(env, task, cfg)
+
     def test_deterministic_episode(self):
         a_env, a_task = generate_task(GenConfig(), 11)
         b_env, b_task = generate_task(GenConfig(), 11)
@@ -516,20 +545,19 @@ class TestValidateEpisode:
 
 
 class TestLatticeCheckFirst:
-    """`generate_task` drops a candidate whose destination no lattice camera
-    of the target's room sees in the scene without objects (the surface
-    prefilter), and then one whose target or destination no lattice capture
-    sees (the lattice check), before it takes the ring captures;
-    `task_feasible` would reject every such candidate anyway.  The ring
-    captures probe each pose for the subject alone (the ring probe) and see
-    in full only the pose that passes."""
+    """`generate_task` drops a candidate whose target or destination no
+    capture of the lattice of the target's room sees (the lattice check)
+    before it takes the ring captures; `task_feasible` would reject every
+    such candidate anyway.  The ring captures probe each pose for the
+    subject alone (the ring probe) and see in full only the pose that
+    passes."""
 
     @pytest.mark.parametrize("master", [7, 4],
                              ids=["run-seed7", "generate-seed4"])
     def test_equals_reference(self, master):
-        """Equal to `reference_generate_task`, which has neither the surface
-        prefilter and the lattice check nor the ring probe: every candidate
-        gets full-view ring captures and a description."""
+        """Equal to `reference_generate_task`, which has neither the
+        lattice check nor the ring probe: every candidate gets full-view
+        ring captures and a description."""
         cfg = RunConfig(seed=master).gen
         for i in range(20):
             seed = h64("session", master, i)
@@ -540,8 +568,11 @@ class TestLatticeCheckFirst:
             assert canonical_json(episode_record(i, env, task)) == \
                 canonical_json(episode_record(i, ref_env, ref_task))
 
-    def test_failure_equals_reference(self):
-        """`run --seed 17 --sessions 1` fails generation on both paths."""
+    def test_failure_equals_reference(self, monkeypatch):
+        """With the screen rejecting every candidate, session 0 of `run
+        --seed 17` fails generation on both paths with the same message."""
+        monkeypatch.setattr(taskgen, "task_feasible", lambda *a: False)
+        monkeypatch.setattr(helpers, "task_feasible", lambda *a: False)
         seed = h64("session", 17, 0)
         with pytest.raises(GenerationFailed) as new:
             generate_task(GenConfig(), seed)
@@ -596,10 +627,10 @@ class TestLatticeCheckFirst:
 
     def test_shortcuts_fire(self, monkeypatch):
         """Both shortcuts do their work: on sessions 0-19 of `generate
-        --seed 4`, the generator sees fewer lattices (`visible_batch`) and
-        full views (`visible_objects`) than the reference; it sees at most
-        one full view per ring capture kept, and never a room's lattice for
-        a destination that the surface prefilter rejects."""
+        --seed 4`, the generator sees no more lattices (`visible_batch`)
+        and fewer full views (`visible_objects`) than the reference; it
+        sees at most one full view per ring capture kept, and never a
+        room's lattice for a destination that lattice cannot see."""
         calls = Counter()
         last_draw = []
 
@@ -644,7 +675,7 @@ class TestLatticeCheckFirst:
         forget_memos()
         for seed in seeds:
             reference_generate_task(GenConfig(), seed)
-        assert new["visible_batch"] < calls["visible_batch"]
+        assert new["visible_batch"] <= calls["visible_batch"]
         assert new["visible_objects"] < calls["visible_objects"]
         assert new["visible_objects"] <= 2 * new["capture_views"]
 

@@ -15,11 +15,11 @@ nothing but the static geometry, the robot's radius and speed limits, its
 exact pose and clock at the start, the deadline, and the path's waypoints
 and length (or the heading).  The key holds the floats by their bits, so a
 signed zero is a key of its own.  Dynamic objects are not in the key:
-`step` collides only with `env.layout.obstacles`, and an empty gripper moves no
-object.  A hit restores the return value, the final `Pose` object itself,
-the final clock and the collisions added, and extends `env.trace` with the
-stored segment, whose tuples it shares.  A leg with a held object, or with
-no trace to extend, runs uncached.  `drive_straight` turns through the
+`step` collides only with `env.layout.obstacles`, and an empty gripper
+moves no object.  A hit restores the return value, the final `Pose` object
+itself, the final clock and the collisions added, and extends `env.trace`
+with the stored segment, whose tuples it shares.  A leg with a held object,
+or with no trace to extend, runs uncached.  `drive_straight` turns through the
 memoized `rotate_exact`.  No code mutates a `Pose` in place, which is what
 lets entries share them.
 

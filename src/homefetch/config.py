@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 from .agent import GROUNDERS, NoiseConfig, RELATIONAL
+from .eventlog import BOOL, INT, NUMBER, STR
 from .taskgen import GenConfig
 
 
@@ -34,7 +35,7 @@ class RunConfig:
     gen: GenConfig = GenConfig()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed: must be a 64-bit unsigned integer")
         if self.sessions < 1:
             raise ConfigError("sessions: must be >= 1")
@@ -67,23 +68,20 @@ _SCHEMA = _schema(RunConfig)
 _NOT_ECHOED = ("seed", "sessions", "workers", "out", "paper_compat_counts")
 
 
+# Each annotation's leaf types, under the rule of the record tables, and
+# what a value of the wrong type is told it must be.
+_LEAVES = {float: (NUMBER, "a number"), int: (INT, "an integer"),
+           bool: (BOOL, "a boolean"), str: (STR, "a string")}
+
+
 def _check(key: str, value, want: type):
-    # bool is an int subclass; keep the two strictly apart.
-    if want is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return _bad(key, "a number")
-        # NaN fails every comparison; an int past the float range has no float.
-        if not abs(value) <= sys.float_info.max:
-            return _bad(key, "a finite number")
-        return float(value)
-    if want is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        return value if ok else _bad(key, "an integer")
-    if want is bool:
-        return value if isinstance(value, bool) else _bad(key, "a boolean")
-    if want is str:
-        return value if isinstance(value, str) else _bad(key, "a string")
-    raise AssertionError(want)
+    types, expected = _LEAVES[want]
+    if type(value) not in types:
+        return _bad(key, expected)
+    # NaN fails every comparison; an int past the float range has no float.
+    if want is float and not abs(value) <= sys.float_info.max:
+        return _bad(key, "a finite number")
+    return float(value) if want is float else value
 
 
 def _bad(key: str, expected: str):

@@ -4,7 +4,9 @@ Every record serializes through `canonical_json`, so two runs that produce
 equal Python values produce byte-equal log lines.  That is the contract the
 replay checker and the determinism tests lean on.  `read_events` loads a
 log as strictly as it is written, and `split_sessions` frames it into
-sessions; both `report` and `replay` read every log through the two.
+sessions; both `report` and `replay` read every log through the two.  The
+table form below states the shape of every record that is read back (a log
+event, an episode), and `problems` checks a record against its table.
 """
 from __future__ import annotations
 
@@ -16,6 +18,73 @@ from typing import Iterable
 
 class SchemaError(ValueError):
     """A log or record that does not have the expected shape."""
+
+
+# --- record tables -----------------------------------------------------------
+# A table maps each field of a JSON object to its spec: a tuple of exact leaf
+# types, checked with `type(v) in spec` so that a bool is never a number; a
+# nested table; `[spec]`, a list of any length of it; or a longer list, one
+# spec per place.  A tuple may also hold one table or list, as in
+# `(NULL, table)`, and `Missing` among its types makes a field optional.
+
+class Missing:
+    """The type of an absent field."""
+
+
+NULL = type(None)
+STR, INT, BOOL, NUMBER = (str,), (int,), (bool,), (int, float)
+_NAMES = {NULL: "null", bool: "boolean", int: "integer", float: "number",
+          str: "string", dict: "object", list: "list", Missing: "absent"}
+_MISSING = Missing()
+
+
+def problems(value, spec, where: str) -> list[str]:
+    """The problems of `value` against `spec`, each naming its path from
+    `where`; empty when it conforms.  A message is built only on failure."""
+    out: list[str] = []
+    _walk(value, spec, (where,), out)
+    return out
+
+
+def _walk(value, spec, path: tuple, out: list) -> None:
+    # `path` is a (parent path, key) chain, spelled out only for a problem.
+    if type(spec) is tuple:
+        if type(value) in spec:
+            return
+        spec = next((s for s in spec if type(s) is type(value)), spec)
+    if type(spec) is tuple or type(value) is not type(spec):
+        out.append(_at(path, "missing" if value is _MISSING
+                       else "not " + _kinds(spec)))
+    elif type(spec) is list and len(spec) > 1 and len(value) != len(spec):
+        out.append(_at(path, f"not of length {len(spec)}"))
+    elif type(spec) is list:
+        for i, v in enumerate(value):
+            sub = spec[i if len(spec) > 1 else 0]
+            if type(sub) is not tuple or type(v) not in sub:
+                _walk(v, sub, (path, i), out)
+    else:
+        for key, sub in spec.items():
+            v = value.get(key, _MISSING)
+            if type(sub) is not tuple or type(v) not in sub:
+                _walk(v, sub, (path, key), out)
+        if not value.keys() <= spec.keys():
+            out += [_at((path, k), "unknown field") for k in value
+                    if k not in spec]
+
+
+def _kinds(spec) -> str:
+    """The kinds of value `spec` admits; "number" covers the integers."""
+    kinds = spec if type(spec) is tuple else (spec,)
+    return " or ".join(_NAMES[k if type(k) is type else type(k)]
+                       for k in kinds if k is not int or float not in kinds)
+
+
+def _at(path: tuple, problem: str) -> str:
+    keys = []
+    while len(path) == 2:
+        path, key = path
+        keys.append(f"[{key}]" if type(key) is int else f".{key}")
+    return f"{path[0]}{''.join(reversed(keys))}: {problem}"
 
 
 def canonical_json(obj) -> str:

@@ -7,17 +7,16 @@ observable is appended to a structured event list whose canonical JSON
 serialization is the unit of determinism: replay re-runs the session from
 the logged seed and compares line by line.
 
-Both readers take a log's sessions from `eventlog.split_sessions`.  The
-tally counts each session with `session_tally`, which refuses a session
-whose records carry more than one `session` index or whose stage ends break
-the gating; replay checks the framing only and leaves every value to the
-event-by-event comparison.
+Both readers take a log's sessions from `eventlog.split_sessions` and each
+session's config from `logged_config`.  The report also checks every record
+against its row of `EVENTS` and counts each session with `session_tally`;
+replay leaves every other value to the event-by-event comparison.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import zip_longest
 from operator import add
@@ -28,7 +27,8 @@ from .agent import (
 )
 from .config import RunConfig, config_echo, config_from_echo, ConfigError
 from .eventlog import (
-    SchemaError, canonical_json, digest16, read_events, split_sessions,
+    BOOL, INT, NULL, NUMBER, STR, Missing, SchemaError, canonical_json,
+    digest16, problems, read_events, split_sessions,
 )
 from .language import parse
 from .seeds import KeyedStream, h64
@@ -44,6 +44,30 @@ SUBTASKS = (NAVIGATION, OLR, FETCHING, CARRYING)
 TIME_ELAPSED = "TimeElapsed"
 TASK_COMPLETED = "TaskCompleted"
 SUBTASK_FAILED = "SubtaskFailed"
+
+# One row per event kind (docs/episode-log.md), the common fields included;
+# `report` checks every record it reads against its row.
+_XY = [NUMBER, NUMBER]
+EVENTS = {name: {"event": STR, "session": INT, "clock_s": NUMBER, **row}
+          for name, row in {
+    "session_start": {"seed": INT, "session_seed": INT, "config": (dict,)},
+    "scene": {"layout": STR, "objects": INT, "digest": STR},
+    "task": dict.fromkeys(("target", "destination", "room", "text"), STR),
+    "subtask_start": {"subtask": STR},
+    "path": {"purpose": STR, "waypoints": [_XY], "length_m": NUMBER},
+    "dock": {"frm": _XY, "to": _XY},
+    "olr": {"captures": INT, "digest": STR, "target": (str, NULL),
+            "destination": (str, NULL), "target_capture": (int, NULL),
+            "destination_capture": (int, NULL),
+            "abstained": BOOL, "correct": BOOL},
+    "grasp": {"object": STR, "ok": BOOL, "reason": (str, Missing)},
+    "place": {"surface": STR, "ok": BOOL, "xy": (Missing, _XY),
+              "reason": (str, Missing)},
+    "subtask_end": {"subtask": STR, "attempted": BOOL, "succeeded": BOOL,
+                    "sim_time_s": NUMBER},
+    "termination": {"kind": STR, "subtask": (str, NULL)},
+    "session_end": {"duration_s": NUMBER, "collisions": INT},
+}.items()}
 
 
 class MismatchDetected(Exception):
@@ -178,7 +202,7 @@ def aggregate(records: list[SessionRecord],
     from the attempt count, so a grounder that always abstains reports
     0 attempts instead of 0% of the batch.
     """
-    return sum((session_tally(r.events, abstain_as_unattempted)[1]
+    return sum((session_tally(r.events, abstain_as_unattempted)
                 for r in records), Tally())
 
 
@@ -200,22 +224,26 @@ def format_report(label: str, tally: Tally) -> str:
 
 
 def session_tally(events: list[dict], abstain_as_unattempted: bool = False,
-                  ) -> tuple[str, Tally]:
-    """The grounder label and tally of one framed session.
+                  ) -> Tally:
+    """The tally of one framed session whose records fit `EVENTS`.
 
-    Every record must carry the `session` index of the session's
+    The session must be in the order `run` writes: `scene` and `task`
+    right after `session_start`, and one `termination` right before
+    `session_end`.  Every record must carry the `session` index of the
     `session_start`.  The attempted stages must end in `SUBTASKS` order,
-    each at most once and none after a failed one, with boolean `attempted`
-    and `succeeded`; an OLR whose `olr` event abstained must not succeed.
-    A session that breaks a rule raises SchemaError.  A `subtask_end` whose
-    `attempted` is false is skipped.
+    each at most once and none after a failed one; an OLR whose `olr`
+    event abstained must not succeed; and the termination must agree with
+    the stage ends.  A session that breaks a rule raises SchemaError.  A
+    `subtask_end` whose `attempted` is false is skipped.
     """
-    cfg = events[0].get("config")
-    label = cfg.get("grounder") if isinstance(cfg, dict) else None
-    if not isinstance(label, str):
-        raise SchemaError("session_start without a string config.grounder")
-    index = events[0]["session"]
+    index, term = events[0]["session"], events[-2]
     where = f"session {index}"
+    if [e["event"] for e in events[1:3]] != ["scene", "task"]:
+        raise SchemaError(f"{where}: scene and task do not follow session_start")
+    if (term["event"] != "termination"
+            or sum(e["event"] == "termination" for e in events) != 1):
+        raise SchemaError(f"{where}: not one termination, right before "
+                          f"session_end")
     attempts, successes = [0, 0, 0, 0], [0, 0, 0, 0]
     ended, failed, abstained = 0, False, False  # ended: stages ended so far
     for k, e in enumerate(events, 1):
@@ -223,16 +251,12 @@ def session_tally(events: list[dict], abstain_as_unattempted: bool = False,
             raise SchemaError(f"{where}: its record {k} ({e['event']}) "
                               f"carries session index {e['session']}")
         if e["event"] == "olr":
-            abstained = bool(e.get("abstained"))
-        if e["event"] != "subtask_end":
+            abstained = e["abstained"]
+        if e["event"] != "subtask_end" or not e["attempted"]:
             continue
-        sub, attempted, ok = e.get("subtask"), e.get("attempted"), e.get("succeeded")
+        sub, ok = e["subtask"], e["succeeded"]
         if sub not in SUBTASKS:
             raise SchemaError(f"{where}: unknown subtask {sub!r}")
-        if not (isinstance(attempted, bool) and isinstance(ok, bool)):
-            raise SchemaError(f"{where}: {sub} attempted/succeeded not boolean")
-        if not attempted:
-            continue
         i = SUBTASKS.index(sub)
         if i != ended or failed:
             rule = ("ends twice" if i < ended else
@@ -245,17 +269,47 @@ def session_tally(events: list[dict], abstain_as_unattempted: bool = False,
         if not (abstain_as_unattempted and sub == OLR and abstained):
             attempts[i] += 1
             successes[i] += ok
-    return label, Tally(tuple(attempts), tuple(successes))
+    want = ((SUBTASK_FAILED, SUBTASKS[ended - 1]) if failed else
+            (TASK_COMPLETED, None) if ended == len(SUBTASKS) else
+            (TIME_ELAPSED, None))
+    if (term["kind"], term["subtask"]) != want:
+        raise SchemaError(f"{where}: termination {term['kind']} "
+                          f"{term['subtask']} disagrees with the stage ends, "
+                          f"which give {want[0]} {want[1]}")
+    return Tally(tuple(attempts), tuple(successes))
+
+
+def logged_config(head: dict) -> RunConfig:
+    """The config of a `session_start` record, checked as `run` checks its
+    own: the config echo, and the master seed (64-bit unsigned)."""
+    try:
+        return replace(config_from_echo(head.get("config")),
+                       seed=head.get("seed"))
+    except ConfigError as e:
+        raise SchemaError(f"session_start config: {e}") from e
 
 
 def tallies_from_events(events: list[dict],
                         abstain_as_unattempted: bool = False,
                         ) -> dict[str, Tally]:
-    """Frame a loaded event log and sum its session tallies per label."""
+    """Frame a loaded event log, check each record against its row of
+    `EVENTS` and each session's config, and sum the session tallies per
+    grounder label."""
     out: dict[str, Tally] = {}
-    for events_of_session in split_sessions(events):
-        label, tally = session_tally(events_of_session, abstain_as_unattempted)
-        out[label] = out.get(label, Tally()) + tally
+    for session in split_sessions(events):
+        where = f"session {session[0]['session']}"
+        for k, e in enumerate(session, 1):
+            row = EVENTS.get(e["event"])
+            bad = (problems(e, row, e["event"]) if row
+                   else [f"unknown event {e['event']!r}"])
+            if bad:
+                raise SchemaError(f"{where}: record {k}: {bad[0]}")
+        try:
+            label = logged_config(session[0]).grounder
+        except SchemaError as e:
+            raise SchemaError(f"{where}: {e}") from e
+        out[label] = (out.get(label, Tally())
+                      + session_tally(session, abstain_as_unattempted))
     return out
 
 
@@ -265,15 +319,8 @@ def replay(events: list[dict]) -> SessionRecord:
     """Re-run one session from its logged head and demand identical events."""
     if len(split_sessions(events)) != 1:
         raise SchemaError("replay takes exactly one session")
-    head = events[0]
-    seed = head.get("seed")
-    if not isinstance(seed, int):
-        raise SchemaError("session_start.seed missing")
-    try:
-        cfg = config_from_echo(head.get("config"))
-    except ConfigError as e:
-        raise SchemaError(f"bad config echo: {e}") from e
-    fresh = run_session(seed, cfg, head["session"])
+    cfg = logged_config(events[0])
+    fresh = run_session(cfg.seed, cfg, events[0]["session"])
     for i, (a, b) in enumerate(zip_longest(events, fresh.events)):
         if a is None or b is None or canonical_json(a) != canonical_json(b):
             raise MismatchDetected(i, a, b)

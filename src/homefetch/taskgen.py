@@ -34,7 +34,7 @@ from .agent import (
     RELATIONAL, Capture, ScoreWeights, captured, grasp_approach, ground,
     lattice_captures, place_approach, room_entry_path, room_lattice,
 )
-from .eventlog import canonical_json
+from .eventlog import INT, NULL, NUMBER, STR, canonical_json, problems
 from .geometry import dist, norm_angle
 from .language import (
     GotoClause, InstructionAst, ManipClause, ONTO, TO, parse, realize,
@@ -143,12 +143,7 @@ def build_environment(cfg: GenConfig, seed: int) -> Environment:
     """
     rng = substream("homefetch-env", seed, cfg.layout_id)
     env = make_environment(cfg.layout_id)
-    rooms = env.layout.rooms
-
-    # validate_layout requires each footprint inside exactly one room.
-    room_surfaces: dict[str, list] = {r.id: [] for r in rooms}
-    for f in env.layout.furniture:
-        room_surfaces[point_in_room(env, *f.footprint.center)].extend(f.surfaces)
+    rooms, room_surfaces = env.layout.rooms, env.layout.room_surfaces
 
     counts = {r.id: _clamped_poisson(rng, cfg.objects_per_room,
                                      cfg.min_objects, cfg.max_objects)
@@ -396,81 +391,63 @@ def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
     }
 
 
-def _objects(value) -> list[dict] | None:
-    """`value` when it is a list of JSON objects, else None."""
-    ok = isinstance(value, list) and all(isinstance(v, dict) for v in value)
-    return value if ok else None
+# The shape of `episode_record` (docs/dataset.md).
+_XY, _RECT = [NUMBER] * 2, [NUMBER] * 4
+_ATTRS = {"category": STR, "color": (str, NULL), "material": (str, NULL)}
+_POSE = dict.fromkeys(("x_m", "y_m", "theta_rad"), NUMBER)
+_CAPTURE = {"camera": {**_POSE, "fov_rad": NUMBER, "range_m": NUMBER},
+            "subject": STR, "supports": (dict,),
+            "snapshots": [{"id": STR, "kind": STR, **_ATTRS,
+                           "bearing_rad": NUMBER, "range_m": NUMBER}]}
+EPISODE = {
+    "format": STR, "index": INT,
+    "scene": {"layout": STR, "clock_s": NUMBER,
+              "rooms": [{"id": STR, "name": STR, "bounds_m": _RECT}],
+              "doors": [{"id": STR, "rooms": [STR, STR], "axis": STR,
+                         "pos_m": NUMBER, "span_m": _XY}],
+              "furniture": [{"id": STR, **_ATTRS, "footprint_m": _RECT,
+                             "surfaces": [{"id": STR, "region_m": _RECT,
+                                           "height_class": STR}]}],
+              "objects": [{"id": STR, **_ATTRS, **_POSE, "radius_m": NUMBER,
+                           "support": STR}],
+              "robot": {**_POSE, "radius_m": NUMBER, "reach_m": NUMBER,
+                        "gripper": (str, NULL)}},
+    "task": {"target": {"id": STR, "xy_m": _XY},
+             "destination": {"id": STR, "xy_m": _XY}, "room": STR},
+    "instruction": {"text": STR, "ast": {
+        "goto": {"room": STR},
+        "manip": {"target": _ATTRS, "destination": _ATTRS, "prep": STR,
+                  "relation": (NULL, {"kind": STR, "landmark": _ATTRS}),
+                  "source": (NULL, _ATTRS)}}},
+    "captures": {"target": _CAPTURE, "destination": _CAPTURE},
+}
 
 
 def validate_episode(rec) -> list[str]:
-    """Structural schema check for one exported episode record: the list of
-    problems, empty for a well-formed record, for any JSON value."""
-    bad: list[str] = []
-    if not isinstance(rec, dict):
-        return ["episode is not an object"]
-    if rec.get("format") != "homefetch-episode/1":
-        bad.append("format tag missing or unknown")
-    index = rec.get("index")
-    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-        bad.append("index must be a non-negative integer")
-    scene = rec.get("scene")
-    if not isinstance(scene, dict):
-        bad.append("scene missing")
+    """Schema check of one exported episode record, for any JSON value: its
+    problems against `EPISODE`, then what a table cannot state (the format
+    tag, a non-negative index, the roles among the scene's ids, each
+    capture aimed at and showing its role, the text's closing period).
+    Empty for a well-formed record."""
+    bad = problems(rec, EPISODE, "episode")
+    if bad:
         return bad
-    for key in ("rooms", "doors", "furniture", "objects", "robot"):
-        if key not in scene:
-            bad.append(f"scene.{key} missing")
-    task = rec.get("task")
-    if not isinstance(task, dict):
-        bad.append("task missing")
-        return bad
-    objects = _objects(scene.get("objects")) or []
-    surfaces = [s for f in _objects(scene.get("furniture")) or []
-                for s in _objects(f.get("surfaces")) or []]
-    ids = {}
-    for kind, items in (("objects", objects), ("surfaces", surfaces)):
-        if not all(isinstance(o.get("id"), str) for o in items):
-            bad.append(f"scene {kind} ids must be strings")
-        ids[kind] = {o["id"] for o in items if isinstance(o.get("id"), str)}
-    roles = {role: task[role] if isinstance(task.get(role), dict) else {}
-             for role in ("target", "destination")}
+    scene, task, caps = rec["scene"], rec["task"], rec["captures"]
+    ids = {"objects": {o["id"] for o in scene["objects"]},
+           "surfaces": {s["id"] for f in scene["furniture"]
+                        for s in f["surfaces"]}}
     for role, kind in (("target", "objects"), ("destination", "surfaces")):
-        rid = roles[role].get("id")
-        if not isinstance(rid, str):
-            bad.append(f"task.{role}.id must be a string")
-        if not isinstance(rid, str) or rid not in ids[kind]:
+        want = task[role]["id"]
+        if want not in ids[kind]:
             bad.append(f"task.{role} not among scene {kind}")
-    for role, spec in roles.items():
-        xy = spec.get("xy_m")
-        if (not isinstance(xy, list) or len(xy) != 2
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in xy)):
-            bad.append(f"task.{role}.xy_m must be [x, y]")
-    instr = rec.get("instruction")
-    instr = instr if isinstance(instr, dict) else {}
-    if not isinstance(instr.get("text"), str):
-        bad.append("instruction.text missing")
-    elif not instr["text"].endswith("."):
-        bad.append("instruction.text must end with a period")
-    if not isinstance(instr.get("ast"), dict):
-        bad.append("instruction.ast missing")
-    caps = rec.get("captures")
-    if not isinstance(caps, dict):
-        bad.append("captures missing")
-        return bad
-    for role, spec in roles.items():
-        want = spec.get("id")
-        cap = caps.get(role)
-        if not isinstance(cap, dict):
-            bad.append(f"captures.{role} missing")
-            continue
-        if cap.get("subject") != want:
+        if caps[role]["subject"] != want:
             bad.append(f"captures.{role}.subject != task.{role}.id")
-        snaps = _objects(cap.get("snapshots"))
-        if snaps is None:
-            bad.append(f"captures.{role}.snapshots must be a list of objects")
-        elif want is not None and all(s.get("id") != want for s in snaps):
+        if all(s["id"] != want for s in caps[role]["snapshots"]):
             bad.append(f"captures.{role} does not show its subject")
+    if rec["format"] != "homefetch-episode/1" or rec["index"] < 0:
+        bad.append("format tag unknown or index negative")
+    if not rec["instruction"]["text"].endswith("."):
+        bad.append("instruction.text must end with a period")
     return bad
 
 

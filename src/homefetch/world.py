@@ -257,6 +257,15 @@ class Layout:
     def room_index(self) -> dict[str, RoomSpec]:
         return {r.id: r for r in self.rooms}
 
+    @cached_property
+    def room_surfaces(self) -> dict[str, tuple[SupportSurface, ...]]:
+        """Room id -> the surfaces of the furniture standing in it, in
+        `furniture` order (`validate_layout` puts each footprint in one
+        room)."""
+        return {r.id: tuple(s for f in self.furniture
+                            if r.bounds.contains(*f.footprint.center)
+                            for s in f.surfaces) for r in self.rooms}
+
     def room(self, room_id: str) -> RoomSpec:
         return self.room_index[room_id]
 

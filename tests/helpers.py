@@ -431,6 +431,37 @@ def verdicts(events: list[dict]) -> dict[str, bool]:
             if e["event"] == "subtask_end"}
 
 
+def session_events(index: int, label: str, ends,
+                   abstained: bool = False) -> list[dict]:
+    """A synthetic session in the shape `run` writes: `ends` are its
+    (subtask, attempted, succeeded) stage ends, each OLR end after an `olr`
+    event that `abstained` or not, and the termination follows the last
+    attempted end."""
+    def ev(name, **fields):
+        return {"event": name, "session": index, "clock_s": 0.0, **fields}
+
+    pick, capture = (None, None) if abstained else ("x", 0)
+    out = [ev("session_start", seed=1, session_seed=2,
+              config={"grounder": label}),
+           ev("scene", layout="default", objects=1, digest="0" * 16),
+           ev("task", target="x", destination="x", room="x", text="x.")]
+    last = None
+    for sub, attempted, ok in ends:
+        if sub == "OLR":
+            out.append(ev("olr", captures=1, digest="0" * 16, target=pick,
+                          destination=pick, target_capture=capture,
+                          destination_capture=capture,
+                          abstained=abstained, correct=not abstained))
+        out.append(ev("subtask_end", subtask=sub, attempted=attempted,
+                      succeeded=ok, sim_time_s=0.0))
+        last = (sub, ok) if attempted else last
+    kind, failed = (("SubtaskFailed", last[0]) if last and last[1] is False
+                    else ("TaskCompleted", None) if last == ("Carrying", True)
+                    else ("TimeElapsed", None))
+    return out + [ev("termination", kind=kind, subtask=failed),
+                  ev("session_end", duration_s=0.0, collisions=0)]
+
+
 # --- brute-force visibility oracle ---------------------------------------
 
 def _ray_clear(env: Environment, a: tuple[float, float],

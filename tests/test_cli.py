@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -375,6 +376,96 @@ def test_broken_session_shape(tmp_path, capsys, seed7_events, breaks):
     assert err.count("\n") == 1
     assert main(["replay", str(log)]) == EXIT_MISMATCH
     assert capsys.readouterr().err.startswith(f"replay mismatch in {log}")
+
+
+def _first(events, name):
+    return next(e for e in events if e["event"] == name)
+
+
+def _set(name, key, value):
+    """An edit that sets `key` of the first `name` event to `value`."""
+    def edit(events):
+        _first(events, name)[key] = value
+    return edit
+
+
+def _drop(name):
+    def edit(events):
+        events.remove(_first(events, name))
+    return edit
+
+
+def _rename_path(events):
+    _first(events, "path")["event"] = "bogus"
+
+
+def _string_clock(events):
+    events[3]["clock_s"] = "x"
+
+
+def _bogus_grounder(events):
+    _first(events, "session_start")["config"]["grounder"] = "bogus"
+
+
+# One edit each, and the rule or field the report names.  Every edit but
+# `abstained_string` once gave a full 100 (10/10) row and exit 0; that one
+# exited 5 but blamed the gating rule, not the field.
+_REPORT_EDITS = {
+    "termination_deleted": (_drop("termination"),
+                            "not one termination, right before session_end"),
+    "termination_kind": (_set("termination", "kind", "Bogus"),
+                         "termination Bogus None disagrees with the stage "
+                         "ends, which give TaskCompleted None"),
+    "task_deleted": (_drop("task"),
+                     "scene and task do not follow session_start"),
+    "event_renamed": (_rename_path, "record 5: unknown event 'bogus'"),
+    "clock_string": (_string_clock,
+                     "record 4: subtask_start.clock_s: not number"),
+    "sim_time_null": (_set("subtask_end", "sim_time_s", None),
+                      "record 6: subtask_end.sim_time_s: not number"),
+    "grounder": (_bogus_grounder,
+                 "session_start config: grounder: must be one of"),
+    "abstained_string": (_set("olr", "abstained", "no"),
+                         "olr.abstained: not boolean"),
+    "extra_field": (_set("task", "color", "red"),
+                    "record 3: task.color: unknown field"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPORT_EDITS))
+def test_report_names_the_broken_rule(tmp_path, capsys, seed7_events, case):
+    """`report` checks every record against its row of the event table and
+    each session against the order `run` writes, naming what broke."""
+    edit, names = _REPORT_EDITS[case]
+    events = copy.deepcopy(seed7_events)
+    edit(events)
+    log = tmp_path / "edited.jsonl"
+    write_events(log, events)
+    assert main(["report", str(log)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error in {log}: session 0: ")
+    assert names in err and err.count("\n") == 1
+    if case == "grounder":
+        assert main(["replay", str(log)]) == EXIT_SCHEMA
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [True, -5, 2 ** 70])
+def test_replay_refuses_a_seed_run_refuses(tmp_path, capsys, seed):
+    """A logged master seed that `run --seed` would refuse is a schema
+    error, as a missing one is, not a re-run that mismatches."""
+    out = tmp_path / "out"
+    assert main(["run", "--seed", "1", "--sessions", "1",
+                 "--out", str(out)]) == EXIT_OK
+    events = read_events(out / "episodes.jsonl")
+    events[0]["seed"] = seed
+    log = tmp_path / "seed.jsonl"
+    write_events(log, events)
+    capsys.readouterr()
+    assert main(["replay", str(log)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == (f"schema error in {log}: session_start config: seed: "
+                   f"must be a 64-bit unsigned integer\n")
 
 
 class TestReplay:

@@ -3,9 +3,9 @@
 Logs are short lists of JSON objects.  Most are events of one real session
 with some values, at any depth, swapped for arbitrary ones, so the readers
 get past the JSON layer into the checks behind it; the rest are objects
-built from the real event names and keys.  A second family keeps only
-what the tally reads, near the gated shape, so that `report` accepts some
-of those logs and each accepted one can be checked for gated counts.
+built from the real event names and keys.  A second family is sessions
+in the shape `run` writes, near the gated order, so that `report` accepts
+some of those logs and each accepted one can be checked for gated counts.
 """
 import contextlib
 import io
@@ -14,10 +14,11 @@ import re
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import session_events
 from homefetch.agent import GROUNDERS
 from homefetch.cli import main
 from homefetch.config import RunConfig
-from homefetch.session import OLR, SUBTASKS, run_session
+from homefetch.session import SUBTASKS, run_session
 
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 
@@ -104,22 +105,15 @@ def test_malformed_logs_exit_by_contract(tmp_path, log):
 
 
 def _session(index, label, abstained, verdicts, extra):
-    """One session: the gated stage ends of `verdicts`, up to the first
-    failure, then the `extra` ends, which may break the gating."""
-    def ev(name, **fields):
-        return {"event": name, "session": index, **fields}
-
-    out = [ev("session_start", config={"grounder": label})]
+    """One session in the shape `run` writes: the gated stage ends of
+    `verdicts`, up to the first failure, then the `extra` ends, which may
+    break the gating."""
+    ends = []
     for sub, ok in zip(SUBTASKS, verdicts):
-        if sub == OLR:
-            out.append(ev("olr", abstained=abstained))
-        out.append(ev("subtask_end", subtask=sub, attempted=True,
-                      succeeded=ok))
+        ends.append((sub, True, ok))
         if not ok:
             break
-    out += [ev("subtask_end", subtask=sub, attempted=attempted,
-               succeeded=ok) for sub, attempted, ok in extra]
-    return out + [ev("session_end")]
+    return session_events(index, label, ends + extra, abstained)
 
 
 stage_ends = st.lists(st.tuples(st.sampled_from(SUBTASKS), st.booleans(),

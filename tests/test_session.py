@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import only_event, trace_bits, verdicts
+from helpers import only_event, session_events, trace_bits, verdicts
 from homefetch import session
 from homefetch.agent import NoiseConfig, navigate_to_room
 from homefetch.config import RunConfig, config_echo
@@ -55,16 +55,7 @@ class TestFormatting:
 
 
 def _session_events(label, ends, abstained=False):
-    """Synthetic minimal event stream for one session."""
-    ev = [{"event": "session_start", "session": 0, "seed": 1,
-           "config": {"grounder": label}}]
-    for sub, attempted, succeeded in ends:
-        if sub == OLR:
-            ev.append({"event": "olr", "session": 0, "abstained": abstained})
-        ev.append({"event": "subtask_end", "session": 0, "subtask": sub,
-                   "attempted": attempted, "succeeded": succeeded})
-    ev.append({"event": "session_end", "session": 0})
-    return ev
+    return session_events(0, label, ends, abstained)
 
 
 class TestTalliesFromEvents:
@@ -102,9 +93,10 @@ class TestTalliesFromEvents:
         assert compat["keyword-baseline"].attempts == (1, 1, 0, 0)
 
     def test_schema_errors(self):
-        with pytest.raises(SchemaError, match="config.grounder"):
-            tallies_from_events([{"event": "session_start", "session": 0},
-                                 {"event": "session_end", "session": 0}])
+        bad = _session_events("bogus", [])
+        with pytest.raises(SchemaError, match="^session 0: session_start "
+                           "config: grounder: must be one of"):
+            tallies_from_events(bad)
         with pytest.raises(SchemaError, match="before any session_start"):
             tallies_from_events([{"event": "subtask_end", "session": 0,
                                   "subtask": NAVIGATION, "attempted": True}])
@@ -134,8 +126,8 @@ class TestTalliesFromEvents:
 
     def test_one_session_index_per_session(self):
         ev = _session_events("relational", [(NAVIGATION, True, True)])
-        ev[1]["session"] = 1
-        with pytest.raises(SchemaError, match=r"^session 0: its record 2 "
+        ev[3]["session"] = 1
+        with pytest.raises(SchemaError, match=r"^session 0: its record 4 "
                            r"\(subtask_end\) carries session index 1$"):
             tallies_from_events(ev)
 

@@ -465,6 +465,10 @@ def _paths(tree, path=()):
         yield from _paths(sub, path + (key,))
 
 
+# A test value meaning "drop the field".
+_DROP = object()
+
+
 def _mutated(path, value, drop):
     rec = copy.deepcopy(_RECORD)
     *head, last = path
@@ -521,9 +525,19 @@ class TestValidateEpisode:
         (("task", "target", "xy_m", 0), False),
         (("scene", "objects", _OTHER_OBJECT, "id"), 7),
         (("scene", "furniture", _OTHER_FURNITURE, "surfaces", 0, "id"), None),
+        (("captures", "target", "camera"), _DROP),
+        (("captures", "target", "supports"), _DROP),
+        (("task", "room"), _DROP),
+        (("scene", "layout"), _DROP),
+        (("scene", "robot"), 5),
+        (("scene", "objects", _OTHER_OBJECT, "x_m"), "a"),
+        (("captures", "target", "snapshots", 0, "bearing_rad"), "x"),
+        (("instruction", "ast"), {}),
+        (("scene", "robot", "wheels"), 4),
+        (("task", "target", "xy_m"), [1.0, 2.0, 3.0]),
     ])
     def test_malformed_fields_are_reported(self, path, value):
-        assert validate_episode(_mutated(path, value, drop=False))
+        assert validate_episode(_mutated(path, value, drop=value is _DROP))
 
     @pytest.mark.parametrize("role, where", [
         ("target", ("scene", "objects", _TARGET_AT)),
@@ -541,7 +555,7 @@ class TestValidateEpisode:
                        rec["captures"][role]["snapshots"][0]):
             holder["id"] = ["x"]
         rec["captures"][role]["subject"] = ["x"]
-        assert f"task.{role}.id must be a string" in validate_episode(rec)
+        assert f"episode.task.{role}.id: not string" in validate_episode(rec)
 
 
 class TestLatticeCheckFirst:

@@ -158,8 +158,33 @@ def config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
+# What `config_echo` writes: every key at every level, bar `_NOT_ECHOED`.
+_ECHO_SCHEMA = {k: v for k, v in _SCHEMA.items() if k not in _NOT_ECHOED}
+
+
+def _missing(data: dict, schema: dict, path: str) -> str | None:
+    """The first key of `schema`, depth first, that `data` leaves out."""
+    for key, want in schema.items():
+        where = f"{path}.{key}" if path else key
+        if key not in data:
+            return where
+        if isinstance(want, dict) and isinstance(data[key], dict):
+            missing = _missing(data[key], want, where)
+            if missing:
+                return missing
+    return None
+
+
 def config_from_echo(echo: dict) -> RunConfig:
-    """Rebuild a runnable config from a logged echo (replay path)."""
+    """Rebuild a runnable config from a logged echo (replay path).
+
+    The echo must hold every key `config_echo` writes: a key left out would
+    take its default, which need not be what the session ran with.
+    """
     if not isinstance(echo, dict):
         raise ConfigError("config echo: must be an object")
-    return config_from_dict(echo)
+    cfg = config_from_dict(echo)
+    missing = _missing(echo, _ECHO_SCHEMA, "")
+    if missing:
+        raise ConfigError(f"{missing}: missing from the echo")
+    return cfg

@@ -288,10 +288,12 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     Requires: grounding from the crawl lattice is strictly unique and lands
     on the ground truth for both roles; a grasp approach exists near the
     target; a set-down approach with at least one free spiral slot exists
-    at the destination.
+    at the destination; the text parses back to the instruction.  The
+    grounding reads `task.instruction`, not the parsed text, and no check
+    has an effect beyond its memos, so the order changes no verdict: the
+    parse, which realized text always passes, goes last, after the checks
+    that reject.
     """
-    if parse(task.text) != task.instruction:
-        return False
     caps = lattice_captures(env, task.room)
     g = ground(task.instruction, caps, [c.snapshots for c in caps],
                RELATIONAL, cfg.weights, cfg.thresholds)
@@ -312,7 +314,7 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
                    place_app.dock)
     except ActionFailure:
         return False
-    return True
+    return parse(task.text) == task.instruction
 
 
 def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:

@@ -20,6 +20,18 @@ every clearance: in a cell whose gap is at least the clearance plus 1e-9
 every point provably clears, so `point_blocked` returns False at once there
 and runs the exact loop everywhere else.
 
+Both exact loops skip what a bound rules out, and so keep every verdict.
+`point_blocked` skips a rectangle when the point's gap to it along one axis
+is already at least the clearance: the distance, a `hypot` of the two axis
+gaps, is never below either.  `line_of_sight` skips a rectangle that misses
+the segment's box widened by 1e-9, and a disk whose centre lies farther than
+its radius plus 1e-9 from that box along one axis: a crossing needs a point
+that the exact test computes on the segment (the clipped midpoint, the
+nearest point to the centre) inside the rectangle or the disk, and that
+point lies within a few ulps of the segment's box, far inside the margin
+for coordinates below 1e6 m.  A NaN or infinite coordinate fails every
+exact test, skipped or not.
+
 Memos keep every result byte-identical to an uncached run, and each lives
 on the object whose lifetime matches what it depends on.  A `Layout` is the
 static home, shared by every scene on it and equal only to itself, so
@@ -246,6 +258,15 @@ class Layout:
                         dtype=np.float64).reshape(-1, 4)
 
     @cached_property
+    def furniture_columns(self) -> dict[str, list[int]]:
+        """Furniture id -> its columns of `sight_rects`, every piece that
+        bears the id (`validate_layout` refuses a repeated one)."""
+        cols: dict[str, list[int]] = {}
+        for k, f in enumerate(self.furniture):
+            cols.setdefault(f.id, []).append(len(self.walls) + k)
+        return cols
+
+    @cached_property
     def surfaces(self) -> tuple[SupportSurface, ...]:
         return tuple(s for f in self.furniture for s in f.surfaces)
 
@@ -309,29 +330,50 @@ def point_in_room(env: Environment, x: float, y: float) -> str | None:
     return None
 
 
+# Margin of the sight prefilters.  np.hypot and np.arctan2 may differ from
+# math.hypot and math.atan2 in the last bit, so `visible_batch` hands a pair
+# within this margin of a threshold to the scalar test; `line_of_sight`
+# widens a segment's box by it to cover the rounding of the points its exact
+# tests compute on the segment.
+_SIGHT_EPS = 1e-9
+
+
 def line_of_sight(env: Environment, a: tuple[float, float], b: tuple[float, float],
                   ignore: frozenset[str] | set[str] = frozenset()) -> bool:
     """True iff the open segment a-b is not blocked.
 
     Walls always block.  Furniture footprints and dynamic-object disks
-    block unless their id is in `ignore`.
+    block unless their id is in `ignore`.  What the segment's box rules out
+    skips its exact test (see the module docstring).
     """
     ax, ay = a
     bx, by = b
     if ax == bx and ay == by:
         return True
+    # The segment's box, widened by the margin: what misses it is skipped.
+    lx, hx = (ax, bx) if ax <= bx else (bx, ax)
+    ly, hy = (ay, by) if ay <= by else (by, ay)
+    lx -= _SIGHT_EPS
+    hx += _SIGHT_EPS
+    ly -= _SIGHT_EPS
+    hy += _SIGHT_EPS
     for w in env.layout.walls:
+        if w.x1 < lx or w.x0 > hx or w.y1 < ly or w.y0 > hy:
+            continue
         if segment_crosses_rect(ax, ay, bx, by, w):
             return False
     for f in env.layout.furniture:
-        if f.id in ignore:
+        r = f.footprint
+        if r.x1 < lx or r.x0 > hx or r.y1 < ly or r.y0 > hy or f.id in ignore:
             continue
-        if segment_crosses_rect(ax, ay, bx, by, f.footprint):
+        if segment_crosses_rect(ax, ay, bx, by, r):
             return False
     for o in env.objects.values():
-        if o.id in ignore:
+        ox, oy, rad = o.pose.x, o.pose.y, o.radius
+        if ox + rad < lx or ox - rad > hx or oy + rad < ly or oy - rad > hy \
+                or o.id in ignore:
             continue
-        if segment_crosses_disk(ax, ay, bx, by, o.pose.x, o.pose.y, o.radius):
+        if segment_crosses_disk(ax, ay, bx, by, ox, oy, rad):
             return False
     return True
 
@@ -418,12 +460,6 @@ def visible_objects(env: Environment, cam: CameraPose) -> list[Snapshot]:
     return out
 
 
-# Margin of the array prefilters.  np.hypot and np.arctan2 may differ from
-# math.hypot and math.atan2 in the last bit; a pair within this margin of a
-# threshold is handed to the scalar test.
-_BATCH_EPS = 1e-9
-
-
 def visible_batch(env: Environment, cams: list[CameraPose]) -> list[list[Snapshot]]:
     """`[visible_objects(env, c) for c in cams]`, in a few array passes.
 
@@ -443,10 +479,10 @@ def visible_batch(env: Environment, cams: list[CameraPose]) -> list[list[Snapsho
     ref = np.array([s[3] for s in subs])
     dx = ref[None, :, 0] - cam[:, 0:1]
     dy = ref[None, :, 1] - cam[:, 1:2]
-    near = np.hypot(dx, dy) <= cam[:, 4:5] + _BATCH_EPS
+    near = np.hypot(dx, dy) <= cam[:, 4:5] + _SIGHT_EPS
     off = np.abs(np.mod(np.arctan2(dy, dx) - cam[:, 2:3] + math.pi, TWO_PI)
                  - math.pi)
-    cone = (off <= cam[:, 3:4] + _BATCH_EPS) | ((dx == 0.0) & (dy == 0.0))
+    cone = (off <= cam[:, 3:4] + _SIGHT_EPS) | ((dx == 0.0) & (dy == 0.0))
     ci, sj = np.nonzero(near & cone)
     clear = _sight_clear(env, subs, sj, cam[ci, 0], cam[ci, 1],
                          ref[sj, 0], ref[sj, 1])
@@ -464,49 +500,66 @@ def _sight_clear(env: Environment, subs: list, sj: np.ndarray,
                  bx: np.ndarray, by: np.ndarray) -> np.ndarray:
     """`line_of_sight` of each segment a-b toward subject `subs[sj]`.
 
-    Rectangles run `segment_crosses_rect` as masks: the same four (p, q)
-    steps, branches and tolerances.  Elementwise float64 arithmetic and
-    comparisons are IEEE-identical to Python's, so each verdict is too.
-    Disks use the distance formula of `segment_point_distance` but decide
-    only outside a band around the radius, since np.hypot may differ from
-    math.hypot in the last bit; inside the band the scalar test decides.
+    Rectangles run the clip of `segment_crosses_rect` in closed form, on
+    (K, M) arrays of pairs by rectangles: t0 is the largest entry (at least
+    0) and t1 the smallest exit (at most 1) over the two axes, each axis
+    entering at the smaller of its two slab crossings and leaving at the
+    larger.  The scalar loop returns early exactly where its final t0
+    would exceed t1 (each bound it keeps is a running max or min, and it
+    stops at the first that crosses the other), and the `t1 - t0 <= 1e-12`
+    test rejects those pairs; elsewhere its t0 and t1 are the same max and
+    min.  The midpoint test is the scalar one, and elementwise float64
+    arithmetic and comparisons are IEEE-identical to Python's, so each
+    verdict is too.  Disks use the distance formula of
+    `segment_point_distance` but decide only outside a band around the
+    radius, since np.hypot may differ from math.hypot in the last bit;
+    inside the band the scalar test decides.
     """
-    # Columns of `sight_rects` per furniture id: `line_of_sight` looks past
-    # every piece that bears an ignored id.
     layout = env.layout
-    fcol: dict[str, list[int]] = {}
-    for k, f in enumerate(layout.furniture):
-        fcol.setdefault(f.id, []).append(len(layout.walls) + k)
+    fcol = layout.furniture_columns
     objs = [source for _, kind, source, _ in subs if kind == DYNAMIC]
     ocol = {o.id: k for k, o in enumerate(objs)}
-    skip_rect = np.zeros((len(subs), len(layout.obstacles)), dtype=bool)
-    skip_disk = np.zeros((len(subs), len(objs)), dtype=bool)
+    # (subject, column) of each rectangle and disk a subject looks past.
+    rect_past: tuple[list[int], list[int]] = ([], [])
+    disk_past: tuple[list[int], list[int]] = ([], [])
     for s, (_, kind, source, _) in enumerate(subs):
         for name in _looks_past(env, kind, source):
-            if name in fcol:
-                skip_rect[s, fcol[name]] = True
+            for col in fcol.get(name, ()):
+                rect_past[0].append(s)
+                rect_past[1].append(col)
             if name in ocol:
-                skip_disk[s, ocol[name]] = True
+                disk_past[0].append(s)
+                disk_past[1].append(ocol[name])
+    skip_rect = np.zeros((len(subs), len(layout.obstacles)), dtype=bool)
+    skip_rect[rect_past] = True
+    skip_disk = np.zeros((len(subs), len(objs)), dtype=bool)
+    skip_disk[disk_past] = True
 
     same = (ax == bx) & (ay == by)
     ax, ay, bx, by = ax[:, None], ay[:, None], bx[:, None], by[:, None]
     dx = bx - ax
     dy = by - ay
     x0, y0, x1, y1 = layout.sight_rects.T
-    alive = ~skip_rect[sj]
-    t0 = np.zeros(alive.shape)
-    t1 = np.ones(alive.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # q = u - v, built one step at a time to keep few (K, M) arrays alive.
-        for p, u, v in ((-dx, ax, x0), (dx, x1, ax), (-dy, ay, y0), (dy, y1, ay)):
-            q = u - v
-            t = q / p
-            lo = p < 0.0
-            hi = p > 0.0
-            alive &= ~(((p == 0.0) & (q < 0.0)) | (lo & (t > t1)) | (hi & (t < t0)))
-            np.copyto(t0, t, where=lo & (t > t0))
-            np.copyto(t1, t, where=hi & (t < t1))
-        alive &= ~(t1 - t0 <= 1e-12)
+        # Where an axis has d != 0, its two t are the scalar loop's q / p of
+        # that axis (negating q and p changes no quotient), the smaller one
+        # entering and the larger leaving.  Where d == 0 the scalar skips
+        # the axis unless q < 0: here both t are infinite, -inf and +inf
+        # (no bound) or, for a point outside the slab, the same sign, which
+        # pushes t0 past t1.  A point on the slab's edge (q == 0) gives a
+        # NaN, which fails every test below, as the scalar's midpoint, on
+        # that edge, fails its strict one.  The signs of zeros differ from
+        # the scalar's, but a zero t1 fails the 1e-12 test and past it
+        # t1 > 0, so t0 + t1 == t1 for either zero t0.
+        tx0 = (x0 - ax) / dx
+        tx1 = (x1 - ax) / dx
+        ty0 = (y0 - ay) / dy
+        ty1 = (y1 - ay) / dy
+        t0 = np.maximum(np.maximum(np.minimum(tx0, tx1),
+                                   np.minimum(ty0, ty1)), 0.0)
+        t1 = np.minimum(np.minimum(np.maximum(tx0, tx1),
+                                   np.maximum(ty0, ty1)), 1.0)
+        alive = ~(skip_rect[sj] | (t1 - t0 <= 1e-12))
         # The clipped midpoint a + tm * d, in place: + and * commute exactly.
         tm = t0
         tm += t1
@@ -525,8 +578,8 @@ def _sight_clear(env: Environment, subs: list, sj: np.ndarray,
                 0.0, ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)))
             d = np.hypot(px - (ax + t * dx), py - (ay + t * dy))
             live = ~skip_disk[sj]
-            blocked |= (live & (d < rad - _BATCH_EPS)).any(axis=1)
-            band = live & ~(d < rad - _BATCH_EPS) & ~(d > rad + _BATCH_EPS)
+            blocked |= (live & (d < rad - _SIGHT_EPS)).any(axis=1)
+            band = live & ~(d < rad - _SIGHT_EPS) & ~(d > rad + _SIGHT_EPS)
             for k, n in zip(*(ix.tolist() for ix in np.nonzero(band))):
                 o = objs[n]
                 if not blocked[k] and segment_crosses_disk(
@@ -728,8 +781,11 @@ def point_blocked(env: Environment, x: float, y: float, clearance: float) -> boo
         return False
     if point_in_room(env, x, y) is None:
         return True
+    c = clearance
     for r in env.layout.obstacles:
-        if r.distance_to(x, y) < clearance:
+        if r.x0 - x >= c or x - r.x1 >= c or r.y0 - y >= c or y - r.y1 >= c:
+            continue
+        if r.distance_to(x, y) < c:
             return True
     return False
 

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from homefetch.agent import (
     CRAWL_SPACING_M, HEADINGS, Capture, captured, room_lattice,
 )
-from homefetch.geometry import Rect, dist, norm_angle
+from homefetch.config import RunConfig, config_echo
+from homefetch.geometry import (
+    Rect, dist, norm_angle, segment_crosses_disk, segment_crosses_rect,
+)
 from homefetch.language import (
     KIND_ORDER,
     ONTO,
@@ -442,7 +445,7 @@ def session_events(index: int, label: str, ends,
 
     pick, capture = (None, None) if abstained else ("x", 0)
     out = [ev("session_start", seed=1, session_seed=2,
-              config={"grounder": label}),
+              config={**config_echo(RunConfig()), "grounder": label}),
            ev("scene", layout="default", objects=1, digest="0" * 16),
            ev("task", target="x", destination="x", room="x", text="x.")]
     last = None
@@ -463,6 +466,32 @@ def session_events(index: int, label: str, ends,
 
 
 # --- brute-force visibility oracle ---------------------------------------
+
+def reference_line_of_sight(env: Environment, a: tuple[float, float],
+                            b: tuple[float, float],
+                            ignore: frozenset[str] | set[str] = frozenset(),
+                            ) -> bool:
+    """`world.line_of_sight` without its box prefilter: every wall,
+    footprint and disk runs its exact test."""
+    ax, ay = a
+    bx, by = b
+    if ax == bx and ay == by:
+        return True
+    for w in env.layout.walls:
+        if segment_crosses_rect(ax, ay, bx, by, w):
+            return False
+    for f in env.layout.furniture:
+        if f.id in ignore:
+            continue
+        if segment_crosses_rect(ax, ay, bx, by, f.footprint):
+            return False
+    for o in env.objects.values():
+        if o.id in ignore:
+            continue
+        if segment_crosses_disk(ax, ay, bx, by, o.pose.x, o.pose.y, o.radius):
+            return False
+    return True
+
 
 def _ray_clear(env: Environment, a: tuple[float, float],
                b: tuple[float, float], ignore: set[str]) -> bool:

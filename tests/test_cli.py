@@ -14,6 +14,7 @@ from homefetch.cli import (
     EXIT_SCHEMA,
     main,
 )
+from homefetch.config import RunConfig, config_echo
 from homefetch.eventlog import read_events, write_events
 from homefetch.layouts import make_environment
 from homefetch.planner import plan_path
@@ -407,6 +408,22 @@ def _bogus_grounder(events):
     _first(events, "session_start")["config"]["grounder"] = "bogus"
 
 
+def _grounder_left_out(events):
+    for e in events:
+        if e["event"] == "session_start":
+            del e["config"]["grounder"]
+
+
+@pytest.fixture(scope="module")
+def baseline_events(tmp_path_factory):
+    """The events of `run --seed 1 --sessions 2 --grounder keyword-baseline`,
+    whose grounder is not the default."""
+    out = tmp_path_factory.mktemp("baseline")
+    assert main(["run", "--seed", "1", "--sessions", "2", "--grounder",
+                 "keyword-baseline", "--out", str(out)]) == EXIT_OK
+    return read_events(out / "episodes.jsonl")
+
+
 # One edit each, and the rule or field the report names.  Every edit but
 # `abstained_string` once gave a full 100 (10/10) row and exit 0; that one
 # exited 5 but blamed the gating rule, not the field.
@@ -425,6 +442,11 @@ _REPORT_EDITS = {
                       "record 6: subtask_end.sim_time_s: not number"),
     "grounder": (_bogus_grounder,
                  "session_start config: grounder: must be one of"),
+    # Once counted under a `relational` row (exit 0), and replayed under the
+    # default grounder into a mismatch (exit 6).
+    "grounder_left_out": (_grounder_left_out,
+                          "session_start config: grounder: missing from the "
+                          "echo"),
     "abstained_string": (_set("olr", "abstained", "no"),
                          "olr.abstained: not boolean"),
     "extra_field": (_set("task", "color", "red"),
@@ -432,12 +454,17 @@ _REPORT_EDITS = {
 }
 
 
+# The edited log, where it is not `seed7_events`.
+_REPORT_LOGS = {"grounder_left_out": "baseline_events"}
+
+
 @pytest.mark.parametrize("case", sorted(_REPORT_EDITS))
-def test_report_names_the_broken_rule(tmp_path, capsys, seed7_events, case):
+def test_report_names_the_broken_rule(tmp_path, capsys, request, case):
     """`report` checks every record against its row of the event table and
     each session against the order `run` writes, naming what broke."""
     edit, names = _REPORT_EDITS[case]
-    events = copy.deepcopy(seed7_events)
+    events = copy.deepcopy(request.getfixturevalue(
+        _REPORT_LOGS.get(case, "seed7_events")))
     edit(events)
     log = tmp_path / "edited.jsonl"
     write_events(log, events)
@@ -445,7 +472,7 @@ def test_report_names_the_broken_rule(tmp_path, capsys, seed7_events, case):
     err = capsys.readouterr().err
     assert err.startswith(f"schema error in {log}: session 0: ")
     assert names in err and err.count("\n") == 1
-    if case == "grounder":
+    if case.startswith("grounder"):
         assert main(["replay", str(log)]) == EXIT_SCHEMA
         capsys.readouterr()
 
@@ -488,11 +515,12 @@ class TestReplay:
 
     def test_ungeneratable_session_exits_3(self, tmp_path, capsys):
         """An echo whose generator places no objects yields no task."""
-        gen = {"objects_per_room": 0.0, "min_objects": 0, "max_objects": 0}
+        echo = config_echo(RunConfig())
+        echo["gen"].update(objects_per_room=0.0, min_objects=0, max_objects=0)
         log = tmp_path / "empty-scenes.jsonl"
         write_events(log, [
             {"event": "session_start", "session": 0, "clock_s": 0.0,
-             "seed": 3, "config": {"gen": gen}},
+             "seed": 3, "config": echo},
             {"event": "session_end", "session": 0, "clock_s": 0.0}])
         assert main(["replay", str(log)]) == EXIT_GENERATION
         err = capsys.readouterr().err

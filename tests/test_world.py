@@ -12,13 +12,15 @@ from helpers import (
     nudge,
     open_plan,
     reference_grid,
+    reference_line_of_sight,
     room_layout,
     scene,
     scenes,
     table,
 )
+from homefetch import world
 from homefetch.agent import DOCK_CLEARANCE_M, room_lattice
-from homefetch.geometry import Rect, norm_angle
+from homefetch.geometry import Rect, norm_angle, segment_crosses_rect
 from homefetch.layouts import make_environment
 from homefetch.taskgen import GenConfig, build_environment
 from homefetch.world import (
@@ -143,6 +145,123 @@ class TestLineOfSight:
     def test_identical_endpoints(self):
         env = make_env()
         assert line_of_sight(env, (1.0, 1.0), (1.0, 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(env=scenes(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_reference_on_random_scenes(self, env, seed):
+        """The box prefilter skips no rectangle or disk the exact tests
+        would find blocking, on the segments where it could."""
+        rng = random.Random(seed)
+        env = scene(env.layout, objects=_disks(env, rng))
+        ids = ([f.id for f in env.layout.furniture] + list(env.objects))
+        for a, b in _sight_segments(env, rng, 300):
+            ignore = frozenset(i for i in ids if rng.random() < 0.3)
+            assert line_of_sight(env, a, b, ignore) == \
+                reference_line_of_sight(env, a, b, ignore), (a, b, ignore)
+
+    def test_short_line_tests_only_rectangles_near_it(self, monkeypatch):
+        """The exact rectangle test runs only where the segment's box meets
+        the rectangle's: the prefilter, counted rather than timed."""
+        env = make_environment("default")
+        tested = []
+
+        def counted(ax, ay, bx, by, r):
+            tested.append(r)
+            return segment_crosses_rect(ax, ay, bx, by, r)
+
+        monkeypatch.setattr(world, "segment_crosses_rect", counted)
+        a, b = (2.4, 1.6), (3.2, 2.4)  # in the living room, to its table
+        assert not line_of_sight(env, a, b)
+        assert not reference_line_of_sight(env, a, b)
+        meets = [r for r in env.layout.obstacles
+                 if r.x0 <= b[0] and a[0] <= r.x1
+                 and r.y0 <= b[1] and a[1] <= r.y1]
+        assert len(meets) == 1 and len(env.layout.obstacles) == 24
+        assert 0 < len(tested) <= len(meets)
+
+
+def _disks(env, rng: random.Random) -> tuple:
+    """Up to four disks anywhere in the scene's rooms, some on a table."""
+    rooms = [r.bounds for r in env.layout.rooms]
+    owners = [s.id for s in env.layout.surfaces] + [None]
+    out = []
+    for k in range(rng.randrange(5)):
+        b = rng.choice(rooms)
+        out.append(ball(f"o{k}", (rng.uniform(b.x0, b.x1),
+                                  rng.uniform(b.y0, b.y1)),
+                        rng.choice(owners), radius=rng.uniform(0.02, 0.4)))
+    return tuple(out)
+
+
+def _sight_segments(env, rng: random.Random, n: int) -> list[tuple]:
+    """Segments where a box test could differ from the exact one: ending
+    on an edge or a corner, or within the margin of one, sliding along an
+    edge, parallel to an axis, of zero length, passing within 1e-12 of a
+    disk's radius, and ending within the margin of a disk's rim along an
+    axis; endpoints sometimes nudged by a float step or two."""
+    rects = list(env.layout.obstacles)
+    disks = list(env.objects.values())
+    lo_x = min(r.bounds.x0 for r in env.layout.rooms) - 0.5
+    hi_x = max(r.bounds.x1 for r in env.layout.rooms) + 0.5
+    lo_y = min(r.bounds.y0 for r in env.layout.rooms) - 0.5
+    hi_y = max(r.bounds.y1 for r in env.layout.rooms) + 0.5
+
+    def anywhere():
+        return (rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
+
+    segs = []
+    while len(segs) < n:
+        kind = rng.randrange(5)
+        if kind == 0 and rects:  # ends on an edge or a corner
+            r = rng.choice(rects)
+            ex, ey = rng.choice(((r.x0, r.y0), (r.x1, r.y0), (r.x0, r.y1),
+                                 (r.x1, r.y1), (r.x0, rng.uniform(r.y0, r.y1)),
+                                 (rng.uniform(r.x0, r.x1), r.y1)))
+            if rng.random() < 0.5:
+                ex += rng.uniform(-2e-9, 2e-9)
+                ey += rng.uniform(-2e-9, 2e-9)
+            segs.append((anywhere(), (ex, ey)))
+        elif kind == 1 and rects:  # slides along an edge, past its ends
+            r = rng.choice(rects)
+            if rng.random() < 0.5:
+                x = rng.choice((r.x0, r.x1))
+                segs.append(((x, r.y0 + rng.uniform(-1.0, 1.0)),
+                             (x, r.y1 + rng.uniform(-1.0, 1.0))))
+            else:
+                y = rng.choice((r.y0, r.y1))
+                segs.append(((r.x0 + rng.uniform(-1.0, 1.0), y),
+                             (r.x1 + rng.uniform(-1.0, 1.0), y)))
+        elif kind == 2:  # parallel to an axis
+            (ax, ay), (bx, by) = anywhere(), anywhere()
+            segs.append(((ax, ay), (ax, by) if rng.random() < 0.5
+                         else (bx, ay)))
+        elif kind == 3:  # zero length
+            a = anywhere()
+            segs.append((a, a))
+        elif disks and rng.random() < 0.5:  # ends at a rim, from outside
+            o = rng.choice(disks)
+            ux, uy = rng.choice(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0),
+                                 (0.0, -1.0)))
+            reach = o.radius + rng.uniform(-2e-9, 2e-9)
+            ex, ey = o.pose.x + ux * reach, o.pose.y + uy * reach
+            out = rng.uniform(0.1, 2.0)
+            side = rng.uniform(-0.5, 0.5)
+            segs.append(((ex, ey), (ex + ux * out + uy * side,
+                                    ey + uy * out + ux * side)))
+        elif disks:  # a tangent, or within 1e-12 of one
+            o = rng.choice(disks)
+            off = o.radius + rng.choice((-1e-12, 0.0, 1e-12))
+            ang = rng.choice((0.0, math.pi / 2.0, rng.uniform(-math.pi,
+                                                               math.pi)))
+            c, s_ = math.cos(ang), math.sin(ang)
+            mx, my = o.pose.x - off * s_, o.pose.y + off * c
+            la, lb = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+            segs.append(((mx - la * c, my - la * s_), (mx + lb * c, my + lb * s_)))
+        if segs and rng.random() < 0.3:
+            (ax, ay), (bx, by) = segs[-1]
+            segs[-1] = ((nudge(ax, rng), nudge(ay, rng)),
+                        (nudge(bx, rng), nudge(by, rng)))
+    return segs
 
 
 class TestVisibleObjects:
@@ -273,6 +392,34 @@ class TestVisibleBatch:
         assert "o0" in [s.object_id for s in got[0]]
         assert "o1" in [s.object_id for s in got[1]]
         assert "o2" not in [s.object_id for s in got[2]]
+
+    def test_clip_edge_cases(self):
+        """Each case where the closed-form clip and the scalar loop take
+        different routes to their verdict."""
+        block = table("t0", Rect(2.0, 2.0, 3.0, 3.0))
+        shelf = table("t1", Rect(2.0, 3.5, 3.0, 4.5))
+        env = make_env(furniture=(block, shelf), objects=(
+            ball("o0", (2.0, 1.0), None), ball("o1", (2.0, 4.2), "t1/top"),
+            ball("o2", (3.5, 0.5), None), ball("o3", (3.5, 3.0), None)))
+        # p == 0 with q == 0: along the line x = 2.0 of t0's left edge,
+        # short of t0 (to o0) and past its whole length (to o1, on t1,
+        # which its sight line looks past, and whose edge it slides along
+        # too).  A hair to the right, t0 blocks.
+        short = CameraPose(Pose(2.0, 0.5, math.pi / 2.0), range=1.0)
+        along = CameraPose(Pose(2.0, 1.3, math.pi / 2.0))
+        inside = CameraPose(Pose(2.0 + 1e-9, 1.3, math.pi / 2.0))
+        # Through t0's corner (2, 2) alone, on the diagonal x + y = 4 to o2.
+        corner = CameraPose(Pose(1.5, 2.5, -math.pi / 4.0))
+        # p == 0 with q == 0 for t0's top edge y = 3.0: the sight line to
+        # o3 slides along the whole edge.
+        edge = CameraPose(Pose(1.5, 3.0, 0.0))
+        cams = [short, along, inside, corner, edge]
+        got = visible_batch(env, cams)
+        assert got == [visible_objects(env, c) for c in cams]
+        seen = [{s.object_id for s in snaps} for snaps in got]
+        assert seen[0] == {"o0"}
+        assert "o1" in seen[1] and "o1" not in seen[2]
+        assert "o2" in seen[3] and "o3" in seen[4]
 
     def test_no_subjects_and_no_cameras(self):
         env = make_env()
@@ -430,6 +577,49 @@ def _probe_points(env, clearance: float, rng: random.Random,
         else:  # anywhere, on the grid or a little beyond it
             pts.append((rng.uniform(grid.x0 - 1.0, grid.x0 + grid.nx * res + 1.0),
                         rng.uniform(grid.y0 - 1.0, grid.y0 + grid.ny * res + 1.0)))
+    return pts + _axis_gap_points(env, clearance)
+
+
+def _at_gap(gap, v: float, clearance: float, outward: float) -> float:
+    """The last float from `v` toward `outward` whose `gap` is still below
+    `clearance`: one float step further on, `point_blocked`'s axis test
+    skips.  Bisection, since near 0 a step of `v` need not move `gap`."""
+    step = math.copysign(2.0 * clearance, outward)
+    inner = outer = v
+    while gap(inner) >= clearance:
+        inner -= step
+    while gap(outer) < clearance:
+        outer += step
+    while True:
+        mid = 0.5 * (inner + outer)
+        if mid in (inner, outer):
+            return inner
+        if gap(mid) < clearance:
+            inner = mid
+        else:
+            outer = mid
+
+
+def _axis_gap_points(env, clearance: float) -> list[tuple[float, float]]:
+    """For each side of each obstacle, the points where the axis gap that
+    `point_blocked` tests first reaches `clearance`, and one float step
+    either side, beside the side's span, at its ends and past them."""
+    pts = []
+    for r in env.layout.obstacles:
+        sides = (
+            (lambda v, r=r: r.x0 - v, r.x0 - clearance, -math.inf, False),
+            (lambda v, r=r: v - r.x1, r.x1 + clearance, math.inf, False),
+            (lambda v, r=r: r.y0 - v, r.y0 - clearance, -math.inf, True),
+            (lambda v, r=r: v - r.y1, r.y1 + clearance, math.inf, True),
+        )
+        for gap, start, outward, across_y in sides:
+            edge = _at_gap(gap, start, clearance, outward)
+            lo, hi = (r.x0, r.x1) if across_y else (r.y0, r.y1)
+            for v in (math.nextafter(edge, -outward), edge,
+                      math.nextafter(edge, outward)):
+                for w in (lo, 0.5 * (lo + hi), hi, lo - 0.5 * clearance,
+                          hi + 0.5 * clearance):
+                    pts.append((w, v) if across_y else (v, w))
     return pts
 
 

@@ -23,9 +23,9 @@ from .session import (
     run_batch, run_session,
 )
 from .taskgen import (
-    GenConfig, GenerationFailed, NoFeasibleTask, NoViewpoint,
-    PlacementExhausted, TaskSpec, build_environment, capture_views,
-    export_dataset, generate_task, make_instruction, select_task,
+    GenConfig, GenerationFailed, NoFeasibleTask, PlacementExhausted,
+    TaskSpec, build_environment, capture_views, export_dataset,
+    generate_task, make_instruction, select_task,
 )
 from .world import (
     ActionFailure, CameraPose, DynamicObject, Environment, Pose, RobotState,
@@ -39,7 +39,7 @@ __all__ = [
     "DynamicObject", "Environment", "GenConfig", "GenerationFailed",
     "GotoClause", "Grounding", "InstructionAst",
     "KEYWORD_BASELINE", "ManipClause", "MismatchDetected",
-    "NoDistinguishingDescription", "NoFeasibleTask", "NoPath", "NoViewpoint",
+    "NoDistinguishingDescription", "NoFeasibleTask", "NoPath",
     "NoiseConfig", "ORACLE", "ParseError", "Path", "PlacementExhausted",
     "Pose", "RELATIONAL", "RelationThresholds", "RobotState", "RunConfig",
     "ScoreWeights", "SessionRecord", "Snapshot", "SpatialRelation",

@@ -146,7 +146,9 @@ def captured(env: Environment, cam: CameraPose) -> list[Snapshot]:
 
     The key is the camera's (x, y, theta, fov, range).  The static geometry
     is fixed after construction, and every move or re-parenting of an
-    object empties the memo.
+    object empties the memo.  No command calls it: the generator and the
+    crawl see whole lattices through `lattice_captures`.  The benchmark's
+    tracer (`perfbench/tracer.py`) still times it by name.
     """
     key = ("view", cam.pose.x, cam.pose.y, cam.pose.theta, cam.fov, cam.range)
     hit = env.memo.get(key)

@@ -5,16 +5,19 @@ in the camera frame of one capture, so two snapshots from the same capture
 are enough to decide Near/InFrontOf/LeftOf/RightOf; On additionally needs
 the object-to-surface support map.
 
-`distinguishing_descriptor` produces the minimal attribute set (plus at most
-one relation) that matches its subject and nothing else in view.  Matching
-is monotone in the attribute set, which is what makes the greedy prune at
-the end sound: any subset of an ambiguous set is still ambiguous.
+`minimal_attr_descriptor` produces the smallest attribute set that matches
+its subject and nothing else in a context.  `distinguishing_descriptor` is
+the relation search for a subject no attribute set singles out: the
+subject's attributes plus one relation to a landmark of the same capture,
+with the attributes the relation makes redundant pruned.  Matching is
+monotone in the attribute set, which is what makes the greedy prune at the
+end sound: any subset of an ambiguous set is still ambiguous.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .language import (
     ON, IN_FRONT_OF, NEAR, LEFT_OF, RIGHT_OF, KIND_ORDER,
@@ -73,7 +76,7 @@ def n_specified(attrs: AttributeSet) -> int:
 
 
 def minimal_attr_descriptor(subject: Snapshot,
-                            context: Sequence[Snapshot]) -> AttributeSet | None:
+                            context: Iterable[Snapshot]) -> AttributeSet | None:
     """Smallest attribute-only description unique to `subject` in `context`.
 
     Tries category, + color, + material, + both, and returns the first that
@@ -94,13 +97,14 @@ def distinguishing_descriptor(
     context: Sequence[Snapshot],
     supports: Mapping[str, str],
     th: RelationThresholds = RelationThresholds(),
-) -> tuple[AttributeSet, SpatialRelation | None]:
-    """Minimal referring expression for one subject of a capture.
+) -> tuple[AttributeSet, SpatialRelation]:
+    """A referring expression with one relation for a subject of a capture.
 
-    Attribute escalation first; if the full attribute set stays ambiguous,
-    try relations in KIND_ORDER against landmarks that themselves have a
-    unique attribute-only description, then prune attributes the relation
-    made redundant.
+    Tries relations in KIND_ORDER against landmarks that themselves have a
+    unique attribute-only description in the capture, starting from the
+    subject's full attribute set, then prunes attributes the relation made
+    redundant.  The caller asks for a relation only when no attribute set
+    will do, so none is returned without one.
     """
     subject = next(s for s in context if s.object_id == subject_id)
     others = [s for s in context if s.object_id != subject_id]
@@ -108,9 +112,6 @@ def distinguishing_descriptor(
     def blockers(attrs: AttributeSet) -> list[Snapshot]:
         return [s for s in others if attrs_match(attrs, s)]
 
-    attrs = minimal_attr_descriptor(subject, context)
-    if attrs is not None:
-        return attrs, None
     attrs = AttributeSet(subject.category, subject.color, subject.material)
 
     def rel_unique(a: AttributeSet, kind: str, lm: Snapshot) -> bool:

@@ -1,4 +1,4 @@
-"""Task generation: build a scene, pick a task, photograph it, describe it.
+"""Task generation: build a scene, pick a task, describe it from the lattice.
 
 A generated task is only emitted after a feasibility screen that runs the
 real grounding code on the deterministic viewpoint lattice and checks that
@@ -11,31 +11,35 @@ destination is one of the surfaces the crawl lattice of the target's room
 can see in the scene without objects (the `surfaces` of `room_lattice`,
 computed once per room, not per scene); the lattice check, which drops it
 unless some capture of that room's lattice (`lattice_captures`) sees both
-the target and the destination; the ring captures (`capture_views`); the
-description (`make_instruction`); and the screen (`task_feasible`).
+the target and the destination; the description (`make_instruction`),
+made from those same captures; and the screen (`task_feasible`).
 
 The screen grounds only on detections in the lattice captures, so a
 destination no lattice camera can see could never pass it, and the
 lattice check drops only candidates the screen would reject; each attempt
 draws from its own substream, so skipping a candidate's later steps moves
-no other draw.  The ring captures probe each pose for the subject alone
-with `world.sees`, the per-subject test of `visible_objects`, and see in
-full only the first pose that passes: the pose and the view a full view of
-every pose would have found.
+no other draw.  Each role is described by the smallest attribute set that
+no other id of its kind in the lattice captures matches, which the
+zero-noise grounder picks strictly by construction; a target with no such
+set gets a relation instead, found in the first capture that shows it,
+and only the screen can tell whether that one holds over the lattice.
+The exported captures (`capture_views`) are, per role, the first lattice
+capture that shows it: the capture the grounder picks whenever the screen
+passes.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .agent import (
-    RELATIONAL, Capture, ScoreWeights, captured, grasp_approach, ground,
+    RELATIONAL, Capture, ScoreWeights, grasp_approach, ground,
     lattice_captures, place_approach, room_entry_path, room_lattice,
 )
 from .eventlog import INT, NULL, NUMBER, STR, canonical_json, problems
-from .geometry import dist, norm_angle
+from .geometry import dist
 from .language import (
     GotoClause, InstructionAst, ManipClause, ONTO, TO, parse, realize,
 )
@@ -47,13 +51,10 @@ from .relations import (
 from .seeds import h64, substream
 from .vocab import DEFAULT
 from .world import (
-    DYNAMIC, SURFACE, ActionFailure, CameraPose, DynamicObject, Environment,
-    Pose, StaticObject, capture_supports, env_record, place_spot,
-    point_in_room, sees, snapshot_record, validate_environment,
+    DYNAMIC, SURFACE, ActionFailure, DynamicObject, Environment, Pose,
+    Snapshot, env_record, place_spot, point_in_room, snapshot_record,
+    validate_environment,
 )
-
-CAPTURE_RING_RADIUS_M = 1.5
-CAPTURE_RING_POSES = 16
 
 ENV_ATTEMPTS = 5
 TASKS_PER_ENV = 10
@@ -67,10 +68,6 @@ class PlacementExhausted(Exception):
 
 class NoFeasibleTask(Exception):
     """The environment offers no (target, destination) pair at all."""
-
-
-class NoViewpoint(Exception):
-    """No ring camera pose can see the subject."""
 
 
 class GenerationFailed(Exception):
@@ -202,9 +199,11 @@ def build_environment(cfg: GenConfig, seed: int) -> Environment:
     return env
 
 
-def select_task(env: Environment, rng: random.Random) -> tuple[str, str]:
-    """Uniform target over objects; uniform destination over the surfaces
-    the lattice of the target's room can see, other than the target's own."""
+def select_task(env: Environment,
+                rng: random.Random) -> tuple[str, str, str]:
+    """(target, destination, the target's room): a uniform target over
+    objects, then a uniform destination over the surfaces the lattice of
+    the target's room can see, other than the target's own."""
     objs = sorted(env.objects)
     if not objs:
         raise NoFeasibleTask("no dynamic objects")
@@ -215,69 +214,79 @@ def select_task(env: Environment, rng: random.Random) -> tuple[str, str]:
     if not dests:
         raise NoFeasibleTask("no surface other than the target's own "
                              "in sight of its room's lattice")
-    return target, rng.choice(dests)
+    return target, rng.choice(dests), room
 
 
-def _capture_for(env: Environment, subject_id: str, kind: str,
-                 source: DynamicObject | StaticObject,
-                 ref: tuple[float, float]) -> Capture:
-    """The first ring camera around `ref` that sees the subject, with its
-    full view.  Each pose asks `sees` about the subject alone; only the
-    pose that passes is seen in full, and `visible_objects` shows the
-    subject there because it applies the same test."""
-    for k in range(CAPTURE_RING_POSES):
-        ang = 2.0 * math.pi * k / CAPTURE_RING_POSES
-        cx = ref[0] + CAPTURE_RING_RADIUS_M * math.cos(ang)
-        cy = ref[1] + CAPTURE_RING_RADIUS_M * math.sin(ang)
-        cam = CameraPose(Pose(cx, cy, norm_angle(ang + math.pi)))
-        if sees(env, cam, kind, source, ref) is not None:
-            return Capture(cam, captured(env, cam), capture_supports(env),
-                           subject=subject_id)
-    raise NoViewpoint(subject_id)
+def _first_showing(caps: list[Capture], subject: str) -> Capture:
+    """The first capture that shows `subject`."""
+    for cap in caps:
+        if any(s.object_id == subject for s in cap.snapshots):
+            return cap
+    raise ValueError(f"no capture shows {subject}")
+
+
+def _sightings(caps: list[Capture], kind: str) -> dict[str, Snapshot]:
+    """The first sighting of each id of `kind` across the captures."""
+    first: dict[str, Snapshot] = {}
+    for cap in caps:
+        for s in cap.snapshots:
+            if s.kind == kind:
+                first.setdefault(s.object_id, s)
+    return first
 
 
 def capture_views(env: Environment, target: str,
                   destination: str) -> tuple[Capture, Capture]:
-    """One validated camera view of the target and one of the destination."""
+    """For each role, the first capture of the lattice of the target's room
+    that shows it: the capture the grounder picks when the screen passes.
+    Each is a copy with `subject` set, since the lattice's captures are
+    shared memo entries.  Raises ValueError for a role that no capture of
+    the lattice shows."""
     obj = env.objects[target]
-    surf = env.layout.surface(destination)
-    owner = next(f for f in env.layout.furniture if f.id == surf.owner)
-    t_cap = _capture_for(env, target, DYNAMIC, obj, obj.pose.xy)
-    d_cap = _capture_for(env, destination, SURFACE, owner, surf.region.center)
-    return t_cap, d_cap
+    caps = lattice_captures(env, point_in_room(env, obj.pose.x, obj.pose.y))
+    return (replace(_first_showing(caps, target), subject=target),
+            replace(_first_showing(caps, destination), subject=destination))
 
 
 def make_instruction(env: Environment, target: str, destination: str,
-                     t_cap: Capture, d_cap: Capture, rng: random.Random,
+                     room: str, rng: random.Random,
                      cfg: GenConfig) -> tuple[InstructionAst, str]:
-    """Synthesize the combined go-and-move instruction for a task."""
-    obj = env.objects[target]
-    rid = point_in_room(env, obj.pose.x, obj.pose.y)
-    room_name = env.layout.room(rid).name
+    """Synthesize the combined go-and-move instruction for a task whose
+    target stands in `room`, from the captures of that room's lattice.
 
-    attrs, rel = distinguishing_descriptor(target, t_cap.snapshots,
-                                           t_cap.supports, cfg.thresholds)
-    d_context = [s for s in d_cap.snapshots if s.kind == SURFACE]
-    d_subject = next((s for s in d_context if s.object_id == destination), None)
-    d_attrs = (minimal_attr_descriptor(d_subject, d_context)
-               if d_subject is not None else None)
+    Each role gets the smallest attribute set that no other id of its kind
+    in those captures matches.  A target with none gets a relation, found
+    in the first capture that shows it (`distinguishing_descriptor`); a
+    destination with none raises NoDistinguishingDescription.  A target
+    with no relation names its support surface as the source, with
+    probability `source_phrase_prob`, when the lattice shows that surface
+    and some attribute set singles it out among the surfaces there.
+    """
+    caps = lattice_captures(env, room)
+    objects, surfaces = _sightings(caps, DYNAMIC), _sightings(caps, SURFACE)
+
+    attrs = minimal_attr_descriptor(objects[target], objects.values())
+    rel = None
+    if attrs is None:
+        cap = _first_showing(caps, target)
+        attrs, rel = distinguishing_descriptor(target, cap.snapshots,
+                                               cap.supports, cfg.thresholds)
+    d_attrs = minimal_attr_descriptor(surfaces[destination], surfaces.values())
     if d_attrs is None:
         raise NoDistinguishingDescription(destination)
 
     source = None
     if rel is None and rng.random() < cfg.source_phrase_prob:
-        sup = obj.support
-        t_context = [s for s in t_cap.snapshots if s.kind == SURFACE]
-        s_subject = next((s for s in t_context if s.object_id == sup), None)
-        if s_subject is not None:
-            source = minimal_attr_descriptor(s_subject, t_context)
+        support = surfaces.get(env.objects[target].support)
+        if support is not None:
+            source = minimal_attr_descriptor(support, surfaces.values())
 
     if source is not None:
         prep = TO
     else:
         height = env.layout.surface(destination).height_class
         prep = ONTO if height == TABLE_LEVEL else TO
-    ast = InstructionAst(GotoClause(room_name),
+    ast = InstructionAst(GotoClause(env.layout.room(room).name),
                          ManipClause(attrs, d_attrs, prep, rel, source))
     return ast, realize(ast)
 
@@ -323,9 +332,9 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
     Up to ENV_ATTEMPTS scenes are tried, TASKS_PER_ENV task draws each; a
     full strike-out is a hard error so batch automation stays total.  Both
     roles of each draw are checked against the captures of the lattice of
-    the target's room before its ring captures and description are made;
-    then it is screened.  The check only drops draws the screen would
-    reject (see the module docstring).
+    the target's room before the description is made from them; then it is
+    screened.  The check only drops draws the screen would reject (see the
+    module docstring).
     """
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -338,21 +347,19 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
         for attempt in range(salt * TASKS_PER_ENV, (salt + 1) * TASKS_PER_ENV):
             rng = substream("gen-task", seed, attempt)
             try:
-                target, destination = select_task(env, rng)
+                target, destination, room = select_task(env, rng)
             except NoFeasibleTask:
                 continue
-            obj = env.objects[target]
-            room = point_in_room(env, obj.pose.x, obj.pose.y)
             seen = {s.object_id for c in lattice_captures(env, room)
                     for s in c.snapshots}
             if target not in seen or destination not in seen:
                 continue
             try:
-                t_cap, d_cap = capture_views(env, target, destination)
-                ast, text = make_instruction(env, target, destination,
-                                             t_cap, d_cap, rng, cfg)
-            except (NoViewpoint, NoDistinguishingDescription):
+                ast, text = make_instruction(env, target, destination, room,
+                                             rng, cfg)
+            except NoDistinguishingDescription:
                 continue
+            t_cap, d_cap = capture_views(env, target, destination)
             task = TaskSpec(target, destination, room, t_cap, d_cap, ast, text)
             if task_feasible(env, task, cfg):
                 return env, task

@@ -6,13 +6,15 @@ import heapq
 import math
 import random
 import struct
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
 from hypothesis import strategies as st
 
 from homefetch.agent import (
-    CRAWL_SPACING_M, HEADINGS, Capture, captured, room_lattice,
+    CRAWL_SPACING_M, HEADINGS, RELATIONAL, ground, lattice_captures,
+    room_lattice,
 )
 from homefetch.config import RunConfig, config_echo
 from homefetch.geometry import (
@@ -27,23 +29,23 @@ from homefetch.language import (
     InstructionAst,
     ManipClause,
     SpatialRelation,
+    realize,
 )
+from homefetch.layouts import TABLE_LEVEL
 from homefetch.planner import NoPath
-from homefetch.relations import NoDistinguishingDescription
+from homefetch.relations import (
+    NoDistinguishingDescription, distinguishing_descriptor,
+)
 from homefetch.seeds import h64, substream
 from homefetch.taskgen import (
-    CAPTURE_RING_POSES,
-    CAPTURE_RING_RADIUS_M,
     ENV_ATTEMPTS,
     TASKS_PER_ENV,
     GenConfig,
     GenerationFailed,
     NoFeasibleTask,
-    NoViewpoint,
     PlacementExhausted,
     TaskSpec,
     build_environment,
-    make_instruction,
     select_task,
     task_feasible,
 )
@@ -63,9 +65,7 @@ from homefetch.world import (
     Snapshot,
     StaticObject,
     SupportSurface,
-    capture_supports,
     grid_for,
-    point_in_room,
     visible_batch,
 )
 
@@ -360,30 +360,77 @@ def lattice_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
 
 # --- reference task generation --------------------------------------------
 
-def reference_capture_for(env: Environment, subject_id: str,
-                          ref: tuple[float, float]) -> Capture:
-    """`taskgen._capture_for` before the ring probe: each of the 16 ring
-    poses around `ref` is seen in full until one shows the subject."""
-    supports = capture_supports(env)
-    for k in range(CAPTURE_RING_POSES):
-        ang = 2.0 * math.pi * k / CAPTURE_RING_POSES
-        cx = ref[0] + CAPTURE_RING_RADIUS_M * math.cos(ang)
-        cy = ref[1] + CAPTURE_RING_RADIUS_M * math.sin(ang)
-        cam = CameraPose(Pose(cx, cy, norm_angle(ang + math.pi)))
-        snaps = captured(env, cam)
-        if any(s.object_id == subject_id for s in snaps):
-            return Capture(cam, snaps, supports, subject=subject_id)
-    raise NoViewpoint(subject_id)
+def reference_instruction(env: Environment, target: str, destination: str,
+                          room: str, rng: random.Random,
+                          cfg: GenConfig) -> tuple[InstructionAst, str]:
+    """`taskgen.make_instruction` spelled out from the ground truth.
+
+    Each role gets the first of its category, + colour, + material, + both,
+    that no other id of its kind in any capture of the room's lattice
+    matches; a target with none gets the relation
+    `distinguishing_descriptor` finds in the first capture that shows it.
+    Unlike the generator, it also describes a role the lattice never shows,
+    which only the screen then rejects."""
+    caps = lattice_captures(env, room)
+
+    def source(kind: str, sid: str):
+        if kind == DYNAMIC:
+            return env.objects[sid]
+        owner = env.layout.surface(sid).owner
+        return next(f for f in env.layout.furniture if f.id == owner)
+
+    def shown(kind: str, sid: str) -> bool:
+        return any(s.kind == kind and s.object_id == sid
+                   for c in caps for s in c.snapshots)
+
+    def unique(kind: str, sid: str) -> AttributeSet | None:
+        src = source(kind, sid)
+        others = [s for c in caps for s in c.snapshots
+                  if s.kind == kind and s.object_id != sid]
+        for a in (AttributeSet(src.category),
+                  AttributeSet(src.category, src.color),
+                  AttributeSet(src.category, None, src.material),
+                  AttributeSet(src.category, src.color, src.material)):
+            if not any(s.category == a.category
+                       and a.color in (None, s.color)
+                       and a.material in (None, s.material) for s in others):
+                return a
+        return None
+
+    attrs, rel = unique(DYNAMIC, target), None
+    if attrs is None:
+        cap = next((c for c in caps if any(s.object_id == target
+                                           for s in c.snapshots)), None)
+        if cap is None:
+            raise NoDistinguishingDescription(target)
+        attrs, rel = distinguishing_descriptor(target, cap.snapshots,
+                                               cap.supports, cfg.thresholds)
+    d_attrs = unique(SURFACE, destination)
+    if d_attrs is None:
+        raise NoDistinguishingDescription(destination)
+    src = None
+    if rel is None and rng.random() < cfg.source_phrase_prob:
+        support = env.objects[target].support
+        if shown(SURFACE, support):
+            src = unique(SURFACE, support)
+    if src is not None:
+        prep = TO
+    else:
+        level = env.layout.surface(destination).height_class
+        prep = ONTO if level == TABLE_LEVEL else TO
+    ast = InstructionAst(GotoClause(env.layout.room(room).name),
+                         ManipClause(attrs, d_attrs, prep, rel, src))
+    return ast, realize(ast)
 
 
 def reference_generate_task(cfg: GenConfig,
                             seed: int) -> tuple[Environment, TaskSpec]:
-    """`taskgen.generate_task` without the lattice check ahead of the ring
-    captures and without the ring probe: every candidate of the same draw
-    (`select_task`) pays for full-view ring captures
-    (`reference_capture_for`) and `make_instruction`, and only
-    `task_feasible` consults the lattice captures.  The oracle the
-    generator must equal, task for task and error for error."""
+    """`taskgen.generate_task` without the lattice check: every candidate of
+    the same draw (`select_task`) is described (`reference_instruction`) and
+    screened (`task_feasible`, which reads no capture of the task), and the
+    accepted task's captures are the lattice captures the screen's
+    grounding picked, with `subject` set.  The oracle the generator must
+    equal, task for task and error for error."""
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     for salt in range(ENV_ATTEMPTS):
@@ -394,21 +441,20 @@ def reference_generate_task(cfg: GenConfig,
         for attempt in range(salt * TASKS_PER_ENV, (salt + 1) * TASKS_PER_ENV):
             rng = substream("gen-task", seed, attempt)
             try:
-                target, destination = select_task(env, rng)
-                t_cap = reference_capture_for(env, target,
-                                              env.objects[target].pose.xy)
-                d_cap = reference_capture_for(
-                    env, destination,
-                    env.layout.surface(destination).region.center)
-                ast, text = make_instruction(env, target, destination,
-                                             t_cap, d_cap, rng, cfg)
-            except (NoFeasibleTask, NoViewpoint, NoDistinguishingDescription):
+                target, destination, room = select_task(env, rng)
+                ast, text = reference_instruction(env, target, destination,
+                                                  room, rng, cfg)
+            except (NoFeasibleTask, NoDistinguishingDescription):
                 continue
-            obj = env.objects[target]
-            task = TaskSpec(target, destination,
-                            point_in_room(env, obj.pose.x, obj.pose.y),
-                            t_cap, d_cap, ast, text)
+            task = TaskSpec(target, destination, room, None, None, ast, text)
             if task_feasible(env, task, cfg):
+                caps = lattice_captures(env, room)
+                g = ground(ast, caps, [c.snapshots for c in caps], RELATIONAL,
+                           cfg.weights, cfg.thresholds)
+                task.target_capture = replace(caps[g.target.capture],
+                                              subject=target)
+                task.destination_capture = replace(
+                    caps[g.destination.capture], subject=destination)
                 return env, task
     raise GenerationFailed(f"no feasible task after "
                            f"{ENV_ATTEMPTS * TASKS_PER_ENV} attempts "

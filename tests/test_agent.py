@@ -865,7 +865,7 @@ class TestCrawl:
             assert got.snapshots == want.snapshots
 
     def test_deadline_cuts_the_crawl_short(self):
-        env, task = generate_task(GenConfig(), h64("session", 7, 0))
+        env, task = generate_task(GenConfig(), h64("session", 7, 1))
         assert navigate_to_room(env, task.room, 300.0, events=[])
         caps = crawl(env, task.room, env.clock + 5.0, events=[])
         lattice = lattice_captures(env, task.room)

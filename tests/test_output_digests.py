@@ -24,11 +24,11 @@ def _sha(*paths) -> str:
 
 @pytest.mark.parametrize("argv, episodes, report", [
     (["--seed", "7", "--sessions", "8"],
-     "dffcdc13c592d58d724304ecec64764a7ca91aa574cd338f4ef37abf2d04b354",
+     "d23c7b98c4d30bfc6faa41df85210e519f7376b6d64c866cf112f078a1782264",
      "e1f3bcbdc071fde78f1a4db9cfaaf82caf01cf866e4b50d0349d9ced93123720"),
     (["--seed", "11", "--sessions", "8", "--p-miss", "0.3", "--p-attr", "0.5"],
-     "108b899359cb914a782c6e4e4b74441ce4c5a67356e3aa1e6c3c84d609db6a08",
-     "3e5ae9b0ccfd0562638404e8c02304b7130f3adb6dabeeac0fff41990c42db4c"),
+     "4b4b233e32b55c6e50ea2b489c8dbc3c3eaa5ea50ace3fbf1199c596e22e4c7a",
+     "26c981b9e6c157ca954b2694cb4f2d9bf81ffa90541ee2d891cc53594b038484"),
 ], ids=["seed7", "seed11-noisy"])
 def test_run_outputs(tmp_path, argv, episodes, report):
     assert main(["run", *argv, "--out", str(tmp_path)]) == EXIT_OK
@@ -43,7 +43,7 @@ def test_generate_outputs(tmp_path):
     assert [f.name for f in files] == [
         *(f"episode_{i:04d}.json" for i in range(4)), "manifest.json"]
     assert _sha(*files) == \
-        "bad1b33d4e2d745f409d86a53968a2b05d446ee7accb50a4291b9ba6ef2de2f7"
+        "ed07165dfcf8a81a96df4ad01edc44707f5d1496f33842837e5735e1a777d1cc"
 
 
 def test_trace_bits():
@@ -51,4 +51,4 @@ def test_trace_bits():
     for rec in run_batch(RunConfig(seed=7, sessions=12)):
         h.update(trace_bits(rec.trace))
     assert h.hexdigest() == \
-        "58334a45bc4000a17571a5d2a9e0f89a0ce2af1e6f97dada54fa7f3028b12639"
+        "af9d037d033ead1616e290144f92c62f0b3a21774ff7f9fd843e19cc9fc1c25f"

@@ -198,11 +198,17 @@ class TestMinimalAttrDescriptor:
 
 
 class TestDistinguishingDescriptor:
-    def test_attrs_only(self):
-        ctx = [sighting("a", category="mug"), sighting("b", category="ball")]
+    def test_relation_even_where_attributes_suffice(self):
+        """The search always returns a relation: a mug that its category
+        alone singles out still gets one, or none at all."""
+        ball = sighting("b", category="ball", bearing=0.05, rng=2.3)
+        ctx = [sighting("a", category="mug", bearing=0.0, rng=2.0), ball]
         attrs, rel = distinguishing_descriptor("a", ctx, {}, TH)
         assert attrs == AttributeSet("mug")
-        assert rel is None
+        assert rel == SpatialRelation(IN_FRONT_OF, AttributeSet("ball"))
+        far = sighting("b", category="ball", bearing=0.7, rng=3.0)
+        with pytest.raises(NoDistinguishingDescription):
+            distinguishing_descriptor("a", [ctx[0], far], {}, TH)
 
     def test_relation_rescues_twins(self):
         ctx = [

@@ -3,8 +3,9 @@ from dataclasses import replace
 import pytest
 
 from helpers import only_event, session_events, trace_bits, verdicts
-from homefetch import session
-from homefetch.agent import NoiseConfig, navigate_to_room
+from homefetch import agent, session
+from homefetch.agent import STALL_LIMIT_S, NoiseConfig, navigate_to_room
+from homefetch.geometry import dist
 from homefetch.config import RunConfig, config_echo
 from homefetch.eventlog import SchemaError, canonical_json, write_events
 from homefetch.layouts import forget_memos
@@ -213,6 +214,20 @@ class TestCheckTermination:
         assert _termination(rec) == (SUBTASK_FAILED, FETCHING)
 
 
+def _longest_time_away(ticks: list[tuple[float, float]]) -> float:
+    """The longest stretch of (clock, distance to the goal) ticks over which
+    the distance never falls below its value at the stretch's start."""
+    best = 0.0
+    for i, (t0, d0) in enumerate(ticks):
+        end = t0
+        for t, d in ticks[i + 1:]:
+            if d < d0:
+                break
+            end = t
+        best = max(best, end - t0)
+    return best
+
+
 class TestRunSession:
     def test_event_skeleton_and_gating(self):
         rec = run_session(7, _cfg(seed=7), 0)
@@ -254,7 +269,7 @@ class TestRunSession:
 
     def test_partial_grounding_is_logged(self):
         """A round that resolves one role logs it, capture 0 included."""
-        rec = run_session(11, RunConfig(seed=11, noise=NoiseConfig(p_miss=0.8)), 1)
+        rec = run_session(11, RunConfig(seed=11, noise=NoiseConfig(p_miss=0.8)), 41)
         olr = only_event(rec.events, "olr")
         assert {k: olr[k] for k in ("target", "target_capture", "destination",
                                     "destination_capture", "abstained",
@@ -263,11 +278,30 @@ class TestRunSession:
             "destination": None, "destination_capture": None,
             "abstained": True, "correct": False}
 
-    def test_detour_away_from_the_goal_completes(self):
-        """Session 44 of seed 7 follows a path that heads away from its goal
+    def test_detour_away_from_the_goal_completes(self, monkeypatch):
+        """Session 76 of seed 7 follows a path that heads away from its goal
         for longer than the stall limit; that is progress, not a stall."""
-        rec = run_session(7, RunConfig(seed=7), 44)
+        legs = []  # per followed path: (clock, distance to its goal) per tick
+        follow, step = agent._follow_path, agent.world_step
+
+        def traced_follow(env, path, deadline):
+            goal, ticks = path.waypoints[-1], []
+            legs.append(ticks)
+
+            def traced_step(env, *args):
+                step(env, *args)
+                ticks.append((env.clock, dist(env.robot.pose.xy, goal)))
+            monkeypatch.setattr(agent, "world_step", traced_step)
+            try:
+                return follow(env, path, deadline)
+            finally:
+                monkeypatch.setattr(agent, "world_step", step)
+
+        monkeypatch.setattr(agent, "_follow_path", traced_follow)
+        forget_memos()  # so that every leg runs, not a memoized replay
+        rec = run_session(7, RunConfig(seed=7), 76)
         assert _termination(rec) == (TASK_COMPLETED, None)
+        assert max(map(_longest_time_away, legs)) > STALL_LIMIT_S
 
     def test_oracle_grounder_completes(self):
         rec = run_session(7, _cfg(seed=7, grounder="oracle"), 0)

@@ -3,13 +3,16 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from helpers import (
-    ball, make_env, reference_capture_for, reference_generate_task, table,
+    ball, make_env, reference_generate_task, reference_instruction, scene,
+    scenes, table,
 )
 from homefetch import agent, taskgen
 from homefetch.agent import (
@@ -18,31 +21,29 @@ from homefetch.agent import (
 )
 from homefetch.config import RunConfig
 from homefetch.eventlog import canonical_json
-from homefetch.geometry import Rect, norm_angle
-from homefetch.language import ONTO, TO, parse
+from homefetch.geometry import Rect
+from homefetch.language import (
+    ONTO, TO, AttributeSet, GotoClause, InstructionAst, ManipClause, parse,
+)
 from homefetch.layouts import TABLE_LEVEL, forget_memos
 from homefetch.relations import (
-    NoDistinguishingDescription, attrs_match, relation_holds,
+    NoDistinguishingDescription, attrs_match, minimal_attr_descriptor,
+    relation_holds,
 )
 from homefetch.seeds import h64, substream
 from homefetch.session import run_session
 from homefetch.taskgen import (
-    CAPTURE_RING_POSES,
-    CAPTURE_RING_RADIUS_M,
     GenConfig,
     GenerationFailed,
     NoFeasibleTask,
-    NoViewpoint,
     PlacementExhausted,
     TaskSpec,
-    _capture_for,
     _clamped_poisson,
     build_environment,
     capture_views,
     episode_record,
     export_dataset,
     generate_task,
-    make_instruction,
     select_task,
     task_feasible,
     validate_episode,
@@ -51,14 +52,9 @@ from homefetch.vocab import DEFAULT
 from homefetch.world import (
     DYNAMIC,
     SURFACE,
-    CameraPose,
-    Pose,
-    _subjects,
     env_record,
     point_in_room,
-    sees,
     validate_environment,
-    visible_objects,
 )
 
 
@@ -189,8 +185,10 @@ class TestSelectTask:
         counts = Counter()
         draws = 400
         for i in range(draws):
-            target, dest = select_task(env, substream("t", 8, i))
+            target, dest, room = select_task(env, substream("t", 8, i))
             counts[target] += 1
+            obj = env.objects[target]
+            assert room == point_in_room(env, obj.pose.x, obj.pose.y)
             assert dest != env.objects[target].support
             assert dest in {s.id for s in env.layout.surfaces}
         assert len(counts) == n
@@ -204,9 +202,8 @@ class TestSelectTask:
         env = build_environment(GenConfig(), 8)
         for i in range(100):
             rng = substream("t", 8, i)
-            target, dest = select_task(env, rng)
+            target, dest, room = select_task(env, rng)
             obj = env.objects[target]
-            room = point_in_room(env, obj.pose.x, obj.pose.y)
             pool = sorted(room_lattice(env, room).surfaces - {obj.support})
             again = substream("t", 8, i)
             assert again.choice(sorted(env.objects)) == target
@@ -220,21 +217,25 @@ class TestSelectTask:
             select_task(env, random.Random(1))
 
 
+def _first_showing(caps, sid: str) -> int:
+    return next(k for k, c in enumerate(caps)
+                if any(s.object_id == sid for s in c.snapshots))
+
+
 class TestCaptureViews:
-    def test_ring_pose_and_subject_visible(self):
+    def test_first_lattice_capture_of_each_role(self):
+        """Each role's capture is the first capture of the lattice of the
+        target's room that shows it, with `subject` set on a copy: the
+        memoized captures keep no subject."""
         env, task = generate_task(GenConfig(), 4)
         t_cap, d_cap = capture_views(env, task.target, task.destination)
-        obj = env.objects[task.target]
-        cam = t_cap.camera.pose
-        r = math.hypot(cam.x - obj.pose.x, cam.y - obj.pose.y)
-        assert r == pytest.approx(1.5)
-        assert any(s.object_id == task.target for s in t_cap.snapshots)
-        assert t_cap.subject == task.target
-        assert d_cap.subject == task.destination
-        assert any(s.object_id == task.destination for s in d_cap.snapshots)
-        # camera faces the subject
-        want = math.atan2(obj.pose.y - cam.y, obj.pose.x - cam.x)
-        assert math.cos(cam.theta - want) == pytest.approx(1.0, abs=1e-9)
+        caps = lattice_captures(env, task.room)
+        for cap, sid in ((t_cap, task.target), (d_cap, task.destination)):
+            first = caps[_first_showing(caps, sid)]
+            assert cap == replace(first, subject=sid)
+            assert first.subject is None
+        assert (t_cap, d_cap) == (task.target_capture,
+                                  task.destination_capture)
 
     def test_deterministic(self):
         env, task = generate_task(GenConfig(), 4)
@@ -242,40 +243,52 @@ class TestCaptureViews:
         b = capture_views(env, task.target, task.destination)
         assert a == b
 
-    def test_no_ring_pose_sees_into_a_small_room(self):
-        """Every pose of the 1.5 m ring lies outside a 1 m room, so a wall
-        blocks each sight line to the subject."""
+    @pytest.mark.parametrize("master", [4, 7])
+    def test_the_captures_the_screen_grounding_picks(self, master):
+        """On sessions 0-19, each exported capture is the one from which the
+        screen's grounding picked its role."""
+        cfg = RunConfig(seed=master).gen
+        for i in range(20):
+            env, task = generate_task(cfg, h64("session", master, i))
+            caps = lattice_captures(env, task.room)
+            g = ground(task.instruction, caps, [c.snapshots for c in caps],
+                       RELATIONAL, cfg.weights, cfg.thresholds)
+            assert task.target_capture == replace(caps[g.target.capture],
+                                                  subject=task.target)
+            assert task.destination_capture == replace(
+                caps[g.destination.capture], subject=task.destination)
+
+    def test_no_lattice_capture_sees_into_a_small_room(self):
+        """A 1 m room has no lattice point strictly inside it, so no capture
+        shows either role."""
         t = table("t0", Rect(0.3, 0.3, 0.7, 0.7))
         env = make_env(room=Rect(0.0, 0.0, 1.0, 1.0), furniture=(t,),
                        objects=(ball("o0", (0.5, 0.5), radius=0.05),))
-        with pytest.raises(NoViewpoint, match="o0"):
+        assert lattice_captures(env, "r0") == []
+        with pytest.raises(ValueError, match="o0"):
             capture_views(env, "o0", "t0/top")
-        with pytest.raises(NoViewpoint, match="t0/top"):
-            _capture_for(env, "t0/top", SURFACE, t, t.surfaces[0].region.center)
 
-    def test_generation_moves_past_a_candidate_with_no_viewpoint(
+    def test_generation_moves_past_a_candidate_with_no_description(
             self, monkeypatch):
-        """The first candidate to reach the ring captures, which the
-        generator would otherwise accept, finds no pose: the generator
-        drops it and returns a later candidate's task."""
+        """The first candidate to reach the description, which the
+        generator would otherwise accept, gets none: the generator drops it
+        and returns a later candidate's task."""
         seed = h64("session", 4, 0)
         _, accepted = generate_task(GenConfig(), seed)
-        orig = taskgen.capture_views
-        drawn, views = [], []
+        orig = taskgen.make_instruction
+        drawn = []
 
-        def first_fails(env, target, destination):
+        def first_fails(env, target, destination, *rest):
             drawn.append((target, destination))
             if len(drawn) == 1:
-                raise NoViewpoint(target)
-            views.append(orig(env, target, destination))
-            return views[-1]
+                raise NoDistinguishingDescription(target)
+            return orig(env, target, destination, *rest)
 
-        monkeypatch.setattr(taskgen, "capture_views", first_fails)
+        monkeypatch.setattr(taskgen, "make_instruction", first_fails)
         _, task = generate_task(GenConfig(), seed)
         assert drawn[0] == (accepted.target, accepted.destination)
         assert len(drawn) >= 2
         assert (task.target, task.destination) == drawn[-1]
-        assert (task.target_capture, task.destination_capture) == views[-1]
 
 
 class TestMakeInstruction:
@@ -561,17 +574,15 @@ class TestValidateEpisode:
 class TestLatticeCheckFirst:
     """`generate_task` drops a candidate whose target or destination no
     capture of the lattice of the target's room sees (the lattice check)
-    before it takes the ring captures; `task_feasible` would reject every
-    such candidate anyway.  The ring captures probe each pose for the
-    subject alone (the ring probe) and see in full only the pose that
-    passes."""
+    before it describes it from those captures; `task_feasible` would
+    reject every such candidate anyway."""
 
     @pytest.mark.parametrize("master", [7, 4],
                              ids=["run-seed7", "generate-seed4"])
     def test_equals_reference(self, master):
-        """Equal to `reference_generate_task`, which has neither the
-        lattice check nor the ring probe: every candidate gets full-view
-        ring captures and a description."""
+        """Equal to `reference_generate_task`, which has no lattice check:
+        every candidate is described from the ground truth and screened,
+        and the captures are the ones the screen's grounding picked."""
         cfg = RunConfig(seed=master).gen
         for i in range(20):
             seed = h64("session", master, i)
@@ -597,25 +608,25 @@ class TestLatticeCheckFirst:
     def test_dropped_candidates_fail_the_old_path(self, monkeypatch):
         """Every candidate drawn, with the screen forced to reject so all
         50 are: each one the lattice check drops is one the unchecked path
-        rejects in `capture_views`, `make_instruction` or `task_feasible`."""
-        draws = []  # [env, target, destination, rng after the draw, kept]
+        rejects in `reference_instruction` or `task_feasible`."""
+        draws = []  # [env, target, destination, room, rng after the draw, kept]
         orig_select = taskgen.select_task
-        orig_views = taskgen.capture_views
+        orig_instruction = taskgen.make_instruction
 
         def select(env, rng):
-            target, destination = orig_select(env, rng)
+            drawn = orig_select(env, rng)
             after = random.Random()
             after.setstate(rng.getstate())
-            draws.append([env, target, destination, after, False])
-            return target, destination
+            draws.append([env, *drawn, after, False])
+            return drawn
 
-        def views(env, target, destination):
-            assert draws[-1][:3] == [env, target, destination]
-            draws[-1][4] = True
-            return orig_views(env, target, destination)
+        def instruction(env, target, destination, room, *rest):
+            assert draws[-1][:4] == [env, target, destination, room]
+            draws[-1][5] = True
+            return orig_instruction(env, target, destination, room, *rest)
 
         monkeypatch.setattr(taskgen, "select_task", select)
-        monkeypatch.setattr(taskgen, "capture_views", views)
+        monkeypatch.setattr(taskgen, "make_instruction", instruction)
         monkeypatch.setattr(taskgen, "task_feasible", lambda *a: False)
         cfg = GenConfig()
         for master in (3, 7, 11, 17):
@@ -624,51 +635,48 @@ class TestLatticeCheckFirst:
                     generate_task(cfg, h64("session", master, i))
         monkeypatch.undo()
 
-        dropped = [d for d in draws if not d[4]]
+        dropped = [d for d in draws if not d[5]]
         assert len(draws) == 600
         assert 0 < len(dropped) < len(draws)
-        for env, target, destination, rng, _ in dropped:
-            obj = env.objects[target]
-            room = point_in_room(env, obj.pose.x, obj.pose.y)
+        screened = 0
+        for env, target, destination, room, rng, _ in dropped:
             try:
-                t_cap, d_cap = capture_views(env, target, destination)
-                ast, text = make_instruction(env, target, destination,
-                                             t_cap, d_cap, rng, cfg)
-            except (NoViewpoint, NoDistinguishingDescription):
+                ast, text = reference_instruction(env, target, destination,
+                                                  room, rng, cfg)
+            except NoDistinguishingDescription:
                 continue
-            task = TaskSpec(target, destination, room, t_cap, d_cap, ast, text)
+            task = TaskSpec(target, destination, room, None, None, ast, text)
             assert not task_feasible(env, task, cfg), (target, destination)
+            screened += 1
+        assert screened > 0
 
     def test_shortcuts_fire(self, monkeypatch):
-        """Both shortcuts do their work: on sessions 0-19 of `generate
-        --seed 4`, the generator sees no more lattices (`visible_batch`)
-        and fewer full views (`visible_objects`) than the reference; it
-        sees at most one full view per ring capture kept, and never a
-        room's lattice for a destination that lattice cannot see."""
+        """On sessions 0-19 of `generate --seed 4`, the generator sees no
+        more lattices (`visible_batch`) and describes no more candidates
+        than the reference, sees no single camera's view
+        (`visible_objects`) at all, and never a room's lattice for a
+        destination that lattice cannot see."""
         calls = Counter()
         last_draw = []
 
-        def counted(name):
-            orig = getattr(agent, name)
+        def counted(module, name):
+            orig = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return orig(*args)
-            monkeypatch.setattr(agent, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counted("visible_batch")
-        counted("visible_objects")
+        counted(agent, "visible_batch")
+        counted(agent, "visible_objects")
+        counted(taskgen, "make_instruction")
+        counted(helpers, "reference_instruction")
         orig_select = taskgen.select_task
-        orig_views = taskgen.capture_views
         orig_lattice = taskgen.lattice_captures
 
         def select(env, rng):
             last_draw[:] = orig_select(env, rng)
             return tuple(last_draw)
-
-        def views(env, target, destination):
-            calls["capture_views"] += 1
-            return orig_views(env, target, destination)
 
         def lattice(env, room):
             # The reference draws through its own `select_task`.
@@ -677,7 +685,6 @@ class TestLatticeCheckFirst:
             return orig_lattice(env, room)
 
         monkeypatch.setattr(taskgen, "select_task", select)
-        monkeypatch.setattr(taskgen, "capture_views", views)
         monkeypatch.setattr(taskgen, "lattice_captures", lattice)
         seeds = [h64("session", 4, i) for i in range(20)]
         forget_memos()
@@ -690,43 +697,102 @@ class TestLatticeCheckFirst:
         for seed in seeds:
             reference_generate_task(GenConfig(), seed)
         assert new["visible_batch"] <= calls["visible_batch"]
-        assert new["visible_objects"] < calls["visible_objects"]
-        assert new["visible_objects"] <= 2 * new["capture_views"]
+        assert new["make_instruction"] <= calls["reference_instruction"]
+        assert "visible_objects" not in new
 
 
-class TestRingProbe:
-    """`_capture_for` asks `sees` about its subject at each ring pose and
-    sees only the first pose that passes in full."""
+def _lattice_descriptions_ground(env) -> int:
+    """For every room's lattice, every object or surface its captures show
+    that some attribute set singles out among the ids of its kind there:
+    the zero-noise relational grounder picks it strictly on that set, from
+    the first capture that shows it.  Returns how many were checked."""
+    checked = 0
+    for room in env.layout.rooms:
+        caps = lattice_captures(env, room.id)
+        dets = [c.snapshots for c in caps]
+        for kind in (DYNAMIC, SURFACE):
+            first = {}
+            for s in chain.from_iterable(dets):
+                if s.kind == kind:
+                    first.setdefault(s.object_id, s)
+            for sid, snap in first.items():
+                attrs = minimal_attr_descriptor(snap, list(first.values()))
+                if attrs is None:
+                    continue
+                # The other role names a category no scene holds.
+                none = AttributeSet("nothing")
+                roles = (attrs, none) if kind == DYNAMIC else (none, attrs)
+                instr = InstructionAst(GotoClause(room.name),
+                                       ManipClause(*roles, ONTO, None, None))
+                g = ground(instr, caps, dets, RELATIONAL)
+                pick = g.target if kind == DYNAMIC else g.destination
+                assert pick is not None and pick.strict and pick.id == sid
+                assert pick.capture == _first_showing(caps, sid)
+                checked += 1
+    return checked
+
+
+_CATEGORIES = ("ball", "mug", "bottle")
+_COLORS = (None, "red", "blue")
+_MATERIALS = (None, "glass", "plastic")
+
+
+class TestLatticeDescription:
+    """`make_instruction` describes each role by an attribute set unique
+    over the lattice's detections of its kind, which the zero-noise
+    grounder picks strictly by construction."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(env=scenes(), data=st.data())
+    def test_unique_attributes_ground_strictly_on_random_scenes(self, env,
+                                                                data):
+        objs = []
+        for f in env.layout.furniture:
+            r = f.surfaces[0].region
+            for k in range(data.draw(st.integers(0, 3))):
+                objs.append(ball(
+                    f"{f.id}_o{k}",
+                    (r.x0 + data.draw(st.floats(0.0, 1.0)) * (r.x1 - r.x0),
+                     r.y0 + data.draw(st.floats(0.0, 1.0)) * (r.y1 - r.y0)),
+                    f.surfaces[0].id, data.draw(st.sampled_from(_CATEGORIES)),
+                    radius=0.05, color=data.draw(st.sampled_from(_COLORS)),
+                    material=data.draw(st.sampled_from(_MATERIALS))))
+        _lattice_descriptions_ground(
+            scene(env.layout, tuple(objs), env.robot.pose.xy))
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1),
            per_room=st.floats(1.0, 8.0))
-    def test_probe_is_the_contract(self, seed, per_room):
-        """Over generated scenes, for every subject: at each ring pose the
-        probe says yes exactly when `visible_objects` shows the subject, and
-        the capture equals the full-view walk's, or both find no pose."""
+    def test_unique_attributes_ground_strictly_on_generated_scenes(
+            self, seed, per_room):
         try:
             env = build_environment(GenConfig(objects_per_room=per_room), seed)
         except PlacementExhausted:
             return
-        for sid, kind, source, ref in _subjects(env):
-            for k in range(CAPTURE_RING_POSES):
-                ang = 2.0 * math.pi * k / CAPTURE_RING_POSES
-                cam = CameraPose(Pose(
-                    ref[0] + CAPTURE_RING_RADIUS_M * math.cos(ang),
-                    ref[1] + CAPTURE_RING_RADIUS_M * math.sin(ang),
-                    norm_angle(ang + math.pi)))
-                shown = [s.object_id for s in visible_objects(env, cam)]
-                assert (sees(env, cam, kind, source, ref) is not None) == \
-                    (sid in shown)
-            env.memo.clear()
-            try:
-                cap = _capture_for(env, sid, kind, source, ref)
-            except NoViewpoint:
-                cap = None
-            env.memo.clear()
-            try:
-                ref_cap = reference_capture_for(env, sid, ref)
-            except NoViewpoint:
-                ref_cap = None
-            assert cap == ref_cap
+        assert _lattice_descriptions_ground(env) > 0
+
+    def test_attribute_only_candidates_pass_the_screens_grounding(
+            self, monkeypatch):
+        """On sessions 0-49 of `generate --seed 4`, no screened candidate
+        whose two roles are both described by attributes alone fails the
+        screen's grounding; the candidates with a relation may."""
+        orig = taskgen.task_feasible
+        seen = Counter()
+
+        def screened(env, task, cfg):
+            caps = lattice_captures(env, task.room)
+            g = ground(task.instruction, caps, [c.snapshots for c in caps],
+                       RELATIONAL, cfg.weights, cfg.thresholds)
+            grounded = (g.resolved and g.target.strict and g.destination.strict
+                        and g.target.id == task.target
+                        and g.destination.id == task.destination)
+            relational = task.instruction.manip.relation is not None
+            seen[relational, grounded] += 1
+            return orig(env, task, cfg)
+
+        monkeypatch.setattr(taskgen, "task_feasible", screened)
+        cfg = RunConfig(seed=4).gen
+        for i in range(50):
+            generate_task(cfg, h64("session", 4, i))
+        assert seen[False, False] == 0
+        assert seen[False, True] >= 50

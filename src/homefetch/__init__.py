@@ -1,7 +1,9 @@
 """homefetch: a deterministic 2-D fetch-and-carry benchmark harness.
 
 Scenes, natural-language tasks, a gated execution pipeline, and Table-style
-evaluation reports, all reproducible from a single seed.
+evaluation reports, all reproducible from a single seed.  The interface is
+the command line (`homefetch.cli`) and its documented files; the names
+re-exported here are a convenience, not a stable API.
 """
 from .agent import (
     Capture, Grounding, KEYWORD_BASELINE,

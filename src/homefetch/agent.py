@@ -102,8 +102,10 @@ class ScoreWeights:
     relation: int = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Capture:
+    """One view of the crawl.  Frozen: one lattice's captures are shared by
+    the screen, the crawl, the `olr` digest and the export."""
     camera: CameraPose
     snapshots: list[Snapshot]
     supports: dict[str, str]
@@ -141,20 +143,9 @@ class Grounding:
 
 # --- perception ------------------------------------------------------------
 
-def captured(env: Environment, cam: CameraPose) -> list[Snapshot]:
-    """visible_objects, memoized on the environment's scene memo.
-
-    The key is the camera's (x, y, theta, fov, range).  The static geometry
-    is fixed after construction, and every move or re-parenting of an
-    object empties the memo.  No command calls it: the generator and the
-    crawl see whole lattices through `lattice_captures`.  The benchmark's
-    tracer (`perfbench/tracer.py`) still times it by name.
-    """
-    key = ("view", cam.pose.x, cam.pose.y, cam.pose.theta, cam.fov, cam.range)
-    hit = env.memo.get(key)
-    if hit is None:
-        hit = env.memo[key] = visible_objects(env, cam)
-    return hit
+# `visible_objects` under the name the benchmark's tracer
+# (`perfbench/tracer.py`) times; nothing in `src/` calls it.
+captured = visible_objects
 
 
 def _robot_component(env: Environment) -> int | None:
@@ -209,21 +200,18 @@ def room_lattice(env: Environment, room_id: str) -> RoomLattice:
     return lattice
 
 
-def lattice_captures(env: Environment, room_id: str) -> list[Capture]:
-    """The captures a full undisturbed crawl of the room would produce.
+def lattice_captures(env: Environment, room_id: str) -> tuple[Capture, ...]:
+    """The captures a full undisturbed crawl of the room would produce in
+    this scene, from the robot's grid component.
 
-    Memoized on the environment's scene memo by (room, robot's grid
-    component), all it depends on; each call returns a fresh list.
+    A pure function of the scene, computed anew on each call: the
+    generator computes it once per scene and room, and the task carries it
+    to the crawl (`TaskSpec.lattice`).
     """
-    key = ("lattice", room_id, _robot_component(env))
-    caps = env.memo.get(key)
-    if caps is None:
-        supports = capture_supports(env)
-        cams = room_lattice(env, room_id).cameras
-        caps = env.memo[key] = [
-            Capture(cam, snaps, supports)
-            for cam, snaps in zip(cams, visible_batch(env, list(cams)))]
-    return list(caps)
+    supports = capture_supports(env)
+    cams = room_lattice(env, room_id).cameras
+    return tuple(Capture(cam, snaps, supports)
+                 for cam, snaps in zip(cams, visible_batch(env, list(cams))))
 
 
 # --- low-level motion -------------------------------------------------------
@@ -435,14 +423,14 @@ def room_entry_path(env: Environment, room_id: str) -> Path | None:
     return None
 
 
-def crawl(env: Environment, room_id: str, deadline: float,
+def crawl(env: Environment, lattice: tuple[Capture, ...], deadline: float,
           events: list) -> list[Capture]:
-    """Visit the room's viewpoint lattice, capturing 4 headings per point.
+    """Visit a room's viewpoint lattice, capturing 4 headings per point.
 
-    Each stop yields the lattice's own captures for the headings the robot
-    turned to, so a crawl that completes returns `lattice_captures`.
+    `lattice` is the room's `lattice_captures` in the current scene.  Each
+    stop yields the lattice's own captures for the headings the robot
+    turned to, so a completed crawl returns the lattice it was given.
     """
-    lattice = lattice_captures(env, room_id)
     caps: list[Capture] = []
     for k in range(0, len(lattice), len(HEADINGS)):
         if env.clock >= deadline:

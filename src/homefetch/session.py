@@ -110,7 +110,7 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
 
     def olr() -> bool:
         nonlocal grounding
-        captures = crawl(env, task.room, budget, events)
+        captures = crawl(env, task.lattice, budget, events)
         stream = KeyedStream("noise", session_seed)
         detections = [detect(c, i, cfg.noise, stream)
                       for i, c in enumerate(captures)]

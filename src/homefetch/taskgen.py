@@ -10,9 +10,11 @@ Each candidate goes through, in order: the draw (`select_task`), whose
 destination is one of the surfaces the crawl lattice of the target's room
 can see in the scene without objects (the `surfaces` of `room_lattice`,
 computed once per room, not per scene); the lattice check, which drops it
-unless some capture of that room's lattice (`lattice_captures`) sees both
-the target and the destination; the description (`make_instruction`),
-made from those same captures; and the screen (`task_feasible`).
+unless some capture of that room's lattice (`lattice_captures`, computed
+once per scene and room) sees both the target and the destination; the
+description (`make_instruction`), made from those same captures; and the
+screen (`task_feasible`).  The accepted task carries its room's lattice
+(`TaskSpec.lattice`) to the crawl.
 
 The screen grounds only on detections in the lattice captures, so a
 destination no lattice camera can see could never pass it, and the
@@ -23,9 +25,9 @@ no other id of its kind in the lattice captures matches, which the
 zero-noise grounder picks strictly by construction; a target with no such
 set gets a relation instead, found in the first capture that shows it,
 and only the screen can tell whether that one holds over the lattice.
-The exported captures (`capture_views`) are, per role, the first lattice
-capture that shows it: the capture the grounder picks whenever the screen
-passes.
+The exported captures (`capture_views`, made at export) are, per role,
+the first lattice capture that shows it: the capture the grounder picks
+whenever the screen passes.
 """
 from __future__ import annotations
 
@@ -108,8 +110,7 @@ class TaskSpec:
     target: str
     destination: str
     room: str  # room id containing the target
-    target_capture: Capture
-    destination_capture: Capture
+    lattice: tuple[Capture, ...]  # `lattice_captures` of `room` in the scene
     instruction: InstructionAst
     text: str
 
@@ -217,7 +218,7 @@ def select_task(env: Environment,
     return target, rng.choice(dests), room
 
 
-def _first_showing(caps: list[Capture], subject: str) -> Capture:
+def _first_showing(caps: tuple[Capture, ...], subject: str) -> Capture:
     """The first capture that shows `subject`."""
     for cap in caps:
         if any(s.object_id == subject for s in cap.snapshots):
@@ -225,7 +226,7 @@ def _first_showing(caps: list[Capture], subject: str) -> Capture:
     raise ValueError(f"no capture shows {subject}")
 
 
-def _sightings(caps: list[Capture], kind: str) -> dict[str, Snapshot]:
+def _sightings(caps: tuple[Capture, ...], kind: str) -> dict[str, Snapshot]:
     """The first sighting of each id of `kind` across the captures."""
     first: dict[str, Snapshot] = {}
     for cap in caps:
@@ -235,24 +236,22 @@ def _sightings(caps: list[Capture], kind: str) -> dict[str, Snapshot]:
     return first
 
 
-def capture_views(env: Environment, target: str,
-                  destination: str) -> tuple[Capture, Capture]:
-    """For each role, the first capture of the lattice of the target's room
-    that shows it: the capture the grounder picks when the screen passes.
-    Each is a copy with `subject` set, since the lattice's captures are
-    shared memo entries.  Raises ValueError for a role that no capture of
-    the lattice shows."""
-    obj = env.objects[target]
-    caps = lattice_captures(env, point_in_room(env, obj.pose.x, obj.pose.y))
-    return (replace(_first_showing(caps, target), subject=target),
-            replace(_first_showing(caps, destination), subject=destination))
+def capture_views(task: TaskSpec) -> tuple[Capture, Capture]:
+    """For each role, the first capture of the task's lattice that shows
+    it: the capture the grounder picks when the screen passes.  Each is a
+    copy with `subject` set.  Raises ValueError for a role that no capture
+    of the lattice shows."""
+    return tuple(replace(_first_showing(task.lattice, sid), subject=sid)
+                 for sid in (task.target, task.destination))
 
 
 def make_instruction(env: Environment, target: str, destination: str,
-                     room: str, rng: random.Random,
+                     room: str, lattice: tuple[Capture, ...],
+                     rng: random.Random,
                      cfg: GenConfig) -> tuple[InstructionAst, str]:
     """Synthesize the combined go-and-move instruction for a task whose
-    target stands in `room`, from the captures of that room's lattice.
+    target stands in `room`, from `lattice`, the captures of that room's
+    lattice.
 
     Each role gets the smallest attribute set that no other id of its kind
     in those captures matches.  A target with none gets a relation, found
@@ -262,13 +261,13 @@ def make_instruction(env: Environment, target: str, destination: str,
     probability `source_phrase_prob`, when the lattice shows that surface
     and some attribute set singles it out among the surfaces there.
     """
-    caps = lattice_captures(env, room)
-    objects, surfaces = _sightings(caps, DYNAMIC), _sightings(caps, SURFACE)
+    objects = _sightings(lattice, DYNAMIC)
+    surfaces = _sightings(lattice, SURFACE)
 
     attrs = minimal_attr_descriptor(objects[target], objects.values())
     rel = None
     if attrs is None:
-        cap = _first_showing(caps, target)
+        cap = _first_showing(lattice, target)
         attrs, rel = distinguishing_descriptor(target, cap.snapshots,
                                                cap.supports, cfg.thresholds)
     d_attrs = minimal_attr_descriptor(surfaces[destination], surfaces.values())
@@ -294,7 +293,7 @@ def make_instruction(env: Environment, target: str, destination: str,
 def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     """Screen a candidate task with the executor's own machinery, noise-free.
 
-    Requires: grounding from the crawl lattice is strictly unique and lands
+    Requires: grounding from the task's lattice is strictly unique and lands
     on the ground truth for both roles; a grasp approach exists near the
     target; a set-down approach with at least one free spiral slot exists
     at the destination; the text parses back to the instruction.  The
@@ -303,7 +302,7 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     parse, which realized text always passes, goes last, after the checks
     that reject.
     """
-    caps = lattice_captures(env, task.room)
+    caps = task.lattice
     g = ground(task.instruction, caps, [c.snapshots for c in caps],
                RELATIONAL, cfg.weights, cfg.thresholds)
     if not (g.resolved and g.target.strict and g.destination.strict
@@ -332,9 +331,9 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
     Up to ENV_ATTEMPTS scenes are tried, TASKS_PER_ENV task draws each; a
     full strike-out is a hard error so batch automation stays total.  Both
     roles of each draw are checked against the captures of the lattice of
-    the target's room before the description is made from them; then it is
-    screened.  The check only drops draws the screen would reject (see the
-    module docstring).
+    the target's room, computed once per scene and room, before the
+    description is made from them; then it is screened.  The check only
+    drops draws the screen would reject (see the module docstring).
     """
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -344,23 +343,25 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
             env = build_environment(cfg, h64("gen-env", seed, salt))
         except PlacementExhausted:
             continue
+        lattices: dict[str, tuple[Capture, ...]] = {}
         for attempt in range(salt * TASKS_PER_ENV, (salt + 1) * TASKS_PER_ENV):
             rng = substream("gen-task", seed, attempt)
             try:
                 target, destination, room = select_task(env, rng)
             except NoFeasibleTask:
                 continue
-            seen = {s.object_id for c in lattice_captures(env, room)
-                    for s in c.snapshots}
+            lattice = lattices.get(room)
+            if lattice is None:
+                lattice = lattices[room] = lattice_captures(env, room)
+            seen = {s.object_id for c in lattice for s in c.snapshots}
             if target not in seen or destination not in seen:
                 continue
             try:
                 ast, text = make_instruction(env, target, destination, room,
-                                             rng, cfg)
+                                             lattice, rng, cfg)
             except NoDistinguishingDescription:
                 continue
-            t_cap, d_cap = capture_views(env, target, destination)
-            task = TaskSpec(target, destination, room, t_cap, d_cap, ast, text)
+            task = TaskSpec(target, destination, room, lattice, ast, text)
             if task_feasible(env, task, cfg):
                 return env, task
     raise GenerationFailed(f"no feasible task after "
@@ -382,6 +383,7 @@ def capture_record(cap: Capture) -> dict:
 
 
 def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
+    t_cap, d_cap = capture_views(task)
     return {
         "format": "homefetch-episode/1",
         "index": index,
@@ -395,8 +397,8 @@ def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
             "room": task.room,
         },
         "instruction": {"text": task.text, "ast": asdict(task.instruction)},
-        "captures": {"target": capture_record(task.target_capture),
-                     "destination": capture_record(task.destination_capture)},
+        "captures": {"target": capture_record(t_cap),
+                     "destination": capture_record(d_cap)},
     }
 
 

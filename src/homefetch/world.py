@@ -44,11 +44,10 @@ first.  `layouts.forget_memos`, called by `cli.main` before each command,
 empties the grid memos of the shipped layouts.  The raster (`free`, `comp`,
 `gap`, `moves`) outlives them: a function of the geometry alone, it costs a
 set-up build.
-`Environment.memo` holds work on one scene state: `lattice_captures`
-(`("lattice", room, component)`), which both the generator and the crawl
-read, and the views of `agent.captured` (`("view", x, y, theta, fov,
-range)`), which no command asks for; `step` with a held object, `grasp`
-and `place`, the only moves of an object, empty it.
+A scene holds no memo.  Work on its objects, such as a room's
+`agent.lattice_captures`, is held by its caller: the generator computes
+each room's lattice once per scene and the task carries it to the crawl.
+So `step`, `grasp` and `place` move objects with no cache to empty.
 """
 from __future__ import annotations
 
@@ -304,9 +303,6 @@ class Environment:
     collisions: int = 0
     # When set, step() appends the post-step pose: an external motion audit.
     trace: list | None = None
-    # Scene memo: emptied by every move or re-parenting of an object.
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
 
     # `perfbench/workloads.py` reads these two of `make_environment`'s scene.
     @property
@@ -810,7 +806,6 @@ def step(env: Environment, v: float, w: float, dt: float) -> bool:
         rb.pose = Pose(nx, ny, nth)
         if rb.gripper is not None:
             env.objects[rb.gripper].pose = attach_pose(rb.pose)
-            env.memo.clear()
     env.clock += dt
     if env.trace is not None:
         env.trace.append((rb.pose.x, rb.pose.y, rb.pose.theta))
@@ -832,7 +827,6 @@ def grasp(env: Environment, target: str) -> None:
     obj.support = None
     rb.gripper = target
     obj.pose = attach_pose(rb.pose)
-    env.memo.clear()
 
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -890,7 +884,6 @@ def place(env: Environment, dest: str) -> None:
     obj.pose = Pose(spot[0], spot[1], 0.0)
     obj.support = dest
     rb.gripper = None
-    env.memo.clear()
 
 
 def validate_layout(layout: Layout) -> list[str]:

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from homefetch.agent import (
-    CRAWL_SPACING_M, HEADINGS, RELATIONAL, ground, lattice_captures,
+    CRAWL_SPACING_M, HEADINGS, RELATIONAL, Capture, ground, lattice_captures,
     room_lattice,
 )
 from homefetch.config import RunConfig, config_echo
@@ -361,17 +361,17 @@ def lattice_points(env: Environment, room_id: str) -> list[tuple[float, float]]:
 # --- reference task generation --------------------------------------------
 
 def reference_instruction(env: Environment, target: str, destination: str,
-                          room: str, rng: random.Random,
+                          room: str, caps: tuple[Capture, ...],
+                          rng: random.Random,
                           cfg: GenConfig) -> tuple[InstructionAst, str]:
     """`taskgen.make_instruction` spelled out from the ground truth.
 
     Each role gets the first of its category, + colour, + material, + both,
     that no other id of its kind in any capture of the room's lattice
-    matches; a target with none gets the relation
+    (`caps`) matches; a target with none gets the relation
     `distinguishing_descriptor` finds in the first capture that shows it.
     Unlike the generator, it also describes a role the lattice never shows,
     which only the screen then rejects."""
-    caps = lattice_captures(env, room)
 
     def source(kind: str, sid: str):
         if kind == DYNAMIC:
@@ -426,10 +426,9 @@ def reference_instruction(env: Environment, target: str, destination: str,
 def reference_generate_task(cfg: GenConfig,
                             seed: int) -> tuple[Environment, TaskSpec]:
     """`taskgen.generate_task` without the lattice check: every candidate of
-    the same draw (`select_task`) is described (`reference_instruction`) and
-    screened (`task_feasible`, which reads no capture of the task), and the
-    accepted task's captures are the lattice captures the screen's
-    grounding picked, with `subject` set.  The oracle the generator must
+    the same draw (`select_task`) is described (`reference_instruction`)
+    and screened (`task_feasible`), each from the lattice of the target's
+    room, computed once per scene and room.  The oracle the generator must
     equal, task for task and error for error."""
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -438,27 +437,37 @@ def reference_generate_task(cfg: GenConfig,
             env = build_environment(cfg, h64("gen-env", seed, salt))
         except PlacementExhausted:
             continue
+        lattices = {}
         for attempt in range(salt * TASKS_PER_ENV, (salt + 1) * TASKS_PER_ENV):
             rng = substream("gen-task", seed, attempt)
             try:
                 target, destination, room = select_task(env, rng)
+                if room not in lattices:
+                    lattices[room] = lattice_captures(env, room)
                 ast, text = reference_instruction(env, target, destination,
-                                                  room, rng, cfg)
+                                                  room, lattices[room], rng,
+                                                  cfg)
             except (NoFeasibleTask, NoDistinguishingDescription):
                 continue
-            task = TaskSpec(target, destination, room, None, None, ast, text)
+            task = TaskSpec(target, destination, room, lattices[room], ast,
+                            text)
             if task_feasible(env, task, cfg):
-                caps = lattice_captures(env, room)
-                g = ground(ast, caps, [c.snapshots for c in caps], RELATIONAL,
-                           cfg.weights, cfg.thresholds)
-                task.target_capture = replace(caps[g.target.capture],
-                                              subject=target)
-                task.destination_capture = replace(
-                    caps[g.destination.capture], subject=destination)
                 return env, task
     raise GenerationFailed(f"no feasible task after "
                            f"{ENV_ATTEMPTS * TASKS_PER_ENV} attempts "
                            f"(seed {seed})")
+
+
+def grounding_captures(task: TaskSpec,
+                       cfg: GenConfig) -> tuple[Capture, Capture]:
+    """Per role, the capture of the task's lattice from which the screen's
+    zero-noise grounding picks it, with `subject` set: what the exported
+    captures (`capture_views`) must be."""
+    caps = task.lattice
+    g = ground(task.instruction, caps, [c.snapshots for c in caps],
+               RELATIONAL, cfg.weights, cfg.thresholds)
+    return (replace(caps[g.target.capture], subject=task.target),
+            replace(caps[g.destination.capture], subject=task.destination))
 
 
 # --- reading a session's facts from its event log -------------------------

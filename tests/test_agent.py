@@ -161,15 +161,15 @@ class TestCrawlLattice:
             assert any(abs(norm_angle(cap.camera.pose.theta - h)) < 1e-12
                        for h in HEADINGS)
 
-    def test_captured_memoized_until_scene_changes(self):
-        t = table("t0")
-        env = make_env(furniture=(t,), objects=(ball("o0", (2.5, 2.4)),))
-        cam = CameraPose(Pose(1.0, 1.0, 0.5))
-        a = captured(env, cam)
-        assert captured(env, cam) is a
-        env.memo.clear()  # what every move of an object does
-        b = captured(env, cam)
-        assert b is not a and b == a
+    def test_lattice_captures_are_frozen(self):
+        """One lattice is shared by the screen, the crawl and the export,
+        so no reader can change what another reads."""
+        env = make_env(room=Rect(0, 0, 5, 4),
+                       furniture=(table("t0", Rect(1.8, 0.7, 3.0, 1.5)),))
+        caps = lattice_captures(env, "r0")
+        assert isinstance(caps, tuple) and caps
+        with pytest.raises(FrozenInstanceError):
+            caps[0].subject = "t0/top"
 
     def test_captured_keys_on_fov_and_range(self):
         env = make_env(furniture=(table("t0"),),
@@ -193,27 +193,26 @@ class TestCrawlLattice:
         assert after[0].range < before[0].range - 0.2
 
     @pytest.mark.parametrize("move", ["grasp", "place", "held step"])
-    def test_each_object_move_empties_the_scene_memo(self, move):
+    def test_each_object_move_changes_the_lattice_captures(self, move):
+        """After every move of an object, the lattice shows the scene as
+        it now stands, one `visible_objects` view per camera."""
         t = table("t0", Rect(1.2, 0.7, 2.0, 1.3))
-        env = make_env(furniture=(t,), robot_xy=(0.9, 1.0),
-                       objects=(ball("o0", (1.6, 1.0), "t0/top", radius=0.05),))
+        env = make_env(furniture=(t,), robot_xy=(0.75, 1.0),
+                       objects=(ball("o0", (1.3, 1.0), "t0/top", radius=0.05),))
         if move != "grasp":
             world.grasp(env, "o0")
-        cam = CameraPose(Pose(0.9, 2.5, -math.pi / 2.0))
-        before = (captured(env, cam), lattice_captures(env, "r0"))
-        assert len(env.memo) == 2
+        before = lattice_captures(env, "r0")
+        assert before
         if move == "grasp":
             world.grasp(env, "o0")
         elif move == "place":
             world.place(env, "t0/top")
         else:
             world_step(env, 0.0, math.pi, DT_S)
-        assert env.memo == {}
-        after = (captured(env, cam), lattice_captures(env, "r0"))
-        assert after[0] == visible_objects(env, cam)
+        after = lattice_captures(env, "r0")
         supports = world.capture_supports(env)
-        assert after[1] == [Capture(c.camera, visible_objects(env, c.camera),
-                                    supports) for c in after[1]]
+        assert after == tuple(Capture(c.camera, visible_objects(env, c.camera),
+                                      supports) for c in after)
         assert after != before
 
 
@@ -853,24 +852,22 @@ class TestNavigateToRoom:
 
 class TestCrawl:
     def test_completed_crawl_is_the_lattice(self):
-        """The crawl hands back the lattice's captures, camera poses and
-        snapshots alike, when the deadline does not cut it short."""
+        """When the deadline does not cut it short, the crawl hands back the
+        captures of the lattice it was given, which is the lattice of the
+        room in the scene the robot reached."""
         env, task = generate_task(GenConfig(), h64("session", 7, 0))
         assert navigate_to_room(env, task.room, 300.0, events=[])
-        caps = crawl(env, task.room, 300.0, events=[])
-        lattice = lattice_captures(env, task.room)
-        assert len(caps) == len(lattice) > 0
-        for got, want in zip(caps, lattice):
-            assert got.camera.pose == want.camera.pose
-            assert got.snapshots == want.snapshots
+        caps = crawl(env, task.lattice, 300.0, events=[])
+        assert task.lattice == lattice_captures(env, task.room)
+        assert len(caps) == len(task.lattice) > 0
+        assert all(got is want for got, want in zip(caps, task.lattice))
 
     def test_deadline_cuts_the_crawl_short(self):
         env, task = generate_task(GenConfig(), h64("session", 7, 1))
         assert navigate_to_room(env, task.room, 300.0, events=[])
-        caps = crawl(env, task.room, env.clock + 5.0, events=[])
-        lattice = lattice_captures(env, task.room)
-        assert 0 < len(caps) < len(lattice)
-        assert caps == lattice[:len(caps)]
+        caps = crawl(env, task.lattice, env.clock + 5.0, events=[])
+        assert 0 < len(caps) < len(task.lattice)
+        assert tuple(caps) == task.lattice[:len(caps)]
 
 
 class TestFindApproach:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import only_event, session_events, trace_bits, verdicts
-from homefetch import agent, session
+from homefetch import agent, session, taskgen
 from homefetch.agent import STALL_LIMIT_S, NoiseConfig, navigate_to_room
 from homefetch.geometry import dist
 from homefetch.config import RunConfig, config_echo
@@ -163,8 +163,8 @@ class TestCheckTermination:
         cfg = _cfg(seed=1, grounder="keyword-baseline")
         real_crawl = session.crawl
 
-        def overrunning_crawl(env, room, budget, events):
-            captures = real_crawl(env, room, budget, events)
+        def overrunning_crawl(env, lattice, budget, events):
+            captures = real_crawl(env, lattice, budget, events)
             env.clock = budget + 200.0
             return captures
 
@@ -256,6 +256,28 @@ class TestRunSession:
         assert only_event(rec.events, "session_end")["duration_s"] > 0.0
         assert rec.trace
         assert only_event(rec.events, "task")["text"].endswith(".")
+
+    def test_the_crawl_reads_the_tasks_lattice(self, monkeypatch):
+        """Once generation has returned, no stage computes a lattice: the
+        crawl reads the one the task carries, and the session logs what an
+        unpatched run logs."""
+        cfg = _cfg(seed=7)
+        want = [canonical_json(e) for e in run_session(7, cfg, 0).events]
+        generate = session.generate_task
+
+        def refused(env, room):
+            raise AssertionError(f"lattice of {room} computed after generation")
+
+        def generate_then_refuse(*args):
+            out = generate(*args)
+            for module in (agent, taskgen):
+                monkeypatch.setattr(module, "lattice_captures", refused)
+            return out
+
+        monkeypatch.setattr(session, "generate_task", generate_then_refuse)
+        rec = run_session(7, cfg, 0)
+        assert _termination(rec) == (TASK_COMPLETED, None)
+        assert [canonical_json(e) for e in rec.events] == want
 
     def test_baseline_abstains_and_gates_fetch(self):
         rec = run_session(1, _cfg(seed=1, grounder="keyword-baseline"), 0)

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from helpers import (
-    ball, make_env, reference_generate_task, reference_instruction, scene,
-    scenes, table,
+    ball, grounding_captures, make_env, reference_generate_task,
+    reference_instruction, scene, scenes, table,
 )
 from homefetch import agent, taskgen
 from homefetch.agent import (
@@ -224,24 +224,21 @@ def _first_showing(caps, sid: str) -> int:
 
 class TestCaptureViews:
     def test_first_lattice_capture_of_each_role(self):
-        """Each role's capture is the first capture of the lattice of the
-        target's room that shows it, with `subject` set on a copy: the
-        memoized captures keep no subject."""
+        """The task carries the lattice of the target's room in its scene.
+        Each role's capture is the first capture of it that shows the role,
+        with `subject` set on a copy: the lattice keeps no subject."""
         env, task = generate_task(GenConfig(), 4)
-        t_cap, d_cap = capture_views(env, task.target, task.destination)
-        caps = lattice_captures(env, task.room)
+        caps = task.lattice
+        assert caps == lattice_captures(env, task.room)
+        t_cap, d_cap = capture_views(task)
         for cap, sid in ((t_cap, task.target), (d_cap, task.destination)):
             first = caps[_first_showing(caps, sid)]
             assert cap == replace(first, subject=sid)
             assert first.subject is None
-        assert (t_cap, d_cap) == (task.target_capture,
-                                  task.destination_capture)
 
     def test_deterministic(self):
-        env, task = generate_task(GenConfig(), 4)
-        a = capture_views(env, task.target, task.destination)
-        b = capture_views(env, task.target, task.destination)
-        assert a == b
+        _, task = generate_task(GenConfig(), 4)
+        assert capture_views(task) == capture_views(task)
 
     @pytest.mark.parametrize("master", [4, 7])
     def test_the_captures_the_screen_grounding_picks(self, master):
@@ -249,14 +246,8 @@ class TestCaptureViews:
         screen's grounding picked its role."""
         cfg = RunConfig(seed=master).gen
         for i in range(20):
-            env, task = generate_task(cfg, h64("session", master, i))
-            caps = lattice_captures(env, task.room)
-            g = ground(task.instruction, caps, [c.snapshots for c in caps],
-                       RELATIONAL, cfg.weights, cfg.thresholds)
-            assert task.target_capture == replace(caps[g.target.capture],
-                                                  subject=task.target)
-            assert task.destination_capture == replace(
-                caps[g.destination.capture], subject=task.destination)
+            _, task = generate_task(cfg, h64("session", master, i))
+            assert capture_views(task) == grounding_captures(task, cfg)
 
     def test_no_lattice_capture_sees_into_a_small_room(self):
         """A 1 m room has no lattice point strictly inside it, so no capture
@@ -264,9 +255,10 @@ class TestCaptureViews:
         t = table("t0", Rect(0.3, 0.3, 0.7, 0.7))
         env = make_env(room=Rect(0.0, 0.0, 1.0, 1.0), furniture=(t,),
                        objects=(ball("o0", (0.5, 0.5), radius=0.05),))
-        assert lattice_captures(env, "r0") == []
+        lattice = lattice_captures(env, "r0")
+        assert lattice == ()
         with pytest.raises(ValueError, match="o0"):
-            capture_views(env, "o0", "t0/top")
+            capture_views(TaskSpec("o0", "t0/top", "r0", lattice, None, ""))
 
     def test_generation_moves_past_a_candidate_with_no_description(
             self, monkeypatch):
@@ -305,8 +297,9 @@ class TestMakeInstruction:
             assert point_in_room(env, obj.pose.x, obj.pose.y) == task.room
             # exhaustive grounding in the capture context picks the truth
             m = ast.manip
-            snaps = task.target_capture.snapshots
-            supports = task.target_capture.supports
+            t_cap, d_cap = capture_views(task)
+            snaps = t_cap.snapshots
+            supports = t_cap.supports
             cands = [s.object_id for s in snaps if s.kind == DYNAMIC
                      and attrs_match(m.target, s)
                      and (m.relation is None or any(
@@ -314,7 +307,7 @@ class TestMakeInstruction:
                          and relation_holds(m.relation.kind, s, lm, supports)
                          for lm in snaps))]
             assert cands == [task.target], seed
-            d_snaps = task.destination_capture.snapshots
+            d_snaps = d_cap.snapshots
             d_cands = [s.object_id for s in d_snaps if s.kind == SURFACE
                        and attrs_match(m.destination, s)]
             assert d_cands == [task.destination], seed
@@ -398,7 +391,7 @@ class TestScreenAgreesWithExecutor:
         cfg = RunConfig(seed=7)
         for i in range(6):
             env, task = generate_task(cfg.gen, h64("session", 7, i))
-            caps = lattice_captures(env, task.room)
+            caps = task.lattice
             g = ground(task.instruction, caps, [c.snapshots for c in caps],
                        RELATIONAL, cfg.gen.weights, cfg.gen.thresholds)
             screened = {"fetch": grasp_approach(env, g.target),
@@ -581,8 +574,8 @@ class TestLatticeCheckFirst:
                              ids=["run-seed7", "generate-seed4"])
     def test_equals_reference(self, master):
         """Equal to `reference_generate_task`, which has no lattice check:
-        every candidate is described from the ground truth and screened,
-        and the captures are the ones the screen's grounding picked."""
+        every candidate is described from the ground truth and screened.
+        The exported captures are the ones the screen's grounding picked."""
         cfg = RunConfig(seed=master).gen
         for i in range(20):
             seed = h64("session", master, i)
@@ -590,6 +583,7 @@ class TestLatticeCheckFirst:
             ref_env, ref_task = reference_generate_task(cfg, seed)
             assert env_record(env) == env_record(ref_env)
             assert task == ref_task
+            assert capture_views(task) == grounding_captures(ref_task, cfg)
             assert canonical_json(episode_record(i, env, task)) == \
                 canonical_json(episode_record(i, ref_env, ref_task))
 
@@ -639,16 +633,58 @@ class TestLatticeCheckFirst:
         assert len(draws) == 600
         assert 0 < len(dropped) < len(draws)
         screened = 0
+        lattices = {}  # (scene, room) -> lattice; `draws` keeps each scene
         for env, target, destination, room, rng, _ in dropped:
+            key = (id(env), room)
+            if key not in lattices:
+                lattices[key] = lattice_captures(env, room)
             try:
                 ast, text = reference_instruction(env, target, destination,
-                                                  room, rng, cfg)
+                                                  room, lattices[key], rng,
+                                                  cfg)
             except NoDistinguishingDescription:
                 continue
-            task = TaskSpec(target, destination, room, None, None, ast, text)
+            task = TaskSpec(target, destination, room, lattices[key], ast,
+                            text)
             assert not task_feasible(env, task, cfg), (target, destination)
             screened += 1
         assert screened > 0
+
+    def test_one_lattice_per_scene_and_room(self, monkeypatch):
+        """The generator computes the lattice of each (scene, room) it draws
+        a candidate from once, and no other: on sessions 0-19 of `generate
+        --seed 4`, and on session 0 with the screen rejecting all 50
+        candidates, whose scenes each yield several draws per room."""
+        drawn, computed = [], Counter()
+        orig_select = taskgen.select_task
+        orig_lattice = taskgen.lattice_captures
+
+        def select(env, rng):
+            target, destination, room = orig_select(env, rng)
+            drawn.append((env, room))
+            return target, destination, room
+
+        def lattice(env, room):
+            computed[id(env), room] += 1
+            return orig_lattice(env, room)
+
+        def check():
+            # `drawn` keeps every scene alive, so no id is reused.
+            assert set(computed) == {(id(env), room) for env, room in drawn}
+            assert set(computed.values()) == {1}
+
+        monkeypatch.setattr(taskgen, "select_task", select)
+        monkeypatch.setattr(taskgen, "lattice_captures", lattice)
+        for i in range(20):
+            generate_task(GenConfig(), h64("session", 4, i))
+        check()
+        drawn.clear()
+        computed.clear()
+        monkeypatch.setattr(taskgen, "task_feasible", lambda *a: False)
+        with pytest.raises(GenerationFailed):
+            generate_task(GenConfig(), h64("session", 4, 0))
+        check()
+        assert len(drawn) > 2 * len(computed)
 
     def test_shortcuts_fire(self, monkeypatch):
         """On sessions 0-19 of `generate --seed 4`, the generator sees no
@@ -780,7 +816,7 @@ class TestLatticeDescription:
         seen = Counter()
 
         def screened(env, task, cfg):
-            caps = lattice_captures(env, task.room)
+            caps = task.lattice
             g = ground(task.instruction, caps, [c.snapshots for c in caps],
                        RELATIONAL, cfg.weights, cfg.thresholds)
             grounded = (g.resolved and g.target.strict and g.destination.strict

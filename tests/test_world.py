@@ -738,13 +738,11 @@ class TestGrasp:
 
     def test_success_effects(self):
         env = self._env()
-        env.memo["stale"] = True
         grasp(env, "o0")
         assert env.robot.gripper == "o0"
         o = env.objects["o0"]
         assert o.support is None
         assert (o.pose.x, o.pose.y) == pytest.approx((1.2, 1.0))
-        assert env.memo == {}
 
     def test_gripper_occupied(self):
         env = self._env()
@@ -812,13 +810,11 @@ class TestPlace:
         env = self._held_env()
         o = env.objects["o0"]
         want = place_spot(env, "t0/top", o, env.robot.pose.xy)
-        env.memo["stale"] = True
         place(env, "t0/top")
         assert (o.pose.x, o.pose.y) == want
         assert o.pose.theta == 0.0
         assert o.support == "t0/top"
         assert env.robot.gripper is None
-        assert env.memo == {}
         # on an empty surface the first candidate is the clamp point itself
         assert want == pytest.approx((1.30, 1.0))
 

@@ -5,9 +5,11 @@ rectangles, dynamic objects and the robot are disks, and every dynamic
 object sits on a named support surface.  All mutation happens through
 `step`, `grasp`, and `place`; everything else is a pure query.
 
-`visible_objects` is the visibility contract, one camera at a time.
-`visible_batch` answers for many cameras at once and must return exactly
-what `visible_objects` returns for each, bit for bit.
+`visible_objects` is the visibility contract, one camera at a time, and
+`line_of_sight` the one sight test.  `visible_batch` answers for many
+cameras at once: numpy only discards the (camera, subject) pairs that
+provably fail the range or cone test, and the scalar per-pair test of
+`visible_objects` decides every pair it keeps.
 
 `Grid` is the one 0.05 m raster of the static geometry: the planner reads
 its free cells, and each cell's `gap` bounds from below the distance from
@@ -227,9 +229,9 @@ class Layout:
     walls, furniture and the robot's start pose, stored as tuples.
 
     A layout equals only itself, so what depends on these fields alone
-    lives on it: `obstacles`, `sight_rects`, the surface and room indexes,
-    and `grids`, one `Grid` per inflation (see `grid_for`).  Nothing changes
-    a layout after construction; `validate_layout` checks its invariants.
+    lives on it: `obstacles`, the surface and room indexes, and `grids`,
+    one `Grid` per inflation (see `grid_for`).  Nothing changes a layout
+    after construction; `validate_layout` checks its invariants.
     """
     id: str
     rooms: tuple[RoomSpec, ...]
@@ -249,21 +251,6 @@ class Layout:
         """Every wall, then every furniture footprint in `furniture` order:
         the static rectangles that block motion and sight."""
         return (*self.walls, *(f.footprint for f in self.furniture))
-
-    @cached_property
-    def sight_rects(self) -> np.ndarray:
-        """(x0, y0, x1, y1) rows of `obstacles`."""
-        return np.array([r.as_tuple() for r in self.obstacles],
-                        dtype=np.float64).reshape(-1, 4)
-
-    @cached_property
-    def furniture_columns(self) -> dict[str, list[int]]:
-        """Furniture id -> its columns of `sight_rects`, every piece that
-        bears the id (`validate_layout` refuses a repeated one)."""
-        cols: dict[str, list[int]] = {}
-        for k, f in enumerate(self.furniture):
-            cols.setdefault(f.id, []).append(len(self.walls) + k)
-        return cols
 
     @cached_property
     def surfaces(self) -> tuple[SupportSurface, ...]:
@@ -327,10 +314,10 @@ def point_in_room(env: Environment, x: float, y: float) -> str | None:
 
 
 # Margin of the sight prefilters.  np.hypot and np.arctan2 may differ from
-# math.hypot and math.atan2 in the last bit, so `visible_batch` hands a pair
-# within this margin of a threshold to the scalar test; `line_of_sight`
-# widens a segment's box by it to cover the rounding of the points its exact
-# tests compute on the segment.
+# math.hypot and math.atan2 in the last bit, so `visible_batch` keeps a pair
+# within this margin of its camera's range or cone for `_in_view` to decide;
+# `line_of_sight` widens a segment's box by it to cover the rounding of the
+# points its exact tests compute on the segment.
 _SIGHT_EPS = 1e-9
 
 
@@ -383,21 +370,18 @@ def sight_ignore(env: Environment, obj: DynamicObject) -> frozenset[str]:
 
 
 def _subjects(env: Environment) -> list[
-        tuple[str, str, DynamicObject | StaticObject, tuple[float, float]]]:
-    """(id, kind, source, reference point) of everything a camera can
-    report, in snapshot order.  The source carries category and attributes:
-    the object itself, or the furniture that owns the surface."""
-    subs: list = [(oid, DYNAMIC, o, o.pose.xy)
+        tuple[str, str, DynamicObject | StaticObject, tuple[float, float],
+              frozenset[str]]]:
+    """(id, kind, source, reference point, look-past set) of everything a
+    camera can report, in snapshot order.  The source carries category and
+    attributes: the object itself, or the furniture that owns the surface.
+    The look-past set is what the sight line to the subject ignores (see
+    `visible_objects`)."""
+    subs: list = [(oid, DYNAMIC, o, o.pose.xy, sight_ignore(env, o))
                   for oid, o in sorted(env.objects.items())]
-    subs += [(s.id, SURFACE, f, s.region.center)
+    subs += [(s.id, SURFACE, f, s.region.center, frozenset({f.id}))
              for f in env.layout.furniture for s in f.surfaces]
     return subs
-
-
-def _looks_past(env: Environment, kind: str,
-                source: DynamicObject | StaticObject) -> frozenset[str]:
-    """What the sight line to a subject looks past: see `visible_objects`."""
-    return sight_ignore(env, source) if kind == DYNAMIC else frozenset({source.id})
 
 
 def _in_view(cam: CameraPose, ref: tuple[float, float]) -> tuple[float, float] | None:
@@ -413,8 +397,13 @@ def _in_view(cam: CameraPose, ref: tuple[float, float]) -> tuple[float, float] |
     return bearing, rng
 
 
-def _snapshot(sid: str, kind: str, source: DynamicObject | StaticObject,
-              hit: tuple[float, float]) -> Snapshot:
+def _sighting(env: Environment, cam: CameraPose, sub: tuple) -> Snapshot | None:
+    """The snapshot of one `_subjects` entry from `cam`, or None when it
+    fails the range, cone or sight test."""
+    sid, kind, source, ref, past = sub
+    hit = _in_view(cam, ref)
+    if hit is None or not line_of_sight(env, cam.pose.xy, ref, past):
+        return None
     return Snapshot(sid, kind, source.category, source.color, source.material,
                     hit[0], hit[1])
 
@@ -422,33 +411,28 @@ def _snapshot(sid: str, kind: str, source: DynamicObject | StaticObject,
 def visible_objects(env: Environment, cam: CameraPose) -> list[Snapshot]:
     """Snapshots of every dynamic object and support surface the camera sees.
 
-    This is the visibility contract; `visible_batch` must equal it.  A
-    subject is seen when its reference point (an object's centre, a
-    surface's region centre) is within range, within the cone, and in clear
-    sight.  The subject's own disk is ignored for its sight test, and so is
-    the furniture piece it rests on: an object standing on a table must be
-    visible over that table in this top-down abstraction.  Results are
-    ordered by ascending range, ties broken by id.
+    This is the visibility contract.  A subject is seen when its reference
+    point (an object's centre, a surface's region centre) is within range,
+    within the cone, and in clear sight.  The subject's own disk is ignored
+    for its sight test, and so is the furniture piece it rests on: an object
+    standing on a table must be visible over that table in this top-down
+    abstraction.  Results are ordered by ascending range, ties broken by id.
     """
-    out: list[Snapshot] = []
-    for sid, kind, source, ref in _subjects(env):
-        hit = _in_view(cam, ref)
-        if hit is not None and line_of_sight(env, cam.pose.xy, ref,
-                                             _looks_past(env, kind, source)):
-            out.append(_snapshot(sid, kind, source, hit))
+    snaps = (_sighting(env, cam, sub) for sub in _subjects(env))
+    out = [snap for snap in snaps if snap is not None]
     out.sort(key=lambda s: (s.range, s.object_id))
     return out
 
 
 def visible_batch(env: Environment, cams: list[CameraPose]) -> list[list[Snapshot]]:
-    """`[visible_objects(env, c) for c in cams]`, in a few array passes.
+    """`[visible_objects(env, c) for c in cams]`, with one array pass.
 
-    numpy only discards (camera, subject) pairs that provably fail the
-    cone, range or sight test, or decides a pair with the same IEEE
-    operations as the scalar test.  Every pair it keeps is re-tested by
-    `_in_view`, which also gives each snapshot's bearing and range, so the
-    result is bit-identical to the scalar contract.  The array set-up pays
-    off over a whole lattice of cameras, not over one.
+    numpy only discards (camera, subject) pairs whose reference point lies
+    beyond the camera's range or outside its cone by more than `_SIGHT_EPS`.
+    Every pair it keeps takes the per-pair test of `visible_objects`
+    (`_in_view`, then `line_of_sight`), so each list equals the scalar one
+    by construction.  The array pass pays off over a lattice of cameras, in
+    which most pairs fail range or cone.
     """
     out: list[list[Snapshot]] = [[] for _ in cams]
     subs = _subjects(env)
@@ -462,111 +446,15 @@ def visible_batch(env: Environment, cams: list[CameraPose]) -> list[list[Snapsho
     near = np.hypot(dx, dy) <= cam[:, 4:5] + _SIGHT_EPS
     off = np.abs(np.mod(np.arctan2(dy, dx) - cam[:, 2:3] + math.pi, TWO_PI)
                  - math.pi)
+    # A camera on a reference point sees it at bearing 0 (see `_in_view`).
     cone = (off <= cam[:, 3:4] + _SIGHT_EPS) | ((dx == 0.0) & (dy == 0.0))
-    ci, sj = np.nonzero(near & cone)
-    clear = _sight_clear(env, subs, sj, cam[ci, 0], cam[ci, 1],
-                         ref[sj, 0], ref[sj, 1])
-    for i, j in zip(ci[clear].tolist(), sj[clear].tolist()):
-        hit = _in_view(cams[i], subs[j][3])
-        if hit is not None:
-            out[i].append(_snapshot(*subs[j][:3], hit))
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(near & cone))):
+        snap = _sighting(env, cams[i], subs[j])
+        if snap is not None:
+            out[i].append(snap)
     for snaps in out:
         snaps.sort(key=lambda s: (s.range, s.object_id))
     return out
-
-
-def _sight_clear(env: Environment, subs: list, sj: np.ndarray,
-                 ax: np.ndarray, ay: np.ndarray,
-                 bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """`line_of_sight` of each segment a-b toward subject `subs[sj]`.
-
-    Rectangles run the clip of `segment_crosses_rect` in closed form, on
-    (K, M) arrays of pairs by rectangles: t0 is the largest entry (at least
-    0) and t1 the smallest exit (at most 1) over the two axes, each axis
-    entering at the smaller of its two slab crossings and leaving at the
-    larger.  The scalar loop returns early exactly where its final t0
-    would exceed t1 (each bound it keeps is a running max or min, and it
-    stops at the first that crosses the other), and the `t1 - t0 <= 1e-12`
-    test rejects those pairs; elsewhere its t0 and t1 are the same max and
-    min.  The midpoint test is the scalar one, and elementwise float64
-    arithmetic and comparisons are IEEE-identical to Python's, so each
-    verdict is too.  Disks use the distance formula of
-    `segment_point_distance` but decide only outside a band around the
-    radius, since np.hypot may differ from math.hypot in the last bit;
-    inside the band the scalar test decides.
-    """
-    layout = env.layout
-    fcol = layout.furniture_columns
-    objs = [source for _, kind, source, _ in subs if kind == DYNAMIC]
-    ocol = {o.id: k for k, o in enumerate(objs)}
-    # (subject, column) of each rectangle and disk a subject looks past.
-    rect_past: tuple[list[int], list[int]] = ([], [])
-    disk_past: tuple[list[int], list[int]] = ([], [])
-    for s, (_, kind, source, _) in enumerate(subs):
-        for name in _looks_past(env, kind, source):
-            for col in fcol.get(name, ()):
-                rect_past[0].append(s)
-                rect_past[1].append(col)
-            if name in ocol:
-                disk_past[0].append(s)
-                disk_past[1].append(ocol[name])
-    skip_rect = np.zeros((len(subs), len(layout.obstacles)), dtype=bool)
-    skip_rect[rect_past] = True
-    skip_disk = np.zeros((len(subs), len(objs)), dtype=bool)
-    skip_disk[disk_past] = True
-
-    same = (ax == bx) & (ay == by)
-    ax, ay, bx, by = ax[:, None], ay[:, None], bx[:, None], by[:, None]
-    dx = bx - ax
-    dy = by - ay
-    x0, y0, x1, y1 = layout.sight_rects.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Where an axis has d != 0, its two t are the scalar loop's q / p of
-        # that axis (negating q and p changes no quotient), the smaller one
-        # entering and the larger leaving.  Where d == 0 the scalar skips
-        # the axis unless q < 0: here both t are infinite, -inf and +inf
-        # (no bound) or, for a point outside the slab, the same sign, which
-        # pushes t0 past t1.  A point on the slab's edge (q == 0) gives a
-        # NaN, which fails every test below, as the scalar's midpoint, on
-        # that edge, fails its strict one.  The signs of zeros differ from
-        # the scalar's, but a zero t1 fails the 1e-12 test and past it
-        # t1 > 0, so t0 + t1 == t1 for either zero t0.
-        tx0 = (x0 - ax) / dx
-        tx1 = (x1 - ax) / dx
-        ty0 = (y0 - ay) / dy
-        ty1 = (y1 - ay) / dy
-        t0 = np.maximum(np.maximum(np.minimum(tx0, tx1),
-                                   np.minimum(ty0, ty1)), 0.0)
-        t1 = np.minimum(np.minimum(np.maximum(tx0, tx1),
-                                   np.maximum(ty0, ty1)), 1.0)
-        alive = ~(skip_rect[sj] | (t1 - t0 <= 1e-12))
-        # The clipped midpoint a + tm * d, in place: + and * commute exactly.
-        tm = t0
-        tm += t1
-        tm *= 0.5
-        for a, da, lo_edge, hi_edge in ((ax, dx, x0, x1), (ay, dy, y0, y1)):
-            mid = tm * da
-            mid += a
-            alive &= (lo_edge < mid) & (mid < hi_edge)
-        blocked = alive.any(axis=1)
-        if objs:
-            px = np.array([o.pose.x for o in objs])
-            py = np.array([o.pose.y for o in objs])
-            rad = np.array([o.radius for o in objs])
-            # A NaN from a zero-length segment falls into the band.
-            t = np.minimum(1.0, np.maximum(
-                0.0, ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)))
-            d = np.hypot(px - (ax + t * dx), py - (ay + t * dy))
-            live = ~skip_disk[sj]
-            blocked |= (live & (d < rad - _SIGHT_EPS)).any(axis=1)
-            band = live & ~(d < rad - _SIGHT_EPS) & ~(d > rad + _SIGHT_EPS)
-            for k, n in zip(*(ix.tolist() for ix in np.nonzero(band))):
-                o = objs[n]
-                if not blocked[k] and segment_crosses_disk(
-                        ax[k, 0], ay[k, 0], bx[k, 0], by[k, 0],
-                        o.pose.x, o.pose.y, o.radius):
-                    blocked[k] = True
-    return same | ~blocked
 
 
 def capture_supports(env: Environment) -> dict[str, str]:

@@ -394,8 +394,9 @@ class TestVisibleBatch:
         assert "o2" not in [s.object_id for s in got[2]]
 
     def test_clip_edge_cases(self):
-        """Each case where the closed-form clip and the scalar loop take
-        different routes to their verdict."""
+        """Sight lines that slide along an edge, stop short of it or pass
+        through a corner alone: the special cases of `segment_crosses_rect`'s
+        clip, which decides every pair the batch keeps."""
         block = table("t0", Rect(2.0, 2.0, 3.0, 3.0))
         shelf = table("t1", Rect(2.0, 3.5, 3.0, 4.5))
         env = make_env(furniture=(block, shelf), objects=(
@@ -420,6 +421,21 @@ class TestVisibleBatch:
         assert seen[0] == {"o0"}
         assert "o1" in seen[1] and "o1" not in seen[2]
         assert "o2" in seen[3] and "o3" in seen[4]
+
+    def test_sight_verdict_is_line_of_sight(self, monkeypatch):
+        env = build_environment(GenConfig(), 7)
+        cams = _lattice(env)
+        before = visible_batch(env, cams)
+        refused = next(s.object_id for snaps in before for s in snaps
+                       if s.kind == DYNAMIC)
+        real = world.line_of_sight
+
+        def refuse(env, a, b, ignore=frozenset()):
+            return refused not in ignore and real(env, a, b, ignore)
+
+        monkeypatch.setattr(world, "line_of_sight", refuse)
+        assert visible_batch(env, cams) == [
+            [s for s in snaps if s.object_id != refused] for snaps in before]
 
     def test_no_subjects_and_no_cameras(self):
         env = make_env()

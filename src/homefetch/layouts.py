@@ -5,8 +5,9 @@ walls, furniture (with support surfaces), and the robot start pose.  Walls
 are thin rectangles straddling room boundaries, carved around door gaps, so
 movement and sight between rooms funnel through doors.
 
-Each shipped layout is built and validated once per process; every scene
-`make_environment` starts shares it, and with it its grids and their memos.
+Each shipped layout is built once per process, and the tests check it with
+`validate_layout`; every scene `make_environment` starts shares it, and
+with it its grids and their memos.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from copy import copy
 from .geometry import Rect
 from .world import (
     Door, Environment, Layout, Pose, RobotState, RoomSpec, StaticObject,
-    SupportSurface, validate_layout,
+    SupportSurface,
 )
 
 WALL_HALF_M = 0.05
@@ -123,13 +124,7 @@ def _default_layout() -> Layout:
 _BUILDERS = {"default": _default_layout}
 
 
-def _validated(layout: Layout) -> Layout:
-    issues = validate_layout(layout)
-    assert not issues, f"shipped layout {layout.id} is invalid: {issues}"
-    return layout
-
-
-_LAYOUTS = {lid: _validated(build()) for lid, build in _BUILDERS.items()}
+_LAYOUTS = {lid: build() for lid, build in _BUILDERS.items()}
 
 
 def layout_ids() -> list[str]:

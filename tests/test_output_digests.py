@@ -6,6 +6,10 @@ poses, so the per-tick motion is pinned on its own, by the bits of its
 floats: that is what the leg memo stores and replays.
 """
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from helpers import trace_bits
 from homefetch.cli import EXIT_OK, main
 from homefetch.config import RunConfig
 from homefetch.session import run_batch
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _sha(*paths) -> str:
@@ -36,14 +42,32 @@ def test_run_outputs(tmp_path, argv, episodes, report):
     assert _sha(tmp_path / "report.json") == report
 
 
-def test_generate_outputs(tmp_path):
-    assert main(["generate", "--seed", "4", "--sessions", "4",
-                 "--out", str(tmp_path)]) == EXIT_OK
-    files = sorted(tmp_path.iterdir())
+GENERATE_ARGV = ["generate", "--seed", "4", "--sessions", "4"]
+GENERATE_SHA = \
+    "ed07165dfcf8a81a96df4ad01edc44707f5d1496f33842837e5735e1a777d1cc"
+
+
+def _dataset_sha(out) -> str:
+    files = sorted(out.iterdir())
     assert [f.name for f in files] == [
         *(f"episode_{i:04d}.json" for i in range(4)), "manifest.json"]
-    assert _sha(*files) == \
-        "ed07165dfcf8a81a96df4ad01edc44707f5d1496f33842837e5735e1a777d1cc"
+    return _sha(*files)
+
+
+def test_generate_outputs(tmp_path):
+    assert main([*GENERATE_ARGV, "--out", str(tmp_path)]) == EXIT_OK
+    assert _dataset_sha(tmp_path) == GENERATE_SHA
+
+
+def test_generate_outputs_without_asserts(tmp_path):
+    """`python -O` strips every `assert`; no output byte may rest on one."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "homefetch.cli", *GENERATE_ARGV,
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert _dataset_sha(tmp_path) == GENERATE_SHA
 
 
 def test_trace_bits():

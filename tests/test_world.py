@@ -437,6 +437,22 @@ class TestVisibleBatch:
         assert visible_batch(env, cams) == [
             [s for s in snaps if s.object_id != refused] for snaps in before]
 
+    def test_subject_exactly_at_range(self):
+        env = make_env(objects=(ball("o0", (4.5, 2.0), None),))
+        cam = CameraPose(Pose(1.0, 2.0, 0.0))
+        got = visible_batch(env, [cam])
+        assert got == [visible_objects(env, cam)]
+        assert [(s.object_id, s.range) for s in got[0]] == [("o0", cam.range)]
+
+    def test_camera_on_a_reference_point_facing_away(self):
+        # `_in_view` gives a zero range bearing 0, whatever the heading.
+        env = make_env(objects=(ball("o0", (4.5, 2.0), None),))
+        cam = CameraPose(Pose(4.5, 2.0, math.pi))
+        got = visible_batch(env, [cam])
+        assert got == [visible_objects(env, cam)]
+        assert [(s.object_id, s.bearing, s.range) for s in got[0]] == \
+            [("o0", 0.0, 0.0)]
+
     def test_no_subjects_and_no_cameras(self):
         env = make_env()
         cams = [CameraPose(Pose(1.0, 1.0, 0.0)), CameraPose(Pose(3.0, 2.0, 1.0))]
@@ -886,11 +902,6 @@ class TestPlaceSpot:
 
 
 class TestValidator:
-    def test_default_layout_clean(self):
-        env = make_environment("default")
-        assert validate_layout(env.layout) == []
-        assert validate_environment(env) == []
-
     @staticmethod
     def _default_with(**fields):
         """The default layout's fields with some replaced, as a new layout."""

@@ -40,14 +40,6 @@ class TestRegistry:
             assert a.robot.pose is not a.layout.start
             assert a.robot.pose == a.layout.start
 
-    def test_validator_clean(self):
-        """Each shipped layout, and the empty scene on it, is valid; nothing
-        checks them at import."""
-        for lid in layout_ids():
-            env = make_environment(lid)
-            assert validate_layout(env.layout) == [], lid
-            assert validate_environment(env) == [], lid
-
     def test_one_shipped_layout_never_rebuilds_its_grid(self):
         grid = grid_for(make_environment("default"))
         for _ in range(24):
@@ -110,6 +102,13 @@ class TestHandBuiltLayouts:
 
 
 class TestDefaultLayout:
+    def test_validator_clean(self):
+        """The default layout, and the empty scene on it, is valid; nothing
+        checks it at import."""
+        env = make_environment("default")
+        assert validate_layout(env.layout) == []
+        assert validate_environment(env) == []
+
     def test_construction_deterministic(self):
         a, b = make_environment("default"), make_environment("default")
         assert a.robot.pose == b.robot.pose

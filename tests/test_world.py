@@ -902,6 +902,11 @@ class TestPlaceSpot:
 
 
 class TestValidator:
+    def test_default_layout_clean(self):
+        env = make_environment("default")
+        assert validate_layout(env.layout) == []
+        assert validate_environment(env) == []
+
     @staticmethod
     def _default_with(**fields):
         """The default layout's fields with some replaced, as a new layout."""

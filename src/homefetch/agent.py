@@ -23,9 +23,11 @@ or with no trace to extend, runs uncached.  `drive_straight` turns through the
 memoized `rotate_exact`.  No code mutates a `Pose` in place, which is what
 lets entries share them.
 
-`room_lattice` states once per room the cameras the crawl stops at and
-the surfaces they can ever see: one grid-memo entry, which every scene of
-a command shares with the generator's checks.
+`room_lattice` states once per room the cameras the crawl stops at, the
+surfaces they can ever see and what each camera sees of them with no
+object in the scene: one grid-memo entry, which every scene of a command
+shares with the generator's checks.  `lattice_captures` then tests only a
+scene's objects.
 
 Perception is geometric visibility plus parametric noise.  Detection noise
 is drawn from a keyed stream: a miss is keyed by object (one fate per object
@@ -43,7 +45,7 @@ from typing import TYPE_CHECKING
 
 from .geometry import dist, norm_angle
 from .language import InstructionAst, AttributeSet, SpatialRelation
-from .planner import NoPath, Path, plan_path, segment_clear_exact
+from .planner import NoPath, Path, plan_path, reachable, segment_clear_exact
 from .relations import (
     RelationThresholds, attrs_match, n_specified, relation_holds,
 )
@@ -156,10 +158,12 @@ def _robot_component(env: Environment) -> int | None:
 
 @dataclass(frozen=True)
 class RoomLattice:
-    """The cameras (`HEADINGS` at each point, serpentine visit order) and
-    the ids of the surfaces they see in the scene without objects."""
+    """The cameras (`HEADINGS` at each point, serpentine visit order), the
+    ids of the surfaces they see in the scene without objects, and each
+    camera's snapshots of that scene (`views`, surfaces only)."""
     cameras: tuple[CameraPose, ...]
     surfaces: frozenset[str]
+    views: tuple[tuple[Snapshot, ...], ...]
 
 
 def room_lattice(env: Environment, room_id: str) -> RoomLattice:
@@ -170,7 +174,9 @@ def room_lattice(env: Environment, room_id: str) -> RoomLattice:
     inflated grid in the robot's component, which is all the robot ever
     occupies, so the runtime crawl and any static replay agree.  Objects
     only add disk blockers and a surface's sight line looks past no object,
-    so `surfaces` holds every surface any `lattice_captures` can show.
+    so `surfaces` holds every surface any `lattice_captures` can show, and
+    `views` is the `bare` argument of `visible_batch` for every scene on
+    the layout.
     """
     grid = grid_for(env)
     comp = _robot_component(env)
@@ -196,7 +202,8 @@ def room_lattice(env: Environment, room_id: str) -> RoomLattice:
         views = visible_batch(Environment(env.layout, {}, env.robot), cams)
         lattice = grid.remember(key, RoomLattice(
             tuple(cams),
-            frozenset(s.object_id for snaps in views for s in snaps)))
+            frozenset(s.object_id for snaps in views for s in snaps),
+            tuple(map(tuple, views))))
     return lattice
 
 
@@ -206,12 +213,16 @@ def lattice_captures(env: Environment, room_id: str) -> tuple[Capture, ...]:
 
     A pure function of the scene, computed anew on each call: the
     generator computes it once per scene and room, and the task carries it
-    to the crawl (`TaskSpec.lattice`).
+    to the crawl (`TaskSpec.lattice`).  Only the scene's objects take the
+    sight tests here; each surface snapshot is the room lattice's own
+    (`RoomLattice.views`), kept unless an object blocks its sight line, so
+    every capture equals `visible_objects` of its camera.
     """
     supports = capture_supports(env)
-    cams = room_lattice(env, room_id).cameras
-    return tuple(Capture(cam, snaps, supports)
-                 for cam, snaps in zip(cams, visible_batch(env, list(cams))))
+    lattice = room_lattice(env, room_id)
+    cams = list(lattice.cameras)
+    return tuple(Capture(cam, snaps, supports) for cam, snaps
+                 in zip(cams, visible_batch(env, cams, lattice.views)))
 
 
 # --- low-level motion -------------------------------------------------------
@@ -410,17 +421,26 @@ def navigate_to_room(env: Environment, room_id: str, deadline: float,
             and point_in_room(env, env.robot.pose.x, env.robot.pose.y) == room_id)
 
 
-def room_entry_path(env: Environment, room_id: str) -> Path | None:
-    """Path from the robot to the first door anchor of the room, by door id,
-    that the planner can reach; None when no anchor is reachable."""
+def room_entry(env: Environment, room_id: str) -> tuple[float, float] | None:
+    """The first door anchor of the room, by door id, that the planner can
+    reach from the robot (`reachable`, no search); None when there is
+    none."""
     room = env.layout.room(room_id)
     for door in sorted(room.doors, key=lambda d: d.id):
-        try:
-            return plan_path(env, env.robot.pose.xy,
-                             door.anchor_in(room, ANCHOR_INSET_M))
-        except NoPath:
-            continue
+        anchor = door.anchor_in(room, ANCHOR_INSET_M)
+        if reachable(env, env.robot.pose.xy, anchor):
+            return anchor
     return None
+
+
+def room_entry_path(env: Environment, room_id: str) -> Path | None:
+    """Path from the robot to the room's `room_entry` anchor; None when no
+    anchor is reachable.  The first door anchor that the planner can reach
+    is the first whose plan returns, so this is the path the robot drives
+    whenever the screen's `room_entry` finds an anchor."""
+    anchor = room_entry(env, room_id)
+    return None if anchor is None else plan_path(env, env.robot.pose.xy,
+                                                 anchor)
 
 
 def crawl(env: Environment, lattice: tuple[Capture, ...], deadline: float,

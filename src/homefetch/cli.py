@@ -22,7 +22,7 @@ from .session import (
     replay_log, run_batch, tallies_from_events,
 )
 from .taskgen import (
-    GenerationFailed, episode_record, export_dataset, generate_task,
+    GenerationFailed, episode_text, export_dataset, generate_task,
 )
 
 EXIT_OK = 0
@@ -80,19 +80,19 @@ def cmd_run(args) -> int:
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     out = Path(cfg.out or f"dataset/seed{cfg.seed}")
-    # Each scene is dropped once its record is made; nothing is written
+    # Each scene is dropped once its text is made; nothing is written
     # unless every episode generates.
-    records = []
+    texts = []
     try:
         for i in range(cfg.sessions):
             env, task = generate_task(cfg.gen, h64("session", cfg.seed, i))
-            records.append(episode_record(i, env, task))
+            texts.append(episode_text(i, env, task))
     except GenerationFailed as e:
         print(f"generation failed: {e}", file=sys.stderr)
         return EXIT_GENERATION
     try:
-        export_dataset(records, out, meta={"seed": cfg.seed,
-                                           "config": config_echo(cfg)})
+        export_dataset(texts, out, meta={"seed": cfg.seed,
+                                         "config": config_echo(cfg)})
     except OSError as e:
         print(f"cannot write dataset under {out}: {e}", file=sys.stderr)
         return EXIT_IO

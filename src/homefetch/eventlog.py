@@ -97,9 +97,23 @@ def canonical_json(obj) -> str:
                       ensure_ascii=True, allow_nan=False)
 
 
+def canonical_join(fields: dict[str, str]) -> str:
+    """`canonical_json` of an object whose fields are given already
+    encoded: `canonical_join({k: canonical_json(v)})` equals
+    `canonical_json({k: v})`, since the encoding of an object is its
+    fields' encodings joined in sorted key order."""
+    return "{" + ",".join(f"{canonical_json(k)}:{fields[k]}"
+                          for k in sorted(fields)) + "}"
+
+
 def digest16(obj) -> str:
     """Short stable digest of a record, for summarizing bulky payloads."""
-    return hashlib.sha256(canonical_json(obj).encode("ascii")).hexdigest()[:16]
+    return text_digest16(canonical_json(obj))
+
+
+def text_digest16(text: str) -> str:
+    """`digest16` of the record whose canonical encoding is `text`."""
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
 
 def write_events(path, events: Iterable[dict]) -> None:

@@ -8,6 +8,7 @@ same command still parse.  Round trip is exact: parse(realize(ast)) == ast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .vocab import DEFAULT
 
@@ -145,19 +146,30 @@ class _Tokens:
         raise ParseError(self.offset(), options)
 
 
-def _match_multiword(ts: _Tokens, tokens: tuple[str, ...], what: str) -> str:
-    """Consume the longest vocabulary phrase starting at the cursor."""
-    best = None
+@cache
+def _by_first_word(tokens: tuple[str, ...],
+                   ) -> dict[str, tuple[tuple[str, tuple[str, ...]], ...]]:
+    """First word -> the (phrase, words) of each vocabulary phrase that
+    starts with it, in `tokens` order; built once per vocabulary tuple."""
+    index: dict[str, list] = {}
     for phrase in tokens:
-        words = phrase.split()
-        if all(ts.peek(k) == w for k, w in enumerate(words)):
-            if best is None or len(words) > len(best.split()):
-                best = phrase
+        words = tuple(phrase.split())
+        index.setdefault(words[0], []).append((phrase, words))
+    return {w: tuple(entries) for w, entries in index.items()}
+
+
+def _match_multiword(ts: _Tokens, tokens: tuple[str, ...], what: str) -> str:
+    """Consume the longest vocabulary phrase starting at the cursor; of
+    equally long ones, the first in `tokens` order."""
+    best = None
+    for phrase, words in _by_first_word(tokens).get(ts.peek(), ()):
+        if (best is None or len(words) > len(best[1])) and \
+                all(ts.peek(k) == w for k, w in enumerate(words[1:], 1)):
+            best = (phrase, words)
     if best is None:
         raise ParseError(ts.offset(), (what,))
-    for _ in best.split():
-        ts.take()
-    return best
+    ts.pos += len(best[1])
+    return best[0]
 
 
 def _parse_np(ts: _Tokens) -> AttributeSet:

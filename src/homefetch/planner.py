@@ -10,7 +10,12 @@ covers them.
 
 A* is 8-connected with the corner rule (a diagonal move needs both adjacent
 orthogonal cells free), which makes 4-connected flood fill an exact
-reachability oracle.  Ties break on (f, h, cell index) so plans are stable
+reachability oracle: a search between two free cells of one 4-connected
+component always finds a route.  So `_ends` states every case in which
+`plan_path` raises `NoPath` (the goal cell blocked, no `_snap_start` cell
+near the start, the two cells in different components), and `reachable`,
+which asks `_ends` alone, is true exactly when `plan_path` returns, with
+no search.  Ties break on (f, h, cell index) so plans are stable
 across runs and platforms.  It runs on flat cell indices (`iy * nx + ix`):
 g is a list, the closed set a bytearray, and each cell's moves come from
 `Grid.moves`, a byte per cell with one bit per legal move (in bounds, onto
@@ -38,8 +43,9 @@ the exact `segment_rect_distance`.
 `world` module docstring).  A plan depends on nothing but the static
 geometry, the inflation (robot radius plus margin, which also fixes the
 radius `_snap_start` keeps from obstacles) and the two exact points, and
-the grid is that geometry and inflation.  A `NoPath` is cached too, since
-callers such as `room_entry_path` try unreachable doors again and again.
+the grid is that geometry and inflation.  A `NoPath` is cached too, so a
+query that fails repeats as one lookup, as one that succeeds does; a
+caller that only needs to know whether a path exists asks `reachable`.
 Every call returns a fresh `Path` or raises a fresh `NoPath`.
 """
 from __future__ import annotations
@@ -225,6 +231,17 @@ def _string_pull(grid: Grid, pts: list[tuple[float, float]]) -> list[tuple[float
     return out
 
 
+def reachable(env: Environment, start: tuple[float, float],
+              goal: tuple[float, float]) -> bool:
+    """True iff `plan_path(env, start, goal)` returns, decided without a
+    search: the ends of `_plan` (see the module docstring)."""
+    try:
+        _ends(env, grid_for(env), start, goal)
+    except NoPath:
+        return False
+    return True
+
+
 def plan_path(env: Environment, start: tuple[float, float],
               goal: tuple[float, float]) -> Path:
     """Shortest grid path from start to goal, smoothed; raises NoPath."""
@@ -244,11 +261,16 @@ def plan_path(env: Environment, start: tuple[float, float],
     return Path(list(entry[0]), entry[1])
 
 
-def _plan(env: Environment, grid: Grid, start: tuple[float, float],
-          goal: tuple[float, float]) -> Path:
-    """The uncached planner behind `plan_path`."""
+def _ends(env: Environment, grid: Grid, start: tuple[float, float],
+          goal: tuple[float, float],
+          ) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The start and goal cells of the search from start to goal, or None
+    when the two points lie within 1e-9 m, where the plan is the start
+    alone.  Raises NoPath when the goal cell is not free, no cell near the
+    start passes `_snap_start`, or the two cells lie in different
+    components."""
     if dist(start, goal) <= 1e-9:
-        return Path([start], 0.0)
+        return None
     gix, giy = grid.cell_of(goal[0], goal[1])
     if not grid.in_bounds(gix, giy) or not grid.free[giy, gix]:
         raise NoPath(f"goal cell blocked at {goal}")
@@ -257,7 +279,16 @@ def _plan(env: Environment, grid: Grid, start: tuple[float, float],
         raise NoPath(f"no safe grid entry near {start}")
     if grid.comp[s[1], s[0]] != grid.comp[giy, gix]:
         raise NoPath("start and goal in different grid components")
-    cells = _astar(grid, s, (gix, giy))
+    return s, (gix, giy)
+
+
+def _plan(env: Environment, grid: Grid, start: tuple[float, float],
+          goal: tuple[float, float]) -> Path:
+    """The uncached planner behind `plan_path`."""
+    ends = _ends(env, grid, start, goal)
+    if ends is None:
+        return Path([start], 0.0)
+    cells = _astar(grid, *ends)
     pts = [start] + [grid.center(ix, iy) for ix, iy in cells] + [goal]
     pulled = _string_pull(grid, pts)
     length = sum(dist(pulled[k], pulled[k + 1]) for k in range(len(pulled) - 1))

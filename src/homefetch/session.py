@@ -28,12 +28,12 @@ from .agent import (
 from .config import RunConfig, config_echo, config_from_echo, ConfigError
 from .eventlog import (
     BOOL, INT, NULL, NUMBER, STR, Missing, SchemaError, canonical_json,
-    digest16, problems, read_events, split_sessions,
+    digest16, problems, read_events, split_sessions, text_digest16,
 )
 from .language import parse
 from .seeds import KeyedStream, h64
 from .taskgen import capture_record, generate_task
-from .world import env_record, snapshot_record
+from .world import scene_text, snapshot_record
 
 NAVIGATION = "Navigation"
 OLR = "OLR"
@@ -101,7 +101,7 @@ def run_session(seed: int, cfg: RunConfig, session_index: int = 0) -> SessionRec
     emit("session_start", seed=seed, session_seed=session_seed,
          config=config_echo(cfg))
     emit("scene", layout=env.layout.id, objects=len(env.objects),
-         digest=digest16(env_record(env)))
+         digest=text_digest16(scene_text(env)))
     emit("task", target=task.target, destination=task.destination,
          room=task.room, text=task.text)
 

@@ -38,9 +38,11 @@ from pathlib import Path
 
 from .agent import (
     RELATIONAL, Capture, ScoreWeights, grasp_approach, ground,
-    lattice_captures, place_approach, room_entry_path, room_lattice,
+    lattice_captures, place_approach, room_entry, room_lattice,
 )
-from .eventlog import INT, NULL, NUMBER, STR, canonical_json, problems
+from .eventlog import (
+    INT, NULL, NUMBER, STR, canonical_join, canonical_json, problems,
+)
 from .geometry import dist
 from .language import (
     GotoClause, InstructionAst, ManipClause, ONTO, TO, parse, realize,
@@ -54,7 +56,8 @@ from .seeds import h64, substream
 from .vocab import DEFAULT
 from .world import (
     DYNAMIC, SURFACE, ActionFailure, DynamicObject, Environment, Pose,
-    Snapshot, env_record, place_spot, point_in_room, snapshot_record,
+    Snapshot, env_record, place_spot, point_in_room, scene_text,
+    snapshot_record,
 )
 
 ENV_ATTEMPTS = 5
@@ -294,9 +297,11 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
     """Screen a candidate task with the executor's own machinery, noise-free.
 
     Requires: grounding from the task's lattice is strictly unique and lands
-    on the ground truth for both roles; a grasp approach exists near the
-    target; a set-down approach with at least one free spiral slot exists
-    at the destination; the text parses back to the instruction.  The
+    on the ground truth for both roles; the room has a door anchor that the
+    planner can reach from the robot (`room_entry`, the anchor whose path
+    navigation drives, decided without a search); a grasp approach exists
+    near the target; a set-down approach with at least one free spiral slot
+    exists at the destination; the text parses back to the instruction.  The
     grounding reads `task.instruction`, not the parsed text, and no check
     has an effect beyond its memos, so the order changes no verdict: the
     parse, which realized text always passes, goes last, after the checks
@@ -310,7 +315,7 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
             and g.destination.id == task.destination):
         return False
 
-    if room_entry_path(env, task.room) is None:
+    if room_entry(env, task.room) is None:
         return False
     if grasp_approach(env, g.target) is None:
         return False
@@ -382,12 +387,12 @@ def capture_record(cap: Capture) -> dict:
     }
 
 
-def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
+def _episode_fields(index: int, env: Environment, task: TaskSpec) -> dict:
+    """Every field of `episode_record` but the scene."""
     t_cap, d_cap = capture_views(task)
     return {
         "format": "homefetch-episode/1",
         "index": index,
-        "scene": env_record(env),
         "task": {
             "target": {"id": task.target,
                        "xy_m": list(env.objects[task.target].pose.xy)},
@@ -400,6 +405,18 @@ def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
         "captures": {"target": capture_record(t_cap),
                      "destination": capture_record(d_cap)},
     }
+
+
+def episode_record(index: int, env: Environment, task: TaskSpec) -> dict:
+    return {**_episode_fields(index, env, task), "scene": env_record(env)}
+
+
+def episode_text(index: int, env: Environment, task: TaskSpec) -> str:
+    """`canonical_json(episode_record(index, env, task))`, with the scene
+    spliced in from `scene_text`."""
+    fields = {k: canonical_json(v)
+              for k, v in _episode_fields(index, env, task).items()}
+    return canonical_join({**fields, "scene": scene_text(env)})
 
 
 # The shape of `episode_record` (docs/dataset.md).
@@ -462,16 +479,17 @@ def validate_episode(rec) -> list[str]:
     return bad
 
 
-def export_dataset(records: list[dict], out_dir,
+def export_dataset(texts: list[str], out_dir,
                    meta: dict | None = None) -> dict:
-    """Write one canonical-JSON file per `episode_record` plus a manifest;
-    returns the manifest.  Record i is written as episode i."""
+    """Write one file per episode text (`episode_text`, the canonical JSON
+    of its `episode_record`) plus a manifest; returns the manifest.  Text
+    i is written as episode i."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
-    for i, rec in enumerate(records):
+    for i, text in enumerate(texts):
         name = f"episode_{i:04d}.json"
-        (out / name).write_text(canonical_json(rec) + "\n", encoding="ascii")
+        (out / name).write_text(text + "\n", encoding="ascii")
         names.append(name)
     manifest = {"format": "homefetch-manifest/1", "count": len(names),
                 "episodes": names, "meta": meta or {}}

@@ -6,10 +6,13 @@ object sits on a named support surface.  All mutation happens through
 `step`, `grasp`, and `place`; everything else is a pure query.
 
 `visible_objects` is the visibility contract, one camera at a time, and
-`line_of_sight` the one sight test.  `visible_batch` answers for many
+`line_of_sight` the one sight test: the conjunction of its static loops
+(walls, footprints) and its object loop.  `visible_batch` answers for many
 cameras at once: numpy only discards the (camera, subject) pairs that
 provably fail the range or cone test, and the scalar per-pair test of
-`visible_objects` decides every pair it keeps.
+`visible_objects` decides every pair it keeps.  Given the same cameras'
+views of the scene without objects, it tests only the objects and asks
+the object loop alone whether a surface seen there is still seen.
 
 `Grid` is the one 0.05 m raster of the static geometry: the planner reads
 its free cells, and each cell's `gap` bounds from below the distance from
@@ -42,10 +45,15 @@ inflation in the layout's own `grids`, and a layout's grids go with it.
 plans (`("plan", start, goal)`), motion legs (`(body, bits)`, see `agent`)
 and room lattices (`("lattice", room bounds, component)`, see
 `agent.room_lattice`), at most `MEMO_CAP` of them together, oldest evicted
-first.  `layouts.forget_memos`, called by `cli.main` before each command,
-empties the grid memos of the shipped layouts.  The raster (`free`, `comp`,
-`gap`, `moves`) outlives them: a function of the geometry alone, it costs a
-set-up build.
+first.  A room lattice holds its cameras' `Snapshot`s of the scene without
+objects, and every scene's captures of that room share them.  No code
+mutates a `Snapshot`: `agent.detect` copies one with `replace` to corrupt
+an attribute.  `layouts.forget_memos`, called by `cli.main` before each
+command, empties the grid memos of the shipped layouts.  The raster
+(`free`, `comp`, `gap`, `moves`) outlives them: a function of the geometry
+alone, it costs a set-up build.  `Layout.encoded`, the canonical JSON of
+the scene fields the layout fixes, is kept on the layout too, so
+`scene_text` encodes only a scene's own fields.
 A scene holds no memo.  Work on its objects, such as a room's
 `agent.lattice_captures`, is held by its caller: the generator computes
 each room's lattice once per scene and the task carries it to the crawl.
@@ -60,6 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .eventlog import canonical_join, canonical_json
 from .geometry import (
     TWO_PI,
     Rect,
@@ -261,6 +270,14 @@ class Layout:
         return {s.id: s for s in self.surfaces}
 
     @cached_property
+    def surface_subjects(self) -> tuple[tuple, ...]:
+        """The `_subjects` entry of each surface, in `surfaces` order: (id,
+        `SURFACE`, the furniture holding it, region centre, that
+        furniture's id as the look-past set)."""
+        return tuple((s.id, SURFACE, f, s.region.center, frozenset({f.id}))
+                     for f in self.furniture for s in f.surfaces)
+
+    @cached_property
     def room_index(self) -> dict[str, RoomSpec]:
         return {r.id: r for r in self.rooms}
 
@@ -272,6 +289,12 @@ class Layout:
         return {r.id: tuple(s for f in self.furniture
                             if r.bounds.contains(*f.footprint.center)
                             for s in f.surfaces) for r in self.rooms}
+
+    @cached_property
+    def encoded(self) -> dict[str, str]:
+        """The `canonical_json` text of each field of `env_record` that
+        the layout fixes (`doors`, `furniture`, `layout`, `rooms`)."""
+        return {k: canonical_json(v) for k, v in _layout_record(self).items()}
 
     def room(self, room_id: str) -> RoomSpec:
         return self.room_index[room_id]
@@ -321,36 +344,47 @@ def point_in_room(env: Environment, x: float, y: float) -> str | None:
 _SIGHT_EPS = 1e-9
 
 
-def line_of_sight(env: Environment, a: tuple[float, float], b: tuple[float, float],
-                  ignore: frozenset[str] | set[str] = frozenset()) -> bool:
-    """True iff the open segment a-b is not blocked.
-
-    Walls always block.  Furniture footprints and dynamic-object disks
-    block unless their id is in `ignore`.  What the segment's box rules out
-    skips its exact test (see the module docstring).
-    """
+def _sight_box(a: tuple[float, float], b: tuple[float, float],
+               ) -> tuple[float, float, float, float] | None:
+    """The box of the segment a-b widened by the margin, as (lx, hx, ly,
+    hy), or None when a and b coincide and nothing can block."""
     ax, ay = a
     bx, by = b
     if ax == bx and ay == by:
-        return True
-    # The segment's box, widened by the margin: what misses it is skipped.
+        return None
     lx, hx = (ax, bx) if ax <= bx else (bx, ax)
     ly, hy = (ay, by) if ay <= by else (by, ay)
-    lx -= _SIGHT_EPS
-    hx += _SIGHT_EPS
-    ly -= _SIGHT_EPS
-    hy += _SIGHT_EPS
-    for w in env.layout.walls:
+    return (lx - _SIGHT_EPS, hx + _SIGHT_EPS, ly - _SIGHT_EPS, hy + _SIGHT_EPS)
+
+
+def _static_clear(layout: Layout, a: tuple[float, float],
+                  b: tuple[float, float], box: tuple[float, float, float, float],
+                  ignore: frozenset[str] | set[str]) -> bool:
+    """No wall, and no footprint outside `ignore`, crosses the segment."""
+    ax, ay = a
+    bx, by = b
+    lx, hx, ly, hy = box
+    for w in layout.walls:
         if w.x1 < lx or w.x0 > hx or w.y1 < ly or w.y0 > hy:
             continue
         if segment_crosses_rect(ax, ay, bx, by, w):
             return False
-    for f in env.layout.furniture:
+    for f in layout.furniture:
         r = f.footprint
         if r.x1 < lx or r.x0 > hx or r.y1 < ly or r.y0 > hy or f.id in ignore:
             continue
         if segment_crosses_rect(ax, ay, bx, by, r):
             return False
+    return True
+
+
+def _objects_clear(env: Environment, a: tuple[float, float],
+                   b: tuple[float, float], box: tuple[float, float, float, float],
+                   ignore: frozenset[str] | set[str]) -> bool:
+    """No dynamic-object disk outside `ignore` crosses the segment."""
+    ax, ay = a
+    bx, by = b
+    lx, hx, ly, hy = box
     for o in env.objects.values():
         ox, oy, rad = o.pose.x, o.pose.y, o.radius
         if ox + rad < lx or ox - rad > hx or oy + rad < ly or oy - rad > hy \
@@ -359,6 +393,21 @@ def line_of_sight(env: Environment, a: tuple[float, float], b: tuple[float, floa
         if segment_crosses_disk(ax, ay, bx, by, ox, oy, rad):
             return False
     return True
+
+
+def line_of_sight(env: Environment, a: tuple[float, float], b: tuple[float, float],
+                  ignore: frozenset[str] | set[str] = frozenset()) -> bool:
+    """True iff the open segment a-b is not blocked.
+
+    Walls always block.  Furniture footprints and dynamic-object disks
+    block unless their id is in `ignore`.  The test is the conjunction of
+    the static loops (walls, footprints) and the object loop; what the
+    segment's box rules out skips its exact test (see the module
+    docstring).
+    """
+    box = _sight_box(a, b)
+    return box is None or (_static_clear(env.layout, a, b, box, ignore)
+                           and _objects_clear(env, a, b, box, ignore))
 
 
 def sight_ignore(env: Environment, obj: DynamicObject) -> frozenset[str]:
@@ -373,15 +422,18 @@ def _subjects(env: Environment) -> list[
         tuple[str, str, DynamicObject | StaticObject, tuple[float, float],
               frozenset[str]]]:
     """(id, kind, source, reference point, look-past set) of everything a
-    camera can report, in snapshot order.  The source carries category and
-    attributes: the object itself, or the furniture that owns the surface.
-    The look-past set is what the sight line to the subject ignores (see
+    camera can report, in snapshot order: the objects, then the layout's
+    `surface_subjects`.  The source carries category and attributes: the
+    object itself, or the furniture that owns the surface.  The look-past
+    set is what the sight line to the subject ignores (see
     `visible_objects`)."""
-    subs: list = [(oid, DYNAMIC, o, o.pose.xy, sight_ignore(env, o))
-                  for oid, o in sorted(env.objects.items())]
-    subs += [(s.id, SURFACE, f, s.region.center, frozenset({f.id}))
-             for f in env.layout.furniture for s in f.surfaces]
-    return subs
+    return [*_object_subjects(env), *env.layout.surface_subjects]
+
+
+def _object_subjects(env: Environment) -> list[tuple]:
+    """The `_subjects` entries of the scene's objects, by id."""
+    return [(oid, DYNAMIC, o, o.pose.xy, sight_ignore(env, o))
+            for oid, o in sorted(env.objects.items())]
 
 
 def _in_view(cam: CameraPose, ref: tuple[float, float]) -> tuple[float, float] | None:
@@ -424,7 +476,9 @@ def visible_objects(env: Environment, cam: CameraPose) -> list[Snapshot]:
     return out
 
 
-def visible_batch(env: Environment, cams: list[CameraPose]) -> list[list[Snapshot]]:
+def visible_batch(env: Environment, cams: list[CameraPose],
+                  bare: list[list[Snapshot]] | None = None,
+                  ) -> list[list[Snapshot]]:
     """`[visible_objects(env, c) for c in cams]`, with one array pass.
 
     numpy only discards (camera, subject) pairs whose reference point lies
@@ -433,9 +487,25 @@ def visible_batch(env: Environment, cams: list[CameraPose]) -> list[list[Snapsho
     (`_in_view`, then `line_of_sight`), so each list equals the scalar one
     by construction.  The array pass pays off over a lattice of cameras, in
     which most pairs fail range or cone.
+
+    `bare`, when given, is this call's result for the same cameras in the
+    scene without objects, which holds surfaces only.  Then only the
+    objects take the array pass and the per-pair test, and each snapshot of
+    `bare` is kept unless an object disk outside its look-past set crosses
+    its sight line: the same range, cone and static loops decide a surface
+    with or without objects, and objects only add blockers, so the lists
+    are equal on a layout whose surface ids are unique (`validate_layout`).
+    The snapshots of `bare` are shared, not copied.
     """
-    out: list[list[Snapshot]] = [[] for _ in cams]
-    subs = _subjects(env)
+    if bare is None:
+        out: list[list[Snapshot]] = [[] for _ in cams]
+        subs = _subjects(env)
+    else:
+        index = {sub[0]: sub for sub in env.layout.surface_subjects}
+        out = [[s for s in snaps if _still_clear(env, cam, index[s.object_id])]
+               for cam, snaps in zip(cams, bare)]
+        subs = _object_subjects(env)
+    # Each list is sorted so far: empty, or a filtered list of `bare`.
     if not cams or not subs:
         return out
     cam = np.array([(c.pose.x, c.pose.y, c.pose.theta, c.fov / 2.0, c.range)
@@ -455,6 +525,15 @@ def visible_batch(env: Environment, cams: list[CameraPose]) -> list[list[Snapsho
     for snaps in out:
         snaps.sort(key=lambda s: (s.range, s.object_id))
     return out
+
+
+def _still_clear(env: Environment, cam: CameraPose, sub: tuple) -> bool:
+    """Whether no object disk outside its look-past set crosses the sight
+    line from `cam` to a `_subjects` entry."""
+    _, _, _, ref, past = sub
+    a = cam.pose.xy
+    box = _sight_box(a, ref)
+    return box is None or _objects_clear(env, a, ref, box, past)
 
 
 def capture_supports(env: Environment) -> dict[str, str]:
@@ -868,19 +947,18 @@ def snapshot_record(s: Snapshot) -> dict:
             "bearing_rad": s.bearing, "range_m": s.range}
 
 
-def env_record(env: Environment) -> dict:
-    """Stable tree encoding of the scene with explicit units in key names."""
+def _layout_record(layout: Layout) -> dict:
+    """The fields of `env_record` that the layout fixes."""
     return {
-        "layout": env.layout.id,
-        "clock_s": env.clock,
+        "layout": layout.id,
         "rooms": [
             {"id": r.id, "name": r.name, "bounds_m": list(r.bounds.as_tuple())}
-            for r in env.layout.rooms
+            for r in layout.rooms
         ],
         "doors": [
             {"id": d.id, "rooms": list(d.rooms), "axis": d.axis,
              "pos_m": d.pos, "span_m": list(d.span)}
-            for d in env.layout.doors
+            for d in layout.doors
         ],
         "furniture": [
             {"id": f.id, "category": f.category, "color": f.color,
@@ -890,8 +968,15 @@ def env_record(env: Environment) -> dict:
                   "height_class": s.height_class}
                  for s in f.surfaces
              ]}
-            for f in env.layout.furniture
+            for f in layout.furniture
         ],
+    }
+
+
+def _state_record(env: Environment) -> dict:
+    """The fields of `env_record` that change from scene to scene."""
+    return {
+        "clock_s": env.clock,
         "objects": [
             {"id": o.id, "category": o.category, "color": o.color,
              "material": o.material, "x_m": o.pose.x, "y_m": o.pose.y,
@@ -905,3 +990,15 @@ def env_record(env: Environment) -> dict:
             "reach_m": env.robot.reach, "gripper": env.robot.gripper,
         },
     }
+
+
+def env_record(env: Environment) -> dict:
+    """Stable tree encoding of the scene with explicit units in key names."""
+    return {**_layout_record(env.layout), **_state_record(env)}
+
+
+def scene_text(env: Environment) -> str:
+    """`canonical_json(env_record(env))`: the layout's fields are encoded
+    once per layout (`Layout.encoded`) and joined with the scene's own."""
+    state = {k: canonical_json(v) for k, v in _state_record(env).items()}
+    return canonical_join({**env.layout.encoded, **state})

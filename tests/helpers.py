@@ -28,6 +28,7 @@ from homefetch.language import (
     GotoClause,
     InstructionAst,
     ManipClause,
+    ParseError,
     SpatialRelation,
     realize,
 )
@@ -610,6 +611,23 @@ def brute_force_visible(env: Environment, cam: CameraPose) -> list[Snapshot]:
 
 
 # --- grammar-complete instruction sampler ---------------------------------
+
+def reference_match_multiword(ts, tokens: tuple[str, ...], what: str) -> str:
+    """`language._match_multiword` as a linear scan: every phrase split
+    at every slot, the first longest match kept.  The oracle of the
+    first-word index."""
+    best = None
+    for phrase in tokens:
+        words = phrase.split()
+        if all(ts.peek(k) == w for k, w in enumerate(words)):
+            if best is None or len(words) > len(best.split()):
+                best = phrase
+    if best is None:
+        raise ParseError(ts.offset(), (what,))
+    for _ in best.split():
+        ts.take()
+    return best
+
 
 def sample_ast(rng: random.Random) -> InstructionAst:
     """Uniformish draw over the whole instruction grammar, not just the

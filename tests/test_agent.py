@@ -148,7 +148,7 @@ class TestCrawlLattice:
         assert len(lattice_points(furnished, "r0")) == 10
         # Off every free cell the robot is in no component: no lattice.
         bare.robot.pose = Pose(-1.0, -1.0)
-        assert room_lattice(bare, "r0") == RoomLattice((), frozenset())
+        assert room_lattice(bare, "r0") == RoomLattice((), frozenset(), ())
 
     def test_lattice_captures_shape(self):
         env = make_env(room=Rect(0, 0, 5, 4))
@@ -317,6 +317,66 @@ class TestRoomLatticeOracle:
             cams, surfaces = reference_room_lattice(env, room.id)
             assert list(lattice.cameras) == cams
             assert lattice.surfaces == surfaces
+
+
+def _batch_captures(env, room_id: str) -> tuple[Capture, ...]:
+    """The room's lattice captures from one full `visible_batch` of its
+    cameras, every subject through the sight test."""
+    cams = list(room_lattice(env, room_id).cameras)
+    supports = world.capture_supports(env)
+    return tuple(Capture(c, snaps, supports)
+                 for c, snaps in zip(cams, visible_batch(env, cams)))
+
+
+def _hidden_surfaces(env, room_id: str, caps) -> int:
+    """How many (camera, surface) sightings of the scene without objects
+    the captures lack."""
+    views = room_lattice(env, room_id).views
+    return sum(len(v) - sum(s.kind == SURFACE for s in c.snapshots)
+               for v, c in zip(views, caps))
+
+
+class TestLatticeCapturesExact:
+    """`lattice_captures` sends only the objects through the sight test
+    and keeps the lattice's surface snapshots unless an object blocks
+    them; it equals the captures of a full `visible_batch`."""
+
+    @pytest.mark.parametrize("seed", [4, 7, 11])
+    def test_generated_scenes(self, seed):
+        hidden = 0
+        for i in range(10):
+            env, _ = generate_task(GenConfig(), h64("session", seed, i))
+            for room in env.layout.rooms:
+                caps = lattice_captures(env, room.id)
+                assert caps == _batch_captures(env, room.id)
+                hidden += _hidden_surfaces(env, room.id, caps)
+        assert hidden > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(env=scenes(), pick=st.integers(0, 2 ** 32),
+           t=st.floats(0.1, 0.9), radius=st.floats(0.02, 0.3))
+    def test_object_between_camera_and_surface(self, env, pick, t, radius):
+        """An object disk on the sight line from a lattice camera to a
+        surface hides that surface from that camera, and only there."""
+        grid = grid_for(env)
+        free = np.argwhere(grid.free)
+        if not len(free):
+            return
+        iy, ix = free[pick % len(free)].tolist()
+        env.robot.pose = Pose(*grid.center(ix, iy))
+        room = point_in_room(env, *env.robot.pose.xy)
+        lattice = room_lattice(env, room)
+        seen = [(k, s) for k, v in enumerate(lattice.views) for s in v]
+        if not seen:
+            return
+        k, snap = seen[pick % len(seen)]
+        cam = lattice.cameras[k].pose
+        ref = env.layout.surface(snap.object_id).region.center
+        xy = (cam.x + t * (ref[0] - cam.x), cam.y + t * (ref[1] - cam.y))
+        env.objects["o0"] = ball("o0", xy, None, radius=radius)
+        caps = lattice_captures(env, room)
+        assert caps == _batch_captures(env, room)
+        assert snap.object_id not in [s.object_id for s in caps[k].snapshots]
 
 
 def _capture(snaps, cam=None):

@@ -1,8 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import sample_ast
+from helpers import reference_match_multiword, sample_ast
+from homefetch import language
 from homefetch.language import (
     IN_FRONT_OF,
     KIND_ORDER,
@@ -21,6 +24,7 @@ from homefetch.language import (
     parse,
     realize,
 )
+from homefetch.vocab import DEFAULT
 
 
 def _ast(target, destination, room="living room", prep=ONTO,
@@ -146,3 +150,80 @@ def test_sampled_roundtrip():
     for _ in range(300):
         ast = sample_ast(rng)
         assert parse(realize(ast)) == ast
+
+
+# Every word and mark the grammar knows, and words it does not.
+_WORDS = sorted({w for phrase in (*DEFAULT.categories, *DEFAULT.rooms,
+                                  *DEFAULT.colors, *DEFAULT.materials)
+                 for w in phrase.split()}
+                | {"go", "to", "the", "a", "an", "move", "on", "near", "in",
+                   "front", "of", "left", "right", "from", "onto", ",", "."})
+_JUNK = ["toys", "teddybear", "living", "room", "xyzzy", "car", "bear", "!"]
+
+
+def _outcome(text: str):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return ("ParseError", str(e))
+
+
+@st.composite
+def _token_texts(draw):
+    """A realized instruction with some tokens replaced, inserted or
+    dropped, or "go to the" and a free sequence of known and junk words."""
+    pool = st.sampled_from(_WORDS + _JUNK)
+    if draw(st.integers(0, 3)) == 0:
+        return " ".join(["go", "to", "the", *draw(st.lists(pool, max_size=25))])
+    text = realize(sample_ast(random.Random(draw(st.integers(0, 2 ** 32)))))
+    toks = text.replace(",", " ,").replace(".", " .").split()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(toks)))
+        edit = draw(st.sampled_from(("replace", "insert", "drop")))
+        if edit == "insert" or not toks:
+            toks.insert(i, draw(pool))
+        elif edit == "replace":
+            toks[min(i, len(toks) - 1)] = draw(pool)
+        else:
+            del toks[min(i, len(toks) - 1)]
+    return " ".join(toks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_token_texts())
+def test_first_word_index_matches_the_linear_scan(text):
+    """`parse` with the first-word index gives the AST, or the error
+    message (byte offset and expected set), that the linear scan of every
+    phrase gives."""
+    got = _outcome(text)
+    with mock.patch.object(language, "_match_multiword",
+                           reference_match_multiword):
+        assert got == _outcome(text)
+
+
+_PIECES = ("toy", "car", "bear")
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocab=st.lists(st.lists(st.sampled_from(_PIECES), min_size=1,
+                               max_size=3).map(" ".join),
+                      min_size=1, max_size=8).map(tuple),
+       pick=st.integers(0, 7),
+       tail=st.lists(st.sampled_from(_PIECES + (",",)), max_size=3))
+def test_first_word_index_on_overlapping_phrases(vocab, pick, tail):
+    """On vocabularies whose phrases share first words, the index takes
+    the longest match, the first of equal ones in vocabulary order, and
+    consumes what the linear scan consumes.  The tokens start with one of
+    the phrases (or with a word no phrase starts with, when `pick` is past
+    the vocabulary)."""
+    head = vocab[pick].split() if pick < len(vocab) else [","]
+    text = " ".join(head + tail)
+
+    def run(match):
+        ts = language._Tokens(text)
+        try:
+            return match(ts, vocab, "<phrase>"), ts.pos
+        except ParseError as e:
+            return ("ParseError", str(e))
+
+    assert run(language._match_multiword) == run(reference_match_multiword)

@@ -28,6 +28,7 @@ from homefetch.planner import (
     _plan,
     _string_pull,
     plan_path,
+    reachable,
     segment_clear_exact,
 )
 from homefetch.world import (
@@ -474,6 +475,78 @@ class TestPlanMemo:
         assert planned == goals
         plan_path(env, (1.0, 1.0), goals[0])
         assert planned == goals + [goals[0]]
+
+
+def _plan_returns(env, start, goal) -> bool:
+    try:
+        plan_path(env, start, goal)
+    except NoPath:
+        return False
+    return True
+
+
+def _probe_points(env, rng: random.Random, n: int) -> list:
+    """Free cell centres, uniform points over the padded grid (blocked,
+    outside every room, or free) and nudged copies of both."""
+    grid = grid_for(env)
+    free = np.argwhere(grid.free).tolist()
+    pts = []
+    for _ in range(n):
+        if free and rng.random() < 0.5:
+            iy, ix = rng.choice(free)
+            p = grid.center(ix, iy)
+        else:
+            p = (grid.x0 + rng.random() * grid.nx * grid.res,
+                 grid.y0 + rng.random() * grid.ny * grid.res)
+        pts.append((nudge(p[0], rng), nudge(p[1], rng)))
+    return pts
+
+
+class TestReachable:
+    """`reachable` is true exactly when `plan_path` returns."""
+
+    def _check(self, env, pairs) -> set:
+        """Asserts the equivalence on every pair; returns the `NoPath`
+        messages met, with their coordinates dropped."""
+        causes = set()
+        for a, b in pairs:
+            ok = _plan_returns(env, a, b)
+            assert reachable(env, a, b) == ok, (a, b)
+            if not ok:
+                try:
+                    plan_path(env, a, b)
+                except NoPath as e:
+                    causes.add(str(e).split(" at ")[0].split(" near ")[0])
+        return causes
+
+    def test_shipped_layout(self):
+        env = make_environment("default")
+        rng = random.Random(31)
+        pts = _probe_points(env, rng, 120)
+        pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(300)]
+        pairs += [(p, p) for p in pts[:10]]
+        room = env.layout.rooms[1]
+        pairs += [(env.layout.start.xy, d.anchor_in(room, 0.7))
+                  for d in room.doors]
+        causes = self._check(env, pairs)
+        assert causes == {"goal cell blocked", "no safe grid entry"}
+
+    def test_sealed_rooms(self):
+        """Free cells of two components: every query across them is
+        unreachable, though both ends are free."""
+        env = _two_sealed_rooms()
+        pairs = [((1.0, 1.0), (6.0, 1.0)), ((6.0, 1.0), (1.0, 1.0)),
+                 ((1.0, 1.0), (2.0, 2.0))]
+        assert self._check(env, pairs) == \
+            {"start and goal in different grid components"}
+        assert not reachable(env, (1.0, 1.0), (6.0, 1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(env=scenes(), seed=st.integers(0, 2 ** 32))
+    def test_random_scenes(self, env, seed):
+        rng = random.Random(seed)
+        pts = _probe_points(env, rng, 10)
+        self._check(env, [(a, b) for a in pts for b in pts])
 
 
 class TestSegmentClearExact:

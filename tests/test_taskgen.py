@@ -42,6 +42,7 @@ from homefetch.taskgen import (
     build_environment,
     capture_views,
     episode_record,
+    episode_text,
     export_dataset,
     generate_task,
     select_task,
@@ -50,10 +51,14 @@ from homefetch.taskgen import (
 )
 from homefetch.vocab import DEFAULT
 from homefetch.world import (
+    DT_S,
     DYNAMIC,
     SURFACE,
     env_record,
+    grasp,
     point_in_room,
+    scene_text,
+    step,
     validate_environment,
 )
 
@@ -434,11 +439,11 @@ class TestEpisodeExport:
         assert validate_episode(rec)
 
     def test_export_roundtrip_bytes(self, tmp_path):
-        records = [episode_record(i, *generate_task(GenConfig(), s))
-                   for i, s in enumerate((14, 15))]
+        texts = [episode_text(i, *generate_task(GenConfig(), s))
+                 for i, s in enumerate((14, 15))]
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        m1 = export_dataset(records, out1, meta={"seed": 0})
-        m2 = export_dataset(records, out2, meta={"seed": 0})
+        m1 = export_dataset(texts, out1, meta={"seed": 0})
+        m2 = export_dataset(texts, out2, meta={"seed": 0})
         assert m1 == m2
         assert m1["format"] == "homefetch-manifest/1"
         assert m1["count"] == 2
@@ -449,6 +454,34 @@ class TestEpisodeExport:
             assert validate_episode(rec) == []
         assert (out1 / "manifest.json").read_bytes() == \
             (out2 / "manifest.json").read_bytes()
+
+
+class TestSplicedTexts:
+    """`scene_text` and `episode_text` join each layout's fields, encoded
+    once, with the scene's own: they equal the canonical JSON of
+    `env_record` and `episode_record`."""
+
+    @pytest.mark.parametrize("seed", [4, 7, 11])
+    def test_generated_episodes(self, seed):
+        for i in range(4):
+            env, task = generate_task(GenConfig(), h64("session", seed, i))
+            assert scene_text(env) == canonical_json(env_record(env))
+            assert episode_text(i, env, task) == \
+                canonical_json(episode_record(i, env, task))
+
+    def test_moved_scenes_on_two_layouts(self):
+        """A clock past zero and a held object, on a test layout and the
+        shipped one in turn: neither gets the other's layout fields."""
+        held = make_env(furniture=(table("t0"),),
+                        objects=(ball("o0", (2.5, 2.4)),),
+                        robot_xy=(2.5, 1.75), theta=math.pi / 2.0)
+        grasp(held, "o0")
+        shipped, _ = generate_task(GenConfig(), h64("session", 4, 0))
+        for env in (held, shipped):
+            step(env, 0.5, 0.3, DT_S)
+        assert held.robot.gripper == "o0" and held.clock > 0.0
+        for env in (held, shipped, held):
+            assert scene_text(env) == canonical_json(env_record(env))
 
 
 def _episode_file_record() -> dict:

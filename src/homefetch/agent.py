@@ -9,13 +9,18 @@ Motion is layered so that every executed trajectory is provably safe:
   segment clearance, and the robot drives the staging-to-dock segment as an
   exact straight line, then retreats along it.
 
+Every leg's ticks run in `world.run_leg`, the one tick loop, which asks a
+per-tick control for the next velocities: the pursuit law of
+`_follow_path`, the turn rate of `_rotate_exact` and the straight-line
+speed of `drive_straight`.
+
 `follow_path` and `rotate_exact` are memoized legs, on the grid's memo
 (see the `world` module docstring).  With an empty gripper a leg reads
 nothing but the static geometry, the robot's radius and speed limits, its
 exact pose and clock at the start, the deadline, and the path's waypoints
 and length (or the heading).  The key holds the floats by their bits, so a
 signed zero is a key of its own.  Dynamic objects are not in the key:
-`step` collides only with `env.layout.obstacles`, and an empty gripper
+`run_leg` collides only with `env.layout.obstacles`, and an empty gripper
 moves no object.  A hit restores the return value, the final `Pose` object
 itself, the final clock and the collisions added, and extends `env.trace`
 with the stored segment, whose tuples it shares.  A leg with a held object,
@@ -55,7 +60,7 @@ from .world import (
     DT_S, DYNAMIC, SURFACE, ActionFailure, CameraPose, Environment, Pose,
     Snapshot, capture_supports, grasp as world_grasp, grid_for,
     line_of_sight, place as world_place, point_blocked, point_in_room,
-    sight_ignore, step as world_step, visible_batch, visible_objects,
+    run_leg, sight_ignore, visible_batch, visible_objects,
 )
 
 if TYPE_CHECKING:
@@ -266,15 +271,20 @@ def rotate_exact(env: Environment, heading: float, deadline: float) -> bool:
 
 
 def _rotate_exact(env: Environment, heading: float, deadline: float) -> bool:
-    """The uncached turn behind `rotate_exact`."""
-    rb = env.robot
-    while env.clock < deadline - 1e-9:
-        delta = norm_angle(heading - rb.pose.theta)
+    """The uncached turn behind `rotate_exact`: `run_leg` at the turn rate
+    that lands on the heading, until it is exact."""
+    wmax = env.robot.max_angular
+
+    def turn(x, y, theta, clock):
+        delta = norm_angle(heading - theta)
         if abs(delta) < 1e-12:
             return True
-        w = max(-rb.max_angular, min(rb.max_angular, delta / DT_S))
-        world_step(env, 0.0, w, DT_S)
-    return abs(norm_angle(heading - rb.pose.theta)) < 1e-12
+        return 0.0, max(-wmax, min(wmax, delta / DT_S))
+
+    done = run_leg(env, turn, deadline)
+    if done is None:
+        return abs(norm_angle(heading - env.robot.pose.theta)) < 1e-12
+    return done
 
 
 def drive_straight(env: Environment, target: tuple[float, float],
@@ -282,7 +292,8 @@ def drive_straight(env: Environment, target: tuple[float, float],
     """Exact straight-line translation to `target` along the current ray.
 
     Heading is fixed first, so every intermediate pose lies on the segment
-    robot-to-target; the final tick scales velocity to land exactly.
+    robot-to-target; then `run_leg` drives at full speed, scaled on the
+    final tick to land exactly.  False on the first collided tick.
     """
     rb = env.robot
     d = dist(rb.pose.xy, target)
@@ -292,14 +303,19 @@ def drive_straight(env: Environment, target: tuple[float, float],
             heading = norm_angle(heading + math.pi)
         if not rotate_exact(env, heading, deadline):
             return False
-    while env.clock < deadline - 1e-9:
-        d = dist(rb.pose.xy, target)
+    vmax = rb.max_linear
+
+    def straight(x, y, theta, clock):
+        d = dist((x, y), target)
         if d < 1e-12:
             return True
-        v = min(rb.max_linear, d / DT_S)
-        if world_step(env, -v if reverse else v, 0.0, DT_S):
-            return False  # unexpected collision; abort the move
-    return dist(rb.pose.xy, target) < 1e-12
+        v = min(vmax, d / DT_S)
+        return -v if reverse else v, 0.0
+
+    done = run_leg(env, straight, deadline, halt=True)
+    if done is None:
+        return dist(rb.pose.xy, target) < 1e-12
+    return done
 
 
 def _arc_table(pts: list[tuple[float, float]]) -> list[float]:
@@ -358,38 +374,39 @@ def follow_path(env: Environment, path: Path, deadline: float) -> bool:
 
 
 def _follow_path(env: Environment, path: Path, deadline: float) -> bool:
-    """The uncached pure pursuit behind `follow_path`."""
+    """The uncached pure pursuit behind `follow_path`: `run_leg` under the
+    pursuit law until the robot is within `ARRIVE_TOL_M` of the goal, then
+    `drive_straight` onto it."""
     pts = path.waypoints
     goal = pts[-1]
-    rb = env.robot
     if len(pts) == 1 or path.total_length <= 1e-12:
         return drive_straight(env, goal, deadline)
     cum = _arc_table(pts)
+    vmax, wmax = env.robot.max_linear, env.robot.max_angular
     # Stalled: the arc position has not gained PROGRESS_EPS_M for
     # STALL_LIMIT_S.  A planned detour away from the goal still gains arc.
     progress = mark = 0.0
     last_gain = env.clock
-    while env.clock < deadline - 1e-9:
-        p = rb.pose
-        remaining = dist(p.xy, goal)
+
+    def pursue(x, y, theta, clock):
+        nonlocal progress, mark, last_gain
+        remaining = dist((x, y), goal)
         if remaining <= ARRIVE_TOL_M:
-            return drive_straight(env, goal, deadline)
-        progress = _advance(pts, cum, p.xy, progress)
+            return True
+        progress = _advance(pts, cum, (x, y), progress)
         if progress > mark + PROGRESS_EPS_M:
-            mark, last_gain = progress, env.clock
-        elif env.clock - last_gain > STALL_LIMIT_S:
+            mark, last_gain = progress, clock
+        elif clock - last_gain > STALL_LIMIT_S:
             return False
         carrot = _point_at(pts, cum, progress + LOOKAHEAD_M)
-        alpha = norm_angle(math.atan2(carrot[1] - p.y, carrot[0] - p.x) - p.theta)
+        alpha = norm_angle(math.atan2(carrot[1] - y, carrot[0] - x) - theta)
         if abs(alpha) > ROTATE_GATE_RAD:
-            v = 0.0
-            w = max(-rb.max_angular, min(rb.max_angular, 3.0 * alpha))
-        else:
-            v = rb.max_linear * max(0.2, math.cos(alpha))
-            v = min(v, max(0.15, remaining))
-            w = max(-rb.max_angular, min(rb.max_angular, 2.5 * alpha))
-        world_step(env, v, w, DT_S)
-    return False
+            return 0.0, max(-wmax, min(wmax, 3.0 * alpha))
+        v = vmax * max(0.2, math.cos(alpha))
+        return min(v, max(0.15, remaining)), max(-wmax, min(wmax, 2.5 * alpha))
+
+    return run_leg(env, pursue, deadline) is True and \
+        drive_straight(env, goal, deadline)
 
 
 def _drive(env: Environment, goal: tuple[float, float], deadline: float,

@@ -17,7 +17,9 @@ near the start, the two cells in different components), and `reachable`,
 which asks `_ends` alone, is true exactly when `plan_path` returns, with
 no search.  Ties break on (f, h, cell index) so plans are stable
 across runs and platforms.  It runs on flat cell indices (`iy * nx + ix`):
-g is a list, the closed set a bytearray, and each cell's moves come from
+g is `Grid.g_scratch`, one list per grid that every search reuses and
+resets to inf on each exit (every cell it set is the start or a key of
+`came`), the closed set a bytearray, and each cell's moves come from
 `Grid.moves`, a byte per cell with one bit per legal move (in bounds, onto
 a free cell, the corner rule applied), built lazily from `free`.
 `Grid.move_table`, 256 move tuples indexed by that byte, gives each move's
@@ -137,40 +139,46 @@ def _astar(grid: Grid, start: tuple[int, int], goal: tuple[int, int]) -> list[tu
     goal_idx = gy * nx + gx
     start_idx = start[1] * nx + start[0]
 
-    g = [math.inf] * len(moves)
+    g = grid.g_scratch
     g[start_idx] = 0.0
     came: dict[int, int] = {}
-    closed = bytearray(len(moves))
-    ax, ay = abs(start[0] - gx), abs(start[1] - gy)
-    h0 = res * (max(ax, ay) + c * min(ax, ay))
-    open_heap: list[tuple[float, float, int]] = [(h0, h0, start_idx)]
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while open_heap:
-        idx = heappop(open_heap)[2]
-        if closed[idx]:
-            continue
-        closed[idx] = 1
-        if idx == goal_idx:
-            path = [idx]
-            while idx in came:
-                idx = came[idx]
-                path.append(idx)
-            path.reverse()
-            return [(i % nx, i // nx) for i in path]
-        cy, cx = divmod(idx, nx)
-        rx, ry = cx - gx, cy - gy
-        base = g[idx]
-        for off, dx, dy, step in table[moves[idx]]:
-            t = idx + off
-            cand = base + step
-            if cand < g[t] - 1e-12:
-                g[t] = cand
-                came[t] = idx
-                # h = res * (max + (sqrt 2 - 1) * min) of the axis distances.
-                ax, ay = abs(rx + dx), abs(ry + dy)
-                hn = res * (ax + c * ay if ax >= ay else ay + c * ax)
-                heappush(open_heap, (cand + hn, hn, t))
-    raise NoPath(f"no route to cell {goal}")
+    try:
+        closed = bytearray(len(moves))
+        ax, ay = abs(start[0] - gx), abs(start[1] - gy)
+        h0 = res * (max(ax, ay) + c * min(ax, ay))
+        open_heap: list[tuple[float, float, int]] = [(h0, h0, start_idx)]
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while open_heap:
+            idx = heappop(open_heap)[2]
+            if closed[idx]:
+                continue
+            closed[idx] = 1
+            if idx == goal_idx:
+                path = [idx]
+                while idx in came:
+                    idx = came[idx]
+                    path.append(idx)
+                path.reverse()
+                return [(i % nx, i // nx) for i in path]
+            cy, cx = divmod(idx, nx)
+            rx, ry = cx - gx, cy - gy
+            base = g[idx]
+            for off, dx, dy, step in table[moves[idx]]:
+                t = idx + off
+                cand = base + step
+                if cand < g[t] - 1e-12:
+                    g[t] = cand
+                    came[t] = idx
+                    # h = res * (max + (sqrt 2 - 1) * min) of the axis distances.
+                    ax, ay = abs(rx + dx), abs(ry + dy)
+                    hn = res * (ax + c * ay if ax >= ay else ay + c * ax)
+                    heappush(open_heap, (cand + hn, hn, t))
+        raise NoPath(f"no route to cell {goal}")
+    finally:
+        # Every cell with a finite g is the start or a key of `came`.
+        g[start_idx] = math.inf
+        for t in came:
+            g[t] = math.inf
 
 
 # Shortcuts tested per numpy pass of `_string_pull`.  Any size gives the

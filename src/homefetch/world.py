@@ -3,7 +3,13 @@
 The world is a 2-D top-down plane.  Furniture and walls are axis-aligned
 rectangles, dynamic objects and the robot are disks, and every dynamic
 object sits on a named support surface.  All mutation happens through
-`step`, `grasp`, and `place`; everything else is a pure query.
+`run_leg`, `grasp`, and `place`; everything else is a pure query.
+
+`run_leg` is the one tick loop of the unicycle: every motion leg of
+`agent` runs in it as a per-tick control, and `step` is its one-tick
+case.  It keeps the pose, clock and collision count in local floats and
+writes them back when the leg ends; the held object's pose is set then
+too, since nothing reads it during the leg.
 
 `visible_objects` is the visibility contract, one camera at a time, and
 `line_of_sight` the one sight test: the conjunction of its static loops
@@ -57,7 +63,7 @@ the scene fields the layout fixes, is kept on the layout too, so
 A scene holds no memo.  Work on its objects, such as a room's
 `agent.lattice_captures`, is held by its caller: the generator computes
 each room's lattice once per scene and the task carries it to the crawl.
-So `step`, `grasp` and `place` move objects with no cache to empty.
+So `run_leg`, `grasp` and `place` move objects with no cache to empty.
 """
 from __future__ import annotations
 
@@ -311,7 +317,7 @@ class Environment:
     robot: RobotState
     clock: float = 0.0  # simulated seconds
     collisions: int = 0
-    # When set, step() appends the post-step pose: an external motion audit.
+    # When set, run_leg() appends the pose after each tick: a motion audit.
     trace: list | None = None
 
     # `perfbench/workloads.py` reads these two of `make_environment`'s scene.
@@ -609,6 +615,12 @@ class Grid:
         return tuple(tuple(m for bit, m in enumerate(steps) if mask >> bit & 1)
                      for mask in range(256))
 
+    @cached_property
+    def g_scratch(self) -> list[float]:
+        """A* cost-so-far per flat cell, all inf between searches: each
+        search of `planner._astar` resets the entries it set."""
+        return [math.inf] * (self.nx * self.ny)
+
     def remember(self, key, value):
         """`memo[key] = value`, oldest evicted at `MEMO_CAP`; returns value."""
         if len(self.memo) >= MEMO_CAP:
@@ -747,36 +759,73 @@ def attach_pose(robot_pose: Pose, offset: float = GRIP_OFFSET_M) -> Pose:
                 robot_pose.theta)
 
 
-def step(env: Environment, v: float, w: float, dt: float) -> bool:
-    """Advance the unicycle one tick; returns True when the move was rejected.
+def run_leg(env: Environment, control, deadline: float, halt: bool = False,
+            dt: float = DT_S) -> bool | None:
+    """Advance the unicycle tick by tick under `control`, until it stops.
+
+    Each tick while the clock is below `deadline` (less 1e-9) asks
+    `control(x, y, theta, clock)` for the velocities `(v, w)` of the next
+    tick, or for a bool, which ends the leg and is returned.  With `halt`
+    the first rejected move ends the leg with False; None means the
+    deadline ended it.
 
     Velocities are clamped to the robot's limits.  On collision the pose
     freezes but the clock still advances.  A held object tracks the
-    gripper rigidly.
+    gripper rigidly.  The pose, clock and collision count live in local
+    variables during the leg and are written back once, on every exit:
+    nothing reads them, or the held object's pose, until the leg ends.
+    `env.trace`, when set, gets the pose after every tick.
     """
     rb = env.robot
-    v = max(-rb.max_linear, min(rb.max_linear, v))
-    w = max(-rb.max_angular, min(rb.max_angular, w))
-    # No tunneling: one step never moves farther than the robot radius.
-    assert abs(v) * dt <= rb.radius + 1e-9, "step displacement exceeds radius"
+    vmax, wmax, radius = rb.max_linear, rb.max_angular, rb.radius
+    trace = env.trace
     p = rb.pose
-    nx = p.x + v * math.cos(p.theta) * dt
-    ny = p.y + v * math.sin(p.theta) * dt
-    # `Pose` wraps again.  A wrap rounds (pi is added before the fmod), so
-    # both wraps are part of the per-tick trace bits, the byte contract the
-    # leg memo replays: dropping either is a declared behaviour change.
-    nth = norm_angle(p.theta + w * dt)
-    collided = (nx != p.x or ny != p.y) and robot_collides(env, nx, ny)
-    if collided:
-        env.collisions += 1
-    else:
-        rb.pose = Pose(nx, ny, nth)
-        if rb.gripper is not None:
-            env.objects[rb.gripper].pose = attach_pose(rb.pose)
-    env.clock += dt
-    if env.trace is not None:
-        env.trace.append((rb.pose.x, rb.pose.y, rb.pose.theta))
-    return collided
+    x, y, th = p.x, p.y, p.theta
+    clock, collisions = env.clock, env.collisions
+    last = None  # the heading of the last move before `Pose`'s own wrap
+    try:
+        while clock < deadline - 1e-9:
+            cmd = control(x, y, th, clock)
+            if cmd is True or cmd is False:
+                return cmd
+            v, w = cmd
+            v = max(-vmax, min(vmax, v))
+            w = max(-wmax, min(wmax, w))
+            # No tunneling: one tick never moves farther than the radius.
+            assert abs(v) * dt <= radius + 1e-9, "step displacement exceeds radius"
+            nx = x + v * math.cos(th) * dt
+            ny = y + v * math.sin(th) * dt
+            # The second wrap is the one `Pose` makes.  A wrap rounds (pi is
+            # added before the fmod), so both wraps are part of the per-tick
+            # trace bits, the byte contract the leg memo replays: dropping
+            # either is a declared behaviour change.
+            turned = norm_angle(th + w * dt)
+            collided = (nx != x or ny != y) and robot_collides(env, nx, ny)
+            if collided:
+                collisions += 1
+            else:
+                x, y, th, last = nx, ny, norm_angle(turned), turned
+            clock += dt
+            if trace is not None:
+                trace.append((x, y, th))
+            if collided and halt:
+                return False
+        return None
+    finally:
+        if last is not None:
+            rb.pose = Pose(x, y, last)
+            if rb.gripper is not None:
+                env.objects[rb.gripper].pose = attach_pose(rb.pose)
+        env.clock, env.collisions = clock, collisions
+
+
+def step(env: Environment, v: float, w: float, dt: float) -> bool:
+    """Advance the unicycle one tick; returns True when the move was rejected.
+
+    The one-tick case of `run_leg`: velocities `(v, w)`, then a stop.
+    """
+    cmds = [True, (v, w)]
+    return run_leg(env, lambda *_: cmds.pop(), math.inf, True, dt) is False
 
 
 def grasp(env: Environment, target: str) -> None:

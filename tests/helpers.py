@@ -13,8 +13,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from homefetch.agent import (
-    CRAWL_SPACING_M, HEADINGS, RELATIONAL, Capture, ground, lattice_captures,
-    room_lattice,
+    ARRIVE_TOL_M, CRAWL_SPACING_M, HEADINGS, LOOKAHEAD_M, PROGRESS_EPS_M,
+    RELATIONAL, ROTATE_GATE_RAD, STALL_LIMIT_S, Capture, _advance, _arc_table,
+    _point_at, ground, lattice_captures, room_lattice,
 )
 from homefetch.config import RunConfig, config_echo
 from homefetch.geometry import (
@@ -52,6 +53,7 @@ from homefetch.taskgen import (
 )
 from homefetch.vocab import DEFAULT
 from homefetch.world import (
+    DT_S,
     DYNAMIC,
     GRID_RES_M,
     SURFACE,
@@ -67,6 +69,7 @@ from homefetch.world import (
     StaticObject,
     SupportSurface,
     grid_for,
+    step,
     visible_batch,
 )
 
@@ -317,6 +320,77 @@ def reference_string_pull(grid: Grid,
         out.append(pts[j])
         i = j
     return out
+
+
+# --- reference motion legs --------------------------------------------------
+
+def reference_rotate_exact(env: Environment, heading: float,
+                           deadline: float) -> bool:
+    """`agent._rotate_exact` as one `world.step` call per tick."""
+    rb = env.robot
+    while env.clock < deadline - 1e-9:
+        delta = norm_angle(heading - rb.pose.theta)
+        if abs(delta) < 1e-12:
+            return True
+        w = max(-rb.max_angular, min(rb.max_angular, delta / DT_S))
+        step(env, 0.0, w, DT_S)
+    return abs(norm_angle(heading - rb.pose.theta)) < 1e-12
+
+
+def reference_drive_straight(env: Environment, target: tuple[float, float],
+                             deadline: float, reverse: bool = False) -> bool:
+    """`agent.drive_straight` as one `world.step` call per tick, turning
+    with `reference_rotate_exact`."""
+    rb = env.robot
+    d = dist(rb.pose.xy, target)
+    if d > 1e-12:
+        heading = math.atan2(target[1] - rb.pose.y, target[0] - rb.pose.x)
+        if reverse:
+            heading = norm_angle(heading + math.pi)
+        if not reference_rotate_exact(env, heading, deadline):
+            return False
+    while env.clock < deadline - 1e-9:
+        d = dist(rb.pose.xy, target)
+        if d < 1e-12:
+            return True
+        v = min(rb.max_linear, d / DT_S)
+        if step(env, -v if reverse else v, 0.0, DT_S):
+            return False  # unexpected collision; abort the move
+    return dist(rb.pose.xy, target) < 1e-12
+
+
+def reference_follow_path(env: Environment, path, deadline: float) -> bool:
+    """`agent._follow_path` as one `world.step` call per tick, landing with
+    `reference_drive_straight`."""
+    pts = path.waypoints
+    goal = pts[-1]
+    rb = env.robot
+    if len(pts) == 1 or path.total_length <= 1e-12:
+        return reference_drive_straight(env, goal, deadline)
+    cum = _arc_table(pts)
+    progress = mark = 0.0
+    last_gain = env.clock
+    while env.clock < deadline - 1e-9:
+        p = rb.pose
+        remaining = dist(p.xy, goal)
+        if remaining <= ARRIVE_TOL_M:
+            return reference_drive_straight(env, goal, deadline)
+        progress = _advance(pts, cum, p.xy, progress)
+        if progress > mark + PROGRESS_EPS_M:
+            mark, last_gain = progress, env.clock
+        elif env.clock - last_gain > STALL_LIMIT_S:
+            return False
+        carrot = _point_at(pts, cum, progress + LOOKAHEAD_M)
+        alpha = norm_angle(math.atan2(carrot[1] - p.y, carrot[0] - p.x) - p.theta)
+        if abs(alpha) > ROTATE_GATE_RAD:
+            v = 0.0
+            w = max(-rb.max_angular, min(rb.max_angular, 3.0 * alpha))
+        else:
+            v = rb.max_linear * max(0.2, math.cos(alpha))
+            v = min(v, max(0.15, remaining))
+            w = max(-rb.max_angular, min(rb.max_angular, 2.5 * alpha))
+        step(env, v, w, DT_S)
+    return False
 
 
 # --- reference room lattice ----------------------------------------------

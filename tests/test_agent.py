@@ -1,6 +1,7 @@
 import math
 import struct
 from dataclasses import FrozenInstanceError
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    ball, lattice_points, make_env, reference_room_lattice, room_layout,
-    scene, scenes, sighting, table, trace_bits,
+    ball, lattice_points, make_env, reference_drive_straight,
+    reference_follow_path, reference_room_lattice, reference_rotate_exact,
+    room_layout, scene, scenes, sighting, table, trace_bits,
 )
 from homefetch import world
 from homefetch.agent import (
@@ -884,6 +886,59 @@ class TestLegMemo:
         assert [key[0] for key in stored] == ["plan", _rotate_exact] * 3
         assert len(set(stored)) == 6
         assert list(memo) == stored[-3:]
+
+
+# (uncached leg, its per-tick reference over `world.step`) by leg kind; each
+# is called as leg(env, argument, deadline).
+_TICK_LEGS = {
+    "pursuit": (_follow_path, reference_follow_path),
+    "turn": (_rotate_exact, reference_rotate_exact),
+    "straight": (drive_straight, reference_drive_straight),
+    "reverse": (partial(drive_straight, reverse=True),
+                partial(reference_drive_straight, reverse=True)),
+}
+
+
+@st.composite
+def _tick_legs(draw):
+    """(leg kind, its argument, start, clock, deadline, held)."""
+    start = (draw(_coord), draw(st.floats(0.3, 3.7)),
+             draw(st.floats(-math.pi, math.pi)))
+    clock = draw(st.floats(0.0, 100.0))
+    deadline = clock + draw(st.floats(0.0, 30.0))
+    kind = draw(st.sampled_from(sorted(_TICK_LEGS)))
+    point = st.tuples(_coord, st.floats(0.3, 3.7))
+    if kind == "turn":
+        arg = draw(st.floats(-4.0, 4.0))
+    elif kind == "pursuit":
+        pts = [start[:2]] + draw(st.lists(point, max_size=3))
+        arg = Path(pts, sum(math.dist(a, b) for a, b in zip(pts, pts[1:])))
+    else:
+        arg = draw(point)
+    return kind, arg, start, clock, deadline, draw(st.booleans())
+
+
+class TestTickLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(leg=_tick_legs())
+    def test_leg_equals_per_tick_steps(self, leg):
+        """Each leg's `run_leg` loop leaves the scene bit for bit as one
+        `world.step` call per tick does: the return value, pose, clock,
+        collisions, trace and the held object's pose."""
+        kind, arg, start, clock, deadline, held = leg
+        outcomes = []
+        for body in _TICK_LEGS[kind]:
+            # A held ball starts off the grip point, so only a committed
+            # move puts it there.
+            env = _leg_env(start, clock, objects=(
+                ball(xy=start[:2], support=None if held else "t0/top"),))
+            if held:
+                env.robot.gripper = "o0"
+            ok = body(env, arg, deadline)
+            o = env.objects["o0"].pose
+            outcomes.append((_outcome(env, ok),
+                             struct.pack("<3d", o.x, o.y, o.theta)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestNavigateToRoom:

@@ -28,16 +28,35 @@ def _sha(*paths) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("argv, episodes, report", [
+# (argv, episodes.jsonl digest, report.json digest) of `run` commands.
+RUNS = [
     (["--seed", "7", "--sessions", "8"],
      "d23c7b98c4d30bfc6faa41df85210e519f7376b6d64c866cf112f078a1782264",
      "e1f3bcbdc071fde78f1a4db9cfaaf82caf01cf866e4b50d0349d9ced93123720"),
     (["--seed", "11", "--sessions", "8", "--p-miss", "0.3", "--p-attr", "0.5"],
      "4b4b233e32b55c6e50ea2b489c8dbc3c3eaa5ea50ace3fbf1199c596e22e4c7a",
      "26c981b9e6c157ca954b2694cb4f2d9bf81ffa90541ee2d891cc53594b038484"),
-], ids=["seed7", "seed11-noisy"])
+]
+
+
+@pytest.mark.parametrize("argv, episodes, report", RUNS,
+                         ids=["seed7", "seed11-noisy"])
 def test_run_outputs(tmp_path, argv, episodes, report):
     assert main(["run", *argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert _sha(tmp_path / "episodes.jsonl") == episodes
+    assert _sha(tmp_path / "report.json") == report
+
+
+def test_run_outputs_without_asserts(tmp_path):
+    """`python -O` strips the tick loop's tunnel `assert` with the rest; no
+    output byte may rest on one."""
+    argv, episodes, report = RUNS[0]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "homefetch.cli", "run", *argv,
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
     assert _sha(tmp_path / "episodes.jsonl") == episodes
     assert _sha(tmp_path / "report.json") == report
 

@@ -332,6 +332,43 @@ class TestFlatAstar:
             _assert_legal(grid, got)
 
 
+def _search(kind, env, grid, start, goal):
+    """A `_plan` between points, or an `_astar` between cells, on `grid`."""
+    if kind == "astar":
+        return _route(_astar, grid, start, goal)
+    return _answer(lambda e, a, b: _plan(e, grid, a, b), env, start, goal)
+
+
+class TestAstarScratch:
+    def test_searches_in_a_row_equal_fresh_grids(self):
+        """Searches in a row on one grid, one that raises `NoPath` among
+        them, each equal the same search on a fresh grid, and leave the
+        grid's `g_scratch` all inf."""
+        home, sealed = make_environment("default"), _two_sealed_rooms()
+        shared = {id(env): build_grid(env.layout, INFLATE)
+                  for env in (home, sealed)}
+        apart = (shared[id(sealed)].cell_of(1.0, 1.0),
+                 shared[id(sealed)].cell_of(6.0, 1.0))
+        steps = [("plan", home, (1.0, 1.0), (6.5, 5.5)),
+                 ("plan", home, (6.5, 5.5), (3.0, 7.0)),
+                 ("plan", sealed, (1.0, 1.0), (2.0, 2.2)),
+                 ("astar", sealed, *apart),
+                 ("plan", sealed, (6.0, 1.0), (7.0, 2.0)),
+                 ("plan", home, (1.0, 1.0), (6.5, 5.5))]
+        answers = []
+        for kind, env, start, goal in steps:
+            grid = shared[id(env)]
+            scratch = grid.g_scratch
+            got = _search(kind, env, grid, start, goal)
+            assert got == _search(kind, env, build_grid(env.layout, INFLATE),
+                                  start, goal)
+            assert grid.g_scratch is scratch
+            assert scratch.count(math.inf) == grid.nx * grid.ny
+            answers.append(got[0])
+        assert answers.count("NoPath") == 1
+        assert answers[3] == "NoPath"
+
+
 class TestBatchedStringPull:
     """`_string_pull` equals the segment-at-a-time reference."""
 

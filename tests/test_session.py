@@ -31,6 +31,7 @@ from homefetch.session import (
     tallies_from_events,
 )
 from homefetch.taskgen import generate_task
+from homefetch.world import DT_S
 
 
 class TestFormatting:
@@ -304,20 +305,20 @@ class TestRunSession:
         """Session 76 of seed 7 follows a path that heads away from its goal
         for longer than the stall limit; that is progress, not a stall."""
         legs = []  # per followed path: (clock, distance to its goal) per tick
-        follow, step = agent._follow_path, agent.world_step
+        follow = agent._follow_path
 
         def traced_follow(env, path, deadline):
-            goal, ticks = path.waypoints[-1], []
-            legs.append(ticks)
-
-            def traced_step(env, *args):
-                step(env, *args)
-                ticks.append((env.clock, dist(env.robot.pose.xy, goal)))
-            monkeypatch.setattr(agent, "world_step", traced_step)
+            goal, clock, start = path.waypoints[-1], env.clock, len(env.trace)
             try:
                 return follow(env, path, deadline)
             finally:
-                monkeypatch.setattr(agent, "world_step", step)
+                # Read the leg's ticks from the trace it appended; each
+                # tick advances the clock by DT_S.
+                ticks = []
+                for x, y, _ in env.trace[start:]:
+                    clock += DT_S
+                    ticks.append((clock, dist((x, y), goal)))
+                legs.append(ticks)
 
         monkeypatch.setattr(agent, "_follow_path", traced_follow)
         forget_memos()  # so that every leg runs, not a memoized replay

@@ -533,6 +533,19 @@ class TestStep:
         assert len(env.trace) == 2
         assert env.trace[0][:2] == (2.05, 2.0)
 
+    def test_both_heading_wraps(self):
+        """A turn to one ulp below -pi wraps once to +pi and again to -pi:
+        the trace holds the heading after both wraps, as the pose does."""
+        env = make_env(robot_xy=(3.0, 2.0), theta=-math.pi)
+        env.trace = []
+        below = math.nextafter(-math.pi, -math.inf)
+        w = (below + math.pi) / DT_S
+        assert -math.pi + w * DT_S == below
+        assert norm_angle(below) == math.pi
+        assert not step(env, 0.0, w, DT_S)
+        assert env.robot.pose.theta == -math.pi
+        assert env.trace == [(3.0, 2.0, -math.pi)]
+
     def test_held_object_tracks_gripper(self):
         t = table("t0", Rect(3.0, 3.0, 4.0, 4.0))
         o = ball("o0", (3.5, 3.5), "t0/top")

@@ -230,6 +230,17 @@ def lattice_captures(env: Environment, room_id: str) -> tuple[Capture, ...]:
                  in zip(cams, visible_batch(env, cams, lattice.views)))
 
 
+def first_sightings(captures) -> dict[str, tuple[int, Snapshot]]:
+    """Each id the captures show -> (the index of the first capture that
+    shows it, its snapshot there), in first-sighting order."""
+    first: dict[str, tuple[int, Snapshot]] = {}
+    for ci, cap in enumerate(captures):
+        for s in cap.snapshots:
+            if s.object_id not in first:
+                first[s.object_id] = ci, s
+    return first
+
+
 # --- low-level motion -------------------------------------------------------
 
 def _memo_leg(env: Environment, body, deadline: float,
@@ -427,37 +438,27 @@ def _drive(env: Environment, goal: tuple[float, float], deadline: float,
 
 def navigate_to_room(env: Environment, room_id: str, deadline: float,
                      events: list) -> bool:
-    """Drive to a door-side anchor of the room; success is room membership."""
+    """Drive to the room's `room_entry` anchor, one `_drive` leg; success is
+    room membership."""
     if point_in_room(env, env.robot.pose.x, env.robot.pose.y) == room_id:
         return True
-    path = room_entry_path(env, room_id)
-    if path is None:
-        return False
-    _emit_path(events, env, f"navigate:{room_id}", path)
-    return (follow_path(env, path, deadline)
+    anchor = room_entry(env, room_id)
+    return (anchor is not None
+            and _drive(env, anchor, deadline, events, f"navigate:{room_id}")
             and point_in_room(env, env.robot.pose.x, env.robot.pose.y) == room_id)
 
 
 def room_entry(env: Environment, room_id: str) -> tuple[float, float] | None:
     """The first door anchor of the room, by door id, that the planner can
     reach from the robot (`reachable`, no search); None when there is
-    none."""
+    none.  Its plan returns, so this is the anchor `navigate_to_room`
+    drives to whenever the screen finds one."""
     room = env.layout.room(room_id)
     for door in sorted(room.doors, key=lambda d: d.id):
         anchor = door.anchor_in(room, ANCHOR_INSET_M)
         if reachable(env, env.robot.pose.xy, anchor):
             return anchor
     return None
-
-
-def room_entry_path(env: Environment, room_id: str) -> Path | None:
-    """Path from the robot to the room's `room_entry` anchor; None when no
-    anchor is reachable.  The first door anchor that the planner can reach
-    is the first whose plan returns, so this is the path the robot drives
-    whenever the screen's `room_entry` finds an anchor."""
-    anchor = room_entry(env, room_id)
-    return None if anchor is None else plan_path(env, env.robot.pose.xy,
-                                                 anchor)
 
 
 def crawl(env: Environment, lattice: tuple[Capture, ...], deadline: float,
@@ -587,14 +588,6 @@ def _ground_keyword(category: str, captures: list[Capture],
     return Pick(d, ci, captures[ci].camera)
 
 
-def _first_sighting(oid: str, captures: list[Capture]) -> Pick | None:
-    for ci, cap in enumerate(captures):
-        for s in cap.snapshots:
-            if s.object_id == oid:
-                return Pick(s, ci, cap.camera)
-    return None
-
-
 def ground(instr: InstructionAst, captures: list[Capture],
            detections: list[list[Snapshot]], kind: str,
            weights: ScoreWeights = ScoreWeights(),
@@ -604,8 +597,8 @@ def ground(instr: InstructionAst, captures: list[Capture],
 
     Each role of the returned Grounding is a Pick, or None where that role
     abstained; an abstention is an outcome, not an error.  The oracle picks
-    the first raw sighting of the `truth` ids.  Raises ValueError for an
-    unknown kind or an oracle call without `truth`.
+    the first raw sighting of the `truth` ids (`first_sightings`).  Raises
+    ValueError for an unknown kind or an oracle call without `truth`.
     """
     m = instr.manip
     if kind == RELATIONAL:
@@ -622,8 +615,11 @@ def ground(instr: InstructionAst, captures: list[Capture],
     if kind == ORACLE:
         if truth is None:
             raise ValueError("oracle grounding needs ground-truth ids")
-        return Grounding(_first_sighting(truth[0], captures),
-                         _first_sighting(truth[1], captures))
+        first = first_sightings(captures)
+        hits = [first.get(oid) for oid in truth]
+        return Grounding(*(None if hit is None
+                           else Pick(hit[1], hit[0], captures[hit[0]].camera)
+                           for hit in hits))
     raise ValueError(f"unknown grounder kind {kind!r}")
 
 

@@ -10,10 +10,11 @@ Each candidate goes through, in order: the draw (`select_task`), whose
 destination is one of the surfaces the crawl lattice of the target's room
 can see in the scene without objects (the `surfaces` of `room_lattice`,
 computed once per room, not per scene); the lattice check, which drops it
-unless some capture of that room's lattice (`lattice_captures`, computed
-once per scene and room) sees both the target and the destination; the
-description (`make_instruction`), made from those same captures; and the
-screen (`task_feasible`).  The accepted task carries its room's lattice
+unless the first-sighting index (`agent.first_sightings`) of that room's
+lattice captures (`lattice_captures`; both computed once per scene and
+room) holds both the target and the destination; the description
+(`make_instruction`), made from those same captures; and the screen
+(`task_feasible`).  The accepted task carries its room's lattice
 (`TaskSpec.lattice`) to the crawl.
 
 The screen grounds only on detections in the lattice captures, so a
@@ -23,11 +24,12 @@ draws from its own substream, so skipping a candidate's later steps moves
 no other draw.  Each role is described by the smallest attribute set that
 no other id of its kind in the lattice captures matches, which the
 zero-noise grounder picks strictly by construction; a target with no such
-set gets a relation instead, found in the first capture that shows it,
+set gets a relation instead, found in the capture of its first sighting,
 and only the screen can tell whether that one holds over the lattice.
 The exported captures (`capture_views`, made at export) are, per role,
-the first lattice capture that shows it: the capture the grounder picks
-whenever the screen passes.
+the capture of its first sighting: the capture the grounder picks
+whenever the screen passes.  Every "first capture that shows" lookup
+here reads `first_sightings`.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .agent import (
-    RELATIONAL, Capture, ScoreWeights, grasp_approach, ground,
-    lattice_captures, place_approach, room_entry, room_lattice,
+    RELATIONAL, Capture, ScoreWeights, first_sightings, grasp_approach,
+    ground, lattice_captures, place_approach, room_entry, room_lattice,
 )
 from .eventlog import (
     INT, NULL, NUMBER, STR, canonical_join, canonical_json, problems,
@@ -56,8 +58,7 @@ from .seeds import h64, substream
 from .vocab import DEFAULT
 from .world import (
     DYNAMIC, SURFACE, ActionFailure, DynamicObject, Environment, Pose,
-    Snapshot, env_record, place_spot, point_in_room, scene_text,
-    snapshot_record,
+    env_record, place_spot, point_in_room, scene_text, snapshot_record,
 )
 
 ENV_ATTEMPTS = 5
@@ -221,30 +222,16 @@ def select_task(env: Environment,
     return target, rng.choice(dests), room
 
 
-def _first_showing(caps: tuple[Capture, ...], subject: str) -> Capture:
-    """The first capture that shows `subject`."""
-    for cap in caps:
-        if any(s.object_id == subject for s in cap.snapshots):
-            return cap
-    raise ValueError(f"no capture shows {subject}")
-
-
-def _sightings(caps: tuple[Capture, ...], kind: str) -> dict[str, Snapshot]:
-    """The first sighting of each id of `kind` across the captures."""
-    first: dict[str, Snapshot] = {}
-    for cap in caps:
-        for s in cap.snapshots:
-            if s.kind == kind:
-                first.setdefault(s.object_id, s)
-    return first
-
-
 def capture_views(task: TaskSpec) -> tuple[Capture, Capture]:
     """For each role, the first capture of the task's lattice that shows
-    it: the capture the grounder picks when the screen passes.  Each is a
-    copy with `subject` set.  Raises ValueError for a role that no capture
-    of the lattice shows."""
-    return tuple(replace(_first_showing(task.lattice, sid), subject=sid)
+    it (`first_sightings`): the capture the grounder picks when the screen
+    passes.  Each is a copy with `subject` set.  Raises ValueError for a
+    role that no capture of the lattice shows."""
+    first = first_sightings(task.lattice)
+    for sid in (task.target, task.destination):
+        if sid not in first:
+            raise ValueError(f"no capture shows {sid}")
+    return tuple(replace(task.lattice[first[sid][0]], subject=sid)
                  for sid in (task.target, task.destination))
 
 
@@ -257,20 +244,22 @@ def make_instruction(env: Environment, target: str, destination: str,
     lattice.
 
     Each role gets the smallest attribute set that no other id of its kind
-    in those captures matches.  A target with none gets a relation, found
-    in the first capture that shows it (`distinguishing_descriptor`); a
+    in those captures matches, judged on each id's first sighting
+    (`first_sightings`).  A target with none gets a relation, found in the
+    first capture that shows it (`distinguishing_descriptor`); a
     destination with none raises NoDistinguishingDescription.  A target
     with no relation names its support surface as the source, with
     probability `source_phrase_prob`, when the lattice shows that surface
     and some attribute set singles it out among the surfaces there.
     """
-    objects = _sightings(lattice, DYNAMIC)
-    surfaces = _sightings(lattice, SURFACE)
+    first = first_sightings(lattice)
+    objects = {oid: s for oid, (_, s) in first.items() if s.kind == DYNAMIC}
+    surfaces = {oid: s for oid, (_, s) in first.items() if s.kind == SURFACE}
 
     attrs = minimal_attr_descriptor(objects[target], objects.values())
     rel = None
     if attrs is None:
-        cap = _first_showing(lattice, target)
+        cap = lattice[first[target][0]]
         attrs, rel = distinguishing_descriptor(target, cap.snapshots,
                                                cap.supports, cfg.thresholds)
     d_attrs = minimal_attr_descriptor(surfaces[destination], surfaces.values())
@@ -298,14 +287,14 @@ def task_feasible(env: Environment, task: TaskSpec, cfg: GenConfig) -> bool:
 
     Requires: grounding from the task's lattice is strictly unique and lands
     on the ground truth for both roles; the room has a door anchor that the
-    planner can reach from the robot (`room_entry`, the anchor whose path
-    navigation drives, decided without a search); a grasp approach exists
-    near the target; a set-down approach with at least one free spiral slot
-    exists at the destination; the text parses back to the instruction.  The
-    grounding reads `task.instruction`, not the parsed text, and no check
-    has an effect beyond its memos, so the order changes no verdict: the
-    parse, which realized text always passes, goes last, after the checks
-    that reject.
+    planner can reach from the robot (`room_entry`, the anchor that
+    `navigate_to_room` drives to, decided without a search); a grasp
+    approach exists near the target; a set-down approach with at least one
+    free spiral slot exists at the destination; the text parses back to the
+    instruction.  The grounding reads `task.instruction`, not the parsed
+    text, and no check has an effect beyond its memos, so the order changes
+    no verdict: the parse, which realized text always passes, goes last,
+    after the checks that reject.
     """
     caps = task.lattice
     g = ground(task.instruction, caps, [c.snapshots for c in caps],
@@ -335,10 +324,11 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
 
     Up to ENV_ATTEMPTS scenes are tried, TASKS_PER_ENV task draws each; a
     full strike-out is a hard error so batch automation stays total.  Both
-    roles of each draw are checked against the captures of the lattice of
-    the target's room, computed once per scene and room, before the
-    description is made from them; then it is screened.  The check only
-    drops draws the screen would reject (see the module docstring).
+    roles of each draw are checked against the first-sighting index of the
+    captures of the lattice of the target's room, both computed once per
+    scene and room, before the description is made from those captures;
+    then it is screened.  The check only drops draws the screen would
+    reject (see the module docstring).
     """
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit unsigned integer")
@@ -348,17 +338,17 @@ def generate_task(cfg: GenConfig, seed: int) -> tuple[Environment, TaskSpec]:
             env = build_environment(cfg, h64("gen-env", seed, salt))
         except PlacementExhausted:
             continue
-        lattices: dict[str, tuple[Capture, ...]] = {}
+        lattices: dict[str, tuple[tuple[Capture, ...], dict]] = {}
         for attempt in range(salt * TASKS_PER_ENV, (salt + 1) * TASKS_PER_ENV):
             rng = substream("gen-task", seed, attempt)
             try:
                 target, destination, room = select_task(env, rng)
             except NoFeasibleTask:
                 continue
-            lattice = lattices.get(room)
-            if lattice is None:
-                lattice = lattices[room] = lattice_captures(env, room)
-            seen = {s.object_id for c in lattice for s in c.snapshots}
+            if room not in lattices:
+                lattice = lattice_captures(env, room)
+                lattices[room] = lattice, first_sightings(lattice)
+            lattice, seen = lattices[room]
             if target not in seen or destination not in seen:
                 continue
             try:

@@ -39,6 +39,7 @@ from homefetch.agent import (
     estimated_position,
     fetch,
     find_approach,
+    first_sightings,
     follow_path,
     ground,
     lattice_captures,
@@ -637,6 +638,25 @@ class TestGroundOracle:
         caps, dets = _dets([sighting("o0")])
         with pytest.raises(ValueError, match="unknown grounder"):
             ground(_ast(AttributeSet("bottle")), caps, dets, "psychic")
+
+
+class TestFirstSightings:
+    def test_first_capture_and_its_snapshot(self):
+        caps, _ = _dets(
+            [sighting("s0", kind=SURFACE, category="table")],
+            [sighting("o1", bearing=0.2), sighting("o0", bearing=0.1)],
+            [sighting("o0", bearing=-0.1), sighting("s0", kind=SURFACE,
+                                                    category="table")])
+        first = first_sightings(caps)
+        assert list(first) == ["s0", "o1", "o0"]
+        assert {oid: ci for oid, (ci, _) in first.items()} == \
+            {"s0": 0, "o1": 1, "o0": 1}
+        assert first["o0"][1] is caps[1].snapshots[1]
+        assert first["s0"][1] is caps[0].snapshots[0]
+
+    def test_no_captures(self):
+        assert first_sightings([]) == {}
+        assert first_sightings(_dets([])[0]) == {}
 
 
 def test_estimated_position():

@@ -1,11 +1,10 @@
 """Every module uses every name it imports.
 
 No linter runs on this repository, so this test stands in for the
-unused-import check: for each module of `src/homefetch/` (the package's
-`__init__.py`, which imports to re-export, aside) and of `tests/`, every
-name bound by an import must be read somewhere in the module.  A string
-annotation such as `"TaskSpec"` counts as a read of the names it holds.
-The files are read as source, not imported.
+unused-import check: for each module of `src/homefetch/` and of `tests/`,
+every name bound by an import must be read somewhere in the module.  A
+string annotation such as `"TaskSpec"` counts as a read of the names it
+holds.  The files are read as source, not imported.
 """
 import ast
 from pathlib import Path
@@ -13,10 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "homefetch").glob("*.py")
-     if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")))
+MODULES = sorted([*(ROOT / "src" / "homefetch").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

@@ -955,6 +955,11 @@ class TestValidator:
         issues = validate_layout(self._default_with(rooms=rooms))
         assert f"room id {rooms[0].id} repeated" in issues
 
+    def test_generated_scenes_clean(self):
+        for seed in (3, 4, 5):
+            env = build_environment(GenConfig(), seed)
+            assert validate_environment(env) == []
+
     def test_detects_floating_object(self):
         t = table("t0")
         o = ball("o0", (5.0, 0.5), "t0/top")  # far off the surface
